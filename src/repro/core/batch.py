@@ -10,8 +10,10 @@ fleet-wide array operations:
 * ConSert gate trees are compiled once into boolean-array programs
   (:class:`CompiledConSerts`) and evaluated for all UAVs at once;
 * the SafeDrones battery/processor/propulsion models run as stacked
-  arrays (:class:`BatchSafeDrones`) — one ``scipy.linalg.expm`` call over
-  an ``(n, 4, 4)`` stack instead of ``n`` scalar solves;
+  arrays (:class:`BatchSafeDrones`) — each battery row steps through the
+  same closed-form kernel the scalar monitor uses
+  (:func:`repro.safedrones.battery.battery_transient`), and propulsion
+  PoF comes from the scalar model's memo;
 * SafeML ECDF statistical distances are computed as stacked array
   operations across every (monitor, feature) task
   (:func:`stacked_safeml_reports`).
@@ -64,7 +66,6 @@ import math
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.stats import norm
 
 from repro.core.adapters import build_fleet_eddis
@@ -78,9 +79,13 @@ from repro.core.decider import (
 from repro.core.eddi import EddiResponse
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
 from repro.obs import OBS, event
-from repro.safedrones.battery import BOLTZMANN_EV, BatteryReliabilityModel
+from repro.safedrones.battery import (
+    BOLTZMANN_EV,
+    FAILED,
+    BatteryReliabilityModel,
+    battery_transient,
+)
 from repro.safedrones.communication import CommLinkMonitor
-from repro.safedrones.markov import MarkovModelError
 from repro.safedrones.monitor import ReliabilityAssessment, ReliabilityLevel
 from repro.safedrones.processor import ProcessorReliabilityModel
 from repro.safedrones.propulsion import PropulsionModel
@@ -260,12 +265,11 @@ def compiled_conserts() -> CompiledConSerts:
 class BatchSafeDrones:
     """Fleet-wide :class:`~repro.safedrones.monitor.SafeDronesMonitor`.
 
-    One battery Markov distribution row per UAV, integrated with a single
-    stacked ``expm`` call; Arrhenius/SoC/processor thermal factors stay
-    per-row ``math.exp`` (bit-exactness). Propulsion PoF is a pure
-    function of ``(rotor_count, motors_failed)`` for a fixed horizon and
-    is memoized — ``expm`` is deterministic, so the cached value is the
-    bits the scalar monitor recomputes every cycle.
+    One battery Markov distribution row per UAV, each integrated with the
+    scalar model's closed-form kernel; Arrhenius/SoC/processor thermal
+    factors stay per-row ``math.exp`` (bit-exactness). Propulsion PoF
+    comes from one :class:`PropulsionModel` per rotor count, whose memo
+    holds the same bits the scalar monitor's model returns.
     """
 
     def __init__(
@@ -281,7 +285,7 @@ class BatchSafeDrones:
         self.mission_horizon_s = mission_horizon_s
         self.soc_collapse_threshold = soc_collapse_threshold
         battery = BatteryReliabilityModel()
-        self._base_q = battery.chain.q.copy()
+        self._bat_rate = battery.base_rate_per_s
         self._bat_ea_b = battery.activation_energy_ev / BOLTZMANN_EV
         self._bat_inv_tref = 1.0 / (battery.reference_temp_c + 273.15)
         self._bat_gamma = battery.soc_stress_gamma
@@ -300,8 +304,9 @@ class BatchSafeDrones:
         self._motors = [0] * n
         self._hazard = [0.0] * n
         self._rotor_counts = [int(r) for r in rotor_counts]
-        self._prop_models: dict[int, PropulsionModel] = {}
-        self._prop_cache: dict[tuple[int, int], float] = {}
+        self._propulsion = {
+            r: PropulsionModel(rotor_count=r) for r in set(self._rotor_counts)
+        }
         self._updated = False
         self._stamp = 0.0
         self.failure_probability = np.zeros(n)
@@ -311,19 +316,6 @@ class BatchSafeDrones:
         self.rel_high = np.zeros(n, dtype=bool)
         self.rel_medium = np.zeros(n, dtype=bool)
         self.abort_recommended = np.zeros(n, dtype=bool)
-
-    def _propulsion_pof(self, rotor_count: int, motors_failed: int) -> float:
-        key = (rotor_count, motors_failed)
-        pof = self._prop_cache.get(key)
-        if pof is None:
-            model = self._prop_models.get(rotor_count)
-            if model is None:
-                model = PropulsionModel(rotor_count=rotor_count)
-                self._prop_models[rotor_count] = model
-            model.motors_failed = motors_failed
-            pof = model.failure_probability(self.mission_horizon_s)
-            self._prop_cache[key] = pof
-        return pof
 
     def update(self, now: float, soc, temp_c, motors_failed=None) -> np.ndarray:
         """Feed one fleet-wide telemetry sample; returns total PoF per row.
@@ -376,35 +368,17 @@ class BatchSafeDrones:
 
         if not first and dt != 0.0 and n:
             dist = self._dist
-            sums = np.sum(dist, axis=1)
-            if not np.isclose(sums, 1.0, atol=1e-9).all():
-                raise MarkovModelError("p0 must sum to 1")
+            base_rate = self._bat_rate
             ea_b = self._bat_ea_b
             inv_tref = self._bat_inv_tref
             gamma = self._bat_gamma
             knee = self._bat_knee
-            facts = [0.0] * n
             for k in range(n):
                 t = max(temp_l[k], -200.0) + 273.15
                 arrhenius = mexp(ea_b * (inv_tref - 1.0 / t))
                 s = min(max(soc_l[k], 0.0), 1.0)
                 socf = 1.0 if s >= knee else mexp(gamma * (knee - s))
-                facts[k] = arrhenius * socf
-            factors = np.array(facts, dtype=float)
-            generators = (self._base_q[None, :, :] * factors[:, None, None]) * dt
-            transitions = expm(generators)
-            pts = np.empty_like(dist)
-            for k in range(n):
-                pts[k] = dist[k] @ transitions[k]
-            pts = np.clip(pts, 0.0, None)
-            totals = np.sum(pts, axis=1)
-            bad = ~((totals >= 0.97) & (totals <= 1.03))
-            if bad.any():
-                k = int(np.flatnonzero(bad)[0])
-                raise MarkovModelError(
-                    f"transient solve lost normalisation (sum={float(totals[k]):.6f})"
-                )
-            self._dist = pts / totals[:, None]
+                dist[k] = battery_transient(dist[k], base_rate * (arrhenius * socf), dt)
 
             ser = self._proc_ser
             wearout_rate = self._proc_wearout
@@ -416,7 +390,7 @@ class BatchSafeDrones:
                 wearout = wearout_rate * mexp(p_ea_b * (p_inv_tref - 1.0 / t))
                 hazard[k] = hazard[k] + ((ser + wearout) / 3600.0) * dt
 
-        battery_pof = self._dist[:, 3].copy()
+        battery_pof = self._dist[:, FAILED].copy()
         hazard = self._hazard
         proc = [0.0] * n
         for k in range(n):
@@ -424,9 +398,12 @@ class BatchSafeDrones:
         proc_pof = np.array(proc, dtype=float)
         rotors = self._rotor_counts
         motors = self._motors
+        horizon = self.mission_horizon_s
         prop = [0.0] * n
         for k in range(n):
-            prop[k] = self._propulsion_pof(rotors[k], motors[k])
+            model = self._propulsion[rotors[k]]
+            model.motors_failed = motors[k]
+            prop[k] = model.failure_probability(horizon)
         prop_pof = np.array(prop, dtype=float)
 
         # Fault-tree CBE range checks, in scalar evaluation order; the

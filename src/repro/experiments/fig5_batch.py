@@ -3,13 +3,13 @@
 The scalar Monte-Carlo path (:mod:`repro.experiments.monte_carlo`) runs
 one full :func:`repro.experiments.fig5_battery.run_fig5_battery_experiment`
 per grid point: three worlds (nominal, SESAME, naive) of three UAVs each,
-with a per-step scipy ``expm`` inside the SafeDrones monitor — by far the
-slowest registered campaign. This module runs *N samples as one stacked
-simulation*: every sample's ``uav1`` clone becomes one row of a single
-vectorized world, the per-row policy state machines mirror
-``_run_policy`` statement for statement, and the SafeDrones monitors
-collapse into one :class:`repro.core.batch.BatchSafeDrones` bank (one
-stacked ``expm`` per step for the whole sample axis).
+with a SafeDrones monitor update per UAV per step. This module runs *N
+samples as one stacked simulation*: every sample's ``uav1`` clone becomes
+one row of a single vectorized world, the per-row policy state machines
+mirror ``_run_policy`` statement for statement, and the SafeDrones
+monitors collapse into one :class:`repro.core.batch.BatchSafeDrones` bank
+(one call per step for the whole sample axis, stepping each row through
+the same closed-form battery kernel as the scalar monitor).
 
 Bit-exactness: a sample's trajectory depends only on its own spawned RNG
 streams (``uav_rng_streams`` child 0 is a pure function of the seed —

@@ -9,6 +9,15 @@ integrates the chain forward with the *live* stress observed in telemetry
 so the probability-of-failure curve responds to the injected thermal fault
 exactly as the paper's blue curve does.
 
+Every stage has the same rate, so the chain is a pure-birth process and
+its transient has a closed form (:func:`battery_transient`): over
+``x = rate * dt`` the number of stage transitions is Poisson(``x``), and
+the absorbing ``failed`` stage collects the tail. That kernel is the one
+solve the scalar monitor and the batched bank
+(:class:`repro.core.batch.BatchSafeDrones`) share; the generic
+``expm``-based :class:`~repro.safedrones.markov.ContinuousMarkovChain`
+from :func:`battery_chain` stays as the readable model and the test oracle.
+
 Calibration: with the paper's scenario (fault at t=250 s collapsing SoC to
 40% and sustaining ~84 C cell temperature) the PoF crosses the 0.9
 threshold near the 510 s mission end, matching Fig. 5.
@@ -21,12 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.safedrones.markov import ContinuousMarkovChain
+from repro.safedrones.markov import ContinuousMarkovChain, MarkovModelError
 
 BOLTZMANN_EV = 8.617333e-5
 """Boltzmann constant in eV/K for the Arrhenius acceleration factor."""
 
 STATES = ["healthy", "degraded", "critical", "failed"]
+FAILED = STATES.index("failed")
 
 
 def battery_chain(base_rate_per_s: float) -> ContinuousMarkovChain:
@@ -41,6 +51,48 @@ def battery_chain(base_rate_per_s: float) -> ContinuousMarkovChain:
         ]
     )
     return ContinuousMarkovChain(states=list(STATES), q=q, absorbing=frozenset({"failed"}))
+
+
+def battery_transient(p0, rate_per_s: float, t: float) -> np.ndarray:
+    """Closed-form ``battery_chain(rate_per_s).transient(p0, t)``.
+
+    With ``x = rate_per_s * t`` and ``e = exp(-x)``, mass in stage ``i``
+    moves ``k`` stages with Poisson weight ``e * x**k / k!``; whatever
+    would move past ``failed`` stays there. The chain's checks are kept
+    with their tolerances and error type: ``p0`` length, ``p0`` summing
+    to 1, non-negative rate and time, then the clip, the normalisation
+    check and the renormalisation.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (len(STATES),):
+        raise MarkovModelError("p0 has wrong length")
+    a, b, c, d = p0.tolist()
+    # np.isclose(sum, 1.0, atol=1e-9) written out: |sum - 1| <= atol + rtol * 1.
+    if not abs((a + b + c + d) - 1.0) <= 1e-9 + 1e-5:
+        raise MarkovModelError("p0 must sum to 1")
+    if rate_per_s < 0.0:
+        raise MarkovModelError("rate factor must be non-negative")
+    if t < 0.0:
+        raise MarkovModelError("t must be non-negative")
+    x = rate_per_s * t
+    e = math.exp(-x)
+    w1 = e * x
+    w2 = w1 * x / 2.0
+    tail1 = -math.expm1(-x)  # P(at least one transition)
+    tail2 = tail1 - w1
+    tail3 = tail2 - w2
+    pt = [
+        max(a * e, 0.0),
+        max(a * w1 + b * e, 0.0),
+        max(a * w2 + b * w1 + c * e, 0.0),
+        max(d + c * tail1 + b * tail2 + a * tail3, 0.0),
+    ]
+    total = pt[0] + pt[1] + pt[2] + pt[3]
+    if not 0.97 <= total <= 1.03:
+        raise MarkovModelError(
+            f"transient solve lost normalisation (sum={total:.6f})"
+        )
+    return np.array(pt) / total
 
 
 @dataclass
@@ -62,7 +114,6 @@ class BatteryReliabilityModel:
     last_time: float | None = None
 
     def __post_init__(self) -> None:
-        self.chain = battery_chain(self.base_rate_per_s)
         if self.distribution is None:
             self.distribution = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -102,9 +153,8 @@ class BatteryReliabilityModel:
         self.last_time = now
         if dt == 0.0:
             return self.failure_probability
-        factor = self.stress_factor(soc, temp_c)
-        stressed = self.chain.scaled(factor)
-        self.distribution = stressed.transient(self.distribution, dt)
+        rate = self.base_rate_per_s * self.stress_factor(soc, temp_c)
+        self.distribution = battery_transient(self.distribution, rate, dt)
         return self.failure_probability
 
     def register_cell_fault(self) -> None:
@@ -117,7 +167,7 @@ class BatteryReliabilityModel:
     @property
     def failure_probability(self) -> float:
         """Probability the pack has failed (mass in the absorbing state)."""
-        return float(self.distribution[self.chain.index("failed")])
+        return float(self.distribution[FAILED])
 
     @property
     def reliability(self) -> float:
@@ -132,7 +182,5 @@ class BatteryReliabilityModel:
         self, horizon_s: float, soc: float, temp_c: float
     ) -> float:
         """PoF ``horizon_s`` seconds ahead if the condition persists."""
-        factor = self.stress_factor(soc, temp_c)
-        stressed = self.chain.scaled(factor)
-        future = stressed.transient(self.distribution, horizon_s)
-        return float(future[self.chain.index("failed")])
+        rate = self.base_rate_per_s * self.stress_factor(soc, temp_c)
+        return float(battery_transient(self.distribution, rate, horizon_s)[FAILED])

@@ -4,6 +4,11 @@ SafeDrones expresses component degradation as CTMCs whose absorbing states
 are failures. This module provides the generic machinery: generator-matrix
 validation, transient probability via the matrix exponential, absorbing
 failure probability, and mean time to failure via the fundamental matrix.
+
+The propulsion model solves its chain here. The battery chain has a
+closed-form transient (:func:`repro.safedrones.battery.battery_transient`)
+that the runtime monitors use instead; this ``expm`` solve remains its
+readable definition and the oracle the tests check the closed form against.
 """
 
 from __future__ import annotations

@@ -108,6 +108,8 @@ class PropulsionModel:
         self.chain = motor_chain(
             self.rotor_count, self.failure_rate_per_hour, self.reconfig_success
         )
+        self._memo: dict[tuple[int, int, float], float] = {}
+        self._memo_chain = self.chain
 
     @classmethod
     def from_arrangement(
@@ -151,13 +153,28 @@ class PropulsionModel:
         return f"ok_{self.rotor_count - self.motors_failed}"
 
     def failure_probability(self, horizon_s: float) -> float:
-        """Probability of propulsion loss within ``horizon_s`` seconds."""
-        state = self._current_state()
-        if state == "failed":
-            return 1.0
-        p0 = np.zeros(len(self.chain.states))
-        p0[self.chain.index(state)] = 1.0
-        return self.chain.failure_probability(p0, horizon_s)
+        """Probability of propulsion loss within ``horizon_s`` seconds.
+
+        The value only changes when a motor fails, so it is memoized on
+        the current state (rotor and failed-motor counts) and horizon.
+        The memo is dropped whenever ``chain`` is replaced, as
+        :meth:`from_arrangement` does.
+        """
+        if self._memo_chain is not self.chain:
+            self._memo = {}
+            self._memo_chain = self.chain
+        key = (self.rotor_count, self.motors_failed, horizon_s)
+        pof = self._memo.get(key)
+        if pof is None:
+            state = self._current_state()
+            if state == "failed":
+                pof = 1.0
+            else:
+                p0 = np.zeros(len(self.chain.states))
+                p0[self.chain.index(state)] = 1.0
+                pof = self.chain.failure_probability(p0, horizon_s)
+            self._memo[key] = pof
+        return pof
 
     def mttf_hours(self) -> float:
         """Mean time to propulsion failure from the current state, hours."""

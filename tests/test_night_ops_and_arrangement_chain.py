@@ -98,6 +98,32 @@ class TestArrangementCalibratedChain:
         # Tolerating a second failure (partially) beats the 1-failure table.
         assert arrangement_pof < naive_pof
 
+    def test_memo_tracks_arrangement_chain(self, hexa):
+        model = PropulsionModel.from_arrangement(hexa)
+        horizon = 8 * 3600.0
+
+        def uncached():
+            state = f"ok_{model.rotor_count - model.motors_failed}"
+            if state not in model.chain.states:
+                return 1.0
+            return model.chain.failure_probability(
+                np.eye(len(model.chain.states))[model.chain.index(state)], horizon
+            )
+
+        for _ in range(4):
+            assert model.failure_probability(horizon) == uncached()
+            model.record_motor_failure()
+        assert model.failure_probability(horizon) == 1.0
+
+    def test_memo_dropped_when_chain_replaced(self, hexa):
+        model = PropulsionModel(rotor_count=6)
+        horizon = 8 * 3600.0
+        default_pof = model.failure_probability(horizon)
+        model.chain = motor_chain_from_survival(6, hexa.survival_by_count)
+        calibrated = model.chain.failure_probability(np.eye(4)[0], horizon)
+        assert calibrated != default_pof
+        assert model.failure_probability(horizon) == calibrated
+
     def test_quad_arrangement_matches_table(self):
         quad = ArrangementAnalysis(rotor_count=4)
         model = PropulsionModel.from_arrangement(quad)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.safedrones.battery import BatteryReliabilityModel
+from repro.safedrones.battery import (
+    BatteryReliabilityModel,
+    battery_chain,
+    battery_transient,
+)
+from repro.safedrones.markov import MarkovModelError
 from repro.safedrones.monitor import (
     ReliabilityLevel,
     SafeDronesMonitor,
@@ -147,6 +152,76 @@ class TestBatteryReliability:
         model.update(0.0, 0.3, 70.0)
         model.update(500.0, 0.3, 70.0)
         assert model.distribution.sum() == pytest.approx(1.0)
+
+
+RATE = BatteryReliabilityModel().base_rate_per_s
+STRESS = 37.5
+
+
+def _simplex_points():
+    rng = np.random.default_rng(2024)
+    points = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])]
+    points += [rng.dirichlet(np.ones(4)) for _ in range(6)]
+    # Shapes left by register_cell_fault: nothing in ``healthy``.
+    for _ in range(4):
+        a, b, c = rng.dirichlet(np.ones(3))
+        points.append(np.array([0.0, a, b, c]))
+    return points
+
+
+class TestBatteryTransientKernel:
+    """The closed form against the ``expm`` chain it replaces."""
+
+    @pytest.mark.parametrize("x", [0.0, 1e-12, 1e-3, 1.0, 10.0, 50.0])
+    def test_matches_expm_oracle(self, x):
+        oracle = battery_chain(RATE).scaled(STRESS)
+        t = x / (RATE * STRESS)
+        for p0 in _simplex_points():
+            got = battery_transient(p0, RATE * STRESS, t)
+            np.testing.assert_allclose(got, oracle.transient(p0, t), rtol=0.0, atol=1e-12)
+
+    def test_zero_time_returns_p0(self):
+        for p0 in (np.array([0.5, 0.25, 0.125, 0.125]), np.array([0.0, 0.75, 0.25, 0.0])):
+            np.testing.assert_array_equal(battery_transient(p0, RATE * STRESS, 0.0), p0)
+        for p0 in _simplex_points():
+            np.testing.assert_allclose(
+                battery_transient(p0, RATE * STRESS, 0.0), p0, rtol=0.0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize(
+        "p0, t",
+        [
+            ([0.7, 0.7, 0.0, 0.0], 1.0),  # does not sum to 1
+            ([1.0 + 1.2e-5, 0.0, 0.0, 0.0], 1.0),  # just outside np.isclose
+            ([0.5, 0.5, 0.0], 1.0),  # wrong length
+            ([1.0, 0.0, 0.0, 0.0], -1.0),  # negative time
+            ([1.05, -0.05, 0.0, 0.0], 0.0),  # clip loses normalisation
+        ],
+    )
+    def test_rejects_what_the_oracle_rejects(self, p0, t):
+        with pytest.raises(MarkovModelError):
+            battery_chain(RATE).transient(np.array(p0), t)
+        with pytest.raises(MarkovModelError):
+            battery_transient(np.array(p0), RATE, t)
+
+    def test_sum_tolerance_unchanged(self):
+        p0 = np.array([1.0 + 0.9e-5, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(
+            battery_transient(p0, RATE, 100.0),
+            battery_chain(RATE).transient(p0, 100.0),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    def test_model_update_matches_oracle(self):
+        model = BatteryReliabilityModel()
+        p = np.array([1.0, 0.0, 0.0, 0.0])
+        model.update(0.0, 0.9, 25.0)
+        for now, soc, temp in [(60.0, 0.4, 84.0), (61.0, 0.4, 84.0), (400.0, 0.3, 90.0)]:
+            dt = now - model.last_time
+            model.update(now, soc, temp)
+            p = battery_chain(RATE).scaled(model.stress_factor(soc, temp)).transient(p, dt)
+            np.testing.assert_allclose(model.distribution, p, rtol=0.0, atol=1e-12)
 
 
 class TestProcessor:
