@@ -604,7 +604,7 @@ class ScalarAssurancePlane:
     :class:`BatchAssurancePlane`, so the differential suite (and callers)
     can drive either engine through one API. Works on scalar *and*
     vectorized worlds (adopted sensors consume the shared fleet streams
-    through their ChannelRng proxies).
+    through their channel-backed noise sources).
     """
 
     engine = "scalar"

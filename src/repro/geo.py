@@ -15,8 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.records import frozen_record
+
 EARTH_RADIUS_M = 6_371_000.0
 """Mean Earth radius used by the haversine formula (metres)."""
+
+# The factors math.radians / math.degrees multiply by.
+_DEG_TO_RAD = math.pi / 180.0
+_RAD_TO_DEG = 180.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -89,23 +95,49 @@ class EnuFrame:
 
     Uses the small-area equirectangular approximation, which is accurate to
     millimetres over the few-kilometre extents of a SAR mission.
+
+    The origin's coordinates, ``cos(lat0)`` and ``R·cos(lat0)`` are cached
+    at construction as plain attributes, not dataclass fields, so equality,
+    hashing and ``repr`` see only ``origin``. The conversions apply
+    ``math.radians``/``math.degrees`` as the multiplications CPython
+    implements them with, in the textbook formulas' operation order, so
+    results are bit-identical to the formulas written out in full.
     """
 
     origin: GeoPoint
 
+    def __post_init__(self) -> None:
+        origin = self.origin
+        coslat0 = math.cos(math.radians(origin.lat))
+        for name, value in (
+            ("_lat0", origin.lat),
+            ("_lon0", origin.lon),
+            ("_alt0", origin.alt),
+            ("_coslat0", coslat0),
+            ("_r_coslat0", EARTH_RADIUS_M * coslat0),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached constants are recomputed
+        # rather than pickled.
+        return (EnuFrame, (self.origin,))
+
     def to_enu(self, p: GeoPoint) -> tuple[float, float, float]:
         """Convert a geodetic point to (east, north, up) metres."""
-        lat0 = math.radians(self.origin.lat)
-        east = math.radians(p.lon - self.origin.lon) * EARTH_RADIUS_M * math.cos(lat0)
-        north = math.radians(p.lat - self.origin.lat) * EARTH_RADIUS_M
-        return east, north, p.alt - self.origin.alt
+        return (
+            (p.lon - self._lon0) * _DEG_TO_RAD * EARTH_RADIUS_M * self._coslat0,
+            (p.lat - self._lat0) * _DEG_TO_RAD * EARTH_RADIUS_M,
+            p.alt - self._alt0,
+        )
 
     def to_geo(self, east: float, north: float, up: float = 0.0) -> GeoPoint:
         """Convert local (east, north, up) metres back to a geodetic point."""
-        lat0 = math.radians(self.origin.lat)
-        lat = self.origin.lat + math.degrees(north / EARTH_RADIUS_M)
-        lon = self.origin.lon + math.degrees(east / (EARTH_RADIUS_M * math.cos(lat0)))
-        return GeoPoint(lat, lon, self.origin.alt + up)
+        return frozen_record(GeoPoint, {
+            "lat": self._lat0 + north / EARTH_RADIUS_M * _RAD_TO_DEG,
+            "lon": self._lon0 + east / self._r_coslat0 * _RAD_TO_DEG,
+            "alt": self._alt0 + up,
+        })
 
 
 def enu_distance(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:

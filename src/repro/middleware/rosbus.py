@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.obs import OBS
+from repro.records import frozen_record
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,9 @@ class RosBus:
         count, nothing).
         """
         # Hot path: telemetry floods this with fleet_size × step_rate
-        # messages, so the Message is built by writing the instance dict
-        # directly — identical object, ~half the cost of the generated
-        # frozen-dataclass __init__ (which funnels every field through
-        # object.__setattr__).
-        message = Message.__new__(Message)
-        message.__dict__.update({
+        # messages, so the Message is built with frozen_record — identical
+        # object at a fraction of the generated __init__'s cost.
+        message = frozen_record(Message, {
             "topic": topic,
             "data": data,
             "sender": sender,
@@ -203,8 +201,7 @@ class RosBus:
         seq = self._seq
         obs_on = OBS.enabled
         for topic, data, sender in items:
-            message = Message.__new__(Message)
-            message.__dict__.update({
+            message = frozen_record(Message, {
                 "topic": topic,
                 "data": data,
                 "sender": sender,

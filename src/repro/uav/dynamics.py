@@ -67,40 +67,50 @@ class UavDynamics:
     def step_toward(
         self, target: tuple[float, float, float] | None, dt: float
     ) -> None:
-        """Advance ``dt`` seconds toward ``target`` (hover if ``None``)."""
+        """Advance ``dt`` seconds toward ``target`` (hover if ``None``).
+
+        Written out per axis; every expression keeps the vector form's
+        operation order (a norm is ``(x*x + y*y) + z*z``).
+        """
+        px, py, pz = self.position
         if target is None:
-            desired = (0.0, 0.0, 0.0)
+            wx = wy = wz = 0.0
         else:
-            delta = tuple(t - p for t, p in zip(target, self.position))
-            dist = math.sqrt(sum(d * d for d in delta))
+            tx, ty, tz = target
+            dx, dy, dz = tx - px, ty - py, tz - pz
+            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
             if dist < 1e-9:
-                desired = (0.0, 0.0, 0.0)
+                wx = wy = wz = 0.0
             else:
                 # Proportional speed with braking near the target.
                 speed = min(self.max_speed_mps, dist / max(dt, 1e-6), dist * 0.8 + 0.5)
-                desired = tuple(d / dist * speed for d in delta)
+                wx, wy, wz = dx / dist * speed, dy / dist * speed, dz / dist * speed
                 # Clamp the vertical rate separately (multirotor climb limit).
-                if abs(desired[2]) > self.max_climb_mps:
-                    scale = self.max_climb_mps / abs(desired[2])
-                    desired = (desired[0], desired[1], desired[2] * scale)
+                if abs(wz) > self.max_climb_mps:
+                    wz = wz * (self.max_climb_mps / abs(wz))
         # Accelerate toward the desired velocity under the accel limit.
-        dv = tuple(d - v for d, v in zip(desired, self.velocity))
-        dv_norm = math.sqrt(sum(x * x for x in dv))
+        vx, vy, vz = self.velocity
+        ax, ay, az = wx - vx, wy - vy, wz - vz
+        dv_norm = math.sqrt(ax * ax + ay * ay + az * az)
         max_dv = self.max_accel_mps2 * dt
         if dv_norm > max_dv and dv_norm > 1e-9:
-            dv = tuple(x / dv_norm * max_dv for x in dv)
-        self.velocity = tuple(v + x for v, x in zip(self.velocity, dv))
-        self.position = tuple(p + v * dt for p, v in zip(self.position, self.velocity))
+            ax, ay, az = ax / dv_norm * max_dv, ay / dv_norm * max_dv, az / dv_norm * max_dv
+        vx, vy, vz = vx + ax, vy + ay, vz + az
+        self.velocity = (vx, vy, vz)
+        self.position = (px + vx * dt, py + vy * dt, pz + vz * dt)
 
     @property
     def ground_velocity(self) -> tuple[float, float, float]:
         """Commanded velocity plus environment drift — what an INS sees."""
-        return tuple(v + d for v, d in zip(self.velocity, self.drift_velocity))
+        vx, vy, vz = self.velocity
+        dx, dy, dz = self.drift_velocity
+        return (vx + dx, vy + dy, vz + dz)
 
     @property
     def speed_mps(self) -> float:
         """Current ground-frame speed magnitude."""
-        return math.sqrt(sum(v * v for v in self.velocity))
+        vx, vy, vz = self.velocity
+        return math.sqrt(vx * vx + vy * vy + vz * vz)
 
     @property
     def heading_deg(self) -> float:

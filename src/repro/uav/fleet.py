@@ -26,11 +26,13 @@ difference would compound into divergence. Three rules make this hold:
 * Sensor noise comes from the *same* per-channel generators the scalar
   sensors own (:class:`~repro.uav.sensors.SensorSuite` spawns one stream
   per channel), prefetched in chunks — chunked draws from a numpy
-  ``Generator`` consume the bit stream exactly like sequential scalar
-  draws. The sensors' ``rng`` attributes are replaced with
-  :class:`ChannelRng` proxies served from the same chunks, so even code
-  that samples a sensor directly (collaborative localization, tests)
-  stays on the shared stream.
+  ``Generator`` consume the bit stream exactly like per-event draws, which
+  is also how the scalar sensors' :class:`~repro.uav.sensors.NoiseStream`
+  sources draw. On adoption each sensor's source hands its generator,
+  and any events it has already prefetched but not used, to a
+  :class:`NoiseChannel` row, and is replaced by a :class:`ChannelNoise`
+  served from that row, so even code that samples a sensor directly
+  (collaborative localization, tests) stays on the shared stream.
 
 Known, documented deviation: under the vectorized engine a telemetry
 subscriber callback observes the *whole* fleet post-dynamics, whereas the
@@ -47,13 +49,11 @@ import numpy as np
 
 from repro.geo import EARTH_RADIUS_M, GeoPoint
 from repro.obs import event
+from repro.records import frozen_record
 from repro.uav.battery import Battery
 from repro.uav.dynamics import UavDynamics
-from repro.uav.sensors import GpsFix
+from repro.uav.sensors import CHUNK, NOISE_KINDS, GpsFix, NoiseStream
 from repro.uav.uav import FlightMode, Telemetry, Uav
-
-#: Noise events prefetched per refill, per UAV, per channel.
-CHUNK = 64
 
 _IDLE, _MISSION, _HOLD, _RTB, _EMERGENCY, _GUIDED, _LANDED = range(7)
 _MODE_CODE = {
@@ -73,21 +73,23 @@ class NoiseChannel:
     ``kind`` selects the distribution (``"normal"`` → ``standard_normal``,
     ``"uniform"`` → ``random``); ``width`` is the fixed event width. A
     refill draws ``(CHUNK, width)`` values in one call, which is
-    bit-identical to CHUNK sequential scalar events on the same generator.
+    bit-identical to CHUNK per-event draws on the same generator.
 
     While every consumer takes one event for *all* rows at once (the
     common case — every UAV measures every step) the channel stays in a
     "uniform" regime with a single shared cursor, so a take is one basic
     slice. The first partial take (GPS denial, a staggered telemetry
-    schedule, a direct ``sensor.measure()`` call) permanently drops the
-    channel to per-row cursors, which cost a few fancy-indexing ops.
+    schedule, a direct ``sensor.measure()`` call) or a row adopted with
+    pending events permanently drops the channel to per-row cursors, which
+    cost a few fancy-indexing ops.
     """
 
     def __init__(self, width: int, kind: str) -> None:
-        if kind not in ("normal", "uniform"):
+        if kind not in NOISE_KINDS:
             raise ValueError(f"unknown channel kind {kind!r}")
         self.width = width
         self.kind = kind
+        self._method = NOISE_KINDS[kind]
         self._gens: list[np.random.Generator] = []
         self._buf = np.empty((0, CHUNK, width))
         self._cur = np.empty(0, dtype=np.int64)
@@ -98,11 +100,8 @@ class NoiseChannel:
         return len(self._gens)
 
     def _draw_chunk(self, row: int) -> None:
-        gen = self._gens[row]
-        if self.kind == "normal":
-            self._buf[row] = gen.standard_normal((CHUNK, self.width))
-        else:
-            self._buf[row] = gen.random((CHUNK, self.width))
+        draw = getattr(self._gens[row], self._method)
+        self._buf[row] = draw((CHUNK, self.width))
         self._cur[row] = 0
 
     def _desync(self) -> None:
@@ -111,11 +110,17 @@ class NoiseChannel:
             self._cur[: len(self._gens)] = self._shared
             self._uniform = False
 
-    def add_row(self, gen: np.random.Generator) -> int:
-        """Register one generator; returns its row index."""
-        if self._uniform and self._shared:
-            # Adopting mid-run: existing rows are mid-chunk, the new row
-            # starts at zero — cursors can no longer be shared.
+    def add_row(self, gen: np.random.Generator, pending: list = ()) -> int:
+        """Register one generator; returns its row index.
+
+        ``pending`` holds events already drawn from ``gen`` but not yet
+        consumed (oldest first, at most ``CHUNK``); the row serves them
+        before drawing fresh chunks, so the stream continues unbroken.
+        """
+        n_pending = len(pending)
+        if self._uniform and (self._shared or n_pending):
+            # Existing rows are mid-chunk, or the new row starts mid-chunk:
+            # cursors can no longer be shared.
             self._desync()
         row = len(self._gens)
         self._gens.append(gen)
@@ -126,8 +131,17 @@ class NoiseChannel:
             cur = np.zeros(self._buf.shape[0], dtype=np.int64)
             cur[: len(self._cur)] = self._cur
             self._cur = cur
-        self._draw_chunk(row)
+        if n_pending:
+            start = CHUNK - n_pending
+            self._buf[row, start:] = np.reshape(pending, (n_pending, self.width))
+            self._cur[row] = start
+        else:
+            self._draw_chunk(row)
         return row
+
+    def adopt(self, stream: NoiseStream) -> "ChannelNoise":
+        """Take over a sensor's noise stream as a new row; returns its source."""
+        return ChannelNoise(self, self.add_row(*stream.detach()))
 
     def take_all(self) -> np.ndarray:
         """Consume one event for every row; returns an (n_rows, width) view."""
@@ -157,7 +171,7 @@ class NoiseChannel:
         return out
 
     def pop(self, row: int) -> np.ndarray:
-        """Consume one event for a single row (the :class:`ChannelRng` path)."""
+        """Consume one event for a single row (the :class:`ChannelNoise` path)."""
         self._desync()
         if self._cur[row] >= CHUNK:
             self._draw_chunk(row)
@@ -166,34 +180,25 @@ class NoiseChannel:
         return out
 
 
-class ChannelRng:
-    """Stand-in for a sensor's ``Generator``, served from a NoiseChannel.
+class ChannelNoise:
+    """An adopted sensor's noise source, served from one NoiseChannel row.
 
-    Installed on adopted sensors so direct sensor sampling (outside the
-    engine's batched phases) consumes the same prefetched stream the
-    engine does — keeping scalar and vectorized runs on identical draws
-    no matter who samples when.
+    Same ``pop()`` contract as :class:`~repro.uav.sensors.NoiseStream`, so
+    direct sensor sampling (outside the engine's batched phases) consumes
+    the same prefetched stream the engine does — keeping scalar and
+    vectorized runs on identical draws no matter who samples when.
     """
+
+    __slots__ = ("_channel", "_row")
 
     def __init__(self, channel: NoiseChannel, row: int) -> None:
         self._channel = channel
         self._row = row
 
-    def _event(self, size: int | None, kind: str) -> np.ndarray | float:
-        channel = self._channel
-        if kind != channel.kind or (size or 1) != channel.width:
-            raise ValueError(
-                f"channel serves {channel.kind}({channel.width}) events, "
-                f"got request for {kind}({size})"
-            )
-        out = channel.pop(self._row)
-        return out if size is not None else float(out[0])
-
-    def standard_normal(self, size: int | None = None):
-        return self._event(size, "normal")
-
-    def random(self, size: int | None = None):
-        return self._event(size, "uniform")
+    def pop(self):
+        """Consume and return the row's next event (float when width is 1)."""
+        event = self._channel.pop(self._row).tolist()
+        return event if self._channel.width > 1 else event[0]
 
 
 class Trail:
@@ -362,7 +367,7 @@ class FleetEngine:
     Created lazily by :class:`~repro.uav.world.World` when
     ``engine="vectorized"``; ``World.add_uav`` routes new vehicles through
     :meth:`adopt`, which re-homes their dynamics/battery state into the
-    shared arrays and swaps sensor generators for channel proxies.
+    shared arrays and swaps sensor noise sources for channel-backed ones.
     """
 
     def __init__(self, world) -> None:
@@ -434,16 +439,11 @@ class FleetEngine:
         battery = FleetBattery(arrays, row, bat)
         uav.battery = battery
         sensors = uav.sensors
-        self.ch_gps.add_row(sensors.gps.rng)
-        self.ch_quality.add_row(sensors.gps.quality_rng)
-        self.ch_imu.add_row(sensors.imu.rng)
-        self.ch_temp.add_row(sensors.temperature.rng)
-        self.ch_wind.add_row(sensors.wind.rng)
-        sensors.gps.rng = ChannelRng(self.ch_gps, row)
-        sensors.gps.quality_rng = ChannelRng(self.ch_quality, row)
-        sensors.imu.rng = ChannelRng(self.ch_imu, row)
-        sensors.temperature.rng = ChannelRng(self.ch_temp, row)
-        sensors.wind.rng = ChannelRng(self.ch_wind, row)
+        sensors.gps.noise = self.ch_gps.adopt(sensors.gps.noise)
+        sensors.gps.quality = self.ch_quality.adopt(sensors.gps.quality)
+        sensors.imu.noise = self.ch_imu.adopt(sensors.imu.noise)
+        sensors.temperature.noise = self.ch_temp.adopt(sensors.temperature.noise)
+        sensors.wind.noise = self.ch_wind.adopt(sensors.wind.noise)
         traj = Trail(self.traj_hist, row, self._live_traj)
         bel = Trail(self.bel_hist, row, self._live_bel)
         if uav.trajectory:
@@ -464,7 +464,7 @@ class FleetEngine:
         self._winds.append(sensors.wind)
         self._bats.append(battery)
         self._ids.append(spec.uav_id)
-        self._topics.append(f"/{spec.uav_id}/telemetry")
+        self._topics.append(uav._telemetry_topic)
         self._base_xy.append((spec.base_position[0], spec.base_position[1]))
         self._mode_cache.append(uav.mode)
         self._mode_str.append(uav.mode.value)
@@ -972,13 +972,10 @@ class FleetEngine:
                 0.0, wind_mps + self._wind_std[ta] * zw
             ).tolist()
         soc_l = arrays.soc[:n].tolist()
-        # Per-row instances are built by assigning the instance dict
-        # directly — identical objects to calling the frozen-dataclass
-        # constructors at roughly a third of the cost (the generated
-        # __init__ funnels every field through object.__setattr__). This
-        # loop runs fleet_size times per step; it is the hottest
-        # allocation site in the engine.
-        geo_cls, fix_cls, tel_cls = GeoPoint, GpsFix, Telemetry
+        # Per-row records are built with frozen_record, identical to the
+        # generated constructors at a fraction of the cost. This loop runs
+        # fleet_size times per step; it is the hottest allocation site in
+        # the engine.
         n_tel = len(tel_rows)
         items: list[tuple] = []
         items_append = items.append
@@ -988,20 +985,17 @@ class FleetEngine:
             # tel_rows and the subsequence counters disappear.
             vel_tuples = list(map(tuple, vel_l))
             for j, k in enumerate(tel_rows):
-                point = geo_cls.__new__(geo_cls)
-                point.__dict__.update({
+                point = frozen_record(GeoPoint, {
                     "lat": lat_l[j], "lon": lon_l[j], "alt": alt_l[j],
                 })
-                fix = fix_cls.__new__(fix_cls)
-                fix.__dict__.update({
+                fix = frozen_record(GpsFix, {
                     "point": point,
                     "num_satellites": sats_l[j],
                     "hdop": hdop_l[j],
                     "valid": True,
                     "stamp": now,
                 })
-                sample = tel_cls.__new__(tel_cls)
-                sample.__dict__.update({
+                sample = frozen_record(Telemetry, {
                     "uav_id": ids[k],
                     "stamp": now,
                     "mode": mode_str[k],
@@ -1022,12 +1016,10 @@ class FleetEngine:
         ii = 0
         for j, k in enumerate(tel_rows):
             if vi < n_valid and tel_valid[vi] == k:
-                point = geo_cls.__new__(geo_cls)
-                point.__dict__.update({
+                point = frozen_record(GeoPoint, {
                     "lat": lat_l[vi], "lon": lon_l[vi], "alt": alt_l[vi],
                 })
-                fix = fix_cls.__new__(fix_cls)
-                fix.__dict__.update({
+                fix = frozen_record(GpsFix, {
                     "point": point,
                     "num_satellites": sats_l[vi],
                     "hdop": hdop_l[vi],
@@ -1038,8 +1030,7 @@ class FleetEngine:
                 vi += 1
             else:
                 true = tuple(pos_l[k])
-                fix = fix_cls.__new__(fix_cls)
-                fix.__dict__.update({
+                fix = frozen_record(GpsFix, {
                     "point": to_geo(*true),
                     "num_satellites": 0,
                     "hdop": 99.0,
@@ -1052,8 +1043,7 @@ class FleetEngine:
                 ii += 1
             else:
                 imu_velocity = (0.0, 0.0, 0.0)
-            sample = tel_cls.__new__(tel_cls)
-            sample.__dict__.update({
+            sample = frozen_record(Telemetry, {
                 "uav_id": ids[k],
                 "stamp": now,
                 "mode": mode_str[k],

@@ -8,23 +8,72 @@ dilution of precision) degrade in ways the GPS-localization ConSert
 monitors.
 
 Noise-stream contract (load-bearing for :mod:`repro.uav.fleet`): every
-sensor draws from its *own* spawned generator and each draw is a
-fixed-width call of a single distribution — GPS noise is one
-``standard_normal(3)`` per measure, GPS quality one ``random(2)`` per
-measure, IMU one ``standard_normal(3)``, temperature and wind one scalar
-``standard_normal()`` each. Homogeneous per-channel streams are what lets
-the vectorized fleet engine prefetch noise in chunks while remaining
-bit-identical to this scalar reference (chunked draws from a numpy
-``Generator`` consume the bit stream exactly like sequential ones).
+noise channel of a sensor draws from its *own* spawned generator, and
+each measure takes exactly one fixed-width event from it through the
+channel's noise source — GPS noise one ``normal(3)`` event, GPS quality
+one ``uniform(2)``, IMU one ``normal(3)``, temperature and wind one scalar
+``normal`` each; a denied or unhealthy sensor takes nothing. A sensor
+only ever calls its source's ``pop()``. By default the source is a
+:class:`NoiseStream`, which prefetches ``CHUNK`` events per generator call;
+chunked draws from a numpy ``Generator`` consume the bit stream exactly
+like per-event calls, so the values are those of calling
+``standard_normal(3)`` / ``random(2)`` / ``standard_normal()`` once per
+measure. The vectorized fleet engine swaps each source for one served
+from its batched per-channel buffers over the same generators, so both
+engines see identical draws no matter who samples when.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from repro.geo import EnuFrame, GeoPoint
+from repro.records import frozen_record
+
+#: Events a noise stream (or fleet noise channel) prefetches per refill.
+CHUNK = 64
+
+#: Noise kind -> the ``Generator`` method that draws it.
+NOISE_KINDS = {"normal": "standard_normal", "uniform": "random"}
+
+
+class NoiseStream:
+    """Fixed-width noise events from one generator, prefetched in chunks.
+
+    :meth:`pop` returns one event: a ``float`` when ``width`` is 1, else a
+    list of ``width`` floats. Each refill is one ``(CHUNK, width)`` draw,
+    bit-identical to ``CHUNK`` per-event draws on the same generator.
+    """
+
+    __slots__ = ("_gen", "_draw", "_shape", "_events")
+
+    def __init__(self, gen: np.random.Generator, width: int, kind: str) -> None:
+        if kind not in NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {kind!r}")
+        self._gen = gen
+        self._draw = getattr(gen, NOISE_KINDS[kind])
+        self._shape = CHUNK if width == 1 else (CHUNK, width)
+        self._events = iter(())
+
+    def pop(self):
+        """Consume and return the next event."""
+        event = next(self._events, None)
+        if event is None:
+            self._events = iter(self._draw(self._shape).tolist())
+            event = next(self._events)
+        return event
+
+    def detach(self) -> tuple[np.random.Generator, list]:
+        """Hand over the generator and the prefetched, unconsumed events.
+
+        For a new owner that continues the stream (the fleet engine's noise
+        channels); this stream must not be used afterwards.
+        """
+        pending = list(self._events)
+        self._draw = None
+        return self._gen, pending
 
 
 @dataclass(frozen=True)
@@ -50,57 +99,67 @@ class GpsSensor:
     ``spoof_offset_m`` shifts the reported position in the ENU frame —
     the physical effect of a GPS spoofing attack. ``denied`` models
     jamming/loss: fixes come back invalid with zero satellites.
+
+    ``rng`` seeds the position-noise source ``noise``; ``quality_rng``
+    (spawned from ``rng`` when omitted) seeds the quality source
+    ``quality``.
     """
 
     frame: EnuFrame
-    rng: np.random.Generator
-    quality_rng: np.random.Generator = None  # type: ignore[assignment]
+    rng: InitVar[np.random.Generator]
+    quality_rng: InitVar[np.random.Generator | None] = None
     noise_std_m: float = 0.35
     spoof_offset_m: tuple[float, float, float] = (0.0, 0.0, 0.0)
     denied: bool = False
     healthy: bool = True
+    noise: NoiseStream = field(init=False, repr=False, compare=False)
+    quality: NoiseStream = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.quality_rng is None:
-            self.quality_rng = self.rng.spawn(1)[0]
+    def __post_init__(
+        self, rng: np.random.Generator, quality_rng: np.random.Generator | None
+    ) -> None:
+        if quality_rng is None:
+            quality_rng = rng.spawn(1)[0]
+        self.noise = NoiseStream(rng, 3, "normal")
+        self.quality = NoiseStream(quality_rng, 2, "uniform")
 
     def measure(self, true_enu: tuple[float, float, float], now: float) -> GpsFix:
         """Produce a fix for the vehicle at ``true_enu`` metres.
 
-        Stream contract: a valid measure consumes exactly one
-        ``standard_normal(3)`` from ``rng`` and one ``random(2)`` from
-        ``quality_rng``; a denied/unhealthy measure consumes nothing.
+        Stream contract: a valid measure takes one ``normal(3)`` event
+        from ``noise`` and one ``uniform(2)`` event from ``quality``; a
+        denied/unhealthy measure takes nothing.
         """
         if self.denied or not self.healthy:
-            return GpsFix(
-                point=self.frame.to_geo(*true_enu),
-                num_satellites=0,
-                hdop=99.0,
-                valid=False,
-                stamp=now,
-            )
-        z = self.rng.standard_normal(3)
-        noisy = tuple(
-            (t + o) + self.noise_std_m * float(zi)
-            for t, o, zi in zip(true_enu, self.spoof_offset_m, z)
-        )
-        spoofed = any(abs(o) > 1e-9 for o in self.spoof_offset_m)
+            return frozen_record(GpsFix, {
+                "point": self.frame.to_geo(*true_enu),
+                "num_satellites": 0,
+                "hdop": 99.0,
+                "valid": False,
+                "stamp": now,
+            })
+        zx, zy, zz = self.noise.pop()
+        tx, ty, tz = true_enu
+        ox, oy, oz = self.spoof_offset_m
+        std = self.noise_std_m
         # A spoofer replays consistent ephemeris, so quality indicators stay
         # plausible; mild degradation reflects the repeater geometry.
-        u = self.quality_rng.random(2)
-        if spoofed:
-            sats = 6 + int(float(u[0]) * 3.0)
-            hdop = 1.2 + 1.0 * float(u[1])
+        u0, u1 = self.quality.pop()
+        if abs(ox) > 1e-9 or abs(oy) > 1e-9 or abs(oz) > 1e-9:
+            sats = 6 + int(u0 * 3.0)
+            hdop = 1.2 + 1.0 * u1
         else:
-            sats = 7 + int(float(u[0]) * 6.0)
-            hdop = 0.7 + 0.7 * float(u[1])
-        return GpsFix(
-            point=self.frame.to_geo(*noisy),
-            num_satellites=sats,
-            hdop=hdop,
-            valid=True,
-            stamp=now,
-        )
+            sats = 7 + int(u0 * 6.0)
+            hdop = 0.7 + 0.7 * u1
+        return frozen_record(GpsFix, {
+            "point": self.frame.to_geo(
+                (tx + ox) + std * zx, (ty + oy) + std * zy, (tz + oz) + std * zz
+            ),
+            "num_satellites": sats,
+            "hdop": hdop,
+            "valid": True,
+            "stamp": now,
+        })
 
 
 @dataclass
@@ -109,24 +168,29 @@ class ImuSensor:
 
     The spoofing detector cross-checks GPS displacement against IMU-derived
     displacement; the IMU is assumed unspoofable (it is self-contained).
+    ``rng`` seeds the noise source ``noise``.
     """
 
-    rng: np.random.Generator
+    rng: InitVar[np.random.Generator]
     noise_std_mps: float = 0.08
     healthy: bool = True
+    noise: NoiseStream = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, rng: np.random.Generator) -> None:
+        self.noise = NoiseStream(rng, 3, "normal")
 
     def measure(self, true_velocity: tuple[float, float, float]) -> tuple[float, float, float]:
         """Return a noisy copy of the true velocity vector.
 
-        Stream contract: one ``standard_normal(3)`` per healthy measure,
+        Stream contract: one ``normal(3)`` event per healthy measure,
         nothing when unhealthy.
         """
         if not self.healthy:
             return (0.0, 0.0, 0.0)
-        z = self.rng.standard_normal(3)
-        return tuple(
-            v + self.noise_std_mps * float(zi) for v, zi in zip(true_velocity, z)
-        )
+        zx, zy, zz = self.noise.pop()
+        vx, vy, vz = true_velocity
+        std = self.noise_std_mps
+        return (vx + std * zx, vy + std * zy, vz + std * zz)
 
 
 @dataclass
@@ -154,34 +218,47 @@ class Camera:
 
 @dataclass
 class TemperatureSensor:
-    """Battery/ambient temperature sensor with small Gaussian noise."""
+    """Battery/ambient temperature sensor with small Gaussian noise.
 
-    rng: np.random.Generator
+    ``rng`` seeds the noise source ``noise``.
+    """
+
+    rng: InitVar[np.random.Generator]
     noise_std_c: float = 0.5
+    noise: NoiseStream = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, rng: np.random.Generator) -> None:
+        self.noise = NoiseStream(rng, 1, "normal")
 
     def measure(self, true_temp_c: float) -> float:
         """Return a noisy temperature reading in Celsius.
 
-        Stream contract: exactly one scalar ``standard_normal()``.
+        Stream contract: exactly one scalar ``normal`` event.
         """
-        return true_temp_c + self.noise_std_c * float(self.rng.standard_normal())
+        return true_temp_c + self.noise_std_c * self.noise.pop()
 
 
 @dataclass
 class WindSensor:
-    """Wind speed estimate from attitude compensation, noisy."""
+    """Wind speed estimate from attitude compensation, noisy.
 
-    rng: np.random.Generator
+    ``rng`` seeds the noise source ``noise``.
+    """
+
+    rng: InitVar[np.random.Generator]
     noise_std_mps: float = 0.4
+    noise: NoiseStream = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, rng: np.random.Generator) -> None:
+        self.noise = NoiseStream(rng, 1, "normal")
 
     def measure(self, true_wind_mps: float) -> float:
         """Return a noisy non-negative wind speed reading.
 
-        Stream contract: exactly one scalar ``standard_normal()``.
+        Stream contract: exactly one scalar ``normal`` event.
         """
-        return max(
-            0.0, true_wind_mps + self.noise_std_mps * float(self.rng.standard_normal())
-        )
+        wind = true_wind_mps + self.noise_std_mps * self.noise.pop()
+        return wind if wind > 0.0 else 0.0
 
 
 @dataclass
@@ -200,8 +277,8 @@ class SensorSuite:
 
         Spawning (rather than sharing ``rng``) keeps every channel's draw
         sequence independent of how often the other sensors sample — the
-        property the vectorized fleet engine relies on to prefetch each
-        channel in chunks. Spawning does not consume from ``rng`` itself.
+        property that lets each channel prefetch its events in chunks.
+        Spawning does not consume from ``rng`` itself.
         """
         gps_noise, gps_quality, imu_rng, temp_rng, wind_rng = rng.spawn(5)
         return cls(

@@ -17,6 +17,7 @@ import numpy as np
 from repro.geo import EnuFrame
 from repro.middleware.rosbus import RosBus
 from repro.obs import event
+from repro.records import frozen_record
 from repro.uav.battery import Battery, BatterySpec
 from repro.uav.dynamics import UavDynamics, WaypointPlan
 from repro.uav.sensors import GpsFix, SensorSuite
@@ -32,6 +33,12 @@ class FlightMode(enum.Enum):
     EMERGENCY_LAND = "emergency_land"
     GUIDED = "guided"  # externally commanded setpoints (collaborative landing)
     LANDED = "landed"
+
+
+#: Modes that hold the vehicle still on the ground.
+_GROUNDED = (FlightMode.IDLE, FlightMode.LANDED)
+#: Modes that end in a touchdown.
+_LANDING = (FlightMode.EMERGENCY_LAND, FlightMode.GUIDED, FlightMode.RETURN_TO_BASE)
 
 
 @dataclass(frozen=True)
@@ -89,10 +96,12 @@ class Uav:
     # increments this; SafeDrones' propulsion model consumes it).
     motors_failed: int = 0
     _last_telemetry: float = field(default=-1e9, repr=False)
+    _telemetry_topic: str = field(init=False, repr=False, compare=False)
     trajectory: list[tuple[float, float, float]] = field(default_factory=list)
     believed_trajectory: list[tuple[float, float, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self._telemetry_topic = f"/{self.spec.uav_id}/telemetry"
         if self.dynamics is None:
             self.dynamics = UavDynamics(position=self.spec.base_position)
         if self.battery is None:
@@ -144,8 +153,10 @@ class Uav:
         # toward target + (truth - belief), which reproduces how a wrong
         # belief (spoofed GPS, CL error) physically displaces the vehicle.
         def belief_corrected(target: tuple[float, float, float]) -> tuple[float, float, float]:
-            err = tuple(b - t for b, t in zip(believed, self.dynamics.position))
-            return tuple(w - e for w, e in zip(target, err))
+            bx, by, bz = believed
+            px, py, pz = self.dynamics.position
+            tx, ty, tz = target
+            return (tx - (bx - px), ty - (by - py), tz - (bz - pz))
 
         if self.mode is FlightMode.MISSION:
             target = self.plan.active
@@ -175,36 +186,39 @@ class Uav:
         ``extra_draw_w`` adds environment-driven load (e.g. fighting wind)
         on top of the mode-dependent baseline draw.
         """
+        dynamics = self.dynamics
         believed = self.nav_position(now)
         self.believed_trajectory.append(believed)
 
         target = self._target_for_mode(believed)
-        if self.mode in (FlightMode.IDLE, FlightMode.LANDED):
-            self.dynamics.velocity = (0.0, 0.0, 0.0)
+        if self.mode in _GROUNDED:
+            dynamics.velocity = (0.0, 0.0, 0.0)
         else:
-            self.dynamics.step_toward(target, dt)
-            if self.dynamics.position[2] < 0.0:
+            dynamics.step_toward(target, dt)
+            east, north, up = dynamics.position
+            if up < 0.0:
                 # Ground contact: clamp altitude and kill vertical speed.
-                east, north, _ = self.dynamics.position
-                veast, vnorth, _ = self.dynamics.velocity
-                self.dynamics.position = (east, north, 0.0)
-                self.dynamics.velocity = (veast, vnorth, 0.0)
-        self.trajectory.append(self.dynamics.position)
+                veast, vnorth, _ = dynamics.velocity
+                dynamics.position = (east, north, 0.0)
+                dynamics.velocity = (veast, vnorth, 0.0)
+        position = dynamics.position
+        self.trajectory.append(position)
 
-        if self.mode is FlightMode.MISSION:
+        mode = self.mode
+        if mode is FlightMode.MISSION:
             self.plan.advance_if_captured(believed)
             if self.plan.complete:
-                self.mode = FlightMode.RETURN_TO_BASE
-        if self.mode in (FlightMode.EMERGENCY_LAND, FlightMode.GUIDED, FlightMode.RETURN_TO_BASE):
+                mode = self.mode = FlightMode.RETURN_TO_BASE
+        if mode in _LANDING:
             # Touchdown: on the ground and not climbing. Horizontal speed is
             # ignored — belief noise can command small lateral corrections
             # right up to ground contact.
-            if self.dynamics.position[2] <= 0.05 and self.dynamics.velocity[2] <= 0.2:
-                if self.mode is not FlightMode.RETURN_TO_BASE or self._near_base():
-                    self.mode = FlightMode.LANDED
+            if position[2] <= 0.05 and dynamics.velocity[2] <= 0.2:
+                if mode is not FlightMode.RETURN_TO_BASE or self._near_base():
+                    mode = self.mode = FlightMode.LANDED
 
         draw = self._power_draw()
-        if self.mode not in (FlightMode.IDLE, FlightMode.LANDED):
+        if mode not in _GROUNDED:
             draw += max(0.0, extra_draw_w)
         self.battery.step(dt, now, draw, ambient_c)
         self.sensors.camera.step(dt)
@@ -219,7 +233,7 @@ class Uav:
 
     def _power_draw(self) -> float:
         spec = self.battery.spec
-        if self.mode in (FlightMode.IDLE, FlightMode.LANDED):
+        if self.mode in _GROUNDED:
             return spec.idle_draw_w
         if self.dynamics.speed_mps > 1.0:
             return spec.cruise_draw_w
@@ -228,24 +242,21 @@ class Uav:
     # ------------------------------------------------------------ telemetry
     def publish_telemetry(self, now: float, wind_mps: float = 0.0) -> Telemetry:
         """Sample all sensors and publish a Telemetry record on the bus."""
-        fix = self.sensors.gps.measure(self.dynamics.position, now)
-        sample = Telemetry(
-            uav_id=self.spec.uav_id,
-            stamp=now,
-            mode=self.mode.value,
-            position_enu=self.frame.to_enu(fix.point) if fix.valid else self.dynamics.position,
-            velocity_enu=self.dynamics.velocity,
-            gps=fix,
-            imu_velocity=self.sensors.imu.measure(self.dynamics.ground_velocity),
-            battery_soc=self.battery.soc,
-            battery_temp_c=self.sensors.temperature.measure(self.battery.temp_c),
-            camera_health=self.sensors.camera.health,
-            wind_mps=self.sensors.wind.measure(wind_mps),
-        )
-        self.bus.publish(
-            topic=f"/{self.spec.uav_id}/telemetry",
-            data=sample,
-            sender=self.spec.uav_id,
-            stamp=now,
-        )
+        sensors, dynamics, battery = self.sensors, self.dynamics, self.battery
+        uav_id = self.spec.uav_id
+        fix = sensors.gps.measure(dynamics.position, now)
+        sample = frozen_record(Telemetry, {
+            "uav_id": uav_id,
+            "stamp": now,
+            "mode": self.mode.value,
+            "position_enu": self.frame.to_enu(fix.point) if fix.valid else dynamics.position,
+            "velocity_enu": dynamics.velocity,
+            "gps": fix,
+            "imu_velocity": sensors.imu.measure(dynamics.ground_velocity),
+            "battery_soc": battery.soc,
+            "battery_temp_c": sensors.temperature.measure(battery.temp_c),
+            "camera_health": sensors.camera.health,
+            "wind_mps": sensors.wind.measure(wind_mps),
+        })
+        self.bus.publish(self._telemetry_topic, sample, uav_id, None, now)
         return sample
