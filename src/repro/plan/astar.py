@@ -40,53 +40,88 @@ def astar_cells(
 ) -> list[tuple[int, int, int]] | None:
     """Shortest 26-connected cell path through a boolean grid.
 
-    Returns ``None`` when ``goal`` is unreachable from ``start`` (or the
-    expansion cap is hit). Costs are Euclidean per move, the heuristic is
-    straight-line distance, so the path is optimal on the lattice.
+    Returns ``None`` when ``goal`` is unreachable from ``start``; raises
+    :class:`PlanError` when the search exceeds ``max_expansions``. Costs
+    are Euclidean per move, the heuristic is straight-line distance, so
+    the path is optimal on the lattice.
+
+    The search runs on flat row-major indices into a copy of the grid
+    padded by one blocked cell on every face, so neighbour expansion
+    needs no bounds checks; closed cells are marked in the same buffer.
+    Row-major order is lexicographic ``(i, j, k)`` order, so heap ties
+    break exactly as they would on cell tuples, and the integer-offset
+    heuristic ``sqrt(di² + dj² + dk²)`` equals ``math.dist`` of the two
+    cells — the returned path does not depend on the indexing.
     """
-    nx, ny, nz = occupied.shape
     if occupied[start] or occupied[goal]:
         return None
     if start == goal:
         return [start]
+    _, ny, nz = occupied.shape
+    stride_j = nz + 2
+    stride_i = (ny + 2) * stride_j
+    # 1 = blocked (obstacle, padding, or closed); expanded cells are
+    # closed in place.
+    blocked = bytearray(np.pad(occupied, 1, constant_values=True).tobytes())
+    moves = [
+        (di * stride_i + dj * stride_j + dk, cost, di, dj, dk)
+        for di, dj, dk, cost in _NEIGHBORS
+    ]
+    gi, gj, gk = (v + 1 for v in goal)
+    si, sj, sk = (v + 1 for v in start)
+    goal_flat = gi * stride_i + gj * stride_j + gk
+    start_flat = si * stride_i + sj * stride_j + sk
 
-    def h(cell: tuple[int, int, int]) -> float:
-        return math.dist(cell, goal)
-
-    g_score: dict[tuple[int, int, int], float] = {start: 0.0}
-    came: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    frontier: list[tuple[float, tuple[int, int, int]]] = [(h(start), start)]
-    closed: set[tuple[int, int, int]] = set()
+    sqrt = math.sqrt
+    push, pop = heapq.heappush, heapq.heappop
+    g_score = [math.inf] * len(blocked)
+    g_score[start_flat] = 0.0
+    came: dict[int, int] = {}
+    di0, dj0, dk0 = si - gi, sj - gj, sk - gk
+    frontier = [(sqrt(di0 * di0 + dj0 * dj0 + dk0 * dk0), start_flat)]
     expansions = 0
     while frontier:
-        _, cell = heapq.heappop(frontier)
-        if cell in closed:
+        _, cell = pop(frontier)
+        if blocked[cell]:
             continue
-        if cell == goal:
+        if cell == goal_flat:
             path = [cell]
             while cell in came:
                 cell = came[cell]
                 path.append(cell)
             path.reverse()
-            return path
-        closed.add(cell)
+            out = []
+            for flat in path:
+                i, rest = divmod(flat, stride_i)
+                j, k = divmod(rest, stride_j)
+                out.append((i - 1, j - 1, k - 1))
+            return out
+        blocked[cell] = 1
         expansions += 1
         if expansions > max_expansions:
-            return None
-        ci, cj, ck = cell
+            raise PlanError(
+                f"A* expansion cap (max_expansions={max_expansions}) hit "
+                f"searching from cell {tuple(start)} to {tuple(goal)}"
+            )
+        # Decoded once per expansion: this cell's offset from the goal,
+        # to which each pushed neighbour adds its move.
+        ci, rest = divmod(cell, stride_i)
+        cj, ck = divmod(rest, stride_j)
+        ci, cj, ck = ci - gi, cj - gj, ck - gk
         base = g_score[cell]
-        for di, dj, dk, cost in _NEIGHBORS:
-            ni, nj, nk = ci + di, cj + dj, ck + dk
-            if not (0 <= ni < nx and 0 <= nj < ny and 0 <= nk < nz):
-                continue
-            neighbor = (ni, nj, nk)
-            if neighbor in closed or occupied[ni, nj, nk]:
+        for step, cost, di, dj, dk in moves:
+            neighbor = cell + step
+            if blocked[neighbor]:
                 continue
             tentative = base + cost
-            if tentative < g_score.get(neighbor, math.inf):
+            if tentative < g_score[neighbor]:
                 g_score[neighbor] = tentative
                 came[neighbor] = cell
-                heapq.heappush(frontier, (tentative + h(neighbor), neighbor))
+                hi, hj, hk = ci + di, cj + dj, ck + dk
+                push(
+                    frontier,
+                    (tentative + sqrt(hi * hi + hj * hj + hk * hk), neighbor),
+                )
     return None
 
 
@@ -141,7 +176,8 @@ def plan_path(
     cell centre first (the returned path starts/ends at the snapped
     points). Straight-line-free legs return directly; otherwise A* runs
     on the cell lattice and the staircase is shortcut-smoothed. Raises
-    :class:`PlanError` when no route exists.
+    :class:`PlanError` when no route exists or the search hits the
+    expansion cap.
     """
     s = grid.nearest_free(start)
     g = grid.nearest_free(goal)

@@ -60,30 +60,40 @@ def two_opt(
     """
     if len(order) < 3:
         return list(order)
-    order = list(order)
-    coords = [start] + [points[i] for i in order]
-    arr = np.asarray(coords, dtype=float)
+    coords = np.asarray([start] + [points[i] for i in order], dtype=float)
+    n = len(coords)
+    # Pairwise leg lengths, each from the same ``np.linalg.norm`` call a
+    # per-move evaluation would make (the norm of a difference is exactly
+    # symmetric), so every comparison below sees identical floats.
+    dist = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            dist[a][b] = dist[b][a] = float(
+                np.linalg.norm(coords[a] - coords[b])
+            )
+    # tour[p] indexes ``coords``; tour[0] is the fixed start.
+    tour = list(range(n))
     for _ in range(max_passes):
         improved = False
-        n = len(arr)
         for i in range(1, n - 2):
+            row_prev = dist[tour[i - 1]]
+            row_first = dist[tour[i]]
+            d_prev = row_prev[tour[i]]
             for j in range(i + 1, n - 1):
-                # Reversing order[i-1 .. j-1] replaces edges (i-1, i) and
+                # Reversing tour[i .. j] replaces edges (i-1, i) and
                 # (j, j+1) with (i-1, j) and (i, j+1); the open tail end
                 # (j == n - 1 handled by the range bound) has no out-edge.
-                d_old = np.linalg.norm(arr[i - 1] - arr[i]) + np.linalg.norm(
-                    arr[j] - arr[j + 1]
-                )
-                d_new = np.linalg.norm(arr[i - 1] - arr[j]) + np.linalg.norm(
-                    arr[i] - arr[j + 1]
-                )
+                last, after = tour[j], tour[j + 1]
+                d_old = d_prev + dist[last][after]
+                d_new = row_prev[last] + row_first[after]
                 if d_new < d_old - 1e-9:
-                    arr[i : j + 1] = arr[i : j + 1][::-1]
-                    order[i - 1 : j] = order[i - 1 : j][::-1]
+                    tour[i : j + 1] = tour[i : j + 1][::-1]
+                    row_first = dist[tour[i]]
+                    d_prev = row_prev[tour[i]]
                     improved = True
         if not improved:
             break
-    return order
+    return [order[p - 1] for p in tour[1:]]
 
 
 def partition_points(

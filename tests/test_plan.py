@@ -1,6 +1,6 @@
 """The obstacle-aware planning subsystem (:mod:`repro.plan`).
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 1. Grid semantics — primitive rasterisation, the closed-boundary
    convention, conservative inflation, and the pure-NumPy nearest-obstacle
@@ -15,10 +15,16 @@ Four layers of guarantees:
    coverage tracks and altitude re-plans, the ``planned_path_clearance``
    oracle catches a plan that cuts through a building, and detection
    gating agrees with the configured camera.
+5. Kernel equivalence — the flat-index A* and the table-driven 2-opt
+   return exactly what straightforward reference implementations return
+   (kept below as oracles), A* paths cost what a brute-force Dijkstra
+   says, and the planner-ablation smoke fingerprint is pinned.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
 from pathlib import Path
@@ -26,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.harness.campaign import run_campaign
 from repro.harness.oracles import (
     PlannedPathClearanceOracle,
     run_scenario_oracles,
@@ -45,6 +52,8 @@ from repro.plan import (
     tour_length,
     two_opt,
 )
+from repro.plan.astar import astar_cells
+from repro.plan.experiment import PLANNER_ABLATION_CAMPAIGN
 from repro.sar.coverage import CameraConfig, swath_width_m
 from repro.sar.mission import SarMission
 from repro.scenario import ScenarioError, lint_scenario, load_scenario
@@ -484,3 +493,286 @@ class TestCameraAgreement:
         # The default camera would have cut the track count roughly in
         # half; pin that the configured spacing actually took effect.
         assert len(easts) == math.ceil(400.0 / spacing)
+
+
+# ------------------------------------------------------ kernel equivalence
+#: The 26-neighbourhood with Euclidean move costs, for the oracles below.
+_MOVES = [
+    (di, dj, dk, math.sqrt(di * di + dj * dj + dk * dk))
+    for di in (-1, 0, 1)
+    for dj in (-1, 0, 1)
+    for dk in (-1, 0, 1)
+    if (di, dj, dk) != (0, 0, 0)
+]
+
+
+def _reference_astar_cells(occupied, start, goal):
+    """Textbook A* on cell tuples with dict/set bookkeeping.
+
+    The readable statement of what :func:`astar_cells` computes: same
+    move costs, same heuristic, same (f, cell) heap ordering.
+    """
+    nx, ny, nz = occupied.shape
+    if occupied[start] or occupied[goal]:
+        return None
+    if start == goal:
+        return [start]
+    g_score = {start: 0.0}
+    came = {}
+    frontier = [(math.dist(start, goal), start)]
+    closed = set()
+    while frontier:
+        _, cell = heapq.heappop(frontier)
+        if cell in closed:
+            continue
+        if cell == goal:
+            path = [cell]
+            while cell in came:
+                cell = came[cell]
+                path.append(cell)
+            return path[::-1]
+        closed.add(cell)
+        ci, cj, ck = cell
+        for di, dj, dk, cost in _MOVES:
+            neighbor = (ci + di, cj + dj, ck + dk)
+            ni, nj, nk = neighbor
+            if not (0 <= ni < nx and 0 <= nj < ny and 0 <= nk < nz):
+                continue
+            if neighbor in closed or occupied[neighbor]:
+                continue
+            tentative = g_score[cell] + cost
+            if tentative < g_score.get(neighbor, math.inf):
+                g_score[neighbor] = tentative
+                came[neighbor] = cell
+                heapq.heappush(
+                    frontier, (tentative + math.dist(neighbor, goal), neighbor)
+                )
+    return None
+
+
+def _dijkstra_cost(occupied, start, goal):
+    """Brute-force shortest 26-connected lattice cost (no heuristic)."""
+    nx, ny, nz = occupied.shape
+    dist = {start: 0.0}
+    frontier = [(0.0, start)]
+    while frontier:
+        d, cell = heapq.heappop(frontier)
+        if cell == goal:
+            return d
+        if d > dist[cell]:
+            continue
+        for di, dj, dk, cost in _MOVES:
+            n = (cell[0] + di, cell[1] + dj, cell[2] + dk)
+            if not (0 <= n[0] < nx and 0 <= n[1] < ny and 0 <= n[2] < nz):
+                continue
+            if occupied[n] or d + cost >= dist.get(n, math.inf):
+                continue
+            dist[n] = d + cost
+            heapq.heappush(frontier, (d + cost, n))
+    return None
+
+
+def _path_cost(path):
+    return sum(math.dist(a, b) for a, b in zip(path, path[1:]))
+
+
+def _random_grid(rng, shape, density):
+    """Random obstacles plus at least one blocked cell on every face."""
+    occupied = rng.random(shape) < density
+    for axis, size in enumerate(shape):
+        for end in (0, size - 1):
+            cell = [int(rng.integers(n)) for n in shape]
+            cell[axis] = end
+            occupied[tuple(cell)] = True
+    return occupied
+
+
+def _boundary_cells(shape):
+    """All corner cells plus one interior cell of every face."""
+    corners = list(itertools.product(*[(0, n - 1) for n in shape]))
+    mids = []
+    for axis, size in enumerate(shape):
+        for end in (0, size - 1):
+            cell = [n // 2 for n in shape]
+            cell[axis] = end
+            mids.append(tuple(cell))
+    return sorted(set(corners + mids))
+
+
+class TestAstarKernel:
+    SHAPES = [(7, 6, 5), (9, 9, 4), (12, 5, 3), (1, 8, 6), (6, 6, 1)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_random_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        for shape in self.SHAPES:
+            occupied = _random_grid(rng, shape, density=0.25)
+            cells = _boundary_cells(shape)
+            # Face/corner endpoints plus a few random interior pairs.
+            pairs = [
+                (cells[a], cells[b])
+                for a, b in rng.integers(len(cells), size=(6, 2))
+            ]
+            pairs += [
+                (
+                    tuple(int(rng.integers(n)) for n in shape),
+                    tuple(int(rng.integers(n)) for n in shape),
+                )
+                for _ in range(4)
+            ]
+            for start, goal in pairs:
+                occ = occupied.copy()
+                occ[start] = occ[goal] = False
+                want = _reference_astar_cells(occ, start, goal)
+                got = astar_cells(occ, start, goal)
+                assert got == want, (shape, start, goal)
+                if got is None:
+                    assert _dijkstra_cost(occ, start, goal) is None
+                    continue
+                assert got[0] == start and got[-1] == goal
+                for a, b in zip(got, got[1:]):
+                    assert max(abs(u - v) for u, v in zip(a, b)) == 1
+                assert not any(occ[c] for c in got)
+                assert math.isclose(
+                    _path_cost(got),
+                    _dijkstra_cost(occ, start, goal),
+                    rel_tol=1e-12,
+                )
+
+    def test_matches_reference_on_wall_world(self):
+        occupied = _wall_field().inflated.occupied
+        start, goal = (2, 25, 3), (47, 25, 3)
+        path = astar_cells(occupied, start, goal)
+        assert path == _reference_astar_cells(occupied, start, goal)
+        assert math.isclose(
+            _path_cost(path), _dijkstra_cost(occupied, start, goal),
+            rel_tol=1e-12,
+        )
+
+    def test_start_equals_goal(self):
+        occupied = np.zeros((4, 4, 4), dtype=bool)
+        assert astar_cells(occupied, (3, 0, 3), (3, 0, 3)) == [(3, 0, 3)]
+
+    def test_blocked_endpoints_return_none(self):
+        occupied = np.zeros((5, 5, 5), dtype=bool)
+        occupied[0, 0, 0] = occupied[4, 4, 4] = True
+        assert astar_cells(occupied, (0, 0, 0), (2, 2, 2)) is None
+        assert astar_cells(occupied, (2, 2, 2), (4, 4, 4)) is None
+        # A blocked cell is blocked even when start == goal.
+        assert astar_cells(occupied, (0, 0, 0), (0, 0, 0)) is None
+
+    def test_unreachable_goal_returns_none(self):
+        occupied = np.zeros((9, 5, 4), dtype=bool)
+        occupied[4, :, :] = True  # a sealed wall: the padding must hold
+        assert astar_cells(occupied, (0, 2, 1), (8, 2, 1)) is None
+        assert _reference_astar_cells(occupied, (0, 2, 1), (8, 2, 1)) is None
+
+    def test_expansion_cap_raises_naming_cap_and_cells(self):
+        occupied = np.zeros((10, 10, 10), dtype=bool)
+        occupied[5, :, 1:] = True
+        with pytest.raises(
+            PlanError, match=r"max_expansions=5\b.*\(0, 0, 9\).*\(9, 9, 9\)"
+        ):
+            astar_cells(occupied, (0, 0, 9), (9, 9, 9), max_expansions=5)
+        # A cap the search fits under is invisible.
+        path = astar_cells(
+            occupied, (0, 0, 9), (9, 9, 9), max_expansions=occupied.size
+        )
+        assert path == _reference_astar_cells(occupied, (0, 0, 9), (9, 9, 9))
+
+    def test_cap_is_not_reported_as_disconnected(self):
+        # An unreachable goal behind a large open component exhausts the
+        # cap first: that is a cap error, not "no route".
+        occupied = np.zeros((10, 10, 10), dtype=bool)
+        occupied[8, :, :] = True
+        with pytest.raises(PlanError, match="expansion cap"):
+            astar_cells(occupied, (0, 0, 0), (9, 9, 9), max_expansions=50)
+        assert astar_cells(occupied, (0, 0, 0), (9, 9, 9)) is None
+
+
+def _reference_two_opt(start, points, order, max_passes=8):
+    """2-opt with four ``np.linalg.norm`` calls per candidate move."""
+    if len(order) < 3:
+        return list(order)
+    order = list(order)
+    arr = np.asarray([start] + [points[i] for i in order], dtype=float)
+    n = len(arr)
+    for _ in range(max_passes):
+        improved = False
+        for i in range(1, n - 2):
+            for j in range(i + 1, n - 1):
+                d_old = np.linalg.norm(arr[i - 1] - arr[i]) + np.linalg.norm(
+                    arr[j] - arr[j + 1]
+                )
+                d_new = np.linalg.norm(arr[i - 1] - arr[j]) + np.linalg.norm(
+                    arr[i] - arr[j + 1]
+                )
+                if d_new < d_old - 1e-9:
+                    arr[i : j + 1] = arr[i : j + 1][::-1]
+                    order[i - 1 : j] = order[i - 1 : j][::-1]
+                    improved = True
+        if not improved:
+            break
+    return order
+
+
+class TestTwoOptKernel:
+    START = (0.0, 0.0, 20.0)
+
+    @staticmethod
+    def _random_points(n, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            (float(e), float(nn), float(u))
+            for e, nn, u in zip(
+                rng.uniform(0.0, 200.0, n),
+                rng.uniform(0.0, 200.0, n),
+                rng.uniform(10.0, 30.0, n),
+            )
+        ]
+
+    @staticmethod
+    def _lattice_points(n, seed):
+        # A 6 x 6 lattice with a 0.1 m pitch (not exact in binary) and
+        # repeats: many equal and zero-length legs, and moves whose gain
+        # is pure rounding noise, which only the 1e-9 margin rejects.
+        rng = np.random.default_rng(seed)
+        return [
+            (float(e), float(nn), 20.0)
+            for e, nn in rng.integers(0, 6, size=(n, 2)) * 0.1
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 33])
+    @pytest.mark.parametrize("max_passes", [1, 8])
+    @pytest.mark.parametrize("kind", ["random", "lattice"])
+    def test_matches_reference(self, n, max_passes, kind):
+        make = self._random_points if kind == "random" else self._lattice_points
+        for seed in range(4):
+            points = make(n, seed)
+            rng = np.random.default_rng(100 + seed)
+            orders = [
+                nearest_neighbor_tour(self.START, points),
+                [int(i) for i in rng.permutation(n)],
+            ]
+            for order in orders:
+                want = _reference_two_opt(self.START, points, order, max_passes)
+                got = two_opt(self.START, points, order, max_passes)
+                assert got == want, (kind, n, max_passes, seed)
+
+    def test_does_not_mutate_input(self):
+        points = self._random_points(12, 5)
+        order = list(range(11, -1, -1))
+        two_opt(self.START, points, order)
+        assert order == list(range(11, -1, -1))
+
+
+#: planner-ablation smoke fingerprint at the commit before the flat-index
+#: A* and table-driven 2-opt kernels; any change to a planned cell path
+#: or tour order changes it.
+PLANNER_SMOKE_FINGERPRINT = "e1c89af4c4bc07dd47df45fe"
+
+
+def test_planner_ablation_smoke_fingerprint_pinned():
+    result = run_campaign(PLANNER_ABLATION_CAMPAIGN, grid="smoke")
+    assert result.failed_records == []
+    assert result.fingerprint == PLANNER_SMOKE_FINGERPRINT
