@@ -19,23 +19,4 @@ import repro.swarm.experiment  # noqa: F401  (registers "swarm-sizing")
 
 from repro.harness.campaign import get_experiment, list_experiments
 
-__all__ = ["experiment_catalog", "get_experiment", "list_experiments"]
-
-
-def experiment_catalog() -> list[dict]:
-    """JSON-able listing of every registered experiment and its presets.
-
-    The discovery surface clients build ``POST /jobs`` payloads from:
-    served verbatim at ``GET /experiments`` and printed by
-    ``python -m repro campaign --list``.
-    """
-    return [
-        {
-            "name": experiment.name,
-            "describe": experiment.describe,
-            "version": experiment.version,
-            "presets": list(experiment.presets),
-            "batchable": experiment.batch_fn is not None,
-        }
-        for experiment in list_experiments()
-    ]
+__all__ = ["get_experiment", "list_experiments"]

@@ -26,7 +26,6 @@ import hashlib
 import inspect
 import json
 import os
-import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,44 +94,6 @@ def sample_key(experiment: str, config: dict, seed: int, code: str) -> str:
     return stable_hash(
         {"experiment": experiment, "config": config, "seed": seed, "code": code}
     )
-
-
-# ------------------------------------------------------- tenant sharding
-#: Tenant ids double as cache shard directory names, so they are locked
-#: to a filesystem-safe alphabet; the leading character must be
-#: alphanumeric, which (with the path-separator exclusion) rules out
-#: ``.``/``..`` traversal outright.
-TENANT_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-#: Shard used when a caller never names a tenant (CLI runs, tests).
-DEFAULT_TENANT = "public"
-
-
-def validate_tenant_id(tenant: Any) -> str | None:
-    """Why ``tenant`` cannot name a cache shard, or ``None`` if it can."""
-    if not isinstance(tenant, str):
-        return f"expected a string, got {type(tenant).__name__}"
-    if not TENANT_ID_PATTERN.match(tenant):
-        return (
-            "must be 1-64 characters of [A-Za-z0-9._-] starting with a "
-            f"letter or digit, got {tenant!r}"
-        )
-    return None
-
-
-def tenant_cache_dir(cache_root: str | Path, tenant: str = DEFAULT_TENANT) -> Path:
-    """The per-tenant result-cache shard under ``cache_root``.
-
-    Each tenant gets a private subtree, so one tenant's cache hits can
-    never satisfy (or leak into) another tenant's campaigns even when
-    both submit the identical (experiment, config, seed, code) point —
-    the isolation boundary the campaign service's multi-tenancy is
-    stated over.
-    """
-    problem = validate_tenant_id(tenant)
-    if problem is not None:
-        raise ValueError(f"invalid tenant id: {problem}")
-    return Path(cache_root) / tenant
 
 
 @dataclass

@@ -86,50 +86,12 @@ class FaultPolicy:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.backoff_s < 0:
             raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
+        if self.max_failures is not None and self.max_failures < 0:
+            raise ValueError(f"max_failures must be >= 0, got {self.max_failures}")
 
 
 #: Default policy: one attempt, no timeout, quarantine but never abort.
 NO_RETRY = FaultPolicy()
-
-
-@dataclass(frozen=True)
-class CampaignControl:
-    """External control surface for a long-running campaign.
-
-    ``should_cancel``
-        Polled between samples (and between scheduler passes of the
-        supervised pool). Returning ``True`` raises
-        :class:`CampaignCancelled` after terminating in-flight attempts;
-        completed samples stay checkpointed in the result cache, so a
-        later ``run_campaign(..., resume=True)`` re-runs only what was
-        in flight — a cancelled campaign is always resumable.
-    ``on_record``
-        Called in the coordinating process with every finished record
-        dict (ok and quarantined alike) the moment it checkpoints — the
-        live progress stream the campaign service's NDJSON tail is built
-        on. Must not mutate the record.
-    """
-
-    should_cancel: Callable[[], bool] | None = None
-    on_record: Callable[[dict], None] | None = None
-
-
-class CampaignCancelled(RuntimeError):
-    """Raised when ``CampaignControl.should_cancel`` interrupts a run.
-
-    Completed samples remain checkpointed; in-flight attempts were
-    terminated un-checkpointed and will re-run on resume.
-    """
-
-    def __init__(self, experiment: str, completed: int, total: int) -> None:
-        super().__init__(
-            f"campaign {experiment!r} cancelled with {completed}/{total} "
-            "samples completed; completed samples remain checkpointed and "
-            "the campaign is resumable"
-        )
-        self.experiment = experiment
-        self.completed = completed
-        self.total = total
 
 
 class CampaignAborted(RuntimeError):
@@ -176,9 +138,9 @@ class CampaignExperiment:
     batch_fn: Callable[[list[dict], list[int], "PhaseTimer"], list[dict]] | None = None
     batch_key: Callable[[dict], object] | None = None
     #: Grid preset names ``grids`` accepts — the discoverable catalogue
-    #: (``python -m repro campaign --list``, ``GET /experiments``) and
-    #: what job submissions are validated against. Experiments with
-    #: parameterized presets (fuzz's ``profile:count``) list the bases.
+    #: (``python -m repro campaign --list``) and what the campaign CLI
+    #: validates ``--grid`` against. Experiments with parameterized
+    #: presets (fuzz's ``profile:count``) list the bases.
     presets: tuple[str, ...] = ("smoke", "default", "full")
 
     @property
@@ -508,7 +470,6 @@ def _run_supervised(
     workers: int,
     checkpoint: Callable[[dict], None],
     quarantine: Callable[[dict], None],
-    check_cancel: Callable[[], None] = lambda: None,
 ) -> None:
     """Fan pending samples over supervised child processes.
 
@@ -526,7 +487,6 @@ def _run_supervised(
     running: list[_Attempt] = []
     try:
         while ready or delayed or running:
-            check_cancel()
             now = time.monotonic()
             if delayed:
                 due = [item for at, item in delayed if at <= now]
@@ -587,7 +547,6 @@ def _run_inline(
     policy: FaultPolicy,
     checkpoint: Callable[[dict], None],
     quarantine: Callable[[dict], None],
-    check_cancel: Callable[[], None] = lambda: None,
 ) -> None:
     """Serial in-process execution with the same retry/quarantine policy.
 
@@ -597,7 +556,6 @@ def _run_inline(
     with ``timeout_s`` set always routes to :func:`_run_supervised`.
     """
     for index, config, seed, _ in pending:
-        check_cancel()
         attempt = 1
         while True:
             start = time.perf_counter()
@@ -626,7 +584,6 @@ def _run_batched(
     experiment: CampaignExperiment,
     pending: list[tuple[int, dict, int, str]],
     checkpoint: Callable[[dict], None],
-    check_cancel: Callable[[], None] = lambda: None,
 ) -> list[tuple[int, dict, int, str]]:
     """Run pending samples through the experiment's sample-axis batch hook.
 
@@ -647,7 +604,6 @@ def _run_batched(
     leftover: list[tuple[int, dict, int, str]] = []
     worker = multiprocessing.current_process().name
     for group_key, items in groups.items():
-        check_cancel()
         timer = PhaseTimer()
         start = time.perf_counter()
         try:
@@ -707,7 +663,6 @@ def run_campaign(
     policy: FaultPolicy | None = None,
     resume: bool = False,
     batch: bool = False,
-    control: CampaignControl | None = None,
 ) -> CampaignResult:
     """Run every grid point of ``experiment``; return records + manifest.
 
@@ -744,13 +699,6 @@ def run_campaign(
     per-sample path (retries, timeouts, quarantine all intact); caching
     and resume behave exactly as in per-sample runs. Observed runs skip
     batching — per-sample obs isolation needs per-sample execution.
-
-    ``control`` (a :class:`CampaignControl`) adds an external control
-    surface: ``on_record`` streams every finished record out of the run
-    as it checkpoints, and ``should_cancel`` cooperatively interrupts
-    the campaign (:class:`CampaignCancelled`) between samples, leaving
-    it resumable. Neither hook can change what a sample computes, so the
-    deterministic fingerprint is unaffected.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -793,11 +741,6 @@ def run_campaign(
                     pending.append((index, config, seed, key))
 
         keys = {index: key for index, _, _, key in pending}
-        if control is not None and control.on_record is not None:
-            # Stream cache hits too (grid order): a resumed job's live
-            # tail replays completed samples before fresh ones arrive.
-            for index in sorted(records):
-                control.on_record(records[index])
 
         def checkpoint(record: dict) -> None:
             """Stream one finished record into memory and the cache."""
@@ -807,18 +750,6 @@ def run_campaign(
             records[record["index"]] = record
             if cache is not None:
                 cache.put(experiment.name, keys[record["index"]], record)
-            if control is not None and control.on_record is not None:
-                control.on_record(record)
-
-        def check_cancel() -> None:
-            if (
-                control is not None
-                and control.should_cancel is not None
-                and control.should_cancel()
-            ):
-                raise CampaignCancelled(
-                    experiment.name, len(records), len(configs)
-                )
 
         fresh_failures = 0
 
@@ -854,7 +785,7 @@ def run_campaign(
                 and experiment.batch_fn is not None
                 and not observe
             ):
-                pending = _run_batched(experiment, pending, checkpoint, check_cancel)
+                pending = _run_batched(experiment, pending, checkpoint)
             supervised = policy.timeout_s is not None or (
                 workers > 1 and len(pending) > 1
             )
@@ -862,12 +793,10 @@ def run_campaign(
                 _run_supervised(
                     experiment, pending, observe, policy,
                     min(workers, len(pending)), checkpoint, quarantine,
-                    check_cancel,
                 )
             elif pending:
                 _run_inline(
                     experiment, pending, observe, policy, checkpoint, quarantine,
-                    check_cancel,
                 )
         wall_s = time.perf_counter() - start
 

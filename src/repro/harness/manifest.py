@@ -91,25 +91,6 @@ def manifest_fingerprint(manifest: dict) -> str:
     return stable_hash(deterministic_view(manifest))
 
 
-def status_counts(manifest: dict) -> dict:
-    """Per-sample totals of a manifest, summarized for status queries.
-
-    Built from the per-sample records (schema v2+ ``status`` fields, with
-    v1 defaults), not the ``totals`` block, so it also works on manifests
-    assembled by hand or truncated by an older writer. This is what the
-    campaign service's ``GET /jobs/<id>`` reports once a manifest exists.
-    """
-    samples = manifest.get("samples", [])
-    ok = sum(1 for s in samples if s.get("status", "ok") == "ok")
-    return {
-        "samples": len(samples),
-        "ok": ok,
-        "failed": len(samples) - ok,
-        "cached": sum(1 for s in samples if s.get("cached")),
-        "oracle_checked": sum(1 for s in samples if s.get("oracles") is not None),
-    }
-
-
 def write_manifest(path: str | Path, manifest: dict) -> Path:
     """Write ``manifest`` as stable, human-diffable JSON; returns path."""
     path = Path(path)

@@ -133,12 +133,6 @@ METRIC_HELP = {
     "cache_evictions_total": "Unusable result-cache records evicted.",
     "campaign_retries_total": "Campaign sample attempts retried, by failure kind.",
     "campaign_failures_total": "Campaign samples quarantined after exhausting retries.",
-    "service_jobs_submitted_total": "Jobs accepted by the campaign service.",
-    "service_jobs_finished_total": "Jobs that reached a terminal state, by state.",
-    "service_jobs_running": "Campaign jobs currently executing.",
-    "service_jobs_queued": "Campaign jobs waiting for a worker slot.",
-    "service_http_requests_total": "HTTP requests served, by method/route/status.",
-    "service_job_duration_seconds": "Submit-to-terminal latency of finished jobs.",
 }
 
 

@@ -14,10 +14,12 @@ import pytest
 
 import repro.harness.chaos  # noqa: F401  (registers "chaos")
 from repro import obs
+from repro.__main__ import main
 from repro.harness.cache import ResultCache
 from repro.harness.campaign import (
     CampaignAborted,
     FaultPolicy,
+    list_experiments,
     run_campaign,
 )
 
@@ -173,6 +175,8 @@ class TestRetries:
             FaultPolicy(timeout_s=0.0)
         with pytest.raises(ValueError):
             FaultPolicy(backoff_s=-1.0)
+        with pytest.raises(ValueError):
+            FaultPolicy(max_failures=-3)
 
 
 class TestCheckpointAndResume:
@@ -285,3 +289,34 @@ class TestMaxFailures:
                 "chaos", grid=grid, root_seed=2, workers=3,
                 policy=FaultPolicy(max_failures=0),
             )
+
+
+class TestCampaignCli:
+    """Bad campaign flags end in one stderr line and exit code 2."""
+
+    def assert_usage_error(self, capsys, argv: list[str], bad: str) -> None:
+        assert main(["campaign", "monte-carlo", "--no-cache", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert bad in err
+
+    def test_zero_workers_rejected(self, capsys):
+        self.assert_usage_error(capsys, ["--workers", "0"], "--workers")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--retries", "-1"), ("--timeout", "0"), ("--backoff", "-1"),
+         ("--max-failures", "-3")],
+    )
+    def test_bad_fault_policy_rejected(self, capsys, flag, value):
+        self.assert_usage_error(capsys, [flag, value], value)
+
+    def test_unknown_grid_rejected(self, capsys):
+        self.assert_usage_error(capsys, ["--grid", "bogus"], "'bogus'")
+
+    def test_catalogue_lists_every_preset(self, capsys):
+        assert main(["campaign", "--list"]) == 0
+        out = capsys.readouterr().out
+        for experiment in list_experiments():
+            assert f"[{', '.join(experiment.presets)}]" in out

@@ -335,24 +335,24 @@ class TestPrometheusExport:
 
     def test_every_family_has_help_and_type(self):
         reg = MetricsRegistry()
-        reg.inc("service_jobs_submitted_total", experiment="x", tenant="t")
-        reg.gauge("service_jobs_running", 1)
-        reg.observe("service_job_duration_seconds", 2.5, experiment="x")
+        reg.inc("campaign_retries_total", experiment="x", kind="crash")
+        reg.gauge("made_up_level", 1)
+        reg.observe("bus_delivery_latency_s", 0.05, topic="/t")
         reg.inc("made_up_metric_total")
         text = prometheus_text(reg.snapshot())
-        assert "# HELP service_jobs_submitted_total Jobs accepted" in text
-        assert "# TYPE service_jobs_submitted_total counter" in text
-        assert "# TYPE service_jobs_running gauge" in text
-        assert "# TYPE service_job_duration_seconds histogram" in text
+        assert "# HELP campaign_retries_total Campaign sample attempts" in text
+        assert "# TYPE campaign_retries_total counter" in text
+        assert "# TYPE made_up_level gauge" in text
+        assert "# TYPE bus_delivery_latency_s histogram" in text
         # Unknown families still get the header pair scrapers expect.
         assert "# HELP made_up_metric_total" in text
         assert "# TYPE made_up_metric_total counter" in text
         # Headers precede their family's first sample.
         lines = text.splitlines()
-        type_at = lines.index("# TYPE service_jobs_submitted_total counter")
+        type_at = lines.index("# TYPE campaign_retries_total counter")
         sample_at = next(
             i for i, l in enumerate(lines)
-            if l.startswith("service_jobs_submitted_total{")
+            if l.startswith("campaign_retries_total{")
         )
         assert type_at < sample_at
 
