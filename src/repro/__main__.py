@@ -12,8 +12,6 @@ Usage::
     python -m repro comm          # degraded-comm availability sweep
     python -m repro fleet-scale   # SAR coverage time vs fleet size
 
-    python -m repro fig5 --engine vectorized           # batched fleet physics
-
     python -m repro campaign --list                    # sweep catalogue + presets
     python -m repro campaign monte-carlo --workers 4   # sharded sweep
     python -m repro campaign monte-carlo --resume      # finish a broken run
@@ -43,16 +41,16 @@ import argparse
 import sys
 
 
-def _run_fig4(seed: int, engine: str = "scalar") -> None:
+def _run_fig4(seed: int) -> None:
     from repro.experiments.fig4_platform import run_fig4_platform_demo
 
-    print(run_fig4_platform_demo(seed=seed, engine=engine).render())
+    print(run_fig4_platform_demo(seed=seed).render())
 
 
-def _run_fig5(seed: int, engine: str = "scalar") -> None:
+def _run_fig5(seed: int) -> None:
     from repro.experiments import run_fig5_battery_experiment
 
-    result = run_fig5_battery_experiment(seed=seed, engine=engine)
+    result = run_fig5_battery_experiment(seed=seed)
     print(f"nominal mission:        {result.nominal_mission_s:.0f} s")
     crossing = result.with_sesame.threshold_crossing_time
     print(f"PoF 0.9 crossing:       {crossing:.0f} s" if crossing else "no crossing")
@@ -74,28 +72,28 @@ def _run_sar_accuracy(seed: int) -> None:
     print(f"operating altitude:     {result.final_altitude_m:.0f} m")
 
 
-def _run_fig6(seed: int, engine: str = "scalar") -> None:
+def _run_fig6(seed: int) -> None:
     from repro.experiments import run_fig6_spoofing_experiment
 
-    result = run_fig6_spoofing_experiment(seed=seed, engine=engine)
+    result = run_fig6_spoofing_experiment(seed=seed)
     print(f"max trajectory deviation: {result.max_deviation_m:.1f} m")
     print(f"Security EDDI latency:    {result.eddi_latency_s:.1f} s")
     print(f"IMU cross-check latency:  {result.sensor_latency_s:.1f} s")
 
 
-def _run_fig7(seed: int, engine: str = "scalar") -> None:
+def _run_fig7(seed: int) -> None:
     from repro.experiments import run_fig7_collaborative_landing
 
-    result = run_fig7_collaborative_landing(seed=seed, engine=engine)
+    result = run_fig7_collaborative_landing(seed=seed)
     print(f"landed:                {result.cl_report.landed}")
     print(f"landing error:         {result.cl_report.final_error_m:.2f} m")
     print(f"baseline (no CL):      {result.baseline_error_m:.2f} m")
 
 
-def _run_comm(seed: int, engine: str = "scalar") -> None:
+def _run_comm(seed: int) -> None:
     from repro.experiments import run_comm_availability_experiment
 
-    result = run_comm_availability_experiment(seed=seed, engine=engine)
+    result = run_comm_availability_experiment(seed=seed)
     print("loss    delivery (exp/meas)   availability   demotions")
     for loss, expected, measured, availability, demotions in result.summary_rows():
         print(
@@ -116,10 +114,10 @@ def _run_conserts(seed: int) -> None:
         )
 
 
-def _run_fleet_scale(seed: int, engine: str = "vectorized") -> None:
+def _run_fleet_scale(seed: int) -> None:
     from repro.experiments import run_fleet_scale_experiment
 
-    result = run_fleet_scale_experiment(seed=seed, engine=engine)
+    result = run_fleet_scale_experiment(seed=seed)
     print(result.render())
 
 
@@ -133,10 +131,6 @@ COMMANDS = {
     "comm": _run_comm,
     "fleet-scale": _run_fleet_scale,
 }
-
-# Commands whose experiment builds a simulation world and therefore takes
-# the --engine flag (scalar reference vs bit-identical vectorized batch).
-ENGINE_COMMANDS = frozenset({"fig4", "fig5", "fig6", "fig7", "comm", "fleet-scale"})
 
 
 def _write_metrics_dump(path: str, snapshot: dict | None) -> None:
@@ -155,15 +149,14 @@ def _run_single(name: str, args: argparse.Namespace) -> int:
     """Run one single-shot experiment, optionally under an obs session."""
     from repro import obs
 
-    kwargs = {"engine": args.engine} if name in ENGINE_COMMANDS else {}
     if args.trace is None and args.metrics is None:
-        COMMANDS[name](args.seed, **kwargs)
+        COMMANDS[name](args.seed)
         return 0
     with obs.capture(
         trace_path=args.trace,
         meta={"experiment": name, "seed": args.seed},
     ) as captured:
-        COMMANDS[name](args.seed, **kwargs)
+        COMMANDS[name](args.seed)
     if args.trace is not None:
         print(f"trace: {args.trace}")
     if args.metrics is not None:
@@ -299,7 +292,6 @@ def _run_campaign_cli(args: argparse.Namespace) -> int:
             trace_path=args.trace,
             policy=policy,
             resume=args.resume,
-            batch=args.batch,
         )
     except CampaignAborted as exc:
         print(f"campaign aborted: {exc}", file=sys.stderr)
@@ -434,13 +426,6 @@ def main(argv: list[str] | None = None) -> int:
         single.add_argument(
             "--seed", type=int, default=defaults[name], help="override the seed"
         )
-        if name in ENGINE_COMMANDS:
-            single.add_argument(
-                "--engine",
-                choices=("scalar", "vectorized"),
-                default="vectorized" if name == "fleet-scale" else "scalar",
-                help="world step implementation (bit-identical results)",
-            )
         single.add_argument(
             "--trace", default=None, metavar="PATH",
             help="capture an observability trace (JSONL) to PATH",
@@ -487,13 +472,6 @@ def main(argv: list[str] | None = None) -> int:
     campaign.add_argument(
         "--resume", action="store_true",
         help="re-run only failed or missing grid points against the cache",
-    )
-    campaign.add_argument(
-        "--batch", action="store_true",
-        help=(
-            "run pending samples as stacked batches (experiments with a "
-            "sample-axis batch hook; bit-identical results and fingerprint)"
-        ),
     )
     campaign.add_argument(
         "--timeout", type=float, default=None, metavar="S",

@@ -18,9 +18,9 @@ fleet-wide array operations:
   operations across every (monitor, feature) task
   (:func:`stacked_safeml_reports`).
 
-Selection mirrors the fleet engine: :func:`build_assurance` keys off the
-same ``engine="scalar"|"vectorized"`` vocabulary ``World`` threads
-through scenarios, experiments, and CLIs.
+Selection mirrors the fleet engine: :func:`build_assurance` follows
+``world.engine``, which the world builders pick from the fleet size
+(:func:`repro.uav.world.engine_for`).
 
 Bit-exactness contract
 ----------------------
@@ -91,7 +91,6 @@ from repro.safedrones.processor import ProcessorReliabilityModel
 from repro.safedrones.propulsion import PropulsionModel
 from repro.safeml.monitor import ConfidenceLevel, SafeMlReport
 from repro.security.spoofing import GpsSpoofingDetector
-from repro.uav.world import ENGINES
 
 
 # --------------------------------------------------------------------------
@@ -696,11 +695,11 @@ class ScalarAssurancePlane:
 class BatchAssurancePlane:
     """Structure-of-arrays assurance plane over a vectorized world.
 
-    Requires ``World(engine="vectorized")`` — the plane consumes sensor
-    noise straight from the fleet's prefetched channels (the same per-row
-    streams the scalar adapter consumes through its sensors), reads fleet
-    state from the shared arrays, and pushes evidence through the
-    compiled ConSert programs.
+    Requires a vectorized world (``world.engine == "vectorized"``) — the
+    plane consumes sensor noise straight from the fleet's prefetched
+    channels (the same per-row streams the scalar adapter consumes through
+    its sensors), reads fleet state from the shared arrays, and pushes
+    evidence through the compiled ConSert programs.
     """
 
     engine = "vectorized"
@@ -708,9 +707,7 @@ class BatchAssurancePlane:
     def __init__(self, world, cl_range_m: float = 120.0) -> None:
         fleet = world._fleet
         if fleet is None:
-            raise ValueError(
-                "vectorized assurance needs World(engine='vectorized')"
-            )
+            raise ValueError("vectorized assurance needs a vectorized world")
         self.world = world
         self.fleet = fleet
         self.cl_range_m = cl_range_m
@@ -1055,18 +1052,12 @@ class BatchAssurancePlane:
         self._responses[self._row[uav_id]][guarantee] = callback
 
 
-def build_assurance(world, cl_range_m: float = 120.0, engine: str | None = None):
-    """Build the assurance plane for ``world`` under the chosen engine.
+def build_assurance(world, cl_range_m: float = 120.0):
+    """Build the assurance plane that matches ``world.engine``.
 
-    ``engine=None`` follows ``world.engine`` — the same switch scenarios
-    and CLIs already thread. The scalar plane runs on either world
-    engine; the batched plane requires a vectorized world (it consumes
-    the fleet's shared noise channels directly).
+    A scalar world gets the per-UAV plane; a vectorized world gets the
+    batched plane, which consumes the fleet's shared noise channels.
     """
-    if engine is None:
-        engine = world.engine
-    if engine == "scalar":
-        return ScalarAssurancePlane(world, cl_range_m=cl_range_m)
-    if engine == "vectorized":
+    if world.engine == "vectorized":
         return BatchAssurancePlane(world, cl_range_m=cl_range_m)
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    return ScalarAssurancePlane(world, cl_range_m=cl_range_m)

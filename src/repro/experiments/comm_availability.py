@@ -95,10 +95,9 @@ def _run_point(
     seed: int,
     duration_s: float,
     staleness_s: float,
-    engine: str = "scalar",
 ) -> CommSweepPoint:
     bus = DegradedBus(rng=np.random.default_rng(seed + 1))
-    scenario = build_three_uav_world(seed=seed, n_persons=0, bus=bus, engine=engine)
+    scenario = build_three_uav_world(seed=seed, n_persons=0, bus=bus)
     world = scenario.world
 
     # Night ops under GPS jamming: comm localization carries the mission.
@@ -174,7 +173,6 @@ def comm_availability_sample(config: dict, seed: int, timer: PhaseTimer) -> dict
             run_seed,
             float(config["duration_s"]),
             float(config["staleness_s"]),
-            engine=str(config.get("engine", "scalar")),
         )
     return {
         "seed": run_seed,
@@ -254,7 +252,6 @@ def run_comm_availability_experiment(
     staleness_s: float = 4.0,
     workers: int = 1,
     cache_dir=None,
-    engine: str = "scalar",
 ) -> CommAvailabilityResult:
     """Sweep link loss and report fleet mission availability per level.
 
@@ -262,8 +259,6 @@ def run_comm_availability_experiment(
     loss levels across processes (identical results at any worker count)
     and ``cache_dir`` to skip already-completed points. Every level runs
     at the same scenario ``seed``, matching the figure's construction.
-    ``engine`` selects the world step implementation; the default is
-    omitted from the sample configs so existing cache keys stay valid.
     """
     configs = [
         {
@@ -271,7 +266,6 @@ def run_comm_availability_experiment(
             "duration_s": duration_s,
             "staleness_s": staleness_s,
             "seed": seed,
-            **({"engine": engine} if engine != "scalar" else {}),
         }
         for loss in loss_rates
     ]

@@ -9,7 +9,7 @@ import numpy as np
 from repro.geo import EnuFrame, GeoPoint
 from repro.middleware.rosbus import RosBus
 from repro.uav.uav import Uav, UavSpec
-from repro.uav.world import World
+from repro.uav.world import World, engine_for
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def build_three_uav_world(
     n_persons: int = 8,
     bus: RosBus | None = None,
     n_uavs: int = 3,
-    engine: str = "scalar",
+    engine: str | None = None,
 ) -> FleetScenario:
     """Create the paper's three-UAV setup on a fresh world.
 
@@ -57,8 +57,10 @@ def build_three_uav_world(
     spawned stream, so the fleet size never changes an existing UAV's
     draws.
 
-    ``engine`` selects the world's step implementation ("scalar" or
-    "vectorized"); both produce bit-identical trajectories.
+    The world's step implementation comes from the fleet size
+    (:func:`~repro.uav.world.engine_for`); ``engine`` ("scalar" or
+    "vectorized") overrides it for reference comparisons. Both produce
+    bit-identical trajectories.
     """
     rng = np.random.default_rng(seed)
     kwargs = {} if bus is None else {"bus": bus}
@@ -67,7 +69,7 @@ def build_three_uav_world(
         rng=rng,
         area_size_m=area_size_m,
         dt=dt,
-        engine=engine,
+        engine=engine_for(n_uavs) if engine is None else engine,
         **kwargs,
     )
     uav_ids = tuple(f"uav{i + 1}" for i in range(n_uavs))

@@ -59,10 +59,9 @@ def run_fig4_platform_demo(
     seed: int = 42,
     n_persons: int = 8,
     max_time_s: float = 1500.0,
-    engine: str = "scalar",
 ) -> Fig4Result:
     """Run the three-UAV platform demonstration to completion."""
-    scenario = build_three_uav_world(seed=seed, n_persons=n_persons, engine=engine)
+    scenario = build_three_uav_world(seed=seed, n_persons=n_persons)
     world = scenario.world
 
     manager = UavManager(bus=world.bus, database=DatabaseManager())

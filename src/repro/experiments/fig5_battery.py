@@ -106,9 +106,9 @@ def _mission_path() -> list[tuple[float, float, float]]:
     return boustrophedon_path(MISSION_STRIP, MISSION_ALTITUDE_M)
 
 
-def _measure_nominal_mission_s(seed: int, engine: str = "scalar") -> float:
+def _measure_nominal_mission_s(seed: int) -> float:
     """Clean-run mission duration (no fault, no policy interference)."""
-    scenario = build_three_uav_world(seed=seed, n_persons=0, engine=engine)
+    scenario = build_three_uav_world(seed=seed, n_persons=0)
     world = scenario.world
     uav = world.uavs["uav1"]
     uav.dynamics.max_speed_mps = 7.6
@@ -118,8 +118,8 @@ def _measure_nominal_mission_s(seed: int, engine: str = "scalar") -> float:
     return world.time
 
 
-def _run_policy(seed: int, use_sesame: bool, engine: str = "scalar") -> ScenarioTrace:
-    scenario = build_three_uav_world(seed=seed, n_persons=0, engine=engine)
+def _run_policy(seed: int, use_sesame: bool) -> ScenarioTrace:
+    scenario = build_three_uav_world(seed=seed, n_persons=0)
     world = scenario.world
     uav = world.uavs["uav1"]
     uav.dynamics.max_speed_mps = 7.6
@@ -217,11 +217,11 @@ def _run_policy(seed: int, use_sesame: bool, engine: str = "scalar") -> Scenario
     return trace
 
 
-def run_fig5_battery_experiment(seed: int = 3, engine: str = "scalar") -> Fig5Result:
+def run_fig5_battery_experiment(seed: int = 3) -> Fig5Result:
     """Run both policies and compute the availability comparison."""
-    nominal = _measure_nominal_mission_s(seed, engine=engine)
-    with_trace = _run_policy(seed, use_sesame=True, engine=engine)
-    without_trace = _run_policy(seed, use_sesame=False, engine=engine)
+    nominal = _measure_nominal_mission_s(seed)
+    with_trace = _run_policy(seed, use_sesame=True)
+    without_trace = _run_policy(seed, use_sesame=False)
 
     def availability(trace: ScenarioTrace) -> float:
         """Productive mission time over total busy time.

@@ -73,10 +73,10 @@ class Fig6Result:
 
 
 def _fly_mapping(
-    seed: int, attack: bool, duration_s: float = 240.0, engine: str = "scalar"
+    seed: int, attack: bool, duration_s: float = 240.0
 ) -> tuple[list[float], list[tuple[float, float, float]], dict]:
     """One mapping flight; returns times, true trajectory, and extras."""
-    scenario = build_three_uav_world(seed=seed, n_persons=0, engine=engine)
+    scenario = build_three_uav_world(seed=seed, n_persons=0)
     world = scenario.world
     uav = world.uavs["uav1"]
     uav.start_mission(boustrophedon_path(MAPPING_STRIP, MAPPING_ALTITUDE_M))
@@ -143,15 +143,11 @@ def _fly_mapping(
 
 
 def run_fig6_spoofing_experiment(
-    seed: int = 9, duration_s: float = 240.0, engine: str = "scalar"
+    seed: int = 9, duration_s: float = 240.0
 ) -> Fig6Result:
     """Fly the mapping mission clean and attacked; compare trajectories."""
-    times_clean, clean, _ = _fly_mapping(
-        seed, attack=False, duration_s=duration_s, engine=engine
-    )
-    times_atk, attacked, extras = _fly_mapping(
-        seed, attack=True, duration_s=duration_s, engine=engine
-    )
+    times_clean, clean, _ = _fly_mapping(seed, attack=False, duration_s=duration_s)
+    times_atk, attacked, extras = _fly_mapping(seed, attack=True, duration_s=duration_s)
 
     n = min(len(clean), len(attacked))
     deviation = [math.dist(clean[i], attacked[i]) for i in range(n)]

@@ -44,8 +44,8 @@ class Fig7Result:
     mean_estimate_error_m: float
 
 
-def _setup(seed: int, n_assistants: int, engine: str = "scalar"):
-    scenario = build_three_uav_world(seed=seed, n_persons=0, engine=engine)
+def _setup(seed: int, n_assistants: int):
+    scenario = build_three_uav_world(seed=seed, n_persons=0)
     world = scenario.world
     affected = world.uavs["uav1"]
     affected.dynamics.position = AFFECTED_START
@@ -64,11 +64,10 @@ def run_fig7_collaborative_landing(
     seed: int = 13,
     n_assistants: int = 2,
     max_time_s: float = 300.0,
-    engine: str = "scalar",
 ) -> Fig7Result:
     """Run the guided landing with CL, then the dead-reckoning baseline."""
     # ------------------------------------------------- with CL ------------
-    world, affected, assistants = _setup(seed, n_assistants, engine=engine)
+    world, affected, assistants = _setup(seed, n_assistants)
     detector = DroneDetector(rng=np.random.default_rng(seed + 100))
     localizer = CollaborativeLocalizer(target_id="uav1", max_age_s=1.0)
     controller = GuidedLandingController(uav=affected, landing_point=LANDING_POINT)
@@ -119,7 +118,7 @@ def run_fig7_collaborative_landing(
     cl_report = controller.report(world.time)
 
     # ------------------------------------------- baseline (no CL) --------
-    world_b, affected_b, _ = _setup(seed, n_assistants=0, engine=engine)
+    world_b, affected_b, _ = _setup(seed, n_assistants=0)
     # Dead-reckoning descent: the UAV believes its last (pre-denial) fix
     # and simply descends; nobody corrects its drift.
     affected_b.believed_trajectory.append(AFFECTED_START)

@@ -4,12 +4,13 @@ The paper's platform demonstration flies three UAVs; the obvious
 operational question is how search-and-rescue performance scales when
 the fleet grows. This study sweeps fleet size over the same search area
 and measures how long full coverage takes — the marginal value of each
-additional airframe — using the vectorized fleet engine
-(:mod:`repro.uav.fleet`) so the 50- and 100-UAV points stay cheap.
+additional airframe. Fleets from ``VECTORIZED_MIN_UAVS`` up fly on the
+vectorized fleet engine (:mod:`repro.uav.fleet`), so the 50- and 100-UAV
+points stay cheap.
 
 Because the vectorized engine is bit-identical to the scalar reference
 (see ``tests/test_fleet_equivalence.py``), every number below is exactly
-what the scalar simulator would produce; the engine choice only changes
+what the scalar simulator would produce; the engine only changes
 wall-clock cost, which the study also records per point.
 
 Runs on the :mod:`repro.harness` campaign engine as ``fleet-scale``
@@ -42,7 +43,6 @@ class FleetScalePoint:
     """One fleet size flown to coverage (or the time budget)."""
 
     n_uavs: int
-    engine: str
     seed: int
     coverage_fraction: float
     duration_s: float | None  # sim time to mission completion, None if budget hit
@@ -79,14 +79,11 @@ class FleetScaleResult:
 def run_fleet_scale_point(
     n_uavs: int,
     seed: int = 21,
-    engine: str = "vectorized",
     max_time_s: float = 3600.0,
     n_persons: int = 8,
 ) -> FleetScalePoint:
     """Fly one coverage mission with ``n_uavs`` UAVs and measure it."""
-    scenario = build_three_uav_world(
-        seed=seed, n_persons=n_persons, n_uavs=n_uavs, engine=engine
-    )
+    scenario = build_three_uav_world(seed=seed, n_persons=n_persons, n_uavs=n_uavs)
     mission = SarMission(world=scenario.world)
     mission.assign_paths()
     start = time.perf_counter()
@@ -94,7 +91,6 @@ def run_fleet_scale_point(
     wall = time.perf_counter() - start
     return FleetScalePoint(
         n_uavs=n_uavs,
-        engine=engine,
         seed=seed,
         coverage_fraction=metrics.coverage_fraction,
         duration_s=metrics.duration_s,
@@ -108,7 +104,6 @@ def run_fleet_scale_point(
 def run_assurance_scale_point(
     n_uavs: int,
     seed: int = 21,
-    engine: str = "vectorized",
     max_time_s: float = 60.0,
     eddi_period_s: float = 2.0,
     n_persons: int = 8,
@@ -120,13 +115,11 @@ def run_assurance_scale_point(
     SafeDrones, spoof/link monitors, ConSert evaluation, mission
     decider) at the 2 Hz EDDI rate, so a campaign over it exercises the
     batched plane end to end at fleet scale and records its per-cycle
-    cost in the manifest.
+    cost in the manifest. ``assurance_engine`` records which plane ran.
     """
     from repro.core.batch import build_assurance
 
-    scenario = build_three_uav_world(
-        seed=seed, n_persons=n_persons, n_uavs=n_uavs, engine=engine
-    )
+    scenario = build_three_uav_world(seed=seed, n_persons=n_persons, n_uavs=n_uavs)
     world = scenario.world
     mission = SarMission(world=world)
     mission.assign_paths()
@@ -152,7 +145,6 @@ def run_assurance_scale_point(
     return {
         "seed": seed,
         "n_uavs": n_uavs,
-        "engine": engine,
         "coverage_fraction": metrics.coverage_fraction,
         "duration_s": metrics.duration_s,
         "sim_time_s": world.time,
@@ -176,8 +168,8 @@ def fleet_scale_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
     size over the same person field so the fleet-size axis is the only
     thing that varies); otherwise the harness-assigned stream seed is
     used. With ``assurance: true`` the sample also cycles the full
-    assurance plane (scalar or batched, following ``engine``) and
-    reports its cost alongside the coverage numbers.
+    assurance plane (scalar or batched, following the world's engine)
+    and reports its cost alongside the coverage numbers.
     """
     run_seed = int(config.get("seed", seed))
     if config.get("assurance"):
@@ -185,7 +177,6 @@ def fleet_scale_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
             return run_assurance_scale_point(
                 n_uavs=int(config["n_uavs"]),
                 seed=run_seed,
-                engine=str(config.get("engine", "vectorized")),
                 max_time_s=float(config.get("max_time_s", 60.0)),
                 eddi_period_s=float(config.get("eddi_period_s", 2.0)),
             )
@@ -193,13 +184,11 @@ def fleet_scale_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
         point = run_fleet_scale_point(
             n_uavs=int(config["n_uavs"]),
             seed=run_seed,
-            engine=str(config.get("engine", "vectorized")),
             max_time_s=float(config.get("max_time_s", 3600.0)),
         )
     return {
         "seed": run_seed,
         "n_uavs": point.n_uavs,
-        "engine": point.engine,
         "coverage_fraction": point.coverage_fraction,
         "duration_s": point.duration_s,
         "sim_time_s": point.sim_time_s,
@@ -210,32 +199,26 @@ def fleet_scale_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
 
 
 def fleet_scale_grid(preset: str) -> list[dict]:
-    """Fleet-size grids; smoke pins a short 50-UAV vectorized flight."""
+    """Fleet-size grids; smoke pins a short flight on each side of the
+    ``VECTORIZED_MIN_UAVS`` rule (3 UAVs per-UAV, 50 UAVs vectorized)."""
     if preset == "smoke":
-        # CI-sized: prove the 50-UAV vectorized path end to end without
-        # waiting for full coverage.
+        # CI-sized: prove both world engines end to end without waiting
+        # for full coverage.
         return [
-            {"n_uavs": 3, "engine": "vectorized", "max_time_s": 120.0},
-            {"n_uavs": 50, "engine": "vectorized", "max_time_s": 120.0},
+            {"n_uavs": 3, "max_time_s": 120.0},
+            {"n_uavs": 50, "max_time_s": 120.0},
         ]
     if preset == "assurance-smoke":
-        # CI-sized: cycle the batched assurance plane over a 50-UAV
-        # vectorized fleet (plus the 3-UAV anchor) end to end.
+        # CI-sized: cycle the scalar plane over the 3-UAV anchor and the
+        # batched plane over a 50-UAV fleet, end to end.
         return [
-            {"n_uavs": 3, "engine": "vectorized", "max_time_s": 30.0,
-             "assurance": True},
-            {"n_uavs": 50, "engine": "vectorized", "max_time_s": 30.0,
-             "assurance": True},
+            {"n_uavs": 3, "max_time_s": 30.0, "assurance": True},
+            {"n_uavs": 50, "max_time_s": 30.0, "assurance": True},
         ]
     if preset == "default":
-        return [
-            {"n_uavs": n, "engine": "vectorized"} for n in DEFAULT_FLEET_SIZES
-        ]
+        return [{"n_uavs": n} for n in DEFAULT_FLEET_SIZES]
     if preset == "full":
-        return [
-            {"n_uavs": n, "engine": "vectorized"}
-            for n in (*DEFAULT_FLEET_SIZES, 100)
-        ]
+        return [{"n_uavs": n} for n in (*DEFAULT_FLEET_SIZES, 100)]
     raise ValueError(f"unknown fleet-scale grid preset {preset!r}")
 
 
@@ -245,7 +228,6 @@ def result_from_campaign(campaign: CampaignResult) -> FleetScaleResult:
         points=tuple(
             FleetScalePoint(
                 n_uavs=r["n_uavs"],
-                engine=r["engine"],
                 seed=r["seed"],
                 coverage_fraction=r["coverage_fraction"],
                 duration_s=r["duration_s"],
@@ -269,7 +251,7 @@ FLEET_SCALE_CAMPAIGN = register_experiment(
         name="fleet-scale",
         sample_fn=fleet_scale_sample,
         grids=fleet_scale_grid,
-        describe="SAR coverage time vs fleet size (vectorized engine)",
+        describe="SAR coverage time vs fleet size",
         summarize=summarize_fleet_scale,
         presets=("smoke", "assurance-smoke", "default", "full"),
     )
@@ -279,7 +261,6 @@ FLEET_SCALE_CAMPAIGN = register_experiment(
 def run_fleet_scale_experiment(
     fleet_sizes: tuple[int, ...] = DEFAULT_FLEET_SIZES,
     seed: int = 21,
-    engine: str = "vectorized",
     max_time_s: float = 3600.0,
     workers: int = 1,
     cache_dir=None,
@@ -294,7 +275,6 @@ def run_fleet_scale_experiment(
     configs = [
         {
             "n_uavs": n,
-            "engine": engine,
             "max_time_s": max_time_s,
             "seed": seed,
         }

@@ -156,21 +156,6 @@ def summarize_monte_carlo(campaign: CampaignResult) -> str:
     )
 
 
-def _monte_carlo_batch(
-    configs: list[dict], seeds: list[int], timer: PhaseTimer
-) -> list[dict]:
-    """Sample-axis batch hook: N grid points as one stacked simulation.
-
-    Imported lazily so the plain per-sample path never pays for the
-    vectorized engine. Every grid point stacks into the same group
-    (``batch_key`` stays ``None``): fault time and post-fault SoC are
-    per-row fault-script parameters, not world-level state.
-    """
-    from repro.experiments.fig5_batch import monte_carlo_batch
-
-    return monte_carlo_batch(configs, seeds, timer)
-
-
 MONTE_CARLO_CAMPAIGN = register_experiment(
     CampaignExperiment(
         name="monte-carlo",
@@ -178,7 +163,6 @@ MONTE_CARLO_CAMPAIGN = register_experiment(
         grids=monte_carlo_grid,
         describe="Fig. 5 battery-fault robustness sweep",
         summarize=summarize_monte_carlo,
-        batch_fn=_monte_carlo_batch,
     )
 )
 

@@ -117,16 +117,6 @@ class CampaignExperiment:
     dicts, one per sample. ``version`` participates in the cache key;
     bump it when a dependency of the sample function changes semantics
     without touching the defining module's source.
-
-    ``batch_fn``, when set, enables sample-axis batching via
-    ``run_campaign(..., batch=True)``: it receives parallel lists of
-    config dicts and seeds plus a shared :class:`PhaseTimer` and must
-    return one result dict per sample, bit-identical to what
-    ``sample_fn`` would produce for the same (config, seed) — the
-    manifest fingerprint must not change. ``batch_key`` partitions the
-    pending samples into stackable groups (samples whose configs map to
-    the same key run as one batch); leave it ``None`` when every sample
-    can stack into a single simulation.
     """
 
     name: str
@@ -135,8 +125,6 @@ class CampaignExperiment:
     version: str = "1"
     describe: str = ""
     summarize: Callable[["CampaignResult"], str] | None = None
-    batch_fn: Callable[[list[dict], list[int], "PhaseTimer"], list[dict]] | None = None
-    batch_key: Callable[[dict], object] | None = None
     #: Grid preset names ``grids`` accepts — the discoverable catalogue
     #: (``python -m repro campaign --list``) and what the campaign CLI
     #: validates ``--grid`` against. Experiments with parameterized
@@ -580,77 +568,6 @@ def _run_inline(
             break
 
 
-def _run_batched(
-    experiment: CampaignExperiment,
-    pending: list[tuple[int, dict, int, str]],
-    checkpoint: Callable[[dict], None],
-) -> list[tuple[int, dict, int, str]]:
-    """Run pending samples through the experiment's sample-axis batch hook.
-
-    Pending samples are grouped by ``batch_key(config)`` (no key hook →
-    one stacked group) and each group runs in-process through
-    ``batch_fn``. Per-sample records are assembled exactly like
-    :func:`_execute_sample`'s (the deterministic fingerprint covers only
-    index/seed/config/result/status, so shared wall-time and timings are
-    invisible to it). A group whose batch call raises — or returns the
-    wrong number of results — falls back to the ordinary fault-tolerant
-    per-sample path: its items are returned as the new pending list.
-    """
-    key_fn = experiment.batch_key
-    groups: dict[object, list[tuple[int, dict, int, str]]] = {}
-    for item in pending:
-        key = key_fn(item[1]) if key_fn is not None else None
-        groups.setdefault(key, []).append(item)
-    leftover: list[tuple[int, dict, int, str]] = []
-    worker = multiprocessing.current_process().name
-    for group_key, items in groups.items():
-        timer = PhaseTimer()
-        start = time.perf_counter()
-        try:
-            results = experiment.batch_fn(
-                [dict(config) for _, config, _, _ in items],
-                [seed for _, _, seed, _ in items],
-                timer,
-            )
-            if len(results) != len(items):
-                raise ValueError(
-                    f"batch_fn returned {len(results)} results for "
-                    f"{len(items)} samples"
-                )
-        except Exception as exc:
-            error = _describe_error(exc, "exception")
-            obs.event(
-                "warning", "harness.campaign", "batch_fallback",
-                group=str(group_key), samples=len(items),
-                kind=error.get("kind"), type=error.get("type"),
-                message=error.get("message"),
-            )
-            leftover.extend(items)
-            continue
-        wall = round((time.perf_counter() - start) / len(items), 6)
-        timings = timer.as_dict()
-        for (index, config, seed, _), result in zip(items, results):
-            oracles = (
-                result.pop("oracles", None) if isinstance(result, dict) else None
-            )
-            record = {
-                "index": index,
-                "seed": seed,
-                "config": config,
-                "result": result,
-                "wall_time_s": wall,
-                "worker": worker,
-                "cached": False,
-                "timings": timings,
-                "status": "ok",
-                "attempts": 1,
-            }
-            if oracles is not None:
-                record["oracles"] = oracles
-            checkpoint(record)
-    return leftover
-
-
 def run_campaign(
     experiment: str | CampaignExperiment,
     grid: str | list[dict] = "default",
@@ -662,7 +579,6 @@ def run_campaign(
     trace_path: str | Path | None = None,
     policy: FaultPolicy | None = None,
     resume: bool = False,
-    batch: bool = False,
 ) -> CampaignResult:
     """Run every grid point of ``experiment``; return records + manifest.
 
@@ -690,15 +606,6 @@ def run_campaign(
     (labelled ``sample=<index>``). The deterministic fingerprint covers
     only (index, seed, config, result, status), so observed and
     unobserved runs of the same campaign fingerprint identically.
-
-    ``batch=True`` routes pending samples through the experiment's
-    ``batch_fn`` sample-axis hook (if it defines one): whole groups of
-    grid points run as one stacked simulation in this process, with
-    bit-identical results and an unchanged manifest fingerprint. Groups
-    whose batch call fails fall back to the ordinary fault-tolerant
-    per-sample path (retries, timeouts, quarantine all intact); caching
-    and resume behave exactly as in per-sample runs. Observed runs skip
-    batching — per-sample obs isolation needs per-sample execution.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -779,13 +686,6 @@ def run_campaign(
 
         start = time.perf_counter()
         with campaign_timer.phase("execute"):
-            if (
-                pending
-                and batch
-                and experiment.batch_fn is not None
-                and not observe
-            ):
-                pending = _run_batched(experiment, pending, checkpoint)
             supervised = policy.timeout_s is not None or (
                 workers > 1 and len(pending) > 1
             )

@@ -106,7 +106,6 @@ def fuzz_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
         "n_uavs": len(scenario.get("uavs", [])),
         "n_faults": len(scenario.get("faults", [])),
         "n_attacks": len(scenario.get("attacks", [])),
-        "engine": scenario.get("engine"),
         "oracles": report.to_dict(),
     }
 

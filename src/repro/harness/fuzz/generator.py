@@ -203,7 +203,6 @@ class ScenarioGenerator:
         config: dict = {
             "description": f"fuzz profile={profile.name} seed={self.seed}",
             "seed": int(rng.integers(0, 2**31)),
-            "engine": str(self._choice(("scalar", "vectorized"))),
             "dt": dt,
             "area_size_m": [area, area],
             "horizon_s": round(horizon_steps * dt, 6),

@@ -12,7 +12,6 @@ Schema (all sections optional except ``uavs``)::
       "seed": 7,
       "area_size_m": [400, 300],
       "dt": 0.5,
-      "engine": "scalar",  # or "vectorized" (bit-identical, batched)
       "environment": {"wind_mean_mps": 5, "wind_direction_deg": 270,
                        "ambient_c": 30, "visibility": "good"},
       "obstacles": {                       # optional 3D obstacle field
@@ -96,7 +95,7 @@ from repro.uav.faults import (
     network_partition,
 )
 from repro.uav.uav import Uav, UavSpec
-from repro.uav.world import ENGINES, World
+from repro.uav.world import World, engine_for
 
 #: Fault types that act on the transport rather than a vehicle; their
 #: presence makes the loader build a :class:`DegradedBus`.
@@ -343,12 +342,12 @@ def _build_camera(spec: Any) -> CameraConfig:
 def load_scenario(config: dict[str, Any], engine: str | None = None) -> Scenario:
     """Build a runnable scenario from a configuration dict.
 
-    ``engine`` overrides the config's own ``"engine"`` key (used by the
-    CLI ``--engine`` flag and the differential test suite); both default
-    to the scalar reference path.
+    The world's step implementation comes from the fleet size
+    (:func:`~repro.uav.world.engine_for`); ``engine`` overrides it for
+    the engine-lockstep oracles and the differential tests.
     """
     uav_specs = config.get("uavs")
-    if not uav_specs:
+    if not uav_specs or not isinstance(uav_specs, (list, tuple)):
         raise ScenarioError("scenario needs a non-empty 'uavs' list")
 
     seed = _integer(config.get("seed", 0), "seed")
@@ -357,12 +356,6 @@ def load_scenario(config: dict[str, Any], engine: str | None = None) -> Scenario
     dt = _number(config.get("dt", 0.5), "dt")
     if dt <= 0:
         raise ScenarioError(f"dt: must be positive, got {dt!r}")
-    if engine is None:
-        engine = config.get("engine", "scalar")
-    if engine not in ENGINES:
-        raise ScenarioError(
-            f"engine: expected one of {ENGINES}, got {engine!r}"
-        )
 
     # Comm faults act on the transport, so they force a DegradedBus; an
     # explicit "comms" section does too (e.g. to pin its loss-draw seed).
@@ -390,7 +383,7 @@ def load_scenario(config: dict[str, Any], engine: str | None = None) -> Scenario
         rng=rng,
         area_size_m=(area[0], area[1]),
         dt=dt,
-        engine=engine,
+        engine=engine_for(len(uav_specs)) if engine is None else engine,
         **bus_kwargs,
     )
 
@@ -515,7 +508,7 @@ def load_scenario(config: dict[str, Any], engine: str | None = None) -> Scenario
     return Scenario(world=world, faults=faults, config=dict(config))
 
 
-def load_scenario_json(text: str, engine: str | None = None) -> Scenario:
+def load_scenario_json(text: str) -> Scenario:
     """Load a scenario from a JSON document."""
     try:
         config = json.loads(text)
@@ -523,7 +516,7 @@ def load_scenario_json(text: str, engine: str | None = None) -> Scenario:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ScenarioError("scenario JSON must be an object")
-    return load_scenario(config, engine=engine)
+    return load_scenario(config)
 
 
 # ------------------------------------------------------------------ linting
@@ -532,7 +525,7 @@ def load_scenario_json(text: str, engine: str | None = None) -> Scenario:
 #: hand-edited file an unknown key is almost always a typo'd known one.
 _KNOWN_TOP_KEYS = frozenset(
     {
-        "description", "seed", "area_size_m", "dt", "engine", "environment",
+        "description", "seed", "area_size_m", "dt", "environment",
         "persons", "uavs", "faults", "attacks", "comms", "horizon_s", "chaos",
         "obstacles", "camera",
     }

@@ -23,6 +23,19 @@ from repro.uav.uav import Uav
 ENGINES = ("scalar", "vectorized")
 """Valid values for ``World.engine``."""
 
+VECTORIZED_MIN_UAVS = 10
+"""Smallest fleet the world builders step with the vectorized engine.
+
+Below it the per-UAV path is the faster one; the crossover is measured by
+``benchmarks/test_bench_fleet_scaling.py``. Both engines are bit-identical,
+so the choice changes wall time only.
+"""
+
+
+def engine_for(n_uavs: int) -> str:
+    """The world engine for a fleet of ``n_uavs`` (``VECTORIZED_MIN_UAVS`` rule)."""
+    return "vectorized" if n_uavs >= VECTORIZED_MIN_UAVS else "scalar"
+
 
 @dataclass
 class Person:
@@ -57,7 +70,8 @@ class World:
     dt: float = 0.5
     # "scalar" steps each UAV in Python (the reference path); "vectorized"
     # batches the fleet physics through repro.uav.fleet.FleetEngine, which
-    # is bit-identical to scalar (see tests/test_fleet_equivalence.py).
+    # is bit-identical to scalar (see tests/test_fleet_equivalence.py). The
+    # world builders pick it with engine_for(fleet size).
     engine: str = "scalar"
     # Obstacle field (repro.plan.ObstacleField) and camera geometry
     # (repro.sar.coverage.CameraConfig) set by the scenario loader. Typed

@@ -32,7 +32,7 @@ from repro.core.batch import (
 from repro.experiments.common import build_three_uav_world
 from repro.safeml.distances import ALL_MEASURES
 from repro.safeml.monitor import SafeMlMonitor
-from repro.scenario import load_scenario_json
+from repro.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
@@ -152,8 +152,8 @@ def test_scenarios_bit_identical_assurance(scenario_path):
     planes.
     """
     text = scenario_path.read_text()
-    scalar = load_scenario_json(text, engine="scalar")
-    vector = load_scenario_json(text, engine="vectorized")
+    scalar = load_scenario(json.loads(text), engine="scalar")
+    vector = load_scenario(json.loads(text), engine="vectorized")
     steps = int(round(T_END / scalar.world.dt))
     _run_lockstep(scalar.world, vector.world, steps)
 
@@ -309,16 +309,18 @@ def test_single_uav_has_no_collaborators():
 
 
 def test_engine_switch_vocabulary_matches_world():
-    """build_assurance speaks the exact engine vocabulary World does."""
-    world = build_three_uav_world(seed=0, n_persons=0).world
+    """build_assurance follows the world's engine, in World's vocabulary."""
+    from repro.uav.world import World
+
     with pytest.raises(ValueError, match="unknown engine"):
-        build_assurance(world, engine="warp")
-    assert build_assurance(world, engine="scalar").engine == "scalar"
+        World(engine="warp")
+    world = build_three_uav_world(seed=0, n_persons=0, engine="scalar").world
+    assert build_assurance(world).engine == "scalar"
     vec = build_three_uav_world(seed=0, n_persons=0, engine="vectorized").world
     assert build_assurance(vec).engine == "vectorized"
     # The batched plane refuses a scalar world: it needs fleet channels.
     with pytest.raises(ValueError, match="vectorized assurance"):
-        build_assurance(world, engine="vectorized")
+        BatchAssurancePlane(world)
 
 
 def test_compiled_network_matches_template_shape():
@@ -358,8 +360,8 @@ def test_batched_plane_rejects_fleet_growth():
 def test_guarantee_callbacks_fire_identically():
     """on_guarantee responses fire with identical payloads in both planes."""
     text = (SCENARIO_DIR / "fig5_battery_fault.json").read_text()
-    scalar = load_scenario_json(text, engine="scalar")
-    vector = load_scenario_json(text, engine="vectorized")
+    scalar = load_scenario(json.loads(text), engine="scalar")
+    vector = load_scenario(json.loads(text), engine="vectorized")
     scalar_plane = build_assurance(scalar.world)
     batched_plane = build_assurance(vector.world)
     fired: dict[str, list] = {"scalar": [], "batched": []}
@@ -398,116 +400,28 @@ def test_scenarios_exercise_assurance_relevant_faults():
     )
 
 
-# ---------------------------------------------------------------------------
-# Sample-axis batching: the fig5 Monte-Carlo campaign, stacked
-# ---------------------------------------------------------------------------
-
-
-def test_mc_batched_samples_bit_identical():
-    """Stacked fig5 rows reproduce the per-sample path to the bit.
-
-    Covers both policies (SESAME threshold abort, naive swap-and-resume
-    — the latter exercises the mid-run battery replacement under the
-    vectorized engine) across distinct seeds and grid points in one
-    stacked call.
-    """
-    from repro.experiments.fig5_batch import monte_carlo_batch
-    from repro.experiments.monte_carlo import monte_carlo_sample
-    from repro.harness.timing import PhaseTimer
-
-    configs = [
-        {"fault_time_s": 250.0, "soc_after_fault": 0.40, "seed": 3},
-        {"fault_time_s": 350.0, "soc_after_fault": 0.40, "seed": 4},
-        {"fault_time_s": 150.0, "soc_after_fault": 0.35, "seed": 5},
-    ]
-    seeds = [3, 4, 5]
-    scalar = [
-        monte_carlo_sample(dict(c), s, PhaseTimer())
-        for c, s in zip(configs, seeds)
-    ]
-    batched = monte_carlo_batch(configs, seeds, PhaseTimer())
-    assert batched == scalar  # dict equality == float bit equality here
-
-
-def test_mc_campaign_fingerprint_unchanged_with_batching():
-    """`batch=True` must not move the smoke-grid campaign fingerprint.
-
-    The fingerprint covers every sample's (index, seed, config, result,
-    status); the pinned value is the scalar golden from
-    tests/data/golden_traces.json, so this also cross-checks the golden.
-    """
-    from repro.experiments.monte_carlo import MONTE_CARLO_CAMPAIGN
-    from repro.harness.campaign import run_campaign
-
-    serial = run_campaign(MONTE_CARLO_CAMPAIGN, grid="smoke", root_seed=0)
-    batched = run_campaign(
-        MONTE_CARLO_CAMPAIGN, grid="smoke", root_seed=0, batch=True
-    )
-    assert serial.fingerprint == batched.fingerprint
-    golden_path = Path(__file__).parent / "data" / "golden_traces.json"
-    golden = json.loads(golden_path.read_text())
-    assert batched.fingerprint == golden["monte_carlo_smoke"]["fingerprint"]
-
-
-def test_batch_fallback_recovers_per_sample():
-    """A failing batch hook falls back to the fault-tolerant path."""
-    from repro.harness.campaign import CampaignExperiment, run_campaign
-
-    def sample_fn(config, seed, timer):
-        return {"value": config["x"] * 10 + seed % 7}
-
-    def bad_batch(configs, seeds, timer):
-        raise RuntimeError("stacked path exploded")
-
-    def experiment(batch_fn):
-        return CampaignExperiment(
-            name="batch-fallback-proof",
-            sample_fn=sample_fn,
-            grids=lambda preset: [{"x": x} for x in range(4)],
-            batch_fn=batch_fn,
-        )
-
-    plain = run_campaign(experiment(None), grid="default")
-    fallen = run_campaign(experiment(bad_batch), grid="default", batch=True)
-    assert fallen.fingerprint == plain.fingerprint
-    assert all(r.status == "ok" for r in fallen.records)
-
-
-def test_batch_length_mismatch_falls_back():
-    """A batch hook returning the wrong arity never corrupts records."""
-    from repro.harness.campaign import CampaignExperiment, run_campaign
-
-    def sample_fn(config, seed, timer):
-        return {"value": config["x"]}
-
-    def short_batch(configs, seeds, timer):
-        return [{"value": c["x"]} for c in configs[:-1]]
-
-    experiment = CampaignExperiment(
-        name="batch-arity-proof",
-        sample_fn=sample_fn,
-        grids=lambda preset: [{"x": x} for x in range(3)],
-        batch_fn=short_batch,
-    )
-    result = run_campaign(experiment, grid="default", batch=True)
-    assert [r.result["value"] for r in result.records] == [0, 1, 2]
-    assert all(r.status == "ok" for r in result.records)
-
-
-def test_assurance_scale_point_engine_invariant():
+def test_assurance_scale_point_engine_invariant(monkeypatch):
     """The fleet-scale assurance sample reports identical mission and
     assurance facts on both engines (only wall-clock fields may differ)."""
-    from repro.experiments.fleet_scale import run_assurance_scale_point
+    import functools
+
+    import repro.experiments.fleet_scale as fleet_scale
 
     deterministic = (
         "seed", "n_uavs", "coverage_fraction", "duration_s", "sim_time_s",
         "persons_found", "persons_total", "assurance_cycles",
         "final_verdict", "guarantee_transitions",
     )
-    scalar = run_assurance_scale_point(3, seed=21, engine="scalar",
-                                       max_time_s=20.0)
-    batched = run_assurance_scale_point(3, seed=21, engine="vectorized",
-                                        max_time_s=20.0)
+    runs = {}
+    for engine in ("scalar", "vectorized"):
+        monkeypatch.setattr(
+            fleet_scale, "build_three_uav_world",
+            functools.partial(build_three_uav_world, engine=engine),
+        )
+        runs[engine] = fleet_scale.run_assurance_scale_point(
+            3, seed=21, max_time_s=20.0
+        )
+    scalar, batched = runs["scalar"], runs["vectorized"]
     assert scalar["assurance_engine"] == "scalar"
     assert batched["assurance_engine"] == "vectorized"
     for key in deterministic:
@@ -516,9 +430,12 @@ def test_assurance_scale_point_engine_invariant():
 
 
 def test_assurance_smoke_grid_cycles_the_plane():
-    """The CI grid actually exercises the 50-UAV batched plane."""
-    from repro.experiments.fleet_scale import fleet_scale_grid
+    """The CI grid cycles the scalar plane at 3 UAVs and the batched plane
+    at 50, as the fleet-size engine rule selects."""
+    from repro.experiments.fleet_scale import FLEET_SCALE_CAMPAIGN
+    from repro.harness.campaign import run_campaign
 
-    grid = fleet_scale_grid("assurance-smoke")
-    assert {c["n_uavs"] for c in grid} == {3, 50}
-    assert all(c["assurance"] and c["engine"] == "vectorized" for c in grid)
+    campaign = run_campaign(FLEET_SCALE_CAMPAIGN, grid="assurance-smoke")
+    engines = {r["n_uavs"]: r["assurance_engine"] for r in campaign.results}
+    assert engines == {3: "scalar", 50: "vectorized"}
+    assert all(r["assurance_cycles"] > 0 for r in campaign.results)

@@ -22,7 +22,7 @@ import pytest
 
 from repro.experiments.common import build_three_uav_world
 from repro.sar.mission import SarMission
-from repro.scenario import load_scenario_json
+from repro.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
@@ -88,8 +88,8 @@ def test_scenarios_bit_identical_across_engines(scenario_path):
     every step — the engines share no state, only the same seeds.
     """
     text = scenario_path.read_text()
-    scalar = load_scenario_json(text, engine="scalar")
-    vector = load_scenario_json(text, engine="vectorized")
+    scalar = load_scenario(json.loads(text), engine="scalar")
+    vector = load_scenario(json.loads(text), engine="vectorized")
     assert scalar.world.engine == "scalar"
     assert vector.world.engine == "vectorized"
 
@@ -199,24 +199,19 @@ def test_telemetry_streams_identical():
 
 
 def test_engine_flag_round_trips_through_scenario_config():
-    """The JSON ``"engine"`` key and the override argument both work."""
-    config = {
-        "seed": 1,
-        "uavs": [{"id": "uav1", "base": [0, 0, 0]}],
-        "engine": "vectorized",
-    }
-    assert load_scenario_json(json.dumps(config)).world.engine == "vectorized"
+    """The loader picks the engine from the fleet size; the override wins."""
+    config = {"seed": 1, "uavs": [{"id": "uav1", "base": [0, 0, 0]}]}
+    assert load_scenario(config).world.engine == "scalar"
     assert (
-        load_scenario_json(json.dumps(config), engine="scalar").world.engine
-        == "scalar"
+        load_scenario(config, engine="vectorized").world.engine == "vectorized"
     )
 
 
 def test_mid_flight_displacement_agrees_under_wind():
     """Airborne wind drift (environment set) is applied identically."""
     text = (SCENARIO_DIR / "windy_night_sar.json").read_text()
-    scalar = load_scenario_json(text, engine="scalar")
-    vector = load_scenario_json(text, engine="vectorized")
+    scalar = load_scenario(json.loads(text), engine="scalar")
+    vector = load_scenario(json.loads(text), engine="vectorized")
     for uav in scalar.world.uavs.values():
         uav.start_mission([(150.0, 150.0, 25.0)])
     for uav in vector.world.uavs.values():

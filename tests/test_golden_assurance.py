@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.batch import build_assurance
-from repro.scenario import load_scenario_json
+from repro.scenario import load_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_assurance_trace.json"
 SCENARIO_PATH = (
@@ -38,7 +38,7 @@ EDDI_PERIOD_S = 2.0
 
 def collect_assurance_trace(engine: str) -> dict:
     """Run the pinned scenario's assurance plane; hex-float history."""
-    scenario = load_scenario_json(SCENARIO_PATH.read_text(), engine=engine)
+    scenario = load_scenario(json.loads(SCENARIO_PATH.read_text()), engine=engine)
     world = scenario.world
     plane = build_assurance(world)
     dt = world.dt

@@ -68,6 +68,7 @@ class TestErrorsNameTheOffendingField:
              "environment.wind_mean_mps"),
             (_mutated(environment={"ambient_c": None}),
              "environment.ambient_c"),
+            (_mutated(uavs={"id": "uav1"}), "'uavs' list"),
             (_mutated(uavs=[{"base": [0, 0, 0]}]), "uavs[0]"),
             (_mutated(uavs=[{"id": "a"}, {"id": "a"}]), "uavs[1].id"),
             (_mutated(uavs=[{"id": "u", "base": [0, 0]}]), "uavs[0] (u).base"),
@@ -168,6 +169,16 @@ class TestErrorsNameTheOffendingField:
         )
         assert any("fautls" in p for p in problems)
         assert any("chaos.mode" in p for p in problems)
+
+    def test_legacy_engine_key_is_ignored_and_linted(self):
+        # Old fuzz repros (repro_<seed>.json) still carry an "engine" key.
+        # The loader ignores it like any unknown key and picks the engine
+        # from the fleet size; the linter names it.
+        from repro.scenario import lint_scenario
+
+        legacy = _mutated(engine="vectorized")
+        assert load_scenario(legacy).world.engine == "scalar"
+        assert any(p.startswith("scenario.engine:") for p in lint_scenario(legacy))
 
     def test_lint_clean_scenario_reports_nothing(self):
         from repro.scenario import lint_scenario
