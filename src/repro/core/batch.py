@@ -66,7 +66,6 @@ import math
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.core.adapters import build_fleet_eddis
 from repro.core.conserts import AndNode, ConSert, Demand, OrNode, RuntimeEvidence
@@ -90,6 +89,7 @@ from repro.safedrones.monitor import ReliabilityAssessment, ReliabilityLevel
 from repro.safedrones.processor import ProcessorReliabilityModel
 from repro.safedrones.propulsion import PropulsionModel
 from repro.safeml.monitor import ConfidenceLevel, SafeMlReport
+from repro.safeml.ndtr import ndtr
 from repro.security.spoofing import GpsSpoofingDetector
 
 
@@ -579,7 +579,7 @@ def stacked_safeml_reports(monitors, now: float) -> list[SafeMlReport]:
             distances[f"feature_{j}"] = d
             z_scores.append((d - monitor._null_mean[j]) / monitor._null_std[j])
         z_mean = float(np.mean(z_scores))
-        uncertainty = float(norm.cdf(z_mean / monitor.z_scale))
+        uncertainty = ndtr(z_mean / monitor.z_scale)
         reports.append(
             SafeMlReport(
                 stamp=now,

@@ -16,7 +16,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
+
+
+def least_squares(fun, x0):
+    """``scipy.optimize.least_squares``; SciPy loads on first call."""
+    from scipy import optimize
+
+    return optimize.least_squares(fun, x0)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.safeml.monitor import ConfidenceLevel, SafeMlReport
 from repro.safeml.multivariate import energy_distance, mmd_rbf
+from repro.safeml.ndtr import ndtr
 
 JOINT_MEASURES: dict[str, Callable] = {
     "energy": energy_distance,
@@ -96,7 +96,7 @@ class JointShiftMonitor:
         window = np.vstack(self._window)
         distance = self._distance(window, self._reference)
         z = (distance - self._null_mean) / self._null_std
-        uncertainty = float(norm.cdf(z / self.z_scale))
+        uncertainty = ndtr(z / self.z_scale)
         return SafeMlReport(
             stamp=stamp,
             distances={"joint": distance},

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.safeml.distances import ALL_MEASURES
+from repro.safeml.ndtr import ndtr
 
 
 class ConfidenceLevel(enum.Enum):
@@ -80,9 +80,10 @@ class SafeMlMonitor:
         Bootstrap resamples used to estimate the null distance
         distribution at fit time.
     z_scale:
-        Softness of the z -> uncertainty mapping; the uncertainty is
-        ``norm.cdf(z / z_scale)``. Larger values make the monitor less
-        twitchy — calibrate against the deployment's tolerable shift.
+        Softness of the z -> uncertainty mapping; the uncertainty is the
+        standard normal CDF ``ndtr(z / z_scale)``. Larger values make the
+        monitor less twitchy — calibrate against the deployment's tolerable
+        shift.
     """
 
     measure: str = "dts"
@@ -173,7 +174,7 @@ class SafeMlMonitor:
             distances[f"feature_{j}"] = d
             z_scores.append((d - self._null_mean[j]) / self._null_std[j])
         z_mean = float(np.mean(z_scores))
-        uncertainty = float(norm.cdf(z_mean / self.z_scale))
+        uncertainty = ndtr(z_mean / self.z_scale)
         return SafeMlReport(
             stamp=stamp,
             distances=distances,

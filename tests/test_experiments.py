@@ -122,6 +122,33 @@ class TestSarAccuracy:
         assert 0.2 <= sar.dk_coverage_score <= 1.0
 
 
+class TestSarAccuracyBitExact:
+    """Sec. V-B's SafeML outputs at the default seed, bit for bit.
+
+    The tolerance checks above pass for any close approximation of the
+    Gaussian CDF; these fail if its last bits change (for instance with
+    ``0.5 * math.erfc(-x / sqrt(2))`` in place of ``ndtr``).
+    """
+
+    SAFEML_UNCERTAINTY_HEX = [
+        "0x1.ffffff5d1cf83p-1",
+        "0x1.ffffcb4d0896cp-1",
+        "0x1.ff8f8974df8a0p-1",
+        "0x1.eb7a2d6332e08p-1",
+        "0x1.7dae88eac33cep-1",
+    ]
+    UNCERTAINTY_HIGH_HEX = "0x1.ffffff5d1cf83p-1"
+    UNCERTAINTY_FINAL_HEX = "0x1.7dae88eac33cep-1"
+
+    def test_descent_profile_safeml_uncertainty(self, sar):
+        measured = [s.safeml_uncertainty.hex() for s in sar.descent_profile]
+        assert measured == self.SAFEML_UNCERTAINTY_HEX
+
+    def test_uncertainty_high_and_final(self, sar):
+        assert sar.uncertainty_high.hex() == self.UNCERTAINTY_HIGH_HEX
+        assert sar.uncertainty_final.hex() == self.UNCERTAINTY_FINAL_HEX
+
+
 @pytest.fixture(scope="module")
 def fig6():
     return run_fig6_spoofing_experiment()

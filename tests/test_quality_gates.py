@@ -2,13 +2,17 @@
 
 Structural checks a downstream adopter relies on: the ConSert network's
 monotonicity (more evidence never yields a weaker guarantee), docstring
-coverage on the public API, and layering (substrates never import
-technologies).
+coverage on the public API, layering (substrates never import
+technologies), and a cold import path that loads no SciPy.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -130,3 +134,43 @@ class TestLayering:
                 if f"from {tech}" in source or f"import {tech}" in source:
                     violations.append((name, tech))
         assert violations == [], f"layering violations: {violations}"
+
+
+class TestColdImports:
+    """Importing what a command or campaign worker imports loads no SciPy.
+
+    SciPy costs more to import than a paper-suite round takes to run, so
+    it loads only inside the solvers that need it (``expm``,
+    ``least_squares``, ``linprog``). The check runs in a fresh interpreter:
+    this test process has SciPy loaded already.
+    """
+
+    COLD_PATH = (
+        "repro",
+        "repro.__main__",
+        "repro.harness.campaign",
+        "repro.plan.experiment",
+        "repro.swarm.experiment",
+        "repro.core.batch",
+    )
+    PROBE = """
+import importlib, pkgutil, sys
+import repro.experiments
+names = list(sys.argv[1:]) + [
+    m.name for m in pkgutil.walk_packages(
+        repro.experiments.__path__, repro.experiments.__name__ + "."
+    )
+]
+for name in names:
+    importlib.import_module(name)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+    def test_cold_path_never_imports_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *self.COLD_PATH],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert proc.stdout.split() == [], "scipy imported on the cold path"

@@ -1,7 +1,11 @@
 """Unit tests for SafeML: ECDF, distances, p-values, and the monitor."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtr as scipy_ndtr
+from scipy.stats import norm
 
 from repro.safeml.distances import (
     ALL_MEASURES,
@@ -14,6 +18,7 @@ from repro.safeml.distances import (
 )
 from repro.safeml.ecdf import Ecdf, ecdf_pair
 from repro.safeml.monitor import ConfidenceLevel, SafeMlMonitor
+from repro.safeml.ndtr import ndtr
 from repro.safeml.pvalue import permutation_pvalue
 
 
@@ -147,6 +152,33 @@ def make_fitted_monitor(window=30, z_scale=3.0, n_features=3, seed=0):
     )
     monitor.fit(rng.normal(0.0, 1.0, size=(400, n_features)))
     return monitor, rng
+
+
+class TestNdtr:
+    """The pure-Python port equals SciPy's Gaussian CDF bit for bit."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf]
+
+    def test_seeded_sweep_matches_scipy_exactly(self):
+        rng = np.random.default_rng(2024)
+        xs = np.concatenate([
+            rng.uniform(-40.0, 40.0, 600_000),  # both tails, incl. underflow
+            rng.uniform(-8.0, 8.0, 300_000),  # every erf/erfc branch
+            rng.uniform(-1.5, 1.5, 100_000),  # the erf branch and its edge
+        ])
+        ours = np.fromiter(map(ndtr, xs.tolist()), dtype=float, count=xs.size)
+        for reference in (scipy_ndtr(xs), norm.cdf(xs)):
+            bad = np.flatnonzero(ours != reference)
+            assert bad.size == 0, (
+                f"{bad.size} mismatches, e.g. x={xs[bad[:3]].tolist()}"
+            )
+
+    @pytest.mark.parametrize("x", SPECIAL)
+    def test_special_values_match_scipy(self, x):
+        assert ndtr(x) == scipy_ndtr(x) == norm.cdf(x)
+
+    def test_nan_maps_to_nan(self):
+        assert math.isnan(ndtr(math.nan))
 
 
 class TestSafeMlMonitor:
