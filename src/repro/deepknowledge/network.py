@@ -30,6 +30,16 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _split(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` shaped like each array of ``like``."""
+    views = []
+    start = 0
+    for array in like:
+        views.append(flat[start : start + array.size].reshape(array.shape))
+        start += array.size
+    return views
+
+
 @dataclass
 class FeedForwardNetwork:
     """ReLU MLP classifier with inspectable hidden activations.
@@ -95,7 +105,19 @@ class FeedForwardNetwork:
     def train(
         self, x: np.ndarray, y: np.ndarray, config: TrainConfig | None = None
     ) -> list[float]:
-        """Mini-batch SGD on softmax cross-entropy; returns per-epoch loss."""
+        """Mini-batch SGD on softmax cross-entropy; returns per-epoch loss.
+
+        Every weight and bias lives in one flat float64 buffer (all weights,
+        then all biases) and every gradient in a second buffer with the
+        same layout, so the L2 term and the SGD update are one elementwise
+        call each per step instead of four per layer. Each element sees the
+        same operations in the same order as in a per-layer update, so the
+        result is bit-identical. Updating after the whole backward pass is
+        safe: each layer's backprop reads its weights before a per-layer
+        loop would change them. ``self.weights`` and ``self.biases`` are
+        views into the buffer while training; the result is then copied
+        back into the original arrays.
+        """
         config = config or TrainConfig()
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=int).ravel()
@@ -103,33 +125,62 @@ class FeedForwardNetwork:
         if y.min() < 0 or y.max() >= n_classes:
             raise ValueError("labels out of range for the output layer")
         one_hot = np.eye(n_classes)[y]
+        arrays = self.weights + self.biases
+        params = np.concatenate([a.ravel() for a in arrays], dtype=float)
+        grads = np.empty_like(params)
+        n_weights = sum(w.size for w in self.weights)
+        param_views = _split(params, arrays)
+        grad_views = _split(grads, arrays)
+        n_layers = len(self.weights)
+        weights, biases = param_views[:n_layers], param_views[n_layers:]
+        grad_w, grad_b = grad_views[:n_layers], grad_views[n_layers:]
+        flat_w, flat_gw = params[:n_weights], grads[:n_weights]
+        original = (self.weights, self.biases)
+        self.weights, self.biases = weights, biases
         losses = []
         n = x.shape[0]
-        for _ in range(config.epochs):
-            order = self.rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                xb, yb = x[idx], one_hot[idx]
-                # Forward, keeping pre-activations for backprop.
-                hs = [xb]
-                h = xb
-                for k in range(self.n_hidden_layers):
-                    h = np.maximum(0.0, h @ self.weights[k] + self.biases[k])
-                    hs.append(h)
-                logits = h @ self.weights[-1] + self.biases[-1]
-                probs = _softmax(logits)
-                epoch_loss += -np.sum(yb * np.log(probs + 1e-12))
-                # Backward.
-                grad = (probs - yb) / len(idx)
-                for k in range(len(self.weights) - 1, -1, -1):
-                    gw = hs[k].T @ grad + config.l2 * self.weights[k]
-                    gb = grad.sum(axis=0)
-                    if k > 0:
-                        grad = (grad @ self.weights[k].T) * (hs[k] > 0.0)
-                    self.weights[k] -= config.learning_rate * gw
-                    self.biases[k] -= config.learning_rate * gb
-            losses.append(epoch_loss / n)
+        try:
+            for _ in range(config.epochs):
+                order = self.rng.permutation(n)
+                x_epoch, y_epoch = x[order], one_hot[order]
+                epoch_loss = 0.0
+                for start in range(0, n, config.batch_size):
+                    xb = x_epoch[start : start + config.batch_size]
+                    yb = y_epoch[start : start + config.batch_size]
+                    # Forward, keeping activations for backprop. The
+                    # in-place steps compute what _softmax and forward do.
+                    hs = [xb]
+                    h = xb
+                    for k in range(self.n_hidden_layers):
+                        h = h @ weights[k]
+                        h += biases[k]
+                        np.maximum(0.0, h, out=h)
+                        hs.append(h)
+                    z = h @ weights[-1]
+                    z += biases[-1]
+                    z -= z.max(axis=1, keepdims=True)
+                    probs = np.exp(z, out=z)
+                    probs /= probs.sum(axis=1, keepdims=True)
+                    log_p = probs + 1e-12
+                    np.log(log_p, out=log_p)
+                    log_p *= yb
+                    epoch_loss += -log_p.sum()
+                    # Backward into the gradient buffer, then one update.
+                    grad = probs - yb
+                    grad /= len(xb)
+                    for k in range(n_layers - 1, -1, -1):
+                        np.matmul(hs[k].T, grad, out=grad_w[k])
+                        grad.sum(axis=0, out=grad_b[k])
+                        if k > 0:
+                            grad = grad @ weights[k].T
+                            grad *= hs[k] > 0.0
+                    flat_gw += config.l2 * flat_w
+                    params -= config.learning_rate * grads
+                losses.append(epoch_loss / n)
+        finally:
+            self.weights, self.biases = original
+            for array, view in zip(arrays, param_views):
+                array[...] = view
         return losses
 
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:

@@ -161,10 +161,7 @@ def run_sar_accuracy_experiment(
 
     # --- accuracy evaluation at the two operating points ------------------
     def measured_accuracy(alt: float) -> float:
-        hits = sum(
-            detector.attempt(f"p{i}", alt, 0.0).detected for i in range(n_eval)
-        )
-        return hits / n_eval
+        return detector.trials(alt, n_eval) / n_eval
 
     accuracy_with = measured_accuracy(altitude)
     accuracy_without = measured_accuracy(high_altitude_m)

@@ -70,12 +70,25 @@ class TrafficLog:
     def __init__(self, capacity: int = 100_000) -> None:
         self._capacity = capacity
         self._messages: list[Message] = []
+        #: Messages dropped by eviction so far; with ``len(self)`` it gives
+        #: the absolute count of messages ever recorded.
+        self.evicted = 0
 
     def record(self, message: Message) -> None:
         """Append a message, evicting the oldest half when over capacity."""
         self._messages.append(message)
         if len(self._messages) > self._capacity:
-            del self._messages[: self._capacity // 2]
+            dropped = self._capacity // 2
+            del self._messages[:dropped]
+            self.evicted += dropped
+
+    def after(self, count: int) -> list[Message]:
+        """Messages recorded after the first ``count`` ever recorded.
+
+        ``count`` is absolute, so it stays valid across evictions; messages
+        already evicted are gone and are not returned.
+        """
+        return self._messages[max(0, count - self.evicted) :]
 
     def __len__(self) -> int:
         return len(self._messages)

@@ -10,6 +10,8 @@ DTS (Distance To Source) measure.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.safeml.ecdf import ecdf_pair
@@ -70,6 +72,21 @@ def wasserstein_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(fa - fb)[:-1] * dx))
 
 
+@lru_cache(maxsize=32)
+def _dts_weights(n: int) -> np.ndarray:
+    """DTS's AD tail weight 1 / sqrt(H (1 - H)) on a pooled sample of ``n``.
+
+    It depends on ``n`` alone, and a monitor compares samples of a few
+    fixed sizes, so each size's vector is built once (read-only).
+    """
+    h = np.arange(1, n + 1) / n
+    weight_ok = (h > 0.0) & (h < 1.0)
+    weights = np.zeros_like(h)
+    weights[weight_ok] = 1.0 / np.sqrt(h[weight_ok] * (1.0 - h[weight_ok]))
+    weights.flags.writeable = False
+    return weights
+
+
 def dts_distance(a: np.ndarray, b: np.ndarray) -> float:
     """DTS: Anderson–Darling-weighted Wasserstein distance.
 
@@ -80,13 +97,8 @@ def dts_distance(a: np.ndarray, b: np.ndarray) -> float:
     grid, fa, fb = ecdf_pair(a, b)
     if grid.size < 2:
         return 0.0
-    n = grid.size
-    h = np.arange(1, n + 1) / n
-    weight_ok = (h > 0.0) & (h < 1.0)
-    weights = np.zeros_like(h)
-    weights[weight_ok] = 1.0 / np.sqrt(h[weight_ok] * (1.0 - h[weight_ok]))
     dx = np.diff(grid)
-    integrand = ((fa - fb) ** 2) * weights
+    integrand = ((fa - fb) ** 2) * _dts_weights(grid.size)
     return float(np.sum(integrand[:-1] * dx))
 
 

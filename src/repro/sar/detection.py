@@ -97,6 +97,15 @@ class DetectionModel:
             stamp=stamp,
         )
 
+    def trials(self, altitude_m: float, n: int) -> int:
+        """Hits in ``n`` detection attempts at ``altitude_m``.
+
+        One ``rng.random(n)`` call: it consumes the same doubles, and so
+        gives the same count, as ``n`` calls to :meth:`attempt`.
+        """
+        p = detection_accuracy(altitude_m)
+        return int(np.count_nonzero(self.rng.random(n) < p))
+
     def false_positive(self, altitude_m: float) -> bool:
         """Whether an empty frame yields a spurious detection.
 

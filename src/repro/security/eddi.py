@@ -75,7 +75,7 @@ class SecurityEddi:
             return
         for leaf in matched:
             self.tree.mark_achieved(leaf.node_id)
-        if self.tree.root_achieved() and not self._root_reported:
+        if not self._root_reported and self.tree.root_achieved():
             self._root_reported = True
             event = SecurityEvent(
                 tree_name=self.tree.name,

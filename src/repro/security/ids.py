@@ -59,6 +59,7 @@ class IntrusionDetectionSystem:
     custom_rules: list[IdsRule] = field(default_factory=list)
     rate_window_s: float = 2.0
     alerts: list[Alert] = field(default_factory=list)
+    #: Absolute count of bus messages scanned so far (see TrafficLog.after).
     _cursor: int = 0
     _recent: dict[str, list[float]] = field(default_factory=lambda: defaultdict(list))
 
@@ -74,8 +75,9 @@ class IntrusionDetectionSystem:
     def scan(self, now: float) -> list[Alert]:
         """Inspect traffic recorded since the previous scan."""
         new_alerts: list[Alert] = []
-        messages = list(self.bus.traffic)[self._cursor :]
-        self._cursor += len(messages)
+        traffic = self.bus.traffic
+        messages = traffic.after(self._cursor)
+        self._cursor = traffic.evicted + len(traffic)
         for message in messages:
             new_alerts.extend(self._check_message(message))
             new_alerts.extend(self._check_rate(message, now))

@@ -71,6 +71,97 @@ class TestNetwork:
         assert np.allclose(nets[0], nets[1])
 
 
+def _reference_train(net, x, y, config):
+    """The per-layer SGD loop ``train`` replaced, kept as its oracle.
+
+    Updates each layer's arrays in place right after that layer's
+    backprop step, gathering every mini-batch with its own fancy index.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=int).ravel()
+    one_hot = np.eye(net.layer_sizes[-1])[y]
+    losses = []
+    n = x.shape[0]
+    for _ in range(config.epochs):
+        order = net.rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            xb, yb = x[idx], one_hot[idx]
+            hs = [xb]
+            h = xb
+            for k in range(net.n_hidden_layers):
+                h = np.maximum(0.0, h @ net.weights[k] + net.biases[k])
+                hs.append(h)
+            logits = h @ net.weights[-1] + net.biases[-1]
+            z = logits - logits.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            probs = e / e.sum(axis=1, keepdims=True)
+            epoch_loss += -np.sum(yb * np.log(probs + 1e-12))
+            grad = (probs - yb) / len(idx)
+            for k in range(len(net.weights) - 1, -1, -1):
+                gw = hs[k].T @ grad + config.l2 * net.weights[k]
+                gb = grad.sum(axis=0)
+                if k > 0:
+                    grad = (grad @ net.weights[k].T) * (hs[k] > 0.0)
+                net.weights[k] -= config.learning_rate * gw
+                net.biases[k] -= config.learning_rate * gb
+        losses.append(epoch_loss / n)
+    return losses
+
+
+def _classes_data(n, n_features, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_classes, size=n)
+    centers = rng.normal(0.0, 2.0, size=(n_classes, n_features))
+    return centers[labels] + rng.normal(0.0, 1.0, size=(n, n_features)), labels
+
+
+def _assert_same_parameters(net, ref):
+    assert [w.tobytes() for w in net.weights] == [w.tobytes() for w in ref.weights]
+    assert [b.tobytes() for b in net.biases] == [b.tobytes() for b in ref.biases]
+    assert net.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+class TestTrainMatchesPerLayerLoop:
+    """``train``'s flat-buffer update gives the per-layer loop's bits."""
+
+    @pytest.mark.parametrize("layer_sizes", [
+        [3, 5, 2],  # 1 hidden layer
+        [6, 24, 12, 2],  # 2 hidden layers, the Sec. V-B classifier
+        [4, 9, 7, 5, 3],  # 3 hidden layers, 3 classes
+    ])
+    @pytest.mark.parametrize("n, batch_size", [(96, 32), (103, 32), (50, 64)])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_losses_and_parameters_byte_identical(self, layer_sizes, n, batch_size, l2):
+        x, y = _classes_data(n, layer_sizes[0], layer_sizes[-1], seed=n)
+        config = TrainConfig(epochs=4, batch_size=batch_size, learning_rate=0.1, l2=l2)
+        net = FeedForwardNetwork(layer_sizes, rng=np.random.default_rng(9))
+        ref = FeedForwardNetwork(layer_sizes, rng=np.random.default_rng(9))
+        assert net.train(x, y, config) == _reference_train(ref, x, y, config)
+        _assert_same_parameters(net, ref)
+
+    def test_caller_supplied_arrays_updated_in_place(self):
+        rng = np.random.default_rng(4)
+        sizes = [5, 8, 6, 3]
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        weights = [rng.normal(size=shape) for shape in shapes]
+        biases = [rng.normal(size=shape[1]) for shape in shapes]
+        net = FeedForwardNetwork(
+            sizes, rng=np.random.default_rng(2), weights=weights, biases=biases
+        )
+        ref = FeedForwardNetwork(
+            sizes, rng=np.random.default_rng(2),
+            weights=[w.copy() for w in weights], biases=[b.copy() for b in biases],
+        )
+        x, y = _classes_data(70, 5, 3, seed=8)
+        config = TrainConfig(epochs=3, batch_size=16)
+        assert net.train(x, y, config) == _reference_train(ref, x, y, config)
+        _assert_same_parameters(net, ref)
+        assert all(a is b for a, b in zip(net.weights, weights))
+        assert all(a is b for a, b in zip(net.biases, biases))
+
+
 class TestHellinger:
     def test_identical_is_zero(self):
         p = np.array([0.25, 0.75])

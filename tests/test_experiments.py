@@ -123,11 +123,13 @@ class TestSarAccuracy:
 
 
 class TestSarAccuracyBitExact:
-    """Sec. V-B's SafeML outputs at the default seed, bit for bit.
+    """Sec. V-B's outputs at the default seed, bit for bit.
 
     The tolerance checks above pass for any close approximation of the
     Gaussian CDF; these fail if its last bits change (for instance with
-    ``0.5 * math.erfc(-x / sqrt(2))`` in place of ``ndtr``).
+    ``0.5 * math.erfc(-x / sqrt(2))`` in place of ``ndtr``). The
+    DeepKnowledge and accuracy pins fail if the classifier's training or
+    the detection trials stop reproducing their arithmetic and RNG draws.
     """
 
     SAFEML_UNCERTAINTY_HEX = [
@@ -147,6 +149,42 @@ class TestSarAccuracyBitExact:
     def test_uncertainty_high_and_final(self, sar):
         assert sar.uncertainty_high.hex() == self.UNCERTAINTY_HIGH_HEX
         assert sar.uncertainty_final.hex() == self.UNCERTAINTY_FINAL_HEX
+
+    DEEPKNOWLEDGE_UNCERTAINTY_HEX = [
+        "0x1.10d041260db91p-3",
+        "0x1.ed36694d39a1cp-4",
+        "0x1.e3118c812509cp-4",
+        "0x1.6013cec1aae93p-4",
+        "0x1.e45e13001ceacp-5",
+    ]
+    ENSEMBLE_UNCERTAINTY_HEX = [
+        "0x1.ffffff5d1cf83p-1",
+        "0x1.ffffcb4d0896cp-1",
+        "0x1.ff8f8974df8a0p-1",
+        "0x1.eb7a2d6332e08p-1",
+        "0x1.7dae88eac33cep-1",
+    ]
+    SCALARS_HEX = {
+        "dk_coverage_score": "0x1.f49f49f49f49fp-1",
+        "classifier_accuracy_low": "0x1.0000000000000p+0",
+        "classifier_accuracy_high": "0x1.e4b17e4b17e4bp-1",
+        "accuracy_with_sesame": "0x1.ff3b645a1cac1p-1",
+        "accuracy_without_sesame": "0x1.fbe76c8b43958p-1",
+        "final_altitude_m": "0x1.8000000000000p+4",
+    }
+
+    def test_descent_profile_deepknowledge_and_ensemble(self, sar):
+        profile = sar.descent_profile
+        assert [s.deepknowledge_uncertainty.hex() for s in profile] == (
+            self.DEEPKNOWLEDGE_UNCERTAINTY_HEX
+        )
+        assert [s.ensemble_uncertainty.hex() for s in profile] == (
+            self.ENSEMBLE_UNCERTAINTY_HEX
+        )
+
+    def test_coverage_accuracy_and_final_altitude(self, sar):
+        measured = {name: getattr(sar, name).hex() for name in self.SCALARS_HEX}
+        assert measured == self.SCALARS_HEX
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.middleware.attacks import EavesdropAttack, MitmAttack, SpoofingAttack
-from repro.middleware.rosbus import Message, RosBus
+from repro.middleware.rosbus import Message, RosBus, TrafficLog
 
 
 @pytest.fixture
@@ -112,6 +112,23 @@ class TestRosBus:
         assert len(bus.traffic) == 10
         bus.publish("/t", 15, sender="s")
         assert [m.data for m in bus.traffic] == list(range(10, 16))
+
+    def test_traffic_log_after_counts_evicted_messages(self):
+        log = TrafficLog(capacity=10)
+        bus = RosBus()
+        bus.traffic = log
+        for i in range(11):
+            bus.publish("/t", i, sender="s")
+        assert log.evicted == 5
+        # Absolute counts: the first 8 messages ever recorded are 0..7.
+        assert [m.data for m in log.after(8)] == [8, 9, 10]
+        assert log.after(11) == []
+        # Counts inside the evicted prefix return what survives.
+        assert [m.data for m in log.after(2)] == [5, 6, 7, 8, 9, 10]
+        # publish_many's direct append leaves the eviction count alone.
+        bus.publish_many([("/t", 11, "s"), ("/t", 12, "s")], stamp=0.0)
+        assert log.evicted == 5
+        assert [m.data for m in log.after(11)] == [11, 12]
 
     def test_interceptors_run_in_order_and_drop_short_circuits(self):
         bus = RosBus()

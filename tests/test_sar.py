@@ -122,6 +122,18 @@ class TestDetectionModel:
         hits = sum(model.attempt("p", 20.0, 0.0).detected for _ in range(5000))
         assert hits / 5000 == pytest.approx(0.998, abs=0.005)
 
+    @pytest.mark.parametrize("altitude_m", [20.0, 40.0, 120.0])
+    @pytest.mark.parametrize("n", [0, 1, 7, 3000])
+    def test_trials_match_attempts_and_rng_state(self, altitude_m, n):
+        batched = DetectionModel(rng=np.random.default_rng(42))
+        one_by_one = DetectionModel(rng=np.random.default_rng(42))
+        hits = batched.trials(altitude_m, n)
+        assert isinstance(hits, int)
+        assert hits == sum(
+            one_by_one.attempt(f"p{i}", altitude_m, 0.0).detected for i in range(n)
+        )
+        assert batched.rng.bit_generator.state == one_by_one.rng.bit_generator.state
+
     def test_sample_features_shape(self):
         model = DetectionModel(rng=np.random.default_rng(0))
         assert model.sample_features(30.0, n_frames=7).shape == (7, 4)

@@ -15,8 +15,9 @@ holds:
   operation counts, and the traced per-layer table (layers idle on the
   workload are left out);
 * ``delta``: per workload and metric, the head/base
-  ratio of the medians and how many of the alternating run pairs head
-  won;
+  ratio of the medians, how many of the alternating run pairs head
+  won, and two verdicts (see :func:`compare`): ``gain`` and
+  ``regressed``;
 * ``host``: machine, Python and library versions, and the calibration
   kernel's seconds before and after, against the reference CPU's.
 
@@ -43,13 +44,12 @@ SECONDS = BENCHMARK["run_seconds"]
 #: Untraced runs per revision and workload, and the perfbench seed.
 RUNS = 10
 SEED = 1
-#: End-to-end metric -> whether lower is better (perfbench ``--trace 0``).
-E2E_LOWER_IS_BETTER = {
-    "setup_s": True,
-    "op_s_p50": True,
-    "calls_per_s": False,
-    "peak_rss_mb": True,
-}
+#: End-to-end metric -> whether lower is better (perfbench ``--trace 0``),
+#: and the relative worsening of its median that counts as a regression.
+E2E_LOWER_IS_BETTER = {m["name"]: m["better"] == "lower" for m in BENCHMARK["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+#: Share of run pairs the change must win for a gain to count.
+GAIN_PAIRS_SHARE = 0.9
 CALIBRATION_PROBE = """
 import statistics, sys
 sys.path.insert(0, "perfbench")
@@ -131,16 +131,28 @@ def workload_entry(runs: list[dict], traced: dict) -> dict:
 
 
 def compare(base_runs: list[dict], head_runs: list[dict]) -> dict:
-    """Per metric: head/base median ratio and run pairs head won."""
+    """Per metric: head/base median ratio, run pairs head won, and verdicts.
+
+    ``gain``: head won at least ``GAIN_PAIRS_SHARE`` of the pairs, and its
+    median beats the base's by more than the base's q3 - q1.
+    ``regressed``: head's median is worse than the base's by more than the
+    metric's ``bound`` in BENCHMARK.json, as a share of the base's median.
+    """
     delta = {}
     for name, lower in E2E_LOWER_IS_BETTER.items():
         base = [run["metrics"][name]["value"] for run in base_runs]
         head = [run["metrics"][name]["value"] for run in head_runs]
         won = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
+        base_summary = summarize(base)
+        base_median, head_median = base_summary["median"], statistics.median(head)
+        better_by = (base_median - head_median) if lower else (head_median - base_median)
         delta[name] = {
-            "ratio": statistics.median(head) / statistics.median(base),
+            "ratio": head_median / base_median,
             "pairs_won": won,
             "pairs": len(base),
+            "gain": won >= GAIN_PAIRS_SHARE * len(base)
+            and better_by > base_summary["q3"] - base_summary["q1"],
+            "regressed": -better_by > BOUNDS[name] * base_median,
         }
     return delta
 
