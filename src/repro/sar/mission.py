@@ -159,19 +159,38 @@ class SarMission:
             return
         swath = self.camera.swath_width_m(max(alt, 1.0)) / 2.0
         # Every cell whose centre lies inside the camera swath counts as
-        # covered, bounded to the search area.
+        # covered, bounded to the search area. The rule is
+        # ``math.hypot(dx, dy) <= swath``; squared distances decide every
+        # cell outside a ±1e-9 relative band around the swath circle,
+        # which is far wider than their rounding error, and hypot decides
+        # the cells inside it. Cells are added in the same col-major order.
         east_max, north_max = self.world.area_size_m
-        reach = int(swath // self.cell_size_m) + 1
-        center_col = int(east // self.cell_size_m)
-        center_row = int(north // self.cell_size_m)
+        cell = self.cell_size_m
+        reach = int(swath // cell) + 1
+        center_col = int(east // cell)
+        center_row = int(north // cell)
+        rows = []
+        for row in range(center_row - reach, center_row + reach + 1):
+            cell_north = (row + 0.5) * cell
+            if 0.0 <= cell_north <= north_max:
+                dy = cell_north - north
+                rows.append((row, dy, dy * dy))
+        s2 = swath * swath
+        outer = s2 * (1.0 + 1e-9)
+        inner = s2 * (1.0 - 1e-9)
+        visited = self.metrics.cells_visited
         for col in range(center_col - reach, center_col + reach + 1):
-            for row in range(center_row - reach, center_row + reach + 1):
-                cell_east = (col + 0.5) * self.cell_size_m
-                cell_north = (row + 0.5) * self.cell_size_m
-                if not (0.0 <= cell_east <= east_max and 0.0 <= cell_north <= north_max):
-                    continue
-                if math.hypot(cell_east - east, cell_north - north) <= swath:
-                    self.metrics.cells_visited.add((col, row))
+            cell_east = (col + 0.5) * cell
+            if not 0.0 <= cell_east <= east_max:
+                continue
+            dx = cell_east - east
+            dx2 = dx * dx
+            if dx2 > outer:
+                continue
+            for row, dy, dy2 in rows:
+                d2 = dx2 + dy2
+                if d2 < inner or (d2 <= outer and math.hypot(dx, dy) <= swath):
+                    visited.add((col, row))
         for person in self.world.persons:
             dx = person.position[0] - east
             dy = person.position[1] - north

@@ -77,6 +77,16 @@ class AttackTree:
     name: str
     root: AttackNode
 
+    def __post_init__(self) -> None:
+        # mark_achieved looks leaves up by id, so an id must name one node.
+        seen: set[str] = set()
+        for node in self.root.iter_nodes():
+            if node.node_id in seen:
+                raise ValueError(
+                    f"{self.name}: duplicate node_id {node.node_id!r}"
+                )
+            seen.add(node.node_id)
+
     def leaves(self) -> list[AttackNode]:
         """All leaf attack steps."""
         return [n for n in self.root.iter_nodes() if n.gate is GateType.LEAF]

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.obs import event
+from repro.records import frozen_record
 
 
 @dataclass(frozen=True)
@@ -99,44 +100,49 @@ class GpsSpoofingDetector:
             self.anchor_time = now
             self._last_gps = gps_enu
             self._last_imu = imu_velocity
-            verdict = SpoofVerdict(
-                spoofed=False,
-                innovation_m=0.0,
-                threshold_m=self.base_threshold_m,
-                cumulative_divergence_m=0.0,
-                cumulative_threshold_m=self.cumulative_threshold_m,
-                consecutive_hits=0,
-                stamp=now,
-            )
+            verdict = frozen_record(SpoofVerdict, {
+                "spoofed": False,
+                "innovation_m": 0.0,
+                "threshold_m": self.base_threshold_m,
+                "cumulative_divergence_m": 0.0,
+                "cumulative_threshold_m": self.cumulative_threshold_m,
+                "consecutive_hits": 0,
+                "stamp": now,
+            })
             self.history.append(verdict)
             return verdict
 
         # --- innovation test (abrupt jumps) ------------------------------
         # End-of-epoch velocity integration, matching the platform's
         # implicit-Euler kinematics (position advances by v_new * dt).
-        self._dr_position = tuple(
-            p + v * dt for p, v in zip(self._dr_position, imu_velocity)
-        )
+        vx, vy, vz = imu_velocity
+        px, py, pz = self._dr_position
+        self._dr_position = (px + vx * dt, py + vy * dt, pz + vz * dt)
         innovation = math.dist(gps_enu, self._dr_position)
         age = now - (self.anchor_time if self.anchor_time is not None else now)
         threshold = self.base_threshold_m + self.drift_rate_mps * age
 
         # --- cumulative-divergence test (slow ramps) ----------------------
-        gps_delta = tuple(g - last for g, last in zip(gps_enu, self._last_gps))
-        imu_delta = tuple(v * dt for v in imu_velocity)
-        self._divergences.append(
-            (now, tuple(g - i for g, i in zip(gps_delta, imu_delta)))
+        # Per epoch: GPS displacement minus IMU displacement.
+        gx, gy, gz = gps_enu
+        lx, ly, lz = self._last_gps
+        divergences = self._divergences
+        divergences.append(
+            (now, ((gx - lx) - vx * dt, (gy - ly) - vy * dt, (gz - lz) - vz * dt))
         )
         self._last_gps = gps_enu
         self._last_imu = imu_velocity
         cutoff = now - self.cumulative_window_s
-        while self._divergences and self._divergences[0][0] < cutoff:
-            self._divergences.popleft()
-        cum_vec = [0.0, 0.0, 0.0]
-        for _, div in self._divergences:
-            for i in range(3):
-                cum_vec[i] += div[i]
-        cumulative = math.sqrt(sum(c * c for c in cum_vec))
+        while divergences and divergences[0][0] < cutoff:
+            divergences.popleft()
+        cx = cy = cz = 0.0
+        for _, (dx, dy, dz) in divergences:
+            cx += dx
+            cy += dy
+            cz += dz
+        # Keep ``sum``: since Python 3.12 it adds floats with
+        # compensation, so ``a + b + c`` would round differently there.
+        cumulative = math.sqrt(sum((cx * cx, cy * cy, cz * cz)))
 
         exceeded = innovation > threshold or cumulative > self.cumulative_threshold_m
         if exceeded:
@@ -159,15 +165,15 @@ class GpsSpoofingDetector:
                 cumulative_divergence_m=round(cumulative, 3),
             )
 
-        verdict = SpoofVerdict(
-            spoofed=self.spoof_detected,
-            innovation_m=innovation,
-            threshold_m=threshold,
-            cumulative_divergence_m=cumulative,
-            cumulative_threshold_m=self.cumulative_threshold_m,
-            consecutive_hits=self._hits,
-            stamp=now,
-        )
+        verdict = frozen_record(SpoofVerdict, {
+            "spoofed": self.spoof_detected,
+            "innovation_m": innovation,
+            "threshold_m": threshold,
+            "cumulative_divergence_m": cumulative,
+            "cumulative_threshold_m": self.cumulative_threshold_m,
+            "consecutive_hits": self._hits,
+            "stamp": now,
+        })
         self.history.append(verdict)
         return verdict
 

@@ -112,6 +112,27 @@ class TestOccupancyGrid:
         grid.occupied[:] = True
         assert grid.is_free((20.0, 20.0, 50.0))
         assert grid.is_free((-5.0, 20.0, 10.0))
+        # However far out: finite points stay free.
+        assert grid.is_free((1e300, 20.0, 10.0))
+        assert grid.is_free((20.0, -1e300, 10.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_raise_plan_error(self, bad):
+        # Regression: a NaN point used to read as free (through a
+        # RuntimeWarning from the int cast), and a segment to it raised an
+        # untyped ValueError or OverflowError.
+        field = _wall_field()
+        point = (10.0, bad, 10.0)
+        with pytest.raises(PlanError, match="non-finite point"):
+            field.grid.is_free(point)
+        with pytest.raises(PlanError, match="non-finite point"):
+            field.grid.segment_free((10.0, 10.0, 10.0), point)
+        with pytest.raises(PlanError, match="non-finite point"):
+            field.grid.segment_free(point, (10.0, 10.0, 10.0))
+        with pytest.raises(PlanError, match="non-finite point"):
+            plan_path(field.inflated, (10.0, 10.0, 10.0), point)
+        with pytest.raises(PlanError, match="non-finite point"):
+            plan_path(field.inflated, point, (90.0, 50.0, 10.0))
 
     def test_segment_free_detects_wall(self):
         field = _wall_field()
