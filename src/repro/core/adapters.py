@@ -172,10 +172,11 @@ def build_uav_eddi(
 
         # Communication: link quality + collaborator availability.
         network.set_comm_links_ok(stack.link_monitor.assess(now).link_ok)
+        position = uav.dynamics.position
+        cl_range_m = stack.cl_range_m
         neighbors = any(
             peer_id != uav_id
-            and _distance(peer.dynamics.position, uav.dynamics.position)
-            <= stack.cl_range_m
+            and _within_range(peer.dynamics.position, position, cl_range_m)
             for peer_id, peer in world.uavs.items()
         )
         network.set_nearby_uavs_available(neighbors)
@@ -183,6 +184,29 @@ def build_uav_eddi(
     eddi = Eddi(name=f"{uav_id}-eddi", network=network)
     eddi.add_adapter(MonitorAdapter("sesame-stack", update))
     return eddi, stack
+
+
+def _within_range(
+    a: tuple[float, float, float], b: tuple[float, float, float], r: float
+) -> bool:
+    """``_distance(a, b) <= r``, decided on the squared distance.
+
+    Outside a ±1e-9 relative band around ``r²``, which is far wider than
+    the rounding error of either form, the squared distance decides;
+    inside it, ``_distance`` does.
+    """
+    ax, ay, az = a
+    bx, by, bz = b
+    dx = ax - bx
+    dy = ay - by
+    dz = az - bz
+    d2 = dx * dx + dy * dy + dz * dz
+    r2 = r * r
+    if d2 < r2 * (1.0 - 1e-9):
+        return r >= 0.0  # a negative range holds no distance
+    if d2 > r2 * (1.0 + 1e-9):
+        return False
+    return _distance(a, b) <= r
 
 
 def _distance(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from repro.records import frozen_record
+from typing import NamedTuple
 
 EARTH_RADIUS_M = 6_371_000.0
 """Mean Earth radius used by the haversine formula (metres)."""
@@ -25,8 +24,7 @@ _DEG_TO_RAD = math.pi / 180.0
 _RAD_TO_DEG = 180.0 / math.pi
 
 
-@dataclass(frozen=True)
-class GeoPoint:
+class GeoPoint(NamedTuple):
     """A geodetic coordinate: latitude/longitude in degrees, altitude in metres."""
 
     lat: float
@@ -133,11 +131,27 @@ class EnuFrame:
 
     def to_geo(self, east: float, north: float, up: float = 0.0) -> GeoPoint:
         """Convert local (east, north, up) metres back to a geodetic point."""
-        return frozen_record(GeoPoint, {
-            "lat": self._lat0 + north / EARTH_RADIUS_M * _RAD_TO_DEG,
-            "lon": self._lon0 + east / self._r_coslat0 * _RAD_TO_DEG,
-            "alt": self._alt0 + up,
-        })
+        return GeoPoint(
+            self._lat0 + north / EARTH_RADIUS_M * _RAD_TO_DEG,
+            self._lon0 + east / self._r_coslat0 * _RAD_TO_DEG,
+            self._alt0 + up,
+        )
+
+    def roundtrip(self, east: float, north: float, up: float) -> tuple[float, float, float]:
+        """``to_enu(to_geo(east, north, up))`` without building the GeoPoint.
+
+        The ENU position a geodetic receiver reports back: the same
+        operations in the same order as the two conversions, so the
+        result is bit-identical to them.
+        """
+        lat0, lon0, alt0 = self._lat0, self._lon0, self._alt0
+        return (
+            ((lon0 + east / self._r_coslat0 * _RAD_TO_DEG) - lon0)
+            * _DEG_TO_RAD * EARTH_RADIUS_M * self._coslat0,
+            ((lat0 + north / EARTH_RADIUS_M * _RAD_TO_DEG) - lat0)
+            * _DEG_TO_RAD * EARTH_RADIUS_M,
+            (alt0 + up) - alt0,
+        )
 
 
 def enu_distance(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:

@@ -16,14 +16,12 @@ import fnmatch
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from repro.obs import OBS
-from repro.records import frozen_record
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A single message delivered on the bus.
 
     ``sender`` is the node name the publisher *claims*; ``origin`` is the
@@ -161,17 +159,14 @@ class RosBus:
         callbacks actually invoked (inactive subscriptions receive, and
         count, nothing).
         """
-        # Hot path: telemetry floods this with fleet_size × step_rate
-        # messages, so the Message is built with frozen_record — identical
-        # object at a fraction of the generated __init__'s cost.
-        message = frozen_record(Message, {
-            "topic": topic,
-            "data": data,
-            "sender": sender,
-            "origin": origin if origin is not None else sender,
-            "seq": next(self._seq),
-            "stamp": stamp if stamp is not None else self.clock,
-        })
+        message = Message(
+            topic,
+            data,
+            sender,
+            origin if origin is not None else sender,
+            next(self._seq),
+            stamp if stamp is not None else self.clock,
+        )
         if self._interceptors:
             message = self._intercept(message)
             if message is None:
@@ -214,14 +209,7 @@ class RosBus:
         seq = self._seq
         obs_on = OBS.enabled
         for topic, data, sender in items:
-            message = frozen_record(Message, {
-                "topic": topic,
-                "data": data,
-                "sender": sender,
-                "origin": sender,
-                "seq": next(seq),
-                "stamp": stamp,
-            })
+            message = Message(topic, data, sender, sender, next(seq), stamp)
             if interceptors:
                 message = self._intercept(message)
                 if message is None:

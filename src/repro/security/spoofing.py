@@ -23,13 +23,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.obs import event
-from repro.records import frozen_record
 
 
-@dataclass(frozen=True)
-class SpoofVerdict:
+class SpoofVerdict(NamedTuple):
     """Current detector state."""
 
     spoofed: bool
@@ -100,15 +99,10 @@ class GpsSpoofingDetector:
             self.anchor_time = now
             self._last_gps = gps_enu
             self._last_imu = imu_velocity
-            verdict = frozen_record(SpoofVerdict, {
-                "spoofed": False,
-                "innovation_m": 0.0,
-                "threshold_m": self.base_threshold_m,
-                "cumulative_divergence_m": 0.0,
-                "cumulative_threshold_m": self.cumulative_threshold_m,
-                "consecutive_hits": 0,
-                "stamp": now,
-            })
+            verdict = SpoofVerdict(
+                False, 0.0, self.base_threshold_m, 0.0,
+                self.cumulative_threshold_m, 0, now,
+            )
             self.history.append(verdict)
             return verdict
 
@@ -165,15 +159,10 @@ class GpsSpoofingDetector:
                 cumulative_divergence_m=round(cumulative, 3),
             )
 
-        verdict = frozen_record(SpoofVerdict, {
-            "spoofed": self.spoof_detected,
-            "innovation_m": innovation,
-            "threshold_m": threshold,
-            "cumulative_divergence_m": cumulative,
-            "cumulative_threshold_m": self.cumulative_threshold_m,
-            "consecutive_hits": self._hits,
-            "stamp": now,
-        })
+        verdict = SpoofVerdict(
+            self.spoof_detected, innovation, threshold, cumulative,
+            self.cumulative_threshold_m, self._hits, now,
+        )
         self.history.append(verdict)
         return verdict
 

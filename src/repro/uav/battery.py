@@ -79,7 +79,8 @@ class Battery:
         load_rise = 12.0 * draw_w / max(self.spec.hover_draw_w, 1.0)
         target = ambient_c + load_rise
         # A triggered fault keeps self-heating the pack (thermal runaway).
-        target += sum(f.sustained_heat_c for f in self.faults if f.triggered)
+        if self.faults:
+            target += sum(f.sustained_heat_c for f in self.faults if f.triggered)
         alpha = min(1.0, dt / self.spec.thermal_time_constant_s)
         self.temp_c += alpha * (target - self.temp_c)
         for fault in self.faults:

@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.geo import EARTH_RADIUS_M, GeoPoint
 from repro.obs import event
-from repro.records import frozen_record
 from repro.uav.battery import Battery
 from repro.uav.dynamics import UavDynamics
 from repro.uav.sensors import CHUNK, NOISE_KINDS, GpsFix, NoiseStream
@@ -972,10 +971,8 @@ class FleetEngine:
                 0.0, wind_mps + self._wind_std[ta] * zw
             ).tolist()
         soc_l = arrays.soc[:n].tolist()
-        # Per-row records are built with frozen_record, identical to the
-        # generated constructors at a fraction of the cost. This loop runs
-        # fleet_size times per step; it is the hottest allocation site in
-        # the engine.
+        # This loop runs fleet_size times per step; it is the hottest
+        # allocation site in the engine.
         n_tel = len(tel_rows)
         items: list[tuple] = []
         items_append = items.append
@@ -985,29 +982,15 @@ class FleetEngine:
             # tel_rows and the subsequence counters disappear.
             vel_tuples = list(map(tuple, vel_l))
             for j, k in enumerate(tel_rows):
-                point = frozen_record(GeoPoint, {
-                    "lat": lat_l[j], "lon": lon_l[j], "alt": alt_l[j],
-                })
-                fix = frozen_record(GpsFix, {
-                    "point": point,
-                    "num_satellites": sats_l[j],
-                    "hdop": hdop_l[j],
-                    "valid": True,
-                    "stamp": now,
-                })
-                sample = frozen_record(Telemetry, {
-                    "uav_id": ids[k],
-                    "stamp": now,
-                    "mode": mode_str[k],
-                    "position_enu": pos_tuples[j],
-                    "velocity_enu": vel_tuples[k],
-                    "gps": fix,
-                    "imu_velocity": iv_tuples[j],
-                    "battery_soc": soc_l[k],
-                    "battery_temp_c": bt_l[j],
-                    "camera_health": cams[k].health,
-                    "wind_mps": wv_l[j],
-                })
+                fix = GpsFix(
+                    GeoPoint(lat_l[j], lon_l[j], alt_l[j]),
+                    sats_l[j], hdop_l[j], True, now,
+                )
+                sample = Telemetry(
+                    ids[k], now, mode_str[k], pos_tuples[j], vel_tuples[k],
+                    fix, iv_tuples[j], soc_l[k], bt_l[j], cams[k].health,
+                    wv_l[j],
+                )
                 uavs[k]._last_telemetry = now
                 items_append((topics[k], sample, ids[k]))
             self.world.bus.publish_many(items, now)
@@ -1016,46 +999,25 @@ class FleetEngine:
         ii = 0
         for j, k in enumerate(tel_rows):
             if vi < n_valid and tel_valid[vi] == k:
-                point = frozen_record(GeoPoint, {
-                    "lat": lat_l[vi], "lon": lon_l[vi], "alt": alt_l[vi],
-                })
-                fix = frozen_record(GpsFix, {
-                    "point": point,
-                    "num_satellites": sats_l[vi],
-                    "hdop": hdop_l[vi],
-                    "valid": True,
-                    "stamp": now,
-                })
+                fix = GpsFix(
+                    GeoPoint(lat_l[vi], lon_l[vi], alt_l[vi]),
+                    sats_l[vi], hdop_l[vi], True, now,
+                )
                 position_enu = pos_tuples[vi]
                 vi += 1
             else:
                 true = tuple(pos_l[k])
-                fix = frozen_record(GpsFix, {
-                    "point": to_geo(*true),
-                    "num_satellites": 0,
-                    "hdop": 99.0,
-                    "valid": False,
-                    "stamp": now,
-                })
+                fix = GpsFix(to_geo(*true), 0, 99.0, False, now)
                 position_enu = true
             if ii < n_imu and imu_rows[ii] == k:
                 imu_velocity = iv_tuples[ii]
                 ii += 1
             else:
                 imu_velocity = (0.0, 0.0, 0.0)
-            sample = frozen_record(Telemetry, {
-                "uav_id": ids[k],
-                "stamp": now,
-                "mode": mode_str[k],
-                "position_enu": position_enu,
-                "velocity_enu": tuple(vel_l[k]),
-                "gps": fix,
-                "imu_velocity": imu_velocity,
-                "battery_soc": soc_l[k],
-                "battery_temp_c": bt_l[j],
-                "camera_health": cams[k].health,
-                "wind_mps": wv_l[j],
-            })
+            sample = Telemetry(
+                ids[k], now, mode_str[k], position_enu, tuple(vel_l[k]), fix,
+                imu_velocity, soc_l[k], bt_l[j], cams[k].health, wv_l[j],
+            )
             uavs[k]._last_telemetry = now
             items_append((topics[k], sample, ids[k]))
         self.world.bus.publish_many(items, now)

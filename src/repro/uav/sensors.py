@@ -26,11 +26,11 @@ engines see identical draws no matter who samples when.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.geo import EnuFrame, GeoPoint
-from repro.records import frozen_record
 
 #: Events a noise stream (or fleet noise channel) prefetches per refill.
 CHUNK = 64
@@ -59,11 +59,11 @@ class NoiseStream:
 
     def pop(self):
         """Consume and return the next event."""
-        event = next(self._events, None)
-        if event is None:
+        try:
+            return next(self._events)
+        except StopIteration:
             self._events = iter(self._draw(self._shape).tolist())
-            event = next(self._events)
-        return event
+            return next(self._events)
 
     def detach(self) -> tuple[np.random.Generator, list]:
         """Hand over the generator and the prefetched, unconsumed events.
@@ -76,8 +76,7 @@ class NoiseStream:
         return self._gen, pending
 
 
-@dataclass(frozen=True)
-class GpsFix:
+class GpsFix(NamedTuple):
     """One GPS measurement: geodetic point plus quality indicators."""
 
     point: GeoPoint
@@ -131,13 +130,29 @@ class GpsSensor:
         denied/unhealthy measure takes nothing.
         """
         if self.denied or not self.healthy:
-            return frozen_record(GpsFix, {
-                "point": self.frame.to_geo(*true_enu),
-                "num_satellites": 0,
-                "hdop": 99.0,
-                "valid": False,
-                "stamp": now,
-            })
+            return GpsFix(self.frame.to_geo(*true_enu), 0, 99.0, False, now)
+        east, north, up, sats, hdop = self._sample(true_enu)
+        return GpsFix(self.frame.to_geo(east, north, up), sats, hdop, True, now)
+
+    def position(self, true_enu: tuple[float, float, float]) -> tuple[float, float, float] | None:
+        """ENU position of a fresh fix, or ``None`` when no valid fix comes.
+
+        Takes the same events as :meth:`measure` and returns, bit for
+        bit, ``frame.to_enu(measure(true_enu, now).point)`` of a valid
+        fix, without building the fix.
+        """
+        if self.denied or not self.healthy:
+            return None
+        east, north, up, _, _ = self._sample(true_enu)
+        return self.frame.roundtrip(east, north, up)
+
+    def _sample(
+        self, true_enu: tuple[float, float, float]
+    ) -> tuple[float, float, float, int, float]:
+        """The sampling kernel of a valid fix: noisy ENU point, satellites, HDOP.
+
+        Takes one ``noise`` event, then one ``quality`` event.
+        """
         zx, zy, zz = self.noise.pop()
         tx, ty, tz = true_enu
         ox, oy, oz = self.spoof_offset_m
@@ -151,15 +166,9 @@ class GpsSensor:
         else:
             sats = 7 + int(u0 * 6.0)
             hdop = 0.7 + 0.7 * u1
-        return frozen_record(GpsFix, {
-            "point": self.frame.to_geo(
-                (tx + ox) + std * zx, (ty + oy) + std * zy, (tz + oz) + std * zz
-            ),
-            "num_satellites": sats,
-            "hdop": hdop,
-            "valid": True,
-            "stamp": now,
-        })
+        return (
+            (tx + ox) + std * zx, (ty + oy) + std * zy, (tz + oz) + std * zz, sats, hdop
+        )
 
 
 @dataclass

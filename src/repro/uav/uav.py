@@ -11,13 +11,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.geo import EnuFrame
 from repro.middleware.rosbus import RosBus
 from repro.obs import event
-from repro.records import frozen_record
 from repro.uav.battery import Battery, BatterySpec
 from repro.uav.dynamics import UavDynamics, WaypointPlan
 from repro.uav.sensors import GpsFix, SensorSuite
@@ -51,8 +51,7 @@ class UavSpec:
     battery_spec: BatterySpec = field(default_factory=BatterySpec)
 
 
-@dataclass(frozen=True)
-class Telemetry:
+class Telemetry(NamedTuple):
     """One telemetry sample published on ``/<uav_id>/telemetry``."""
 
     uav_id: str
@@ -118,9 +117,10 @@ class Uav:
         """
         if self.use_external_nav and self.external_nav_position is not None:
             return self.external_nav_position
-        fix = self.sensors.gps.measure(self.dynamics.position, now)
-        if fix.valid:
-            return self.frame.to_enu(fix.point)
+        # The GPS position in the sensor's frame, which is this vehicle's.
+        gps_enu = self.sensors.gps.position(self.dynamics.position)
+        if gps_enu is not None:
+            return gps_enu
         if self.believed_trajectory:
             return self.believed_trajectory[-1]
         return self.dynamics.position
@@ -152,26 +152,25 @@ class Uav:
         # navigated mode steers in belief space: the physical vehicle flies
         # toward target + (truth - belief), which reproduces how a wrong
         # belief (spoofed GPS, CL error) physically displaces the vehicle.
-        def belief_corrected(target: tuple[float, float, float]) -> tuple[float, float, float]:
-            bx, by, bz = believed
-            px, py, pz = self.dynamics.position
-            tx, ty, tz = target
-            return (tx - (bx - px), ty - (by - py), tz - (bz - pz))
-
-        if self.mode is FlightMode.MISSION:
+        mode = self.mode
+        if mode is FlightMode.MISSION:
             target = self.plan.active
             if target is None:
                 return None
-            return belief_corrected(target)
-        if self.mode is FlightMode.RETURN_TO_BASE:
-            return belief_corrected(self.spec.base_position)
-        if self.mode is FlightMode.EMERGENCY_LAND:
+        elif mode is FlightMode.RETURN_TO_BASE:
+            target = self.spec.base_position
+        elif mode is FlightMode.EMERGENCY_LAND:
             # Vertical descent in place needs no navigation solution.
             pos = self.dynamics.position
             return (pos[0], pos[1], 0.0)
-        if self.mode is FlightMode.GUIDED and self.guided_setpoint is not None:
-            return belief_corrected(self.guided_setpoint)
-        return None  # IDLE / HOLD / LANDED hover in place
+        elif mode is FlightMode.GUIDED and self.guided_setpoint is not None:
+            target = self.guided_setpoint
+        else:
+            return None  # IDLE / HOLD / LANDED hover in place
+        bx, by, bz = believed
+        px, py, pz = self.dynamics.position
+        tx, ty, tz = target
+        return (tx - (bx - px), ty - (by - py), tz - (bz - pz))
 
     def step(
         self,
@@ -245,18 +244,19 @@ class Uav:
         sensors, dynamics, battery = self.sensors, self.dynamics, self.battery
         uav_id = self.spec.uav_id
         fix = sensors.gps.measure(dynamics.position, now)
-        sample = frozen_record(Telemetry, {
-            "uav_id": uav_id,
-            "stamp": now,
-            "mode": self.mode.value,
-            "position_enu": self.frame.to_enu(fix.point) if fix.valid else dynamics.position,
-            "velocity_enu": dynamics.velocity,
-            "gps": fix,
-            "imu_velocity": sensors.imu.measure(dynamics.ground_velocity),
-            "battery_soc": battery.soc,
-            "battery_temp_c": sensors.temperature.measure(battery.temp_c),
-            "camera_health": sensors.camera.health,
-            "wind_mps": sensors.wind.measure(wind_mps),
-        })
+        # ``_value_`` is what the enum's ``value`` property returns.
+        sample = Telemetry(
+            uav_id,
+            now,
+            self.mode._value_,
+            self.frame.to_enu(fix.point) if fix.valid else dynamics.position,
+            dynamics.velocity,
+            fix,
+            sensors.imu.measure(dynamics.ground_velocity),
+            battery.soc,
+            sensors.temperature.measure(battery.temp_c),
+            sensors.camera.health,
+            sensors.wind.measure(wind_mps),
+        )
         self.bus.publish(self._telemetry_topic, sample, uav_id, None, now)
         return sample

@@ -108,3 +108,22 @@ def test_workload_entry_drops_idle_layers_and_counts_failures():
     }
     assert (entry["attempted"], entry["failed"], entry["correct"]) == (8, 1, False)
     assert entry["metrics"]["setup_s"]["median"] == 1.5
+
+
+@pytest.mark.parametrize("argv,head", [([], "abc1234"), (["--head", "v2"], "v2")])
+def test_head_revision_is_recorded_as_given_or_as_the_short_sha(
+    monkeypatch, tmp_path, argv, head
+):
+    seen = {}
+    monkeypatch.setattr(bench_json, "ROOT", tmp_path)
+    monkeypatch.setattr(
+        bench_json, "git",
+        lambda *args: "abc1234" if args == ("rev-parse", "--short", "HEAD") else "?",
+    )
+    monkeypatch.setattr(bench_json, "export", lambda rev, into: into)
+    monkeypatch.setattr(
+        bench_json, "measure", lambda pr, revs, checkouts: seen.update(revs) or {}
+    )
+    assert bench_json.main(["--pr", "7", "--base", "f00", *argv]) == 0
+    assert seen == {"base": "f00", "head": head}
+    assert (tmp_path / "BENCH_7.json").exists()

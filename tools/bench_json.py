@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run perfbench on every workload and write ``BENCH_<pr>.json``.
 
-    python3 tools/bench_json.py --pr 18 --base <rev> [--head HEAD]
+    python3 tools/bench_json.py --pr 18 --base <rev> [--head <rev>]
 
 Each revision is exported with ``git archive`` into a scratch directory,
 so what is measured is exactly what is committed. For every workload,
@@ -10,10 +10,11 @@ BENCHMARK.json's ``run_seconds`` each, in pairs whose first revision
 alternates, so host drift hits both alike; then once traced. The file
 holds:
 
-* ``revisions``: per revision, the git sha and, per workload, each
-  end-to-end metric's median, q1, q3 and n over the untraced runs, the
-  operation counts, and the traced per-layer table (layers idle on the
-  workload are left out);
+* ``revisions``: per revision, the revision as given (a defaulted
+  ``--head`` is recorded as the short sha of ``HEAD``), the git sha and,
+  per workload, each end-to-end metric's median, q1, q3 and n over the
+  untraced runs, the operation counts, and the traced per-layer table
+  (layers idle on the workload are left out);
 * ``delta``: per workload and metric, the head/base
   ratio of the medians, how many of the alternating run pairs head
   won, and two verdicts (see :func:`compare`): ``gain`` and
@@ -213,12 +214,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--base", required=True, help="revision measured as the parent")
-    parser.add_argument("--head", default="HEAD", help="revision measured as the change")
+    parser.add_argument("--head", help="revision measured as the change "
+                        "(default: the short sha of HEAD)")
     parser.add_argument("--workdir", type=Path, help="where the revisions are exported "
                         "(a temporary directory inside it, removed afterwards)")
     args = parser.parse_args(argv)
 
-    revs = {"base": args.base, "head": args.head}
+    revs = {"base": args.base, "head": args.head or git("rev-parse", "--short", "HEAD")}
     with tempfile.TemporaryDirectory(prefix="bench_json_", dir=args.workdir) as scratch:
         checkouts = {label: export(rev, Path(scratch) / label) for label, rev in revs.items()}
         result = measure(args.pr, revs, checkouts)
