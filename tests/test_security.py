@@ -76,6 +76,29 @@ class TestAttackTree:
         leaves = tree.leaf_by_alert_type("message_injection")
         assert [n.node_id for n in leaves] == ["inject_messages"]
 
+    def test_leaf_by_alert_type_keeps_pre_order_and_skips_gates(self):
+        root = AttackNode(
+            "goal", "t", GateType.OR, alert_type="shared",
+            children=[
+                AttackNode("b", "t", alert_type="shared"),
+                AttackNode(
+                    "sub", "t", GateType.AND,
+                    children=[
+                        AttackNode("c", "t", alert_type="other"),
+                        AttackNode("a", "t", alert_type="shared"),
+                    ],
+                ),
+                AttackNode("d", "t"),
+            ],
+        )
+        tree = AttackTree(name="order", root=root)
+        leaves = tree.leaf_by_alert_type("shared")
+        assert [n.node_id for n in leaves] == ["b", "a"]
+        assert [n.node_id for n in tree.leaf_by_alert_type(None)] == ["d"]
+        assert tree.leaf_by_alert_type("unknown") == []
+        leaves.clear()  # the caller's list is its own
+        assert len(tree.leaf_by_alert_type("shared")) == 2
+
     def test_json_roundtrip(self):
         tree = ros_spoofing_attack_tree()
         restored = AttackTree.from_json(tree.to_json())
