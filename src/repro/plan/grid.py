@@ -250,15 +250,19 @@ class OccupancyGrid3D:
         Dilation is conservative: the effective radius gets half a cell
         diagonal added so every point within ``radius_m`` of an occupied
         cell centre lands in an inflated cell (a bare ``radius_m`` smaller
-        than the cell size would otherwise dilate by *nothing*). The
-        padding also guarantees that straight segments between adjacent
-        inflated-free cell centres never cut a raw-occupied corner.
+        than the cell size would otherwise dilate by *nothing*), and it is
+        never less than one cell, so every face neighbour of an occupied
+        cell is inflated even at ``radius_m = 0``. That floor is what
+        makes a straight segment from anywhere in one inflated-free cell
+        to the centre of an adjacent one raw-safe: every cell such a
+        segment can touch is a face neighbour of one of its two ends, so
+        a diagonal move can never slip past a raw-occupied side cell.
         """
         if radius_m < 0.0:
             raise PlanError("inflation radius must be non-negative")
         grown = self.occupied.copy()
-        if radius_m > 0.0 and self.occupied.any():
-            effective = radius_m / self.cell_m + math.sqrt(3.0) / 2.0
+        if self.occupied.any():
+            effective = max(1.0, radius_m / self.cell_m + math.sqrt(3.0) / 2.0)
             for di, dj, dk in _offsets_within(effective):
                 if di == dj == dk == 0:
                     continue
