@@ -19,8 +19,10 @@ This package builds that workload on the repo's existing substrate:
     message for message (``tests/test_swarm_protocol.py``).
 
 :mod:`repro.swarm.sim`
-    The closed-loop simulation: vectorized swarm kinematics
-    (:mod:`repro.uav.swarm_kinematics`), sector patrol sweeps
+    The closed-loop simulation: scalar swarm kinematics
+    (:mod:`repro.uav.swarm_kinematics`; Python floats plus one
+    ``np.hypot`` over the fleet per tick, cheaper than NumPy arrays at
+    swarm sizes), sector patrol sweeps
     (:func:`repro.sar.patterns.sector_sweep`), a comm radius realised as
     per-pair :class:`~repro.middleware.degraded.LinkModel` loss on a
     :class:`~repro.middleware.degraded.DegradedBus` (so link loss and
