@@ -29,7 +29,7 @@ from repro.harness.fuzz.generator import ScenarioGenerator
 from repro.harness.oracles import SWARM_OUTCOMES, run_swarm_oracles
 from repro.harness.timing import PhaseTimer
 from repro.swarm.experiment import SWARM_SIZING_CAMPAIGN
-from repro.swarm.sim import run_swarm
+from repro.swarm.sim import build_swarm, run_swarm
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -88,6 +88,39 @@ class TestDeterminism:
             for s in range(8)
         }
         assert len(corpus) == 8  # root seed varies the drawn scenario
+
+
+class TestLosslessLinks:
+    @pytest.mark.parametrize(
+        "timing",
+        [
+            {},
+            {"dt": 0.1},
+            {"dt": 0.25, "link_latency_s": 0.3, "link_jitter_s": 0.1},
+            {"dt": 0.5, "link_latency_s": 0.5, "link_jitter_s": 0.0},
+            {"link_latency_s": 0.0, "link_jitter_s": 0.0},
+        ],
+    )
+    def test_no_channel_retransmits(self, timing):
+        # Every pair in range and no loss: each reliable message is ACK'd
+        # before its retransmit timer fires, on every channel endpoint.
+        config = {
+            "k_leaders": 2, "rho": 3, "n_pois": 50, "area_m": 400.0,
+            "comm_radius_m": 1000.0, "link_loss": 0.0, "horizon_s": 120.0,
+            **timing,
+        }
+        sim = build_swarm(config, seed=123)
+        run = sim.run()
+        channels = [sim.followers[f].channel for f in sim.follower_names] + [
+            sim.leaders[name].channel_for(f)
+            for name in sim.leader_names
+            for f in sim.leaders[name].roster
+        ]
+        assert len(channels) == 2 * len(sim.follower_names)
+        assert sum(c.stats.sent for c in channels) > 0
+        assert [c.stats.retries for c in channels] == [0] * len(channels)
+        assert run.metrics["messages"]["data"] == run.metrics["messages"]["ack"]
+        assert run.metrics["serviced"] > 0
 
 
 def _random_config(rng: np.random.Generator) -> dict:
