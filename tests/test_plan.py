@@ -275,6 +275,38 @@ class TestPlanner:
         assert path[-1] == (10.0, 2.0, 2.0)
         assert field.grid.path_free(path)
 
+    def test_outside_endpoint_anchor_leg_is_free(self):
+        # The endpoint enters the grid through a block on the x = 0 face,
+        # and the free cell centre nearest its entry point lies right
+        # behind the block: the anchor must be one the endpoint reaches.
+        field = ObstacleField.build(
+            size_m=(20.0, 20.0, 10.0),
+            cell_m=2.0,
+            boxes=[((0.0, 6.0, 0.0), (4.0, 14.0, 10.0))],
+            cylinders=[],
+            inflation_m=0.0,
+        )
+        start, goal = (-3.0, 10.0, 5.0), (19.0, 10.0, 5.0)
+        grid = field.inflated
+        nearest = grid.nearest_free((1e-6, 10.0, 5.0))
+        assert not field.grid.segment_free(start, nearest)
+        path = plan_path(grid, start, goal)
+        assert path[0] == start and path[-1] == goal
+        assert grid.path_free(path) and field.grid.path_free(path)
+
+    def test_outside_endpoint_walled_off_raises(self):
+        # Above a ceiling slab that covers the whole area, with the goal
+        # under it: every straight leg into the grid crosses the slab.
+        field = ObstacleField.build(
+            size_m=(20.0, 20.0, 10.0),
+            cell_m=2.0,
+            boxes=[((0.0, 0.0, 6.0), (20.0, 20.0, 10.0))],
+            cylinders=[],
+            inflation_m=0.0,
+        )
+        with pytest.raises(PlanError, match="no free straight leg"):
+            plan_path(field.inflated, (10.0, 10.0, 12.0), (3.0, 3.0, 1.0))
+
     def test_route_waypoints_multi_leg(self):
         field = _wall_field()
         start = (5.0, 5.0, 10.0)
@@ -862,6 +894,36 @@ class TestPlannerVerdicts:
                 routed += 1
         # Both verdicts occur: sealed walls and full grids refuse.
         assert routed > 2000 and refused > 300
+
+    def test_outside_endpoints_clear_raw_grid_or_plan_error(self):
+        # Endpoints up to 15% outside the grid volume on every axis. The
+        # leg from an outside endpoint to its in-grid anchor must be
+        # checked like every other leg: it once crossed raw obstacles on
+        # about one route in eight.
+        rng = np.random.default_rng(0)
+        routed = refused = anchored = 0
+        for _ in range(200):
+            field, size = _verdict_world(rng)
+            for _ in range(20):
+                start, goal = (
+                    tuple(map(float, rng.uniform(-0.15, 1.15, 3) * size))
+                    for _ in range(2)
+                )
+                try:
+                    path = plan_path(field.inflated, start, goal)
+                except PlanError:
+                    refused += 1
+                    continue
+                assert isinstance(path, list) and len(path) >= 2
+                assert field.grid.path_free(path), (
+                    field.grid.cell_m, field.inflation_m, path,
+                )
+                routed += 1
+                outside = not all(
+                    0.0 <= v <= hi for v, hi in zip(start + goal, size + size)
+                )
+                anchored += outside and len(path) > 2
+        assert routed > 2000 and refused > 300 and anchored > 500
 
 
 def _reference_two_opt(start, points, order, max_passes=8):
