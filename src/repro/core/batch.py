@@ -1,10 +1,10 @@
-"""Batched (structure-of-arrays) assurance plane: ConSert + SafeML + EDDI.
+"""Batched (structure-of-arrays) assurance plane: ConSert + SafeDrones + EDDI.
 
 PR 4 vectorized the fleet *physics*; this module vectorizes the fleet's
 *safety layer*. The scalar reference path steps one EDDI at a time
 (:func:`repro.core.adapters.build_uav_eddi` + :class:`repro.core.eddi.Eddi`
 + :class:`repro.core.decider.MissionDecider`), which is linear in fleet
-size. Here the same monitor → evidence → ConSert → response cycle runs as
+size. Here the monitor and diagnose phases of the same cycle run as
 fleet-wide array operations:
 
 * ConSert gate trees are compiled once into boolean-array programs
@@ -14,9 +14,13 @@ fleet-wide array operations:
   same closed-form kernel the scalar monitor uses
   (:func:`repro.safedrones.battery.battery_transient`), and propulsion
   PoF comes from the scalar model's memo;
-* SafeML ECDF statistical distances are computed as stacked array
-  operations across every (monitor, feature) task
-  (:func:`stacked_safeml_reports`).
+* GPS fixes, quality draws and IMU velocities are gathered for the whole
+  fleet from the shared noise channels.
+
+Everything else is the scalar code: SafeML reports come from each row's
+:meth:`repro.safeml.monitor.SafeMlMonitor.report`, responses from one
+:class:`repro.core.eddi.EddiResponder` per row, and the mission verdict
+from :func:`repro.core.decider.mission_decision`.
 
 Selection mirrors the fleet engine: :func:`build_assurance` follows
 ``world.engine``, which the world builders pick from the fleet size
@@ -43,8 +47,8 @@ where any ULP difference compounds. The rules (same as
 
 Known, documented deviations (none observable by the equivalence suite):
 
-* no ``eddi.monitor`` / ``eddi.diagnose`` / ``eddi.respond`` obs spans —
-  counters and events still fire;
+* no ``eddi.monitor`` / ``eddi.diagnose`` obs spans (the ``eddi.respond``
+  span, counters and events still fire);
 * within one cycle, obs events are grouped by phase (all spoof-detected
   events, then all guarantee transitions) instead of interleaved per UAV;
 * :class:`BatchSafeDrones` keeps only the latest assessment arrays, not
@@ -69,15 +73,9 @@ import numpy as np
 
 from repro.core.adapters import build_fleet_eddis
 from repro.core.conserts import AndNode, ConSert, Demand, OrNode, RuntimeEvidence
-from repro.core.decider import (
-    CAPABLE,
-    MissionDecider,
-    MissionDecision,
-    MissionVerdict,
-)
-from repro.core.eddi import EddiResponse
+from repro.core.decider import MissionDecider, MissionDecision, mission_decision
+from repro.core.eddi import EddiResponder
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
-from repro.obs import OBS, event
 from repro.safedrones.battery import (
     BOLTZMANN_EV,
     FAILED,
@@ -88,8 +86,7 @@ from repro.safedrones.communication import CommLinkMonitor
 from repro.safedrones.monitor import ReliabilityAssessment, ReliabilityLevel
 from repro.safedrones.processor import ProcessorReliabilityModel
 from repro.safedrones.propulsion import PropulsionModel
-from repro.safeml.monitor import ConfidenceLevel, SafeMlReport
-from repro.safeml.ndtr import ndtr
+from repro.safeml.monitor import SafeMlReport
 from repro.security.spoofing import GpsSpoofingDetector
 
 
@@ -461,138 +458,6 @@ class BatchSafeDrones:
 
 
 # --------------------------------------------------------------------------
-# Stacked SafeML: every (monitor, feature) distance as one array pass
-# --------------------------------------------------------------------------
-def _ad_weights(n_grid: int, sqrt: bool) -> np.ndarray:
-    """Anderson–Darling tail weights on an ``n_grid``-point pooled grid."""
-    h = np.arange(1, n_grid + 1) / n_grid
-    weight_ok = (h > 0.0) & (h < 1.0)
-    weights = np.zeros_like(h)
-    if sqrt:
-        weights[weight_ok] = 1.0 / np.sqrt(h[weight_ok] * (1.0 - h[weight_ok]))
-    else:
-        weights[weight_ok] = 1.0 / (h[weight_ok] * (1.0 - h[weight_ok]))
-    return weights
-
-
-def _stacked_ks(grid, fa, fb):
-    return np.max(np.abs(fa - fb), axis=1)
-
-
-def _stacked_kuiper(grid, fa, fb):
-    return np.max(fa - fb, axis=1) + np.max(fb - fa, axis=1)
-
-
-def _stacked_cvm(grid, fa, fb):
-    return np.mean((fa - fb) ** 2, axis=1)
-
-
-def _stacked_ad(grid, fa, fb):
-    weights = _ad_weights(grid.shape[1], sqrt=False)
-    gap = (fa - fb) ** 2
-    return np.mean(gap * weights, axis=1)
-
-
-def _stacked_wasserstein(grid, fa, fb):
-    if grid.shape[1] < 2:
-        return np.zeros(grid.shape[0])
-    dx = np.diff(grid, axis=1)
-    return np.sum(np.abs(fa - fb)[:, :-1] * dx, axis=1)
-
-
-def _stacked_dts(grid, fa, fb):
-    if grid.shape[1] < 2:
-        return np.zeros(grid.shape[0])
-    weights = _ad_weights(grid.shape[1], sqrt=True)
-    dx = np.diff(grid, axis=1)
-    integrand = ((fa - fb) ** 2) * weights
-    return np.sum(integrand[:, :-1] * dx, axis=1)
-
-
-#: Stacked twins of :data:`repro.safeml.distances.ALL_MEASURES` — same
-#: names, row-wise identical arithmetic (axis=1 reductions).
-_STACKED_MEASURES = {
-    "kolmogorov_smirnov": _stacked_ks,
-    "kuiper": _stacked_kuiper,
-    "cramer_von_mises": _stacked_cvm,
-    "anderson_darling": _stacked_ad,
-    "wasserstein": _stacked_wasserstein,
-    "dts": _stacked_dts,
-}
-
-
-def stacked_safeml_reports(monitors, now: float) -> list[SafeMlReport]:
-    """One :meth:`SafeMlMonitor.report` per monitor, computed stacked.
-
-    Groups every (monitor, feature) distance task by
-    ``(measure, window length, reference length)`` so same-shaped tasks
-    share one sort/ECDF/measure pass. Monitors with a measure outside the
-    stacked registry (custom callables) fall back to their own scalar
-    ``_distance`` — same result, just not batched.
-    """
-    windows = []
-    for monitor in monitors:
-        if not monitor._window:
-            raise RuntimeError("no runtime samples observed yet")
-        windows.append(np.vstack(monitor._window))
-
-    groups: dict[tuple, list] = {}
-    results: dict[tuple[int, int], float] = {}
-    for mi, monitor in enumerate(monitors):
-        reference = monitor._reference
-        window = windows[mi]
-        stacked = monitor.measure in _STACKED_MEASURES
-        for j in range(reference.shape[1]):
-            if not stacked:
-                results[(mi, j)] = float(
-                    monitor._distance(window[:, j], reference[:, j])
-                )
-                continue
-            key = (monitor.measure, window.shape[0], reference.shape[0])
-            groups.setdefault(key, []).append(
-                (mi, j, window[:, j], reference[:, j])
-            )
-
-    for (measure, n_window, n_reference), tasks in groups.items():
-        a = np.stack([task[2] for task in tasks])
-        b = np.stack([task[3] for task in tasks])
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("sample contains non-finite values")
-        grid = np.sort(np.concatenate([a, b], axis=1), axis=1)
-        sorted_a = np.sort(a, axis=1)
-        sorted_b = np.sort(b, axis=1)
-        fa = np.empty_like(grid)
-        fb = np.empty_like(grid)
-        for r in range(len(tasks)):
-            fa[r] = np.searchsorted(sorted_a[r], grid[r], side="right") / n_window
-            fb[r] = np.searchsorted(sorted_b[r], grid[r], side="right") / n_reference
-        values = _STACKED_MEASURES[measure](grid, fa, fb)
-        for r, (mi, j, _, _) in enumerate(tasks):
-            results[(mi, j)] = float(values[r])
-
-    reports = []
-    for mi, monitor in enumerate(monitors):
-        distances: dict[str, float] = {}
-        z_scores = []
-        for j in range(monitor._reference.shape[1]):
-            d = results[(mi, j)]
-            distances[f"feature_{j}"] = d
-            z_scores.append((d - monitor._null_mean[j]) / monitor._null_std[j])
-        z_mean = float(np.mean(z_scores))
-        uncertainty = ndtr(z_mean / monitor.z_scale)
-        reports.append(
-            SafeMlReport(
-                stamp=now,
-                distances=distances,
-                z_score=z_mean,
-                uncertainty=uncertainty,
-                level=ConfidenceLevel.from_uncertainty(uncertainty),
-            )
-        )
-    return reports
-
-
-# --------------------------------------------------------------------------
 # Assurance planes: one step()/decide() facade per engine
 # --------------------------------------------------------------------------
 class ScalarAssurancePlane:
@@ -720,7 +585,6 @@ class BatchAssurancePlane:
             raise RuntimeError("world UAV registry and fleet arrays disagree")
         self._n = n
         self._row = {uav_id: k for k, uav_id in enumerate(self._ids)}
-        self._names = [f"{uav_id}-eddi" for uav_id in self._ids]
         self.evidence_arrays = {
             name: np.full(n, default, dtype=bool)
             for name, default in self.compiled.evidence_defaults.items()
@@ -732,10 +596,9 @@ class BatchAssurancePlane:
         self._links = [CommLinkMonitor() for _ in range(n)]
         self._safeml: list = [None] * n
         self._safeml_reports: list = [None] * n
-        self._current: list = [None] * n
-        self._traces: list[list] = [[] for _ in range(n)]
-        self._response_logs: list[list] = [[] for _ in range(n)]
-        self._responses: list[dict] = [{} for _ in range(n)]
+        self._responders = [
+            EddiResponder(name=f"{uav_id}-eddi") for uav_id in self._ids
+        ]
         self.decider_history: list[MissionDecision] = []
         self._gps = [uav.sensors.gps for uav in self._uav_list]
         self._imus = [uav.sensors.imu for uav in self._uav_list]
@@ -890,17 +753,10 @@ class BatchAssurancePlane:
         # --- vision health + SafeML confidence ----------------------------
         evidence["camera_healthy"][:] = cam_ok
         evidence["drone_detection_ok"][:] = cam_ok
-        entries = [
-            (k, monitor)
-            for k, monitor in enumerate(self._safeml)
-            if monitor is not None and monitor.window_full
-        ]
-        if entries:
-            reports = stacked_safeml_reports(
-                [monitor for _, monitor in entries], now
-            )
-            confidence = evidence["safeml_confidence_ok"]
-            for (k, _), report in zip(entries, reports):
+        confidence = evidence["safeml_confidence_ok"]
+        for k, monitor in enumerate(self._safeml):
+            if monitor is not None and monitor.window_full:
+                report = monitor.report(now)
                 self._safeml_reports[k] = report
                 confidence[k] = report.level.value != "low"
 
@@ -922,76 +778,30 @@ class BatchAssurancePlane:
             np.fill_diagonal(near, False)
             neighbors[:] = near.any(axis=1)
 
-        # --- diagnose + respond (the Eddi.step bookkeeping, batched) ------
+        # --- diagnose + respond -------------------------------------------
         offers = self.compiled.evaluate(evidence, n)
         uav_offer = offers["uav"].tolist()
         uav_enum = self.compiled.uav_guarantees
-        obs_on = OBS.enabled
-        names = self._names
-        current = self._current
-        traces = self._traces
+        responders = self._responders
+        ids = self._ids
         out: dict[str, UavGuarantee] = {}
         for k in range(n):
             guarantee = uav_enum[uav_offer[k]]
-            traces[k].append((now, guarantee))
-            if obs_on:
-                OBS.metrics.inc("eddi_cycles_total", uav=names[k])
-            if guarantee is not current[k]:
-                previous = current[k]
-                response = EddiResponse(
-                    stamp=now, guarantee=guarantee, previous=previous
-                )
-                self._response_logs[k].append(response)
-                current[k] = guarantee
-                if obs_on:
-                    event(
-                        "info",
-                        "core.eddi",
-                        "guarantee_transition",
-                        sim_time=now,
-                        uav=names[k],
-                        previous=previous.value if previous is not None else None,
-                        guarantee=guarantee.value,
-                    )
-                    OBS.metrics.inc(
-                        "eddi_guarantee_transitions_total", uav=names[k]
-                    )
-                callback = self._responses[k].get(guarantee)
-                if callback is not None:
-                    callback(response)
-            out[self._ids[k]] = guarantee
+            responders[k].respond(now, guarantee)
+            out[ids[k]] = guarantee
         return out
 
     # --------------------------------------------------------------- decide
     def decide(self) -> MissionDecision:
-        """Mission-level Σ verdict (the MissionDecider logic, batched)."""
+        """Mission-level Σ verdict over the batched guarantees."""
         n = self._n
         if n == 0:
             raise RuntimeError("no UAVs registered with the decider")
         offers = self.compiled.evaluate(self.evidence_arrays, n)
         uav_offer = offers["uav"].tolist()
         uav_enum = self.compiled.uav_guarantees
-        guarantees = {
-            self._ids[k]: uav_enum[uav_offer[k]] for k in range(n)
-        }
-        capable = [u for u, g in guarantees.items() if g in CAPABLE]
-        takeover = [
-            u for u, g in guarantees.items()
-            if g is UavGuarantee.CONTINUE_MISSION_EXTRA
-        ]
-        dropped = [u for u, g in guarantees.items() if g not in CAPABLE]
-        if not dropped:
-            verdict = MissionVerdict.AS_PLANNED
-        elif capable and len(takeover) >= len(dropped):
-            verdict = MissionVerdict.REDISTRIBUTE
-        else:
-            verdict = MissionVerdict.CANNOT_COMPLETE
-        decision = MissionDecision(
-            verdict=verdict,
-            uav_guarantees=guarantees,
-            capable_uavs=capable,
-            takeover_uavs=takeover,
-            dropped_uavs=dropped,
+        decision = mission_decision(
+            {self._ids[k]: uav_enum[uav_offer[k]] for k in range(n)}
         )
         self.decider_history.append(decision)
         return decision
@@ -1002,13 +812,13 @@ class BatchAssurancePlane:
         return list(self._ids)
 
     def guarantee_trace(self, uav_id: str):
-        return self._traces[self._row[uav_id]]
+        return self._responders[self._row[uav_id]].guarantee_trace
 
     def response_log(self, uav_id: str):
-        return self._response_logs[self._row[uav_id]]
+        return self._responders[self._row[uav_id]].response_log
 
     def current_guarantee(self, uav_id: str):
-        return self._current[self._row[uav_id]]
+        return self._responders[self._row[uav_id]].current_guarantee
 
     def consert_offers(self, uav_id: str) -> dict[str, str | None]:
         """Currently offered guarantee name per ConSert (None = none)."""
@@ -1049,7 +859,7 @@ class BatchAssurancePlane:
         return self._links[self._row[uav_id]]
 
     def on_guarantee(self, uav_id: str, guarantee, callback) -> None:
-        self._responses[self._row[uav_id]][guarantee] = callback
+        self._responders[self._row[uav_id]].on_guarantee(guarantee, callback)
 
 
 def build_assurance(world, cl_range_m: float = 120.0):

@@ -41,9 +41,8 @@ class MissionDecision:
     dropped_uavs: list[str]
 
 
-@dataclass
-class MissionDecider:
-    """Combines every UAV's top-level guarantee into a mission verdict.
+def mission_decision(guarantees: dict[str, UavGuarantee]) -> MissionDecision:
+    """The Σ rule over every UAV's top-level guarantee.
 
     If all UAVs can continue: mission as planned. If some UAVs dropped out
     but the remaining fleet includes spare capacity (UAVs offering the
@@ -51,6 +50,32 @@ class MissionDecider:
     workload: redistribute. Otherwise the mission cannot be fully
     completed with the current fleet.
     """
+    capable = [u for u, g in guarantees.items() if g in CAPABLE]
+    takeover = [
+        u for u, g in guarantees.items() if g is UavGuarantee.CONTINUE_MISSION_EXTRA
+    ]
+    dropped = [u for u, g in guarantees.items() if g not in CAPABLE]
+
+    if not dropped:
+        verdict = MissionVerdict.AS_PLANNED
+    elif capable and len(takeover) >= len(dropped):
+        verdict = MissionVerdict.REDISTRIBUTE
+    else:
+        verdict = MissionVerdict.CANNOT_COMPLETE
+
+    return MissionDecision(
+        verdict=verdict,
+        uav_guarantees=guarantees,
+        capable_uavs=capable,
+        takeover_uavs=takeover,
+        dropped_uavs=dropped,
+    )
+
+
+@dataclass
+class MissionDecider:
+    """Combines every UAV's top-level guarantee into a mission verdict
+    (:func:`mission_decision`)."""
 
     networks: dict[str, UavConSertNetwork] = field(default_factory=dict)
     history: list[MissionDecision] = field(default_factory=list)
@@ -63,28 +88,8 @@ class MissionDecider:
         """Evaluate all UAV networks and produce the mission verdict."""
         if not self.networks:
             raise RuntimeError("no UAVs registered with the decider")
-        guarantees = {
-            uav_id: network.evaluate() for uav_id, network in self.networks.items()
-        }
-        capable = [u for u, g in guarantees.items() if g in CAPABLE]
-        takeover = [
-            u for u, g in guarantees.items() if g is UavGuarantee.CONTINUE_MISSION_EXTRA
-        ]
-        dropped = [u for u, g in guarantees.items() if g not in CAPABLE]
-
-        if not dropped:
-            verdict = MissionVerdict.AS_PLANNED
-        elif capable and len(takeover) >= len(dropped):
-            verdict = MissionVerdict.REDISTRIBUTE
-        else:
-            verdict = MissionVerdict.CANNOT_COMPLETE
-
-        decision = MissionDecision(
-            verdict=verdict,
-            uav_guarantees=guarantees,
-            capable_uavs=capable,
-            takeover_uavs=takeover,
-            dropped_uavs=dropped,
+        decision = mission_decision(
+            {uav_id: network.evaluate() for uav_id, network in self.networks.items()}
         )
         self.history.append(decision)
         return decision

@@ -80,12 +80,16 @@ class EddiResponse:
 
 
 @dataclass
-class Eddi:
-    """Executable DDI for one UAV."""
+class EddiResponder:
+    """The respond half of one UAV's EDDI cycle.
+
+    Records every diagnosed guarantee and, when it changes, logs an
+    :class:`EddiResponse` and fires the hook registered for the new
+    guarantee. :class:`Eddi` runs it after its own monitor and diagnose
+    phases; the batched assurance plane keeps one per UAV row.
+    """
 
     name: str
-    network: UavConSertNetwork
-    adapters: list[MonitorAdapter] = field(default_factory=list)
     responses: dict[UavGuarantee, Callable[[EddiResponse], None]] = field(
         default_factory=dict
     )
@@ -93,25 +97,81 @@ class Eddi:
     response_log: list[EddiResponse] = field(default_factory=list)
     guarantee_trace: list[tuple[float, UavGuarantee]] = field(default_factory=list)
 
-    def add_adapter(self, adapter: MonitorAdapter) -> None:
-        """Register a monitoring adapter."""
-        self.adapters.append(adapter)
-
     def on_guarantee(
         self, guarantee: UavGuarantee, callback: Callable[[EddiResponse], None]
     ) -> None:
         """Register a response fired when ``guarantee`` becomes active."""
         self.responses[guarantee] = callback
 
+    def respond(self, now: float, guarantee: UavGuarantee) -> None:
+        """Record ``guarantee`` at ``now``; dispatch its response on a change.
+
+        When :mod:`repro.obs` is enabled, every call counts an EDDI cycle,
+        a change emits a ``guarantee_transition`` event, and the response
+        hook runs inside an ``eddi.respond`` span.
+        """
+        self.guarantee_trace.append((now, guarantee))
+        obs_on = OBS.enabled
+        if obs_on:
+            OBS.metrics.inc("eddi_cycles_total", uav=self.name)
+        if guarantee is self.current_guarantee:
+            return
+        previous = self.current_guarantee
+        response = EddiResponse(stamp=now, guarantee=guarantee, previous=previous)
+        self.response_log.append(response)
+        self.current_guarantee = guarantee
+        if obs_on:
+            event(
+                "info",
+                "core.eddi",
+                "guarantee_transition",
+                sim_time=now,
+                uav=self.name,
+                previous=previous.value if previous is not None else None,
+                guarantee=guarantee.value,
+            )
+            OBS.metrics.inc("eddi_guarantee_transitions_total", uav=self.name)
+        callback = self.responses.get(guarantee)
+        if callback is not None:
+            with span("eddi.respond", sim_time=now, uav=self.name,
+                      guarantee=guarantee.value):
+                callback(response)
+
+    def time_in_guarantee(self, guarantee: UavGuarantee) -> float:
+        """Total simulated time spent offering ``guarantee``.
+
+        Computed from the guarantee trace assuming uniform step spacing
+        between consecutive trace entries.
+        """
+        if len(self.guarantee_trace) < 2:
+            return 0.0
+        total = 0.0
+        for (t0, g), (t1, _) in zip(self.guarantee_trace, self.guarantee_trace[1:]):
+            if g is guarantee:
+                total += t1 - t0
+        return total
+
+
+@dataclass(kw_only=True)
+class Eddi(EddiResponder):
+    """Executable DDI for one UAV."""
+
+    network: UavConSertNetwork
+    adapters: list[MonitorAdapter] = field(default_factory=list)
+
+    def add_adapter(self, adapter: MonitorAdapter) -> None:
+        """Register a monitoring adapter."""
+        self.adapters.append(adapter)
+
     def step(self, now: float) -> UavGuarantee:
         """Run one monitor/diagnose/respond cycle; returns the guarantee.
 
-        When :mod:`repro.obs` is enabled, each phase runs inside a span
-        (``eddi.monitor`` / ``eddi.diagnose`` / ``eddi.respond``),
-        guarantee changes emit ``guarantee_transition`` events, and
-        adapter staleness flips emit ``staleness_demotion`` /
-        ``staleness_recovered`` events — the audit trail the paper's
-        "automates the logging of all actions" GCS requirement asks for.
+        When :mod:`repro.obs` is enabled, the monitor and diagnose phases
+        run inside ``eddi.monitor`` / ``eddi.diagnose`` spans, adapter
+        staleness flips emit ``staleness_demotion`` /
+        ``staleness_recovered`` events, and :meth:`EddiResponder.respond`
+        adds its own — the audit trail the paper's "automates the logging
+        of all actions" GCS requirement asks for.
         """
         obs_on = OBS.enabled
         with span("eddi.monitor", sim_time=now, uav=self.name):
@@ -130,48 +190,9 @@ class Eddi:
                     )
         with span("eddi.diagnose", sim_time=now, uav=self.name):
             guarantee = self.network.evaluate()
-        self.guarantee_trace.append((now, guarantee))
-        if obs_on:
-            OBS.metrics.inc("eddi_cycles_total", uav=self.name)
-        if guarantee is not self.current_guarantee:
-            response = EddiResponse(
-                stamp=now, guarantee=guarantee, previous=self.current_guarantee
-            )
-            self.response_log.append(response)
-            previous = self.current_guarantee
-            self.current_guarantee = guarantee
-            if obs_on:
-                event(
-                    "info",
-                    "core.eddi",
-                    "guarantee_transition",
-                    sim_time=now,
-                    uav=self.name,
-                    previous=previous.value if previous is not None else None,
-                    guarantee=guarantee.value,
-                )
-                OBS.metrics.inc("eddi_guarantee_transitions_total", uav=self.name)
-            callback = self.responses.get(guarantee)
-            if callback is not None:
-                with span("eddi.respond", sim_time=now, uav=self.name,
-                          guarantee=guarantee.value):
-                    callback(response)
+        self.respond(now, guarantee)
         return guarantee
 
     def stale_adapters(self) -> list[MonitorAdapter]:
         """Adapters currently past their evidence-staleness window."""
         return [a for a in self.adapters if a.stale]
-
-    def time_in_guarantee(self, guarantee: UavGuarantee) -> float:
-        """Total simulated time spent offering ``guarantee``.
-
-        Computed from the guarantee trace assuming uniform step spacing
-        between consecutive trace entries.
-        """
-        if len(self.guarantee_trace) < 2:
-            return 0.0
-        total = 0.0
-        for (t0, g), (t1, _) in zip(self.guarantee_trace, self.guarantee_trace[1:]):
-            if g is guarantee:
-                total += t1 - t0
-        return total

@@ -113,6 +113,8 @@ class ReliableChannel:
 
     def step(self, now: float) -> None:
         """Retransmit overdue messages; update the link-down verdict."""
+        if not self._pending:
+            return
         # Snapshot: on a synchronous bus the retransmit's ack can arrive
         # inline and pop entries from _pending while we iterate.
         for pending in list(self._pending.values()):

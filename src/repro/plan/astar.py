@@ -224,6 +224,12 @@ def plan_path(
     on the cell lattice and the staircase is shortcut-smoothed. Raises
     :class:`PlanError` when no route exists or the search hits the
     expansion cap.
+
+    The search covers only the grid volume. An endpoint outside it joins
+    the route through an in-volume anchor (:func:`_anchor`); when it
+    reaches no free anchor by a free segment, the result is
+    :class:`PlanError`, even if a route around the volume through free
+    outside space exists.
     """
     s = grid.nearest_free(start)
     g = grid.nearest_free(goal)

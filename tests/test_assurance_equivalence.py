@@ -387,6 +387,42 @@ def test_guarantee_callbacks_fire_identically():
     assert fired["scalar"]  # the scenario actually causes transitions
 
 
+def test_response_obs_trail_identical():
+    """With obs on, both planes record each transition alike: the same
+    ``guarantee_transition`` events and ``eddi.respond`` spans."""
+    from repro import obs
+    from repro.core.uav_network import UavGuarantee
+
+    config = json.loads((SCENARIO_DIR / "fig5_battery_fault.json").read_text())
+    # Pull the collapse forward so a fault-driven demotion lands early.
+    config["faults"] = [dict(config["faults"][0], at=10.0, soc_drop_to=0.08)]
+    trails = {}
+    for engine in ("scalar", "vectorized"):
+        scenario = load_scenario(json.loads(json.dumps(config)), engine=engine)
+        plane = build_assurance(scenario.world)
+        assert plane.engine == engine
+        for uav_id in plane.uav_ids:
+            for guarantee in UavGuarantee:
+                plane.on_guarantee(uav_id, guarantee, lambda response: None)
+        with obs.isolated(enabled=True) as session:
+            while scenario.world.time < 40.0:
+                plane.step(scenario.step())
+            events = [
+                (e.severity, e.subsystem, e.sim_time, e.payload)
+                for e in session.events.by_name("guarantee_transition")
+            ]
+            spans = [
+                (s.sim_time, s.labels)
+                for s in session.tracer.spans
+                if s.name == "eddi.respond"
+            ]
+        trails[engine] = (events, spans)
+    assert trails["scalar"] == trails["vectorized"]
+    events, spans = trails["scalar"]
+    assert len(spans) == len(events)
+    assert any(payload["previous"] is not None for *_, payload in events)
+
+
 def test_scenarios_exercise_assurance_relevant_faults():
     """Meta-check: the sweep crosses demotion-triggering fault types."""
     covered = set()

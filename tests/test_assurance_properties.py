@@ -1,4 +1,4 @@
-"""Property tests for the batched assurance plane.
+"""Property tests for the assurance plane.
 
 Where ``tests/test_assurance_equivalence.py`` proves the batched plane
 *equals* the scalar reference, this file proves both satisfy the
@@ -10,8 +10,9 @@ fuzzing campaign checks exactly the same properties:
   never *improves* the offered guarantee (``demotion_monotone_ok``).
 * SafeDrones reliability demotions driven by a continuously-evolving
   failure probability pass through every level (``demotion_step_ok``).
-* SafeML statistical distances respect their analytic ranges
-  (``distance_in_bounds``) and vanish on identical windows.
+* The distances in a :meth:`SafeMlMonitor.report` — which both planes
+  use — respect their analytic ranges (``distance_in_bounds``) and
+  vanish on identical windows.
 * The compiled boolean programs agree with the scalar ConSert trees on
   *arbitrary* evidence (not just trajectories a simulation can reach),
   and the zero-UAV / single-UAV edges behave.
@@ -22,11 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import (
-    BatchSafeDrones,
-    compiled_conserts,
-    stacked_safeml_reports,
-)
+from repro.core.batch import BatchSafeDrones, compiled_conserts
 from repro.core.uav_network import UavConSertNetwork
 from repro.harness.oracles import (
     RELIABILITY_RANK,
@@ -189,13 +186,13 @@ def _fitted_monitor(measure: str, rng, shift: float) -> SafeMlMonitor:
 
 @pytest.mark.parametrize("measure", sorted(ALL_MEASURES))
 def test_stacked_distances_respect_bounds(measure):
-    """Every stacked distance is finite, >= 0, and below its sup."""
+    """Every monitor-reported distance is finite, >= 0, and below its sup."""
     rng = np.random.default_rng(29)
     monitors = [
         _fitted_monitor(measure, rng, shift)
         for shift in (0.0, 0.5, 2.0, 10.0, -25.0)
     ]
-    for report in stacked_safeml_reports(monitors, now=1.0):
+    for report in (monitor.report(1.0) for monitor in monitors):
         for value in report.distances.values():
             assert distance_in_bounds(measure, value), (
                 f"{measure} out of bounds: {value!r}"
@@ -211,7 +208,7 @@ def test_identical_windows_have_zero_distance(measure):
     monitor.fit(np.vstack([training, training]))
     for row in training:
         monitor.observe(row)
-    (report,) = stacked_safeml_reports([monitor], now=1.0)
+    report = monitor.report(1.0)
     # The window IS (half of) the reference sample: both ECDFs coincide
     # on the pooled support, so every measure must return exactly 0.
     assert all(value == 0.0 for value in report.distances.values()), (
