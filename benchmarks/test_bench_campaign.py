@@ -3,7 +3,7 @@
 The acceptance bar for the parallel campaign runner: a 64-sample
 campaign on 4 workers must run at least 2x faster than the same campaign
 serial, while producing sample-for-sample identical results. The
-workload is the synthetic experiment's ``sleepy`` grid (64 samples, 50 ms
+workload is the chaos experiment's ``sleepy`` grid (64 samples, 50 ms
 each), which measures what the pool actually provides — overlap of
 wall-time-bound samples — independently of how many cores the CI box
 happens to have.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-import repro.harness.synthetic  # noqa: F401  (registers "synthetic")
+import repro.harness.chaos  # noqa: F401  (registers "chaos")
 from repro.harness.campaign import run_campaign
 
 from conftest import print_table, run_once
@@ -24,13 +24,13 @@ ROOT_SEED = 99
 
 def test_bench_campaign_parallel_speedup(benchmark):
     start = time.perf_counter()
-    serial = run_campaign("synthetic", grid=GRID, root_seed=ROOT_SEED, workers=1)
+    serial = run_campaign("chaos", grid=GRID, root_seed=ROOT_SEED, workers=1)
     serial_s = time.perf_counter() - start
 
     parallel = run_once(
         benchmark,
         run_campaign,
-        "synthetic",
+        "chaos",
         grid=GRID,
         root_seed=ROOT_SEED,
         workers=4,
@@ -60,12 +60,12 @@ def test_bench_campaign_parallel_speedup(benchmark):
 
 def test_bench_campaign_cache_rerun(benchmark, tmp_path):
     run_campaign(
-        "synthetic", grid="default", root_seed=ROOT_SEED, cache_dir=tmp_path
+        "chaos", grid="default", root_seed=ROOT_SEED, cache_dir=tmp_path
     )
     cached = run_once(
         benchmark,
         run_campaign,
-        "synthetic",
+        "chaos",
         grid="default",
         root_seed=ROOT_SEED,
         cache_dir=tmp_path,

@@ -217,11 +217,14 @@ def _run_fuzz_cli(args: argparse.Namespace, policy) -> int:
         print(f"manifest: {result.manifest_path}")
     print(summarize_fuzz(result))
     for seed, path in outcome.repro_paths.items():
-        shrunk = outcome.shrink_results[seed]
-        print(
-            f"minimized repro ({shrunk.oracle}, {shrunk.checks} shrink "
-            f"checks): {path}"
-        )
+        shrunk = outcome.shrink_results.get(seed)
+        if shrunk is None:  # swarm reproducers are saved unshrunk
+            print(f"repro: {path}")
+        else:
+            print(
+                f"minimized repro ({shrunk.oracle}, {shrunk.checks} shrink "
+                f"checks): {path}"
+            )
         print(f"  replay with: python -m repro scenario replay {path}")
     if not outcome.ok:
         print(
@@ -380,12 +383,17 @@ def _run_scenario_cli(args: argparse.Namespace) -> int:
         )
         return 0
 
-    # replay: run the scenario under the full property-oracle suite.
-    from repro.harness.oracles import run_scenario_oracles
+    # replay: run the scenario under its property-oracle suite.
+    from repro.harness.oracles import run_scenario_oracles, run_swarm_oracles
     from repro.scenario import ScenarioError
 
     try:
-        report = run_scenario_oracles(config, horizon_s=args.horizon)
+        if config.get("kind") == "swarm":
+            if args.horizon is not None:
+                config = {**config, "horizon_s": args.horizon}
+            report = run_swarm_oracles(config)
+        else:
+            report = run_scenario_oracles(config, horizon_s=args.horizon)
     except ScenarioError as exc:
         print(f"{path}: scenario does not load: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,6 @@ import repro.experiments.fleet_scale  # noqa: F401  (registers "fleet-scale")
 import repro.experiments.monte_carlo  # noqa: F401  (registers "monte-carlo")
 import repro.harness.chaos  # noqa: F401  (registers "chaos")
 import repro.harness.fuzz.campaign  # noqa: F401  (registers "fuzz")
-import repro.harness.synthetic  # noqa: F401  (registers "synthetic")
 import repro.plan.experiment  # noqa: F401  (registers "planner-ablation")
 import repro.swarm.experiment  # noqa: F401  (registers "swarm-sizing")
 

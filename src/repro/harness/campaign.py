@@ -24,7 +24,7 @@ and ``FaultPolicy.max_failures`` aborts early (:class:`CampaignAborted`)
 when the whole grid is broken.
 
 Experiments register a :class:`CampaignExperiment` (usually at module
-import, see :mod:`repro.experiments.campaigns`); supervised workers
+import, see :mod:`repro.experiments.campaigns`); child processes
 re-import the defining module by name, so registration must be an import
 side effect of that module.
 """
@@ -60,8 +60,8 @@ class FaultPolicy:
 
     ``timeout_s``
         Wall-clock budget for one attempt; a sample still running past it
-        is terminated (supervised execution only — setting a timeout
-        forces supervised child processes even at ``workers=1``).
+        is terminated. Setting a timeout runs every attempt in a child
+        process, even at ``workers=1``.
     ``max_attempts``
         Total attempts per sample (1 = no retries). Every attempt re-runs
         with the sample's original spawned seed, so a retried success is
@@ -373,7 +373,7 @@ def _child_entry(
     conn, module: str, name: str,
     index: int, config: dict, seed: int, observe: bool,
 ) -> None:
-    """Supervised child: run one attempt, report through the pipe.
+    """Child process: run one attempt, report through the pipe.
 
     Sends ``("ok", record)`` or ``("error", error_dict)``; a child that
     dies without sending anything is detected by the parent as a crash.
@@ -399,16 +399,17 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+#: One queued attempt: (grid index, config, seed, attempt number).
+_Item = tuple[int, dict, int, int]
+
+
 @dataclass
 class _Attempt:
-    """One supervised in-flight attempt (child process + result pipe)."""
+    """One in-flight attempt in a child process (plus its result pipe)."""
 
     process: multiprocessing.process.BaseProcess
     conn: object
-    index: int
-    config: dict
-    seed: int
-    attempt: int
+    item: _Item
     started: float = field(default_factory=time.monotonic)
 
 
@@ -450,7 +451,7 @@ def _poll_attempt(slot: _Attempt, policy: FaultPolicy) -> tuple[str, dict] | Non
     return None
 
 
-def _run_supervised(
+def _schedule(
     experiment: CampaignExperiment,
     pending: list[tuple[int, dict, int, str]],
     observe: bool,
@@ -459,19 +460,24 @@ def _run_supervised(
     checkpoint: Callable[[dict], None],
     quarantine: Callable[[dict], None],
 ) -> None:
-    """Fan pending samples over supervised child processes.
+    """Run every pending sample under ``policy``; the one executor.
 
-    One child per attempt (with a result pipe), at most ``workers`` alive
-    at once. All fault policy lives in this parent loop: exceptions come
+    With one worker and no timeout each attempt runs in this process,
+    catching ``Exception`` only, so a ``KeyboardInterrupt`` still stops
+    the campaign. Otherwise each attempt gets its own child process (with
+    a result pipe), at most ``workers`` alive at once: exceptions come
     back through the pipe, hard crashes are children that died silently,
-    timeouts are terminated, and retries are re-dispatched with the
-    sample's original seed after backoff. Finished records stream into
-    ``checkpoint`` the moment they arrive.
+    and timeouts are terminated. Either way every attempt is settled by
+    the same rule — checkpoint a success, queue a failure with attempts
+    left for a retry with its original seed after ``backoff_s * attempt``,
+    quarantine the rest — and records stream into ``checkpoint`` the
+    moment they arrive.
     """
-    ctx = _pool_context()
-    ready = [(index, config, seed, 1) for index, config, seed, _ in pending]
+    in_process = workers == 1 and policy.timeout_s is None
+    ctx = None if in_process else _pool_context()
+    ready: list[_Item] = [(i, config, seed, 1) for i, config, seed, _ in pending]
     ready.reverse()  # pop() from the tail dispatches in grid order
-    delayed: list[tuple[float, tuple[int, dict, int, int]]] = []
+    delayed: list[tuple[float, _Item]] = []
     running: list[_Attempt] = []
     try:
         while ready or delayed or running:
@@ -480,45 +486,52 @@ def _run_supervised(
                 due = [item for at, item in delayed if at <= now]
                 delayed = [(at, item) for at, item in delayed if at > now]
                 ready.extend(reversed(due))
-            while ready and len(running) < workers:
-                index, config, seed, attempt = ready.pop()
+            finished: list[tuple[_Item, float, str, tuple[str, dict]]] = []
+            if in_process and ready:
+                item = ready.pop()
+                try:
+                    outcome = ("ok", _execute_sample(experiment, *item[:3], observe))
+                except Exception as exc:
+                    outcome = ("error", _describe_error(exc, "exception"))
+                finished.append(
+                    (item, now, multiprocessing.current_process().name, outcome)
+                )
+            while not in_process and ready and len(running) < workers:
+                item = ready.pop()
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 process = ctx.Process(
                     target=_child_entry,
                     args=(child_conn, experiment.module, experiment.name,
-                          index, config, seed, observe),
+                          *item[:3], observe),
                 )
                 process.start()
                 child_conn.close()
-                running.append(
-                    _Attempt(process, parent_conn, index, config, seed, attempt)
-                )
-            progressed = False
+                running.append(_Attempt(process, parent_conn, item))
             for slot in list(running):
                 outcome = _poll_attempt(slot, policy)
-                if outcome is None:
-                    continue
-                progressed = True
-                running.remove(slot)
-                slot.conn.close()
-                kind, payload = outcome
-                if kind == "ok":
-                    payload["attempts"] = slot.attempt
-                    checkpoint(payload)
-                elif slot.attempt < policy.max_attempts:
-                    _note_retry(experiment.name, slot.index, slot.attempt, payload)
-                    retry_at = time.monotonic() + policy.backoff_s * slot.attempt
-                    delayed.append(
-                        (retry_at,
-                         (slot.index, slot.config, slot.seed, slot.attempt + 1))
+                if outcome is not None:
+                    running.remove(slot)
+                    slot.conn.close()
+                    finished.append(
+                        (slot.item, slot.started, slot.process.name, outcome)
                     )
+            for item, started, worker, (kind, payload) in finished:
+                index, config, seed, attempt = item
+                if kind == "ok":
+                    payload["attempts"] = attempt
+                    checkpoint(payload)
+                elif attempt < policy.max_attempts:
+                    _note_retry(experiment.name, index, attempt, payload)
+                    delayed.append((
+                        time.monotonic() + policy.backoff_s * attempt,
+                        (index, config, seed, attempt + 1),
+                    ))
                 else:
                     quarantine(_failure_record(
-                        slot.index, slot.config, slot.seed, payload,
-                        slot.attempt, time.monotonic() - slot.started,
-                        slot.process.name,
+                        index, config, seed, payload, attempt,
+                        time.monotonic() - started, worker,
                     ))
-            if not progressed:
+            if not finished:
                 time.sleep(0.005)
     finally:
         for slot in running:
@@ -526,46 +539,6 @@ def _run_supervised(
                 slot.process.terminate()
             slot.process.join()
             slot.conn.close()
-
-
-def _run_inline(
-    experiment: CampaignExperiment,
-    pending: list[tuple[int, dict, int, str]],
-    observe: bool,
-    policy: FaultPolicy,
-    checkpoint: Callable[[dict], None],
-    quarantine: Callable[[dict], None],
-) -> None:
-    """Serial in-process execution with the same retry/quarantine policy.
-
-    Exceptions are quarantined exactly like the supervised path (so
-    serial and parallel failure handling agree); wall-clock timeouts and
-    hard-crash containment need child processes, which is why a policy
-    with ``timeout_s`` set always routes to :func:`_run_supervised`.
-    """
-    for index, config, seed, _ in pending:
-        attempt = 1
-        while True:
-            start = time.perf_counter()
-            try:
-                record = _execute_sample(experiment, index, config, seed, observe)
-            except Exception as exc:
-                error = _describe_error(exc, "exception")
-                if attempt < policy.max_attempts:
-                    _note_retry(experiment.name, index, attempt, error)
-                    if policy.backoff_s > 0.0:
-                        time.sleep(policy.backoff_s * attempt)
-                    attempt += 1
-                    continue
-                quarantine(_failure_record(
-                    index, config, seed, error, attempt,
-                    time.perf_counter() - start,
-                    multiprocessing.current_process().name,
-                ))
-                break
-            record["attempts"] = attempt
-            checkpoint(record)
-            break
 
 
 def run_campaign(
@@ -584,9 +557,10 @@ def run_campaign(
 
     ``grid`` is a preset name resolved via the experiment's ``grids``
     hook, or an explicit list of config dicts (recorded as ``"custom"``).
-    ``workers=1`` runs inline in this process; ``workers>1`` shards the
-    non-cached points over supervised worker processes. Results are
-    identical either way. ``cache_dir=None`` disables the on-disk cache.
+    With one worker and no ``policy.timeout_s`` the non-cached points run
+    in this process; otherwise each attempt runs in its own child
+    process, at most ``workers`` at once. Results are identical either
+    way. ``cache_dir=None`` disables the on-disk cache.
 
     Fault tolerance: each finished sample is checkpointed into the cache
     immediately (an interrupted campaign keeps all completed work), and
@@ -686,18 +660,10 @@ def run_campaign(
 
         start = time.perf_counter()
         with campaign_timer.phase("execute"):
-            supervised = policy.timeout_s is not None or (
-                workers > 1 and len(pending) > 1
+            _schedule(
+                experiment, pending, observe, policy,
+                min(workers, len(pending)), checkpoint, quarantine,
             )
-            if pending and supervised:
-                _run_supervised(
-                    experiment, pending, observe, policy,
-                    min(workers, len(pending)), checkpoint, quarantine,
-                )
-            elif pending:
-                _run_inline(
-                    experiment, pending, observe, policy, checkpoint, quarantine,
-                )
         wall_s = time.perf_counter() - start
 
         with campaign_timer.phase("finalize"):

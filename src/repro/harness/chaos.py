@@ -1,12 +1,15 @@
-"""Chaos campaign experiment: fault injection against the harness itself.
+"""Chaos campaign experiment: the harness's self-test.
 
-A self-contained experiment (like :mod:`repro.harness.synthetic`) whose
-samples crash, hang, flake, or hard-exit **by config** — the test rig
-for the campaign engine's fault policy (timeout, retries, quarantine,
-resume). The injected faults never touch the sample's *result*: the
-deterministic payload is drawn fresh from the sample's seed after the
-fault block, so a chaotic-but-survived campaign fingerprints identically
-to one that never faulted.
+A self-contained experiment with no simulation dependencies. Each sample
+draws from its assigned RNG stream (so serial/parallel equivalence is
+meaningfully tested, not trivially true) and can sleep to emulate a
+wall-time-bound sample, which is what the pool-overlap benchmark
+measures. Samples can also crash, hang, flake, or hard-exit **by
+config** — the test rig for the campaign engine's fault policy (timeout,
+retries, quarantine, resume). The injected faults never touch the
+sample's *result*: the deterministic payload is drawn fresh from the
+sample's seed after the fault block, so a chaotic-but-survived campaign
+fingerprints identically to one that never faulted.
 
 Fault spec — an optional ``"fault"`` object inside a sample's config::
 
@@ -88,11 +91,16 @@ def chaos_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
 
 
 def chaos_grid(preset: str) -> list[dict]:
-    """``smoke``: 8 clean points; ``ci-flaky``: 12 points, every third
-    flakes once (markers under ``.chaos-markers/``) and each sleeps long
-    enough that a mid-run kill actually interrupts the sweep."""
-    if preset in ("smoke", "default"):
+    """``smoke``: 8 clean points; ``default``: 64; ``sleepy``: 64 × 50 ms;
+    ``ci-flaky``: 12 points, every third flakes once (markers under
+    ``.chaos-markers/``) and each sleeps long enough that a mid-run kill
+    actually interrupts the sweep."""
+    if preset == "smoke":
         return [{"i": i, "n": 256, "loc": float(i)} for i in range(8)]
+    if preset == "default":
+        return [{"n": 4096, "loc": float(i % 7)} for i in range(64)]
+    if preset == "sleepy":
+        return [{"n": 64, "loc": 0.0, "sleep_s": 0.05} for _ in range(64)]
     if preset == "ci-flaky":
         grid = []
         for i in range(12):
@@ -111,7 +119,7 @@ CHAOS = register_experiment(
         name="chaos",
         sample_fn=chaos_sample,
         grids=chaos_grid,
-        describe="fault-injection self-test: crash/hang/flake by config",
-        presets=("smoke", "default", "ci-flaky"),
+        describe="harness self-test: seeded draws, sleep, crash/hang/flake by config",
+        presets=("smoke", "default", "sleepy", "ci-flaky"),
     )
 )

@@ -178,14 +178,6 @@ class DegradedBus(RosBus):
         self._links[_pair(node_a, node_b)] = link
         return link
 
-    def link_between(self, node_a: str, node_b: str) -> LinkModel | None:
-        """The link configured for a pair, or None (perfect delivery)."""
-        return self._links.get(_pair(node_a, node_b))
-
-    def links_of(self, node: str) -> list[LinkModel]:
-        """All configured links touching ``node``."""
-        return [link for pair, link in self._links.items() if node in pair]
-
     # ------------------------------------------- node/fleet level faults
     def set_node_down(self, node: str, down: bool = True) -> None:
         """Radio blackout: while down, nothing reaches or leaves ``node``."""

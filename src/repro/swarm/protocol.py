@@ -536,16 +536,6 @@ class LeaderProtocol:
             )
         return followers, released
 
-    def channel_stats(self) -> dict[str, int]:
-        """Summed reliable-channel counters over the current roster."""
-        totals = {"sent": 0, "retries": 0, "acked": 0, "delivered": 0,
-                  "duplicates": 0, "gaps": 0}
-        for fid in sorted(self._slots):
-            stats = self._slots[fid].channel.stats
-            for key in totals:
-                totals[key] += getattr(stats, key)
-        return totals
-
     def close(self) -> None:
         for fid in sorted(self._slots):
             self._slots[fid].channel.close()

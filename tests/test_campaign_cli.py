@@ -17,12 +17,14 @@ import pytest
 import repro.experiments.campaigns  # noqa: F401  (registers experiments)
 import repro.harness.chaos  # noqa: F401  (registers "chaos")
 from repro.__main__ import main
+from repro.harness import oracles
 from repro.harness.cache import ResultCache
 from repro.harness.campaign import (
     get_experiment,
     list_experiments,
     run_campaign,
 )
+from repro.harness.fuzz.generator import ScenarioGenerator, scenario_to_json
 from repro.obs.export import prometheus_text
 
 CATALOGUE = [(e.name, p) for e in list_experiments() for p in e.presets]
@@ -80,21 +82,21 @@ class TestCatalogue:
 class TestCliRuns:
     def test_smoke_run_matches_direct_run(self, capsys, in_tmp):
         assert main(
-            ["campaign", "synthetic", "--grid", "smoke", "--seed", "4",
+            ["campaign", "chaos", "--grid", "smoke", "--seed", "4",
              "--no-cache"]
         ) == 0
-        direct = run_campaign("synthetic", grid="smoke", root_seed=4)
+        direct = run_campaign("chaos", grid="smoke", root_seed=4)
         assert cli_fingerprint(capsys.readouterr().out) == direct.fingerprint
 
     def test_two_workers_match_one(self, capsys, in_tmp):
-        base = ["campaign", "synthetic", "--grid", "smoke", "--no-cache"]
+        base = ["campaign", "chaos", "--grid", "smoke", "--no-cache"]
         assert main(base) == 0
         serial = cli_fingerprint(capsys.readouterr().out)
         assert main([*base, "--workers", "2"]) == 0
         assert cli_fingerprint(capsys.readouterr().out) == serial
 
     def test_rerun_is_served_from_cache(self, capsys, in_tmp):
-        argv = ["campaign", "synthetic", "--grid", "smoke",
+        argv = ["campaign", "chaos", "--grid", "smoke",
                 "--cache-dir", str(in_tmp / "cache")]
         assert main(argv) == 0
         first = capsys.readouterr().out
@@ -129,7 +131,7 @@ class TestCliRuns:
     )
     def test_boundary_values_accepted(self, capsys, in_tmp, argv):
         assert main(
-            ["campaign", "synthetic", "--grid", "smoke", "--no-cache", *argv]
+            ["campaign", "chaos", "--grid", "smoke", "--no-cache", *argv]
         ) == 0
         out, err = capsys.readouterr()
         assert "samples: 8 (0 cached, 0 failed)" in out
@@ -155,6 +157,47 @@ class TestFuzzCli:
         out = capsys.readouterr().out
         assert "grid=smoke:2" in out
         assert "samples: 2 (0 cached, 0 failed)" in out
+
+    def test_swarm_violation_reports_unshrunk_reproducer(
+        self, capsys, in_tmp, monkeypatch
+    ):
+        # Swarm reproducers are saved without a shrink result; the CLI
+        # must still list each one and how to replay it.
+        real = oracles.run_swarm_oracles
+
+        def violating(config, *args, **kwargs):
+            report = real(config, *args, **kwargs)
+            report.violations.append(
+                oracles.Violation("swarm_tasking", None, None, "forced")
+            )
+            return report
+
+        monkeypatch.setattr(oracles, "run_swarm_oracles", violating)
+        assert main(
+            ["campaign", "fuzz", "--profile", "hostile", "--count", "4",
+             "--no-cache", "--artifacts", str(in_tmp / "artifacts")]
+        ) == 1
+        out = capsys.readouterr().out
+        saved = sorted((in_tmp / "artifacts").glob("repro_*.json"))
+        assert len(saved) == 1
+        assert f"repro: {saved[0]}" in out
+        assert f"python -m repro scenario replay {saved[0]}" in out
+
+
+class TestScenarioReplayCli:
+    def test_swarm_reproducer_replays_under_swarm_oracles(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "swarm.json"
+        path.write_text(
+            scenario_to_json(ScenarioGenerator(4).generate_swarm("hostile"))
+        )
+        assert main(["scenario", "replay", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "swarm_tasking" in out
+        assert "all oracles passed" in out
+        assert main(["scenario", "replay", str(path), "--horizon", "20"]) == 0
+        assert "40 steps over 20 s sim time" in capsys.readouterr().out
 
 
 class TestInterruptAndResume:
@@ -188,14 +231,14 @@ class TestInterruptAndResume:
 class TestCacheRoots:
     def test_separate_roots_share_nothing_but_agree(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        first_a = run_campaign("synthetic", grid="smoke", root_seed=2, cache_dir=a)
-        first_b = run_campaign("synthetic", grid="smoke", root_seed=2, cache_dir=b)
+        first_a = run_campaign("chaos", grid="smoke", root_seed=2, cache_dir=a)
+        first_b = run_campaign("chaos", grid="smoke", root_seed=2, cache_dir=b)
         assert first_a.manifest["totals"]["cached"] == 0
         assert first_b.manifest["totals"]["cached"] == 0
-        assert ResultCache(a).count("synthetic") == 8
-        assert ResultCache(b).count("synthetic") == 8
+        assert ResultCache(a).count("chaos") == 8
+        assert ResultCache(b).count("chaos") == 8
         assert first_a.fingerprint == first_b.fingerprint
-        again_a = run_campaign("synthetic", grid="smoke", root_seed=2, cache_dir=a)
+        again_a = run_campaign("chaos", grid="smoke", root_seed=2, cache_dir=a)
         assert again_a.manifest["totals"]["cached"] == 8
         assert again_a.fingerprint == first_a.fingerprint
 

@@ -10,22 +10,22 @@ from __future__ import annotations
 
 import pytest
 
-import repro.harness.synthetic  # noqa: F401  (registers "synthetic")
+import repro.harness.chaos  # noqa: F401  (registers "chaos")
 from repro.experiments.monte_carlo import MONTE_CARLO_CAMPAIGN, result_from_campaign
 from repro.harness.campaign import run_campaign
 from repro.harness.manifest import deterministic_view
 
 
 class TestSyntheticEquivalence:
-    """Full 64-point grid, real pool fan-out."""
+    """Synthetic draws: chaos's clean 64-point grid, real pool fan-out."""
 
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_campaign("synthetic", grid="default", root_seed=123, workers=1)
+        return run_campaign("chaos", grid="default", root_seed=123, workers=1)
 
     @pytest.fixture(scope="class")
     def parallel(self):
-        return run_campaign("synthetic", grid="default", root_seed=123, workers=4)
+        return run_campaign("chaos", grid="default", root_seed=123, workers=4)
 
     def test_fingerprints_identical(self, serial, parallel):
         assert serial.fingerprint == parallel.fingerprint

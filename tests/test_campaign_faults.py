@@ -10,6 +10,8 @@ after the "fix".
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 import repro.harness.chaos  # noqa: F401  (registers "chaos")
@@ -60,10 +62,29 @@ class TestQuarantine:
         # Every record — including the quarantined one — was checkpointed.
         assert ResultCache(tmp_path / "cache").count("chaos") == 6
 
-    def test_serial_and_parallel_failure_handling_agree(self, tmp_path):
-        grid, _ = grid_with_fault(tmp_path, {"mode": "crash"})
-        serial = run_campaign("chaos", grid=grid, root_seed=7, workers=1)
-        parallel = run_campaign("chaos", grid=grid, root_seed=7, workers=4)
+    @pytest.mark.parametrize(
+        "fault, policy, failed",
+        [
+            ({"mode": "crash"}, None, 1),
+            # The serial retry waits out its backoff in this process.
+            ({"mode": "flaky", "fails": 1, "dir": "markers"},
+             FaultPolicy(max_attempts=2, backoff_s=0.05), 0),
+        ],
+        ids=["crash", "flaky-backoff"],
+    )
+    def test_serial_and_parallel_failure_handling_agree(
+        self, tmp_path, monkeypatch, fault, policy, failed
+    ):
+        monkeypatch.chdir(tmp_path)  # flake markers land under tmp_path
+        grid, _ = grid_with_fault(tmp_path, fault)
+        serial = run_campaign(
+            "chaos", grid=grid, root_seed=7, workers=1, policy=policy
+        )
+        # Same configs, fresh flake state: the pool run flakes again.
+        shutil.rmtree(tmp_path / "markers", ignore_errors=True)
+        parallel = run_campaign(
+            "chaos", grid=grid, root_seed=7, workers=4, policy=policy
+        )
 
         def view(result):
             return [
@@ -75,7 +96,7 @@ class TestQuarantine:
 
         assert view(serial) == view(parallel)
         assert serial.fingerprint == parallel.fingerprint
-        assert serial.manifest["totals"]["failed"] == 1
+        assert serial.manifest["totals"]["failed"] == failed
 
     def test_worker_hard_crash_detected(self, tmp_path):
         # os._exit in a worker: the child dies without reporting. The

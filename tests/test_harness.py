@@ -6,17 +6,16 @@ import json
 
 import pytest
 
-import repro.harness.synthetic  # noqa: F401  (registers "synthetic")
 from repro.experiments.common import build_three_uav_world, uav_rng_streams
 from repro.harness.cache import ResultCache, code_fingerprint, sample_key, stable_hash
 from repro.harness.campaign import SampleRecord, get_experiment, run_campaign
+from repro.harness.chaos import chaos_sample
 from repro.harness.manifest import (
     deterministic_view,
     manifest_fingerprint,
     read_manifest,
 )
 from repro.harness.seeding import sample_seed, spawn_sample_seeds
-from repro.harness.synthetic import synthetic_sample
 from repro.harness.timing import PhaseTimer
 
 
@@ -64,9 +63,9 @@ class TestCacheKeys:
         assert sample_key("e", {"x": 1}, 5, "d") != base
 
     def test_code_fingerprint_tracks_source_and_version(self):
-        fp = code_fingerprint(synthetic_sample)
-        assert fp == code_fingerprint(synthetic_sample)
-        assert fp != code_fingerprint(synthetic_sample, version="2")
+        fp = code_fingerprint(chaos_sample)
+        assert fp == code_fingerprint(chaos_sample)
+        assert fp != code_fingerprint(chaos_sample, version="2")
 
     def test_cache_round_trip_and_corruption_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -174,16 +173,16 @@ class TestPhaseTimer:
 
 class TestRunCampaign:
     def test_records_in_grid_order_with_assigned_seeds(self):
-        result = run_campaign("synthetic", grid="smoke", root_seed=9)
+        result = run_campaign("chaos", grid="smoke", root_seed=9)
         assert [r.index for r in result.records] == list(range(8))
         assert [r.seed for r in result.records] == spawn_sample_seeds(9, 8)
 
     def test_cache_skips_completed_points(self, tmp_path):
         first = run_campaign(
-            "synthetic", grid="smoke", root_seed=9, cache_dir=tmp_path
+            "chaos", grid="smoke", root_seed=9, cache_dir=tmp_path
         )
         second = run_campaign(
-            "synthetic", grid="smoke", root_seed=9, cache_dir=tmp_path
+            "chaos", grid="smoke", root_seed=9, cache_dir=tmp_path
         )
         assert first.manifest["totals"]["cached"] == 0
         assert second.manifest["totals"]["cached"] == 8
@@ -191,19 +190,19 @@ class TestRunCampaign:
         assert second.fingerprint == first.fingerprint
 
     def test_root_seed_changes_results(self):
-        a = run_campaign("synthetic", grid="smoke", root_seed=1)
-        b = run_campaign("synthetic", grid="smoke", root_seed=2)
+        a = run_campaign("chaos", grid="smoke", root_seed=1)
+        b = run_campaign("chaos", grid="smoke", root_seed=2)
         assert a.fingerprint != b.fingerprint
 
     def test_explicit_config_grid_is_custom(self):
-        result = run_campaign("synthetic", grid=[{"n": 16}], root_seed=0)
+        result = run_campaign("chaos", grid=[{"n": 16}], root_seed=0)
         assert result.grid == "custom"
         assert len(result.records) == 1
 
     def test_manifest_written_and_fingerprint_reproducible(self, tmp_path):
         path = tmp_path / "manifest.json"
         result = run_campaign(
-            "synthetic", grid="smoke", root_seed=4, manifest_path=path
+            "chaos", grid="smoke", root_seed=4, manifest_path=path
         )
         on_disk = read_manifest(path)
         assert on_disk["schema_version"] == 3
@@ -218,13 +217,13 @@ class TestRunCampaign:
         # The audit contract: re-running one sample from its manifest
         # entry (config + seed) reproduces its result exactly.
         path = tmp_path / "manifest.json"
-        run_campaign("synthetic", grid="smoke", root_seed=4, manifest_path=path)
+        run_campaign("chaos", grid="smoke", root_seed=4, manifest_path=path)
         entry = read_manifest(path)["samples"][3]
-        redo = synthetic_sample(entry["config"], entry["seed"], PhaseTimer())
+        redo = chaos_sample(entry["config"], entry["seed"], PhaseTimer())
         assert redo == entry["result"]
 
     def test_deterministic_view_strips_provenance(self):
-        result = run_campaign("synthetic", grid="smoke", root_seed=4)
+        result = run_campaign("chaos", grid="smoke", root_seed=4)
         view = deterministic_view(result.manifest)
         assert "workers" not in view
         assert all("wall_time_s" not in s for s in view["samples"])
@@ -233,10 +232,10 @@ class TestRunCampaign:
         with pytest.raises(KeyError):
             get_experiment("no-such-experiment")
         with pytest.raises(ValueError):
-            run_campaign("synthetic", grid="smoke", workers=0)
+            run_campaign("chaos", grid="smoke", workers=0)
 
     def test_manifest_is_json_serializable(self):
-        result = run_campaign("synthetic", grid="smoke", root_seed=0)
+        result = run_campaign("chaos", grid="smoke", root_seed=0)
         json.dumps(result.manifest)
 
     def test_sample_record_from_dict_tolerates_older_schema(self):
