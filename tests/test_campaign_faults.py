@@ -63,17 +63,17 @@ class TestQuarantine:
         assert ResultCache(tmp_path / "cache").count("chaos") == 6
 
     @pytest.mark.parametrize(
-        "fault, policy, failed",
+        "fault, policy, failed, attempts",
         [
-            ({"mode": "crash"}, None, 1),
+            ({"mode": "crash"}, None, 1, 1),
             # The serial retry waits out its backoff in this process.
             ({"mode": "flaky", "fails": 1, "dir": "markers"},
-             FaultPolicy(max_attempts=2, backoff_s=0.05), 0),
+             FaultPolicy(max_attempts=2, backoff_s=0.05), 0, 2),
         ],
         ids=["crash", "flaky-backoff"],
     )
     def test_serial_and_parallel_failure_handling_agree(
-        self, tmp_path, monkeypatch, fault, policy, failed
+        self, tmp_path, monkeypatch, fault, policy, failed, attempts
     ):
         monkeypatch.chdir(tmp_path)  # flake markers land under tmp_path
         grid, _ = grid_with_fault(tmp_path, fault)
@@ -97,6 +97,7 @@ class TestQuarantine:
         assert view(serial) == view(parallel)
         assert serial.fingerprint == parallel.fingerprint
         assert serial.manifest["totals"]["failed"] == failed
+        assert serial.records[2].attempts == attempts
 
     def test_worker_hard_crash_detected(self, tmp_path):
         # os._exit in a worker: the child dies without reporting. The
