@@ -365,6 +365,25 @@ def _run_scenario_cli(args: argparse.Namespace) -> int:
         print(f"{path}: expected a JSON object at the top level", file=sys.stderr)
         return 1
 
+    if args.scenario_command == "validate" and config.get("kind") == "swarm":
+        # Swarm files follow the swarm simulator's schema, not the SAR
+        # one: build them with the loader ``scenario replay`` uses.
+        from repro.swarm.sim import build_swarm
+
+        try:
+            sim = build_swarm(config)
+        except Exception as exc:
+            print(
+                f"{path}: does not load: {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
+            return 1
+        print(
+            f"{path}: OK — swarm, k_leaders={sim.k}, rho={sim.rho}, "
+            f"n_pois={sim.n_pois}"
+        )
+        return 0
+
     if args.scenario_command == "validate":
         from repro.scenario import lint_scenario
 

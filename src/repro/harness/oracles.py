@@ -68,6 +68,7 @@ from typing import Any
 
 from repro.core.batch import build_assurance
 from repro.core.uav_network import UavGuarantee
+from repro.plan.grid import blocked_legs
 from repro.safedrones.monitor import ReliabilityLevel
 from repro.scenario import Scenario, load_scenario
 from repro.uav.uav import FlightMode
@@ -318,13 +319,13 @@ class PlannedPathClearanceOracle(Oracle):
             legs = [tuple(uav.dynamics.position)] + [
                 tuple(wp) for wp in waypoints
             ]
-            for a, b in zip(legs, legs[1:]):
-                if not field.grid.segment_free(a, b):
-                    self.record(
-                        now, uav_id,
-                        f"planned leg {tuple(round(v, 1) for v in a)} -> "
-                        f"{tuple(round(v, 1) for v in b)} crosses an obstacle",
-                    )
+            for i in blocked_legs(field.grid, legs):
+                a, b = legs[i], legs[i + 1]
+                self.record(
+                    now, uav_id,
+                    f"planned leg {tuple(round(v, 1) for v in a)} -> "
+                    f"{tuple(round(v, 1) for v in b)} crosses an obstacle",
+                )
 
 
 class EngineLockstepOracle(Oracle):

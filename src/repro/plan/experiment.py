@@ -35,6 +35,7 @@ from repro.harness.campaign import (
     register_experiment,
 )
 from repro.harness.timing import PhaseTimer
+from repro.plan.grid import blocked_legs
 from repro.plan.routing import inspection_points, plan_inspection_tours
 from repro.sar.mission import SarMission
 from repro.scenario import load_scenario
@@ -96,19 +97,19 @@ def _clearance_block(world, plans: dict[str, list]) -> dict:
         legs = [tuple(world.uavs[uav_id].spec.base_position)] + [
             tuple(wp) for wp in plans[uav_id]
         ]
-        for a, b in zip(legs, legs[1:]):
-            if not grid.segment_free(a, b):
-                violations.append(
-                    {
-                        "oracle": "planned_path_clearance",
-                        "uav": uav_id,
-                        "message": (
-                            f"leg {tuple(round(v, 1) for v in a)} -> "
-                            f"{tuple(round(v, 1) for v in b)} crosses an "
-                            "obstacle"
-                        ),
-                    }
-                )
+        for i in blocked_legs(grid, legs):
+            a, b = legs[i], legs[i + 1]
+            violations.append(
+                {
+                    "oracle": "planned_path_clearance",
+                    "uav": uav_id,
+                    "message": (
+                        f"leg {tuple(round(v, 1) for v in a)} -> "
+                        f"{tuple(round(v, 1) for v in b)} crosses an "
+                        "obstacle"
+                    ),
+                }
+            )
     return {
         "passed": not violations,
         "checked": ["planned_path_clearance"],

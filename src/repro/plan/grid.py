@@ -10,7 +10,13 @@ JSON), with
 * conservative *inflation* (Euclidean dilation by the vehicle radius)
   producing the configuration-space grid the A* planner searches,
 * vectorised point / segment freeness queries used by both the planner
-  and the ``planned_path_clearance`` oracle, and
+  and the ``planned_path_clearance`` oracle: one batched segment kernel,
+  :meth:`OccupancyGrid3D.segments_free`, behind ``segment_free``,
+  ``path_free`` and :func:`blocked_legs`. It samples each segment bit
+  for bit as a one-segment query would: the length is the same BLAS dot
+  per row (a stacked ``matmul``, not a row-wise sum that rounds apart),
+  the t values are ``_unit_samples`` and the points ``a*(1-t) + b*t``,
+  all elementwise, and
 * :class:`ObstacleIndex` — KD-tree-style nearest-obstacle queries built
   from pure-NumPy uniform cell binning (no SciPy dependency).
 
@@ -42,11 +48,16 @@ def _require_finite(point) -> None:
         raise PlanError(f"non-finite point {tuple(point)!r}")
 
 
-def _unit_samples(n: int) -> np.ndarray:
-    """``np.linspace(0.0, 1.0, n)`` for ``n >= 2``, bit for bit, without
-    its argument handling: ``arange(n) * (1 / (n - 1))``, last set to 1."""
-    t = np.arange(n) * (1.0 / (n - 1))
-    t[-1] = 1.0
+def _unit_samples(counts) -> np.ndarray:
+    """``np.linspace(0.0, 1.0, n)`` for each ``n >= 2`` in ``counts``
+    (an int or an array of them), concatenated, bit for bit, without its
+    argument handling: sample ``k`` is ``k * (1 / (n - 1))``, the last 1.0.
+    """
+    counts = np.atleast_1d(counts)
+    first = np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(len(counts)), counts)
+    t = (np.arange(len(seg)) - first[seg]) * (1.0 / (counts - 1))[seg]
+    t[first + counts - 1] = 1.0
     return t
 
 
@@ -158,15 +169,23 @@ class OccupancyGrid3D:
     # ------------------------------------------------------------ queries
     def point_indices(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cell indices of ``(n, 3)`` points plus an in-bounds mask."""
-        rel = (np.asarray(points, dtype=float) - np.asarray(self.origin)) / self.cell_m
+        coords = np.asarray(points, dtype=float).reshape(-1, 3).T
+        idx, inside = self._cell_indices(np.ascontiguousarray(coords))
+        return idx.T, inside
+
+    def _cell_indices(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`point_indices` on axis-major ``(3, n)`` coordinates: the
+        ``(3, n)`` cell indices and the ``(n,)`` in-bounds mask. Axis-major
+        rows keep every NumPy pass on one long contiguous run."""
+        shape = np.asarray(self.shape)[:, None]
+        rel = (coords - np.asarray(self.origin)[:, None]) / self.cell_m
         idx = np.floor(rel).astype(int)
         # The grid volume is closed: a point exactly on the upper boundary
         # face (e.g. a waypoint at the search-area edge) belongs to the
         # last cell, not to the free outside.
-        shape = np.asarray(self.shape)
         at_top = (idx >= shape) & (rel <= shape + _TOP_FACE_TOL)
         idx = np.where(at_top, shape - 1, idx)
-        inside = ((idx >= 0) & (idx < shape)).all(axis=-1)
+        inside = ((idx >= 0) & (idx < shape)).all(axis=0)
         return idx, inside
 
     def is_free(self, point: tuple[float, float, float]) -> bool:
@@ -200,35 +219,57 @@ class OccupancyGrid3D:
             ]
         return free
 
+    def segments_free(self, starts, ends) -> np.ndarray:
+        """Whether each straight segment ``starts[i] -> ends[i]`` stays in
+        free space, for ``(m, 3)`` endpoint arrays, in one NumPy pass.
+
+        Each segment is sampled at half-cell resolution (endpoints
+        included), which cannot skip a full occupied cell. Raises
+        :class:`PlanError` for a non-finite endpoint. Empty input gives
+        an empty array.
+        """
+        a = np.asarray(starts, dtype=float).reshape(-1, 3)
+        b = np.asarray(ends, dtype=float).reshape(-1, 3)
+        if len(a) == 0:
+            return np.zeros(0, dtype=bool)
+        finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            point = a[bad] if not np.isfinite(a[bad]).all() else b[bad]
+            raise PlanError(f"non-finite point {tuple(point.tolist())!r}")
+        d = b - a
+        # Each length is ``math.sqrt(d.dot(d))``, what ``np.linalg.norm``
+        # gives for one real vector. A stacked 1x3 @ 3x1 ``matmul`` calls
+        # that same BLAS dot per row; ``(d * d).sum(axis=1)`` would not,
+        # and rounds apart wherever the BLAS dot fuses multiply and add.
+        length = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+        # ``max(2, ceil(length / half) + 1)``, exact in float below 2**53.
+        counts = np.maximum(
+            np.ceil(length / (0.5 * self.cell_m)) + 1.0, 2.0
+        ).astype(np.int64)
+        t = _unit_samples(counts)
+        points = (
+            np.repeat(a.T, counts, axis=1) * (1.0 - t)
+            + np.repeat(b.T, counts, axis=1) * t
+        )
+        idx, inside = self._cell_indices(points)
+        hit = idx[:, inside]
+        blocked = np.zeros(len(t), dtype=bool)
+        blocked[inside] = self.occupied[hit[0], hit[1], hit[2]]
+        return ~np.logical_or.reduceat(blocked, np.cumsum(counts) - counts)
+
     def segment_free(
         self,
         a: tuple[float, float, float],
         b: tuple[float, float, float],
     ) -> bool:
-        """Whether the straight segment ``a -> b`` stays in free space.
-
-        Sampled at half-cell resolution (endpoints included), which
-        cannot skip a full occupied cell. Raises :class:`PlanError` for a
-        non-finite endpoint.
-        """
-        _require_finite(a)
-        _require_finite(b)
-        a_arr = np.asarray(a, dtype=float)
-        b_arr = np.asarray(b, dtype=float)
-        d = b_arr - a_arr
-        # What ``np.linalg.norm`` computes for a real vector.
-        length = math.sqrt(d.dot(d))
-        n = max(2, int(math.ceil(length / (0.5 * self.cell_m))) + 1)
-        t = _unit_samples(n)[:, None]
-        idx, inside = self.point_indices(a_arr * (1.0 - t) + b_arr * t)
-        hit = idx[inside]
-        return not self.occupied[hit[:, 0], hit[:, 1], hit[:, 2]].any()
+        """Whether the straight segment ``a -> b`` stays in free space
+        (:meth:`segments_free` for one segment)."""
+        return bool(self.segments_free([a], [b])[0])
 
     def path_free(self, waypoints: list[tuple[float, float, float]]) -> bool:
         """Whether every leg of a waypoint polyline is collision-free."""
-        return all(
-            self.segment_free(p, q) for p, q in zip(waypoints, waypoints[1:])
-        )
+        return not blocked_legs(self, waypoints)
 
     def nearest_free(
         self, point: tuple[float, float, float]
@@ -291,6 +332,22 @@ class OccupancyGrid3D:
                 bin_m=max(4.0 * self.cell_m, 1e-9),
             )
         return self._index.nearest_distance(points)
+
+
+def blocked_legs(
+    grid: OccupancyGrid3D, points: list[tuple[float, float, float]]
+) -> list[int]:
+    """Indices ``i``, ascending, of the polyline legs ``points[i] ->
+    points[i + 1]`` that cross an occupied cell of ``grid``.
+
+    One :meth:`OccupancyGrid3D.segments_free` call checks every leg; the
+    planner-ablation clearance block and the harness
+    ``planned_path_clearance`` oracle both report through it.
+    """
+    if len(points) < 2:
+        return []
+    free = grid.segments_free(points[:-1], points[1:])
+    return np.flatnonzero(~free).tolist()
 
 
 class ObstacleIndex:

@@ -199,6 +199,30 @@ class TestScenarioReplayCli:
         assert main(["scenario", "replay", str(path), "--horizon", "20"]) == 0
         assert "40 steps over 20 s sim time" in capsys.readouterr().out
 
+    def test_swarm_file_validates_with_the_replay_loader(self, capsys, tmp_path):
+        path = tmp_path / "swarm.json"
+        path.write_text(
+            scenario_to_json(ScenarioGenerator(4).generate_swarm("hostile"))
+        )
+        assert main(["scenario", "validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "OK" in out
+        assert "k_leaders=3, rho=8, n_pois=18" in out
+
+    def test_swarm_file_missing_a_required_key_fails_validation(
+        self, capsys, tmp_path
+    ):
+        # Every top-level swarm key has a default; a fault entry's "at"
+        # does not, and the loader reads it when it builds the swarm.
+        config = ScenarioGenerator(4).generate_swarm("hostile")
+        del config["faults"][0]["at"]
+        path = tmp_path / "swarm.json"
+        path.write_text(scenario_to_json(config))
+        assert main(["scenario", "validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "does not load" in err
+        assert "'at'" in err
+
 
 class TestInterruptAndResume:
     @pytest.mark.parametrize("at", [0, 3, 5])

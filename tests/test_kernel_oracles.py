@@ -27,7 +27,8 @@ from repro.core.adapters import _within_range
 from repro.core.batch import build_assurance
 from repro.experiments.common import build_three_uav_world
 from repro.obs import event
-from repro.plan.grid import OccupancyGrid3D, _unit_samples
+from repro.plan.astar import astar_cells, shortcut_path
+from repro.plan.grid import OccupancyGrid3D, PlanError, _unit_samples, blocked_legs
 from repro.sar.mission import SarMission
 from repro.scenario import load_scenario
 from repro.security.spoofing import GpsSpoofingDetector, SpoofVerdict
@@ -200,6 +201,22 @@ def _segment_free_reference(self, a, b) -> bool:
     t = np.linspace(0.0, 1.0, n)[:, None]
     samples = a_arr[None, :] * (1.0 - t) + b_arr[None, :] * t
     return bool(_points_free_reference(self, samples).all())
+
+
+def _shortcut_path_reference(grid, points):
+    # The greedy descending loop, checked per segment by the reference
+    # segment query above.
+    if len(points) <= 2:
+        return list(points)
+    out = [points[0]]
+    i = 0
+    while i < len(points) - 1:
+        j = len(points) - 1
+        while j > i + 1 and not _segment_free_reference(grid, points[i], points[j]):
+            j -= 1
+        out.append(points[j])
+        i = j
+    return out
 
 
 # ------------------------------------------------------------ 50-UAV pin
@@ -624,6 +641,149 @@ class TestGridQueriesMatchReference:
                 assert grid.segment_free(a_, b_) == _segment_free_reference(grid, a_, b_), (
                     a_, b_
                 )
+
+
+    def test_segments_free_matches_reference_row_by_row(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            grid = _random_grid(rng)
+            starts = [_random_point(rng, grid) for _ in range(40)]
+            ends = [_random_point(rng, grid) for _ in range(40)]
+            got = grid.segments_free(starts, ends)
+            assert got.dtype == bool and got.shape == (40,)
+            want = [_segment_free_reference(grid, a, b) for a, b in zip(starts, ends)]
+            assert got.tolist() == want
+
+    def test_segments_free_on_edge_segments(self):
+        # The same grids and cases as ``test_edge_segments``, in one batch
+        # per grid.
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            grid = _random_grid(rng)
+            cases = _edge_segment_cases(rng, grid)
+            got = grid.segments_free([a for a, _ in cases], [b for _, b in cases])
+            want = [_segment_free_reference(grid, a, b) for a, b in cases]
+            assert got.tolist() == want, cases
+
+    def test_segments_free_lengths_on_sample_boundaries(self):
+        # Oblique segments a whole number of half cells long, up to the
+        # rounding of the endpoints: the sample count turns on the last
+        # bits of each length, which must round as the per-segment norm.
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            grid = _random_grid(rng)
+            half = 0.5 * grid.cell_m
+            starts, ends = [], []
+            for _ in range(100):
+                a = np.asarray(_random_point(rng, grid))
+                u = rng.normal(size=3)
+                u /= np.linalg.norm(u)
+                b = a + u * (int(rng.integers(1, 40)) * half)
+                starts.append(tuple(a.tolist()))
+                ends.append(tuple(b.tolist()))
+            got = grid.segments_free(starts, ends)
+            want = [_segment_free_reference(grid, a, b) for a, b in zip(starts, ends)]
+            assert got.tolist() == want
+
+    def test_segments_free_empty_input(self):
+        grid = OccupancyGrid3D.empty((8.0, 8.0, 8.0), 1.0)
+        for empty in ([], np.empty((0, 3))):
+            out = grid.segments_free(empty, empty)
+            assert out.dtype == bool and out.shape == (0,)
+        assert blocked_legs(grid, []) == [] and blocked_legs(grid, [(1.0, 1.0, 1.0)]) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_segments_free_non_finite_endpoint_raises(self, bad, end):
+        grid = OccupancyGrid3D.empty((8.0, 8.0, 8.0), 1.0)
+        starts = [(1.0, 1.0, 1.0)] * 5
+        ends = [(6.0, 6.0, 6.0)] * 5
+        (starts if end == "start" else ends)[3] = (2.0, bad, 2.0)
+        with pytest.raises(PlanError, match="non-finite point"):
+            grid.segments_free(starts, ends)
+
+    def test_blocked_legs_matches_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            grid = _random_grid(rng)
+            polyline = [_random_point(rng, grid) for _ in range(int(rng.integers(2, 12)))]
+            want = [
+                i for i, (a, b) in enumerate(zip(polyline, polyline[1:]))
+                if not _segment_free_reference(grid, a, b)
+            ]
+            assert blocked_legs(grid, polyline) == want
+            assert grid.path_free(polyline) == (not want)
+
+    def test_shortcut_matches_reference_on_astar_paths(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            grid = _random_grid(rng)
+            free = np.argwhere(~grid.occupied)
+            if len(free) < 2:
+                continue
+            for _ in range(4):
+                s, g = (tuple(int(v) for v in free[k]) for k in rng.integers(len(free), size=2))
+                cells = astar_cells(grid.occupied, s, g)
+                if cells is None:
+                    continue
+                points = [
+                    tuple(float(v) for v in c)
+                    for c in grid.cell_centers(np.asarray(cells))
+                ]
+                assert shortcut_path(grid, points) == _shortcut_path_reference(grid, points)
+
+    def test_shortcut_matches_reference_on_random_polylines(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            grid = _random_grid(rng)
+            points = [_random_point(rng, grid) for _ in range(int(rng.integers(1, 25)))]
+            assert shortcut_path(grid, points) == _shortcut_path_reference(grid, points)
+
+    def test_shortcut_two_point_all_free_and_all_blocked(self):
+        rng = np.random.default_rng(23)
+        empty = OccupancyGrid3D.empty((10.0, 10.0, 10.0), 1.0)
+        full = OccupancyGrid3D(
+            origin=(0.0, 0.0, 0.0), cell_m=1.0, occupied=np.ones((10, 10, 10), dtype=bool)
+        )
+        for n in (2, 3, 7, 20):
+            points = [tuple(rng.uniform(0.0, 10.0, 3).tolist()) for _ in range(n)]
+            free_cut = shortcut_path(empty, points)
+            assert free_cut == _shortcut_path_reference(empty, points)
+            assert free_cut == [points[0], points[-1]]
+            blocked_cut = shortcut_path(full, points)
+            assert blocked_cut == _shortcut_path_reference(full, points)
+            assert blocked_cut == points
+
+
+def _edge_segment_cases(rng, grid):
+    """``test_edge_segments``' case list for ``grid``, drawing from ``rng``
+    exactly as that test does."""
+    o, c, size = grid.origin, grid.cell_m, grid.size_m
+    top = tuple(oi + si for oi, si in zip(o, size))
+    a = _random_point(rng, grid)
+    cases = [
+        (a, a),
+        (top, top),
+        (o, top),
+        (top, (o[0], top[1], top[2])),
+        ((o[0] - 5 * c, o[1] - 5 * c, o[2]), (o[0] - 5 * c, top[1] + 5 * c, top[2])),
+        ((o[0], o[1], top[2] + c), (top[0], top[1], top[2] + c)),
+    ]
+    for k in range(1, 12):
+        cases.append((a, (a[0] + k * 0.5 * c, a[1], a[2])))
+        cases.append((a, (a[0], a[1] - k * 0.5 * c, a[2])))
+    occ = np.argwhere(grid.occupied)
+    if len(occ):
+        i, j, k = occ[0]
+        lo = tuple(oi + n * c for oi, n in zip(o, (i, j, k)))
+        hi = tuple(v + c for v in lo)
+        cases += [
+            ((lo[0] - c, lo[1], lo[2]), (hi[0] + c, lo[1], lo[2])),
+            ((lo[0] - c, hi[1], hi[2]), (hi[0] + c, hi[1], hi[2])),
+            ((lo[0] - c, lo[1] - 1e-9, lo[2]), (hi[0] + c, lo[1] - 1e-9, lo[2])),
+            ((lo[0], lo[1] - c, lo[2]), (hi[0], hi[1] + c, hi[2])),
+        ]
+    return cases
 
 
 # ----------------------------------------------------------- neighbour test

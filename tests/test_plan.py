@@ -795,6 +795,32 @@ class TestAstarKernel:
         assert astar_cells(occupied, (0, 0, 0), (9, 9, 9)) is None
 
 
+class TestInPlaceGridEdits:
+    def test_queries_see_an_obstacle_added_in_place(self):
+        grid = _wall_field().inflated
+        start, goal = (10.0, 50.0, 10.0), (90.0, 50.0, 10.0)
+        idx, _ = grid.point_indices(np.asarray([start, goal]))
+        s_cell, g_cell = (tuple(int(v) for v in row) for row in idx)
+        route = plan_path(grid, start, goal)
+        cells = astar_cells(grid.occupied, s_cell, g_cell)
+        assert len(route) > 2
+        # An interior route vertex is the centre of a cell on the A* path.
+        hit, _ = grid.point_indices(np.asarray(route[1:2]))
+        edited = tuple(int(v) for v in hit[0])
+        assert edited in cells
+        assert grid.segments_free(route[:-1], route[1:]).all()
+
+        grid.occupied[edited] = True
+
+        legs_free = grid.segments_free(route[:-1], route[1:])
+        assert not legs_free[0] and not legs_free[1]
+        new_cells = astar_cells(grid.occupied, s_cell, g_cell)
+        assert new_cells is not None and edited not in new_cells
+        new_route = plan_path(grid, start, goal)
+        assert new_route != route
+        assert grid.path_free(new_route)
+
+
 class TestLatticeHeuristic:
     def test_equals_empty_grid_dijkstra_cost(self):
         # Every integer offset up to 12 per axis, in all eight octants.
