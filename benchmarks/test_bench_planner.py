@@ -34,9 +34,12 @@ STARTS = [(8.0, 8.0, ALTITUDE), (128.0, 8.0, ALTITUDE), (248.0, 8.0, ALTITUDE)]
 #: On a 2-vCPU Intel Xeon the plan took 0.42 s with a tuple/dict A* and
 #: 0.14 s with the flat-index A* and table-driven 2-opt; on a later
 #: 2-vCPU Xeon host it takes 0.06-0.07 s with either the straight-line or
-#: the octile A* heuristic (few legs at 30 m need A*): ample headroom for
-#: slow CI runners, yet tight enough to catch a complexity regression in
-#: the planner stack.
+#: the octile A* heuristic (few legs at 30 m need A*). With the batched
+#: segment-clearance kernel it takes 0.06-0.10 s on a 2-vCPU Xeon VM,
+#: against 0.09-0.10 s before it in alternating runs on the same host
+#: (few legs here need shortcut smoothing): ample headroom for slow CI
+#: runners, yet tight enough to catch a complexity regression in the
+#: planner stack.
 BUDGET_S = 5.0
 
 
