@@ -1,20 +1,18 @@
-"""Fleet resilience: battery failure, redistribution, holistic assessment.
+"""Fleet resilience: battery failure, redistribution, post-flight KPIs.
 
 The full mission-level story of the paper's Fig. 1: a three-UAV coverage
 mission in wind; one UAV's battery degrades; SafeDrones demotes its
 reliability; the mission decider rules "task redistribution needed"; the
 task redistributor hands the dropped UAV's remaining coverage to the
 peers with spare capacity; the mission completes. Along the way, the
-safety-security co-engineering monitor fuses the Safety and Security EDDI
-views, the flight recorder captures KPIs, and the web API renders the
-dashboard payload.
+flight recorder captures KPIs, and the web API renders the dashboard
+payload.
 
 Run:  python examples/fleet_resilience.py
 """
 
 import numpy as np
 
-from repro.core.coengineering import CoEngineeringMonitor
 from repro.core.decider import MissionDecider, MissionVerdict
 from repro.core.uav_network import UavConSertNetwork
 from repro.experiments.common import build_three_uav_world
@@ -26,9 +24,6 @@ from repro.platform.uav_manager import UavManager
 from repro.safedrones.monitor import SafeDronesMonitor
 from repro.sar.mission import SarMission
 from repro.sar.redistribution import TaskRedistributor
-from repro.security.attack_trees import ros_spoofing_attack_tree
-from repro.security.broker import MqttBroker
-from repro.security.eddi import SecurityEddi
 from repro.uav.battery import BatteryFault
 from repro.uav.environment import Environment
 from repro.uav.uav import FlightMode
@@ -51,18 +46,13 @@ def main() -> None:
 
     # Assurance layer: ConSert networks + monitors per UAV.
     decider = MissionDecider()
-    networks, monitors, co_monitors = {}, {}, {}
-    broker = MqttBroker()
+    networks, monitors = {}, {}
     for uav_id in world.uavs:
         network = UavConSertNetwork(uav_id=uav_id)
         network.set_reliability_level("high")
         decider.add_uav(network)
         networks[uav_id] = network
         monitors[uav_id] = SafeDronesMonitor(uav_id=uav_id)
-        co_monitors[uav_id] = CoEngineeringMonitor(
-            safety=monitors[uav_id],
-            security=SecurityEddi(tree=ros_spoofing_attack_tree(), broker=broker),
-        )
 
     # The mission, with a battery fault scheduled on uav1.
     mission = SarMission(world=world, altitude_m=20.0)
@@ -104,16 +94,7 @@ def main() -> None:
     print(f"persons found: {mission.metrics.persons_found}/{mission.metrics.persons_total}")
     print(f"coverage: {100 * mission.metrics.coverage_fraction:.0f}%\n")
 
-    print("holistic dependability (safety-security co-engineering):")
-    for uav_id, monitor in sorted(co_monitors.items()):
-        assessment = monitor.assess(world.time)
-        print(
-            f"  {uav_id}: {assessment.level.value} "
-            f"(reliability {assessment.reliability_level.value}, "
-            f"combined PoF {assessment.combined_failure_probability:.3f})"
-        )
-
-    print("\npost-flight KPIs:")
+    print("post-flight KPIs:")
     for uav_id in sorted(world.uavs):
         kpis = recorder.kpis(uav_id)
         print(

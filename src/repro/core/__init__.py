@@ -19,8 +19,6 @@ Modules:
   network for the SAR use case, ready to wire to live monitors.
 - :mod:`repro.core.ode` — Open-Dependability-Exchange-style packaging of
   dependability models (serialisation for design-time interchange).
-- :mod:`repro.core.assurance` — GSN-style assurance cases linking goals to
-  runtime evidence.
 """
 
 from repro.core.conserts import (
@@ -35,7 +33,6 @@ from repro.core.decider import MissionDecider, MissionVerdict
 from repro.core.eddi import Eddi, EddiResponse, MonitorAdapter
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
 from repro.core.ode import OdePackage
-from repro.core.assurance import AssuranceCase, Goal, Solution, Strategy
 from repro.core.adapters import (
     MonitorStack,
     PeerTelemetryMonitor,
@@ -44,19 +41,6 @@ from repro.core.adapters import (
     build_uav_eddi,
 )
 from repro.core.responses import FleetResponseCoordinator, StandardResponsePolicy
-from repro.core.analysis import (
-    ValidationResult,
-    find_composition_cycles,
-    find_unbound_demands,
-    guarantee_reachability,
-    validate_composition,
-)
-from repro.core.coengineering import (
-    CoAssessment,
-    CoEngineeringMonitor,
-    DependabilityLevel,
-    SecurityInformedEvent,
-)
 
 __all__ = [
     "AndNode",
@@ -73,19 +57,6 @@ __all__ = [
     "UavConSertNetwork",
     "UavGuarantee",
     "OdePackage",
-    "AssuranceCase",
-    "Goal",
-    "Solution",
-    "Strategy",
-    "CoAssessment",
-    "CoEngineeringMonitor",
-    "DependabilityLevel",
-    "SecurityInformedEvent",
-    "ValidationResult",
-    "find_composition_cycles",
-    "find_unbound_demands",
-    "guarantee_reachability",
-    "validate_composition",
     "MonitorStack",
     "PeerTelemetryMonitor",
     "attach_degraded_comm",

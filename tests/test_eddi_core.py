@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.assurance import AssuranceCase, Goal, Solution, Strategy
 from repro.core.conserts import AndNode, ConSert, Guarantee, RuntimeEvidence
 from repro.core.eddi import Eddi, MonitorAdapter
 from repro.core.ode import OdePackage, consert_from_dict, conserts_to_dict
@@ -159,53 +158,3 @@ class TestOdePackage:
         # Default evidence is False -> the rebuilt top-level UAV ConSert
         # falls back to emergency landing, its unconditional default.
         assert restored["uav1/uav"].evaluate().name == "emergency_land"
-
-
-class TestAssuranceCase:
-    def build_case(self, live_flag):
-        root = Goal("G1", "UAV mission is acceptably safe")
-        strategy = root.add_strategy(
-            Strategy("S1", "argue over hazards individually")
-        )
-        battery = strategy.add_goal(Goal("G2", "battery failure is managed"))
-        battery.add_solution(
-            Solution("Sn1", "SafeDrones PoF below threshold", check=lambda: live_flag["ok"])
-        )
-        spoof = strategy.add_goal(Goal("G3", "spoofing is detected and mitigated"))
-        spoof.add_solution(Solution("Sn2", "Security EDDI detection evidence"))
-        return AssuranceCase(name="uav-case", root=root)
-
-    def test_complete_case_evaluates_true(self):
-        case = self.build_case({"ok": True})
-        assert case.is_complete()
-        assert case.evaluate()
-
-    def test_live_evidence_failure_fails_root(self):
-        flag = {"ok": True}
-        case = self.build_case(flag)
-        flag["ok"] = False
-        assert not case.evaluate()
-
-    def test_undeveloped_goal_detected(self):
-        case = self.build_case({"ok": True})
-        case.root.strategies[0].add_goal(Goal("G4", "comms are secure"))
-        assert not case.is_complete()
-        assert [g.goal_id for g in case.undeveloped_goals()] == ["G4"]
-        assert not case.evaluate()
-
-    def test_render_contains_status(self):
-        case = self.build_case({"ok": True})
-        text = case.render()
-        assert "G1" in text and "OK" in text
-        assert "Sn1" in text
-
-    def test_goal_with_only_solutions_is_developed(self):
-        goal = Goal("G", "claim")
-        goal.add_solution(Solution("S", "evidence"))
-        assert goal.developed
-        assert goal.supported()
-
-    def test_strategy_without_subgoals_unsupported(self):
-        goal = Goal("G", "claim")
-        goal.add_strategy(Strategy("S", "argument"))
-        assert not goal.supported()

@@ -1,17 +1,9 @@
-"""Unit tests for SAR search patterns and ConSert static analysis."""
+"""Unit tests for the SAR search patterns."""
 
 import math
 
 import pytest
 
-from repro.core.analysis import (
-    find_composition_cycles,
-    find_unbound_demands,
-    guarantee_reachability,
-    validate_composition,
-)
-from repro.core.conserts import AndNode, ConSert, Demand, Guarantee, RuntimeEvidence
-from repro.core.uav_network import UavConSertNetwork
 from repro.sar.coverage import swath_width_m
 from repro.sar.patterns import (
     coverage_radius_profile,
@@ -85,108 +77,3 @@ class TestSectorSearch:
     def test_pattern_length_positive(self):
         path = sector_search(DATUM, 20.0, radius_m=60.0)
         assert pattern_length_m(path) > 6 * 60.0
-
-
-def toy_pair(bound=True):
-    provider = ConSert(
-        name="provider",
-        guarantees=[
-            Guarantee("service_ok", AndNode([RuntimeEvidence("ok", True)])),
-            Guarantee("service_down", None),
-        ],
-    )
-    demand = Demand("d", frozenset({"service_ok"}))
-    if bound:
-        demand.bind(provider)
-    consumer = ConSert(
-        name="consumer",
-        guarantees=[
-            Guarantee("go", AndNode([demand])),
-            Guarantee("stop", None),
-        ],
-    )
-    return provider, consumer
-
-
-class TestConsertAnalysis:
-    def test_unbound_demand_detected(self):
-        provider, consumer = toy_pair(bound=False)
-        assert find_unbound_demands([provider, consumer]) == [("consumer", "d")]
-
-    def test_bound_composition_clean(self):
-        provider, consumer = toy_pair()
-        assert find_unbound_demands([provider, consumer]) == []
-        assert find_composition_cycles([provider, consumer]) == []
-
-    def test_cycle_detected(self):
-        a = ConSert(name="a", guarantees=[Guarantee("a_ok", None)])
-        b = ConSert(name="b", guarantees=[Guarantee("b_ok", None)])
-        demand_ab = Demand("dab", frozenset({"b_ok"})).bind(b)
-        demand_ba = Demand("dba", frozenset({"a_ok"})).bind(a)
-        a.guarantees.insert(0, Guarantee("a_strong", AndNode([demand_ab])))
-        b.guarantees.insert(0, Guarantee("b_strong", AndNode([demand_ba])))
-        cycles = find_composition_cycles([a, b])
-        assert cycles
-        assert any(set(cycle) >= {"a", "b"} for cycle in cycles)
-
-    def test_reachability_all_guarantees(self):
-        provider, consumer = toy_pair()
-        reports = {
-            r.consert: r for r in guarantee_reachability([provider, consumer])
-        }
-        assert reports["consumer"].reachable == ["go", "stop"]
-        assert reports["consumer"].unreachable == []
-
-    def test_unreachable_guarantee_detected(self):
-        impossible = ConSert(
-            name="x",
-            guarantees=[
-                Guarantee(
-                    "never",
-                    AndNode(
-                        [
-                            # e and not-e can't both hold... model with an
-                            # unbound demand, which never satisfies.
-                            Demand("no_provider", frozenset({"ghost"})),
-                        ]
-                    ),
-                ),
-                Guarantee("always", None),
-            ],
-        )
-        reports = guarantee_reachability([impossible])
-        assert reports[0].unreachable == ["never"]
-
-    def test_reachability_refuses_huge_networks(self):
-        conserts = [
-            ConSert(
-                name=f"c{i}",
-                guarantees=[
-                    Guarantee("g", AndNode([RuntimeEvidence(f"e{i}_{j}") for j in range(3)])),
-                    Guarantee("d", None),
-                ],
-            )
-            for i in range(8)
-        ]
-        with pytest.raises(ValueError):
-            guarantee_reachability(conserts, max_evidence=16)
-
-    def test_full_uav_network_validates(self):
-        network = UavConSertNetwork(uav_id="uav1")
-        conserts = [
-            network.security,
-            network.gps_localization,
-            network.vision_health,
-            network.vision_localization,
-            network.comm_localization,
-            network.drone_detection,
-            network.reliability,
-            network.navigation,
-            network.uav,
-        ]
-        result = validate_composition(conserts, max_evidence=16)
-        assert result.unbound_demands == []
-        assert result.cycles == []
-        # Every guarantee in the Fig. 1 network is reachable.
-        assert result.unreachable_guarantees == []
-        assert result.ok
