@@ -31,13 +31,6 @@ from repro.localization.collaborative import (
 )
 from repro.localization.fusion import ConstantVelocityKalman
 from repro.localization.landing import GuidedLandingController, LandingReport
-from repro.localization.comm import (
-    CommLocalizationService,
-    CommLocalizer,
-    MultilaterationFix,
-    RangeMeasurement,
-    RfRangingModel,
-)
 
 __all__ = [
     "MonocularDepthEstimator",
@@ -49,9 +42,4 @@ __all__ = [
     "ConstantVelocityKalman",
     "GuidedLandingController",
     "LandingReport",
-    "CommLocalizationService",
-    "CommLocalizer",
-    "MultilaterationFix",
-    "RangeMeasurement",
-    "RfRangingModel",
 ]

@@ -15,7 +15,6 @@ Communication-based Localization ConSert monitors.
 """
 
 from repro.middleware.rosbus import Message, RosBus, Subscription, TrafficLog
-from repro.middleware.auth import MessageSigner, SignedPayload, VerifyingSubscriber
 from repro.middleware.degraded import DegradedBus, LinkModel, LinkStats
 from repro.middleware.reliable import ReliableChannel, ReliableChannelStats
 from repro.middleware.attacks import (
@@ -39,7 +38,4 @@ __all__ = [
     "EavesdropAttack",
     "MitmAttack",
     "SpoofingAttack",
-    "MessageSigner",
-    "SignedPayload",
-    "VerifyingSubscriber",
 ]

@@ -1,13 +1,11 @@
-"""Unit tests for message authentication, the environment model,
-multivariate SafeML measures, the web API, and combination coverage."""
+"""Unit tests for the environment model, multivariate SafeML measures, the
+web API, and combination coverage."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.middleware.auth import MessageSigner, SignedPayload, VerifyingSubscriber
-from repro.middleware.rosbus import RosBus
 from repro.safeml.multivariate import (
     energy_distance,
     median_heuristic_bandwidth,
@@ -16,71 +14,6 @@ from repro.safeml.multivariate import (
 )
 from repro.uav.dynamics import UavDynamics
 from repro.uav.environment import Environment, GustProcess
-
-KEY = b"fleet-shared-key"
-
-
-def make_channel():
-    bus = RosBus()
-    received = []
-    signer = MessageSigner(node="uav1", key=KEY)
-    subscriber = VerifyingSubscriber(
-        bus=bus,
-        topic="/uav1/pose",
-        node="mapper",
-        key=KEY,
-        on_message=lambda sender, body: received.append((sender, body)),
-    )
-    return bus, signer, subscriber, received
-
-
-class TestMessageAuthentication:
-    def test_authentic_messages_delivered(self):
-        bus, signer, subscriber, received = make_channel()
-        signer.publish(bus, "/uav1/pose", {"east": 1.0})
-        signer.publish(bus, "/uav1/pose", {"east": 2.0})
-        assert received == [("uav1", {"east": 1.0}), ("uav1", {"east": 2.0})]
-        assert subscriber.accepted == 2
-
-    def test_unsigned_spoof_rejected(self):
-        bus, signer, subscriber, received = make_channel()
-        bus.publish("/uav1/pose", {"forged": True}, sender="uav1", origin="adversary")
-        assert received == []
-        assert subscriber.rejected["unsigned"] == 1
-
-    def test_forged_tag_rejected(self):
-        bus, signer, subscriber, received = make_channel()
-        fake = SignedPayload(sender="uav1", seq=99, body={"x": 1}, tag="00" * 32)
-        bus.publish("/uav1/pose", fake, sender="uav1", origin="adversary")
-        assert received == []
-        assert subscriber.rejected["bad_tag"] == 1
-
-    def test_wrong_key_rejected(self):
-        bus, _, subscriber, received = make_channel()
-        rogue = MessageSigner(node="uav1", key=b"guessed-key")
-        rogue.publish(bus, "/uav1/pose", {"x": 1})
-        assert received == []
-        assert subscriber.rejected["bad_tag"] == 1
-
-    def test_replay_rejected(self):
-        bus, signer, subscriber, received = make_channel()
-        payload = signer.sign({"east": 1.0})
-        bus.publish("/uav1/pose", payload, sender="uav1")
-        bus.publish("/uav1/pose", payload, sender="uav1", origin="adversary")
-        assert len(received) == 1
-        assert subscriber.rejected["replay"] == 1
-
-    def test_tampered_body_rejected(self):
-        bus, signer, subscriber, received = make_channel()
-        payload = signer.sign({"east": 1.0})
-        tampered = SignedPayload(
-            sender=payload.sender, seq=payload.seq,
-            body={"east": 999.0}, tag=payload.tag,
-        )
-        bus.publish("/uav1/pose", tampered, sender="uav1", origin="adversary")
-        assert received == []
-        assert subscriber.rejected["bad_tag"] == 1
-
 
 class TestEnvironment:
     def make(self, seed=0, **kwargs):

@@ -5,8 +5,8 @@ byte-for-byte equivalent to RosBus on an existing fleet experiment,
 (b) a scripted partition demotes the affected UAV's EDDI guarantee within
 one staleness window and the guarantee recovers after the partition
 heals, (c) ReliableChannel's retry count stays bounded (capped backoff)
-across a 30 s blackout — plus unit coverage of LinkModel, the comm fault
-factories, and the link-state gating of CommLocalizationService.
+across a 30 s blackout — plus unit coverage of LinkModel and the comm
+fault factories.
 """
 
 import math
@@ -17,15 +17,8 @@ import pytest
 from repro.core.adapters import attach_degraded_comm, build_uav_eddi
 from repro.core.uav_network import UavGuarantee
 from repro.experiments.common import build_three_uav_world
-from repro.localization.comm import (
-    CommLocalizationService,
-    CommLocalizer,
-    RangeMeasurement,
-    RfRangingModel,
-)
 from repro.middleware.degraded import DegradedBus, LinkModel
 from repro.middleware.reliable import ReliableChannel
-from repro.middleware.rosbus import RosBus
 from repro.safedrones.communication import GilbertElliottChannel
 from repro.sar.coverage import boustrophedon_path
 from repro.uav.faults import (
@@ -475,75 +468,3 @@ class TestReliableChannel:
         bob.close()
         alice.send("into the void", now=0.0)
         assert delivered == []
-
-
-class TestCommLocalizationLinkGating:
-    def _service(self):
-        return CommLocalizationService(
-            target_id="uav1",
-            ranging=RfRangingModel(rng=np.random.default_rng(4)),
-        )
-
-    def _anchors(self):
-        return {
-            "uav2": (0.0, 0.0, 30.0),
-            "uav3": (80.0, 0.0, 30.0),
-            "uav4": (40.0, 70.0, 30.0),
-        }
-
-    def test_link_down_overrides_measurement_count(self):
-        service = self._service()
-        target = (30.0, 25.0, 20.0)
-        service.update(0.0, self._anchors(), target, altitude_prior=20.0)
-        assert service.link_ok
-        # Transport reports the link down: measurements are still in the
-        # window, but the guarantee must drop immediately.
-        service.set_link_state(False)
-        assert not service.link_ok
-        # And no new ranging happens while down.
-        before = len(service.measurements)
-        service.update(0.5, self._anchors(), target, altitude_prior=20.0)
-        assert len(service.measurements) <= before
-        service.set_link_state(True)
-        service.update(1.0, self._anchors(), target, altitude_prior=20.0)
-        assert service.link_ok
-
-    def test_solver_nonconvergence_returns_unconverged_fix(self):
-        """Degenerate geometry yields converged=False, never an exception."""
-        localizer = CommLocalizer()
-        coincident = [
-            RangeMeasurement(
-                anchor_id=f"a{i}",
-                anchor_enu=(0.0, 0.0, 0.0),
-                range_m=10.0,
-                sigma_m=0.3,
-                stamp=0.0,
-            )
-            for i in range(3)
-        ]
-        fix = localizer.solve(coincident, initial_guess=(1.0, 1.0, 1.0))
-        assert fix is not None  # must not raise, whatever the geometry
-
-    def test_all_starts_failing_returns_unconverged_fix(self, monkeypatch):
-        import repro.localization.comm as comm_mod
-
-        def always_fails(*args, **kwargs):
-            raise ValueError("x0 is infeasible")
-
-        monkeypatch.setattr(comm_mod, "least_squares", always_fails)
-        localizer = CommLocalizer()
-        measurements = [
-            RangeMeasurement(
-                anchor_id=f"a{i}",
-                anchor_enu=(30.0 * i, 10.0 * i, 0.0),
-                range_m=25.0,
-                sigma_m=0.3,
-                stamp=0.0,
-            )
-            for i in range(3)
-        ]
-        fix = localizer.solve(measurements, initial_guess=(5.0, 5.0, 5.0))
-        assert fix is not None
-        assert not fix.converged
-        assert fix.enu == (5.0, 5.0, 5.0)
-        assert math.isinf(fix.residual_rms_m)

@@ -1,104 +1,13 @@
-"""Property-based tests for the extension modules: message auth,
-multilateration, redistribution, multivariate distances, quantitative
-attack trees."""
-
-import math
+"""Property-based tests for the extension modules: redistribution,
+multivariate distances, quantitative attack trees."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.localization.comm import CommLocalizer, RangeMeasurement
-from repro.middleware.auth import MessageSigner, VerifyingSubscriber
-from repro.middleware.rosbus import RosBus
 from repro.safeml.multivariate import energy_distance, mmd_rbf
 from repro.security.analysis import propagate_likelihood
 from repro.security.attack_trees import AttackNode, GateType
-
-
-class TestAuthProperties:
-    @given(
-        bodies=st.lists(
-            st.dictionaries(
-                st.text(min_size=1, max_size=8),
-                st.integers(min_value=-1000, max_value=1000),
-                max_size=4,
-            ),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    @settings(max_examples=50)
-    def test_signed_stream_delivers_in_order(self, bodies):
-        bus = RosBus()
-        received = []
-        key = b"k"
-        signer = MessageSigner(node="uav1", key=key)
-        VerifyingSubscriber(
-            bus=bus, topic="/t", node="sub", key=key,
-            on_message=lambda sender, body: received.append(body),
-        )
-        for body in bodies:
-            signer.publish(bus, "/t", body)
-        assert received == bodies
-
-    @given(
-        seq=st.integers(min_value=0, max_value=10_000),
-        body=st.integers(),
-    )
-    @settings(max_examples=50)
-    def test_forged_tags_never_accepted(self, seq, body):
-        from repro.middleware.auth import SignedPayload
-
-        bus = RosBus()
-        received = []
-        VerifyingSubscriber(
-            bus=bus, topic="/t", node="sub", key=b"secret",
-            on_message=lambda sender, payload: received.append(payload),
-        )
-        forged = SignedPayload(sender="uav1", seq=seq, body=body, tag="ab" * 32)
-        bus.publish("/t", forged, sender="uav1", origin="adversary")
-        assert received == []
-
-
-@st.composite
-def anchor_geometry(draw):
-    """Random well-spread 4-anchor geometry plus a target inside it."""
-    anchors = {}
-    offsets = [(0.0, 0.0), (120.0, 0.0), (60.0, 130.0), (-50.0, 70.0)]
-    for i, (east, north) in enumerate(offsets):
-        jitter_e = draw(st.floats(min_value=-20.0, max_value=20.0))
-        jitter_n = draw(st.floats(min_value=-20.0, max_value=20.0))
-        alt = draw(st.floats(min_value=2.0, max_value=40.0))
-        anchors[f"a{i}"] = (east + jitter_e, north + jitter_n, alt)
-    target = (
-        draw(st.floats(min_value=10.0, max_value=90.0)),
-        draw(st.floats(min_value=10.0, max_value=90.0)),
-        draw(st.floats(min_value=5.0, max_value=35.0)),
-    )
-    return anchors, target
-
-
-class TestMultilaterationProperties:
-    @given(geometry=anchor_geometry())
-    @settings(max_examples=40, deadline=None)
-    def test_noiseless_solve_recovers_target(self, geometry):
-        anchors, target = geometry
-        measurements = [
-            RangeMeasurement(
-                anchor_id=anchor_id,
-                anchor_enu=anchor,
-                range_m=math.dist(anchor, target),
-                sigma_m=0.3,
-                stamp=0.0,
-            )
-            for anchor_id, anchor in anchors.items()
-        ]
-        fix = CommLocalizer().solve(
-            measurements, initial_guess=(50.0, 50.0, 20.0), altitude_prior=target[2]
-        )
-        assert fix is not None
-        assert math.dist(fix.enu, target) < 0.5
 
 
 class TestRedistributionProperties:

@@ -141,7 +141,7 @@ class TestColdImports:
 
     SciPy costs more to import than a paper-suite round takes to run, so
     it loads only inside the solvers that need it (``expm``,
-    ``least_squares``, ``linprog``). The check runs in a fresh interpreter:
+    ``linprog``). The check runs in a fresh interpreter:
     this test process has SciPy loaded already.
     """
 
