@@ -1,9 +1,7 @@
-"""Ablation benches: SAR search-pattern choice and detection modality.
+"""Ablation bench: SAR search-pattern choice.
 
-Pattern bench: when a survivor's last known position (datum) is known,
-how fast does each pattern put the camera over them? Modality bench: the
-day/night/ambient sweep showing why the paper's airframes carry thermal
-imaging alongside RGB.
+When a survivor's last known position (datum) is known, how fast does
+each pattern put the camera over them?
 """
 
 import math
@@ -13,7 +11,6 @@ from conftest import print_table, run_once
 
 from repro.sar.coverage import boustrophedon_path
 from repro.sar.patterns import expanding_square, pattern_length_m, sector_search
-from repro.sar.thermal import LightCondition, fused_accuracy, rgb_accuracy, thermal_accuracy
 
 DATUM = (150.0, 150.0)
 ALTITUDE = 20.0
@@ -90,31 +87,3 @@ def test_search_pattern_time_to_find(benchmark):
     # Datum-centred prior: the expanding square finds survivors sooner
     # (median) than the uniform sweep.
     assert by_name["expanding_square"][3] < by_name["boustrophedon"][3]
-
-
-def test_detection_modality_sweep(benchmark):
-    """RGB / thermal / fused accuracy over the operating envelope."""
-
-    def sweep():
-        rows = []
-        for light in LightCondition:
-            for ambient in (10.0, 25.0, 35.0):
-                rows.append(
-                    (light.value, ambient,
-                     rgb_accuracy(ALTITUDE, light),
-                     thermal_accuracy(ALTITUDE, ambient),
-                     fused_accuracy(ALTITUDE, light, ambient))
-                )
-        return rows
-
-    rows = run_once(benchmark, sweep)
-    print_table(
-        "Detection modality ablation — light x ambient temperature",
-        ["light", "ambient [C]", "RGB acc", "thermal acc", "fused acc"],
-        [
-            [r[0], f"{r[1]:.0f}", f"{r[2]:.3f}", f"{r[3]:.3f}", f"{r[4]:.3f}"]
-            for r in rows
-        ],
-    )
-    for row in rows:
-        assert row[4] >= max(row[2], row[3]) - 1e-9

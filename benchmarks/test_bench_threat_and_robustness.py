@@ -1,60 +1,8 @@
-"""Ablation benches: threat-landscape quantification, FTA importance
-analysis, and the Fig. 5 Monte Carlo robustness sweep."""
+"""Ablation bench: the Fig. 5 Monte Carlo robustness sweep."""
 
 from conftest import print_table, run_once
 
 from repro.experiments.monte_carlo import run_monte_carlo_fig5
-from repro.safedrones.battery import BatteryReliabilityModel
-from repro.safedrones.fta import AndGate, BasicEvent, ComplexBasicEvent, FaultTree, OrGate
-from repro.safedrones.importance import importance_analysis
-from repro.security.analysis import threat_landscape, uav_threat_library
-
-
-def test_threat_landscape_quantification(benchmark):
-    summaries = run_once(benchmark, lambda: threat_landscape(uav_threat_library()))
-    print_table(
-        "UAV threat landscape — attack trees ranked by risk",
-        ["attack tree", "root likelihood", "severity", "risk", "dominant path"],
-        [
-            [s.tree, f"{s.root_likelihood:.3f}", f"{s.severity:.0f}",
-             f"{s.risk:.3f}", " -> ".join(s.dominant_path)]
-            for s in summaries
-        ],
-    )
-    assert summaries[0].risk >= summaries[-1].risk
-
-
-def test_uav_loss_importance_analysis(benchmark):
-    """Design-time importance ranking over the UAV-loss fault tree."""
-    battery_model = BatteryReliabilityModel()
-    battery_model.update(0.0, 0.4, 70.0)
-    battery_model.update(300.0, 0.4, 70.0)
-    tree = FaultTree(
-        name="uav_loss",
-        top=OrGate(
-            "loss",
-            [
-                ComplexBasicEvent("battery", battery_model),
-                AndGate(
-                    "nav_loss",
-                    [BasicEvent("gps", 0.02), BasicEvent("vision", 0.05)],
-                ),
-                BasicEvent("processor", 0.001),
-            ],
-        ),
-    )
-    reports = run_once(benchmark, importance_analysis, tree)
-    print_table(
-        "UAV-loss fault tree — basic event importance",
-        ["event", "P", "Birnbaum", "criticality", "Fussell-Vesely", "RAW", "RRW"],
-        [
-            [r.event, f"{r.probability:.4f}", f"{r.birnbaum:.4f}",
-             f"{r.criticality:.4f}", f"{r.fussell_vesely:.4f}",
-             f"{r.raw:.2f}", f"{r.rrw:.2f}" if r.rrw != float("inf") else "inf"]
-            for r in reports
-        ],
-    )
-    assert reports[0].event == "battery"  # stressed pack dominates
 
 
 def test_fig5_monte_carlo_robustness(benchmark):

@@ -39,11 +39,6 @@ from repro.safedrones.communication import (
     GilbertElliottChannel,
     LinkAssessment,
 )
-from repro.safedrones.importance import (
-    ImportanceReport,
-    importance_analysis,
-    most_critical_event,
-)
 
 __all__ = [
     "ContinuousMarkovChain",
@@ -59,9 +54,6 @@ __all__ = [
     "OrGate",
     "ReliabilityLevel",
     "SafeDronesMonitor",
-    "ImportanceReport",
-    "importance_analysis",
-    "most_critical_event",
     "CommLinkMonitor",
     "GilbertElliottChannel",
     "LinkAssessment",

@@ -8,9 +8,8 @@ sliding window of images captured by UAV cameras against a reference set".
 This subpackage implements the full measure family from the SafeML line of
 work (Aslansefat et al., IMBSA 2020) — Kolmogorov–Smirnov, Kuiper,
 Anderson–Darling, Cramér–von Mises, Wasserstein, and the combined DTS
-measure — together with permutation p-values and the sliding-window
-runtime monitor that maps dissimilarity to a confidence level consumed by
-the ConSert layer.
+measure — together with the sliding-window runtime monitor that maps
+dissimilarity to a confidence level consumed by the ConSert layer.
 """
 
 from repro.safeml.ecdf import Ecdf
@@ -24,13 +23,6 @@ from repro.safeml.distances import (
     ALL_MEASURES,
 )
 from repro.safeml.monitor import ConfidenceLevel, SafeMlMonitor, SafeMlReport
-from repro.safeml.pvalue import permutation_pvalue
-from repro.safeml.joint import JointShiftMonitor
-from repro.safeml.multivariate import (
-    energy_distance,
-    mmd_rbf,
-    multivariate_shift_pvalue,
-)
 
 __all__ = [
     "Ecdf",
@@ -44,9 +36,4 @@ __all__ = [
     "ConfidenceLevel",
     "SafeMlMonitor",
     "SafeMlReport",
-    "permutation_pvalue",
-    "energy_distance",
-    "mmd_rbf",
-    "multivariate_shift_pvalue",
-    "JointShiftMonitor",
 ]

@@ -12,7 +12,6 @@ from repro.sar.detection import DetectionModel, DetectionOutcome
 from repro.sar.mission import SarMission, MissionMetrics
 from repro.sar.redistribution import RedistributionAssignment, TaskRedistributor
 from repro.sar.patterns import expanding_square, sector_search
-from repro.sar.thermal import DualModalityDetector, LightCondition, fused_accuracy
 
 __all__ = [
     "boustrophedon_path",
@@ -26,7 +25,4 @@ __all__ = [
     "TaskRedistributor",
     "expanding_square",
     "sector_search",
-    "DualModalityDetector",
-    "LightCondition",
-    "fused_accuracy",
 ]

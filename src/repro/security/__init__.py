@@ -19,15 +19,6 @@ from repro.security.broker import MqttBroker
 from repro.security.ids import Alert, IntrusionDetectionSystem, IdsRule
 from repro.security.eddi import SecurityEddi, SecurityEvent
 from repro.security.spoofing import GpsSpoofingDetector, SpoofVerdict
-from repro.security.analysis import (
-    RiskSummary,
-    gps_spoofing_attack_tree,
-    eavesdrop_replay_attack_tree,
-    propagate_likelihood,
-    risk_summary,
-    threat_landscape,
-    uav_threat_library,
-)
 
 __all__ = [
     "AttackNode",
@@ -41,11 +32,4 @@ __all__ = [
     "SecurityEvent",
     "GpsSpoofingDetector",
     "SpoofVerdict",
-    "RiskSummary",
-    "gps_spoofing_attack_tree",
-    "eavesdrop_replay_attack_tree",
-    "propagate_likelihood",
-    "risk_summary",
-    "threat_landscape",
-    "uav_threat_library",
 ]

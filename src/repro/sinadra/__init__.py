@@ -20,7 +20,6 @@ from repro.sinadra.risk import (
     SarRiskModel,
     SituationInputs,
 )
-from repro.sinadra.dynamic import DynamicRiskTracker, FilteredRisk
 from repro.sinadra.situation import altitude_band, situation_from_environment
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "RiskAssessment",
     "SarRiskModel",
     "SituationInputs",
-    "DynamicRiskTracker",
-    "FilteredRisk",
     "altitude_band",
     "situation_from_environment",
 ]

@@ -1,17 +1,11 @@
-"""Unit tests for the environment model, multivariate SafeML measures, the
-web API, and combination coverage."""
+"""Unit tests for the environment model, the web API, and combination
+coverage."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.safeml.multivariate import (
-    energy_distance,
-    median_heuristic_bandwidth,
-    mmd_rbf,
-    multivariate_shift_pvalue,
-)
 from repro.uav.dynamics import UavDynamics
 from repro.uav.environment import Environment, GustProcess
 
@@ -84,79 +78,6 @@ class TestEnvironment:
     def test_rejects_unknown_visibility(self):
         with pytest.raises(ValueError):
             self.make(visibility="hazy")
-
-
-RNG = np.random.default_rng(7)
-SAME_A = RNG.normal(0.0, 1.0, size=(60, 3))
-SAME_B = RNG.normal(0.0, 1.0, size=(60, 3))
-SHIFTED = RNG.normal(1.5, 1.0, size=(60, 3))
-
-
-def correlation_rotated(n=150):
-    """Same marginals, different joint structure."""
-    rng = np.random.default_rng(8)
-    z = rng.normal(0.0, 1.0, size=(n, 1))
-    correlated = np.hstack([z, z, rng.normal(size=(n, 1))])
-    independent = rng.normal(0.0, 1.0, size=(n, 3))
-    # Standardise both so marginals match closely.
-    correlated = (correlated - correlated.mean(0)) / correlated.std(0)
-    independent = (independent - independent.mean(0)) / independent.std(0)
-    return correlated, independent
-
-
-class TestMultivariateDistances:
-    def test_energy_nonnegative_and_zero_on_self(self):
-        assert energy_distance(SAME_A, SAME_A) == pytest.approx(0.0, abs=1e-9)
-        assert energy_distance(SAME_A, SAME_B) >= 0.0
-
-    def test_energy_detects_mean_shift(self):
-        assert energy_distance(SAME_A, SHIFTED) > 5.0 * energy_distance(SAME_A, SAME_B)
-
-    def test_energy_symmetric(self):
-        assert energy_distance(SAME_A, SHIFTED) == pytest.approx(
-            energy_distance(SHIFTED, SAME_A)
-        )
-
-    def test_energy_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            energy_distance(SAME_A, np.zeros((10, 2)))
-
-    def test_energy_rejects_nan(self):
-        bad = SAME_A.copy()
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            energy_distance(bad, SAME_B)
-
-    def test_mmd_detects_mean_shift(self):
-        assert mmd_rbf(SAME_A, SHIFTED) > 5.0 * mmd_rbf(SAME_A, SAME_B)
-
-    def test_mmd_detects_correlation_change(self):
-        # Perfectly correlated pair vs independent pair: identical
-        # marginals, different joint — only a multivariate test sees it.
-        correlated, independent = correlation_rotated()
-        rng = np.random.default_rng(9)
-        null = mmd_rbf(
-            rng.normal(0.0, 1.0, size=(150, 3)),
-            rng.normal(0.0, 1.0, size=(150, 3)),
-        )
-        assert mmd_rbf(correlated, independent) > 2.0 * null
-
-    def test_bandwidth_positive(self):
-        assert median_heuristic_bandwidth(SAME_A, SAME_B) > 0.0
-
-    def test_permutation_pvalue_behaviour(self):
-        _, p_null = multivariate_shift_pvalue(
-            SAME_A, SAME_B, n_permutations=60, rng=np.random.default_rng(1)
-        )
-        _, p_shift = multivariate_shift_pvalue(
-            SAME_A, SHIFTED, n_permutations=60, rng=np.random.default_rng(1)
-        )
-        assert p_shift < 0.05 < p_null
-
-    def test_univariate_input_accepted(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        b = np.array([1.0, 2.0, 3.0, 4.0])
-        assert energy_distance(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCombinationCoverage:

@@ -1,41 +1,8 @@
 """Targeted tests for remaining coverage gaps across the library."""
 
-from dataclasses import dataclass
-
-import pytest
-
 from repro.__main__ import main as cli_main
 from repro.core.ode import consert_from_dict, conserts_to_dict
 from repro.core.conserts import AndNode, ConSert, Demand, Guarantee
-from repro.safedrones.fta import ComplexBasicEvent, FaultTree, OrGate, BasicEvent
-from repro.safedrones.importance import importance_analysis
-
-
-@dataclass
-class MutableModel:
-    """Test double with a settable failure probability."""
-
-    failure_probability: float = 0.3
-
-
-class TestImportanceWithComplexEvents:
-    def test_complex_event_pinning_and_restoration(self):
-        model = MutableModel(0.3)
-        tree = FaultTree(
-            "t",
-            top=OrGate(
-                "top",
-                [ComplexBasicEvent("dynamic", model), BasicEvent("static", 0.1)],
-            ),
-        )
-        before = tree.top_event_probability()
-        reports = {r.event: r for r in importance_analysis(tree)}
-        # OR gate: Birnbaum of 'dynamic' = 1 - p(static) = 0.9.
-        assert reports["dynamic"].birnbaum == pytest.approx(0.9)
-        # The live model is restored after the what-if evaluation.
-        assert tree.top_event_probability() == pytest.approx(before)
-        model.failure_probability = 0.7
-        assert tree.top_event_probability() > before
 
 
 class TestOdeUnboundProviders:

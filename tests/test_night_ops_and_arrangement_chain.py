@@ -1,55 +1,13 @@
-"""Tests for night-ops missions (modality adapter) and arrangement-
-calibrated propulsion chains."""
+"""Tests for arrangement-calibrated propulsion chains."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.common import build_three_uav_world
 from repro.safedrones.arrangement import ArrangementAnalysis
 from repro.safedrones.propulsion import (
     PropulsionModel,
     motor_chain_from_survival,
 )
-from repro.sar.mission import SarMission
-from repro.sar.thermal import (
-    DualModalityDetector,
-    LightCondition,
-    ModalityMissionDetector,
-)
-
-
-def run_night_mission(thermal_available: bool, seed=31):
-    scenario = build_three_uav_world(seed=seed, n_persons=10)
-    world = scenario.world
-    detector = ModalityMissionDetector(
-        detector=DualModalityDetector(
-            rng=np.random.default_rng(seed),
-            light=LightCondition.NIGHT,
-            ambient_c=15.0,
-            thermal_available=thermal_available,
-        )
-    )
-    mission = SarMission(world=world, altitude_m=20.0, detector=detector)
-    mission.assign_paths()
-    return mission.run(max_time_s=1500.0)
-
-
-class TestNightOperations:
-    def test_thermal_keeps_night_find_rate_high(self):
-        metrics = run_night_mission(thermal_available=True)
-        assert metrics.find_rate >= 0.8
-
-    def test_rgb_only_night_degrades(self):
-        with_thermal = run_night_mission(thermal_available=True)
-        rgb_only = run_night_mission(thermal_available=False)
-        assert rgb_only.detection_accuracy < with_thermal.detection_accuracy
-
-    def test_detection_accuracy_matches_model(self):
-        metrics = run_night_mission(thermal_available=False)
-        from repro.sar.thermal import rgb_accuracy
-
-        expected = rgb_accuracy(20.0, LightCondition.NIGHT)
-        assert metrics.detection_accuracy == pytest.approx(expected, abs=0.12)
 
 
 class TestArrangementCalibratedChain:

@@ -1,13 +1,6 @@
-"""Property-based tests for the extension modules: redistribution,
-multivariate distances, quantitative attack trees."""
+"""Property-based tests for task redistribution."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
-
-from repro.safeml.multivariate import energy_distance, mmd_rbf
-from repro.security.analysis import propagate_likelihood
-from repro.security.attack_trees import AttackNode, GateType
 
 
 class TestRedistributionProperties:
@@ -36,87 +29,3 @@ class TestRedistributionProperties:
         assert len(assignments) <= max_segments
 
 
-class TestMultivariateProperties:
-    @given(
-        data=st.lists(
-            st.lists(
-                st.floats(min_value=-50.0, max_value=50.0), min_size=2, max_size=2
-            ),
-            min_size=4,
-            max_size=30,
-        )
-    )
-    @settings(max_examples=40)
-    def test_energy_and_mmd_axioms(self, data):
-        sample = np.array(data)
-        assert energy_distance(sample, sample) == pytest.approx(0.0, abs=1e-9)
-        assert mmd_rbf(sample, sample) == pytest.approx(0.0, abs=1e-9)
-        shifted = sample + 100.0
-        assert energy_distance(sample, shifted) > 0.0
-
-    @given(
-        data=st.lists(
-            st.lists(
-                st.floats(min_value=-50.0, max_value=50.0), min_size=3, max_size=3
-            ),
-            min_size=4,
-            max_size=20,
-        ),
-        other=st.lists(
-            st.lists(
-                st.floats(min_value=-50.0, max_value=50.0), min_size=3, max_size=3
-            ),
-            min_size=4,
-            max_size=20,
-        ),
-    )
-    @settings(max_examples=40)
-    def test_symmetry(self, data, other):
-        a, b = np.array(data), np.array(other)
-        assert energy_distance(a, b) == pytest.approx(
-            energy_distance(b, a), rel=1e-9, abs=1e-12
-        )
-
-
-LIKELIHOODS = st.sampled_from(["low", "medium", "high", "very_high"])
-
-
-@st.composite
-def random_attack_tree(draw, depth=0):
-    """Random well-formed attack tree up to depth 3."""
-    if depth >= 2 or draw(st.booleans()):
-        return AttackNode(
-            node_id=f"leaf{draw(st.integers(0, 10_000))}",
-            title="leaf",
-            likelihood=draw(LIKELIHOODS),
-        )
-    gate = draw(st.sampled_from([GateType.AND, GateType.OR]))
-    n_children = draw(st.integers(min_value=1, max_value=3))
-    children = [draw(random_attack_tree(depth=depth + 1)) for _ in range(n_children)]
-    return AttackNode(
-        node_id=f"gate{draw(st.integers(0, 10_000))}",
-        title="gate",
-        gate=gate,
-        children=children,
-        likelihood=draw(LIKELIHOODS),
-    )
-
-
-class TestAttackTreeProperties:
-    @given(tree=random_attack_tree())
-    @settings(max_examples=60)
-    def test_likelihood_in_unit_interval(self, tree):
-        value = propagate_likelihood(tree)
-        assert 0.0 <= value <= 1.0
-
-    @given(tree=random_attack_tree())
-    @settings(max_examples=60)
-    def test_and_bounded_by_or(self, tree):
-        if tree.gate is GateType.LEAF or not tree.children:
-            return
-        child_values = [propagate_likelihood(c) for c in tree.children]
-        value = propagate_likelihood(tree)
-        if tree.gate is GateType.AND:
-            assert value <= min(child_values) + 1e-12
-        else:
-            assert value >= max(child_values) - 1e-12

@@ -1,13 +1,10 @@
-"""Unit tests for the flight recorder and the dynamic risk tracker."""
+"""Unit tests for the flight recorder."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.common import build_three_uav_world
 from repro.middleware.rosbus import RosBus
 from repro.platform.recorder import FlightRecorder, TelemetryRecord
-from repro.sinadra.dynamic import DynamicRiskTracker
-from repro.sinadra.risk import Criticality, SituationInputs
 
 
 def record_short_flight():
@@ -66,68 +63,3 @@ class TestFlightRecorder:
             battery_soc=0.8, battery_temp_c=30.0, gps_valid=True,
         )
         assert TelemetryRecord.from_json(record.to_json()) == record
-
-
-def situation(uncertainty: float) -> SituationInputs:
-    return SituationInputs(uncertainty, "high", "good", 0.3)
-
-
-class TestDynamicRiskTracker:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            DynamicRiskTracker(stickiness=0.3)
-        with pytest.raises(ValueError):
-            DynamicRiskTracker(observation_confusion=0.9)
-
-    def test_persistent_high_risk_converges_to_high(self):
-        tracker = DynamicRiskTracker()
-        result = None
-        for k in range(10):
-            result = tracker.update(float(k), situation(0.95))
-        assert result.regime is Criticality.HIGH
-        assert result.rescan_recommended
-
-    def test_single_spike_filtered_out(self):
-        tracker = DynamicRiskTracker()
-        for k in range(10):
-            tracker.update(float(k), situation(0.2))
-        spike = tracker.update(10.0, situation(0.95))
-        # The instantaneous assessment spikes, the filtered regime holds.
-        assert spike.instantaneous is Criticality.HIGH
-        assert spike.regime is not Criticality.HIGH
-
-    def test_sustained_elevation_eventually_flips(self):
-        tracker = DynamicRiskTracker()
-        for k in range(10):
-            tracker.update(float(k), situation(0.2))
-        regimes = []
-        for k in range(10, 25):
-            regimes.append(tracker.update(float(k), situation(0.95)).regime)
-        assert regimes[-1] is Criticality.HIGH
-        # It took more than one tick (hysteresis).
-        assert regimes[0] is not Criticality.HIGH
-
-    def test_posterior_is_distribution(self):
-        tracker = DynamicRiskTracker()
-        result = tracker.update(0.0, situation(0.7))
-        assert sum(result.posterior.values()) == pytest.approx(1.0)
-        assert all(p >= 0.0 for p in result.posterior.values())
-
-    def test_recovery_after_descent(self):
-        tracker = DynamicRiskTracker()
-        for k in range(15):
-            tracker.update(float(k), situation(0.95))
-        assert tracker.history[-1].regime is Criticality.HIGH
-        low = SituationInputs(0.2, "low", "good", 0.3)
-        result = None
-        for k in range(15, 40):
-            result = tracker.update(float(k), low)
-        assert result.regime is Criticality.LOW
-
-    def test_reset(self):
-        tracker = DynamicRiskTracker()
-        for k in range(10):
-            tracker.update(float(k), situation(0.95))
-        tracker.reset()
-        assert not tracker.history
-        assert tracker.belief[0] == pytest.approx(1.0)

@@ -1,4 +1,4 @@
-"""Unit tests for SafeML: ECDF, distances, p-values, and the monitor."""
+"""Unit tests for SafeML: ECDF, distances, the CDF port, and the monitor."""
 
 import math
 
@@ -19,7 +19,6 @@ from repro.safeml.distances import (
 from repro.safeml.ecdf import Ecdf, ecdf_pair
 from repro.safeml.monitor import ConfidenceLevel, SafeMlMonitor
 from repro.safeml.ndtr import ndtr
-from repro.safeml.pvalue import permutation_pvalue
 
 
 class TestEcdf:
@@ -105,33 +104,6 @@ class TestDistanceMeasures:
         shifts = [0.0, 0.5, 1.0, 2.0]
         values = [dts_distance(SAME_A, SAME_A + s) for s in shifts]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-
-class TestPermutationPvalue:
-    def test_null_gives_large_pvalue(self):
-        _, p = permutation_pvalue(
-            SAME_A[:80], SAME_B[:80], kolmogorov_smirnov_distance, 100,
-            rng=np.random.default_rng(1),
-        )
-        assert p > 0.05
-
-    def test_shift_gives_small_pvalue(self):
-        _, p = permutation_pvalue(
-            SAME_A[:80], SHIFTED[:80], kolmogorov_smirnov_distance, 100,
-            rng=np.random.default_rng(1),
-        )
-        assert p < 0.05
-
-    def test_pvalue_in_unit_interval(self):
-        _, p = permutation_pvalue(
-            SAME_A[:30], SAME_B[:30], wasserstein_distance, 50,
-            rng=np.random.default_rng(2),
-        )
-        assert 0.0 < p <= 1.0
-
-    def test_rejects_zero_permutations(self):
-        with pytest.raises(ValueError):
-            permutation_pvalue(SAME_A, SAME_B, kolmogorov_smirnov_distance, 0)
 
 
 class TestConfidenceLevel:

@@ -134,13 +134,6 @@ class TestAttackTree:
         with pytest.raises(ValueError, match="'network_intrusion'"):
             AttackTree.from_json(text)
 
-    def test_every_packaged_tree_loads(self):
-        from repro.security.analysis import uav_threat_library
-
-        for tree in uav_threat_library():
-            assert AttackTree.from_json(tree.to_json()).name == tree.name
-
-
 class TestTopicMatching:
     @pytest.mark.parametrize(
         "pattern,topic,expected",

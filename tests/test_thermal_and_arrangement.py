@@ -1,6 +1,5 @@
-"""Unit tests for dual-modality detection and arrangement analysis."""
+"""Unit tests for motor-arrangement analysis."""
 
-import numpy as np
 import pytest
 
 from repro.safedrones.arrangement import (
@@ -8,104 +7,6 @@ from repro.safedrones.arrangement import (
     is_controllable,
     regular_airframe,
 )
-from repro.sar.thermal import (
-    DualModalityDetector,
-    LightCondition,
-    fused_accuracy,
-    rgb_accuracy,
-    thermal_accuracy,
-)
-
-
-class TestRgbAccuracy:
-    def test_day_matches_base_model(self):
-        from repro.sar.detection import detection_accuracy
-
-        assert rgb_accuracy(20.0, LightCondition.DAY) == pytest.approx(
-            detection_accuracy(20.0)
-        )
-
-    def test_night_collapses_rgb(self):
-        day = rgb_accuracy(20.0, LightCondition.DAY)
-        night = rgb_accuracy(20.0, LightCondition.NIGHT)
-        assert night < 0.7 < day
-
-    def test_poor_visibility_hurts(self):
-        clear = rgb_accuracy(20.0, LightCondition.DAY, visibility_ok=True)
-        hazy = rgb_accuracy(20.0, LightCondition.DAY, visibility_ok=False)
-        assert hazy < clear
-
-    def test_never_below_chance(self):
-        assert rgb_accuracy(60.0, LightCondition.NIGHT, False) >= 0.5
-
-
-class TestThermalAccuracy:
-    def test_cool_conditions_near_base(self):
-        from repro.sar.detection import detection_accuracy
-
-        assert thermal_accuracy(20.0, ambient_c=10.0) == pytest.approx(
-            detection_accuracy(20.0), abs=0.001
-        )
-
-    def test_hot_ambient_kills_contrast(self):
-        cool = thermal_accuracy(20.0, ambient_c=15.0)
-        hot = thermal_accuracy(20.0, ambient_c=36.0)
-        assert hot < cool
-        assert hot < 0.7
-
-    def test_light_independent(self):
-        # Thermal does not take a light argument at all; sanity-check the
-        # fused behaviour at night instead.
-        night_fused = fused_accuracy(20.0, LightCondition.NIGHT, ambient_c=15.0)
-        assert night_fused > 0.95
-
-
-class TestFusion:
-    def test_fusion_at_least_best_channel(self):
-        for light in LightCondition:
-            for ambient in (10.0, 25.0, 35.0):
-                fused = fused_accuracy(20.0, light, ambient)
-                assert fused >= rgb_accuracy(20.0, light) - 1e-9
-                assert fused >= thermal_accuracy(20.0, ambient) - 1e-9
-
-    def test_night_rescued_by_thermal(self):
-        rgb_night = rgb_accuracy(20.0, LightCondition.NIGHT)
-        fused_night = fused_accuracy(20.0, LightCondition.NIGHT, ambient_c=15.0)
-        assert fused_night > rgb_night + 0.2
-
-    def test_hot_noon_rescued_by_rgb(self):
-        thermal_noon = thermal_accuracy(20.0, ambient_c=36.0)
-        fused_noon = fused_accuracy(20.0, LightCondition.DAY, ambient_c=36.0)
-        assert fused_noon > thermal_noon + 0.2
-
-    def test_worst_case_night_and_hot(self):
-        # Hot night: both channels degraded, fused still above either.
-        fused = fused_accuracy(20.0, LightCondition.NIGHT, ambient_c=34.0)
-        assert 0.5 < fused < 0.95
-
-
-class TestDualModalityDetector:
-    def test_empirical_rate_matches_model(self):
-        detector = DualModalityDetector(
-            rng=np.random.default_rng(0), light=LightCondition.DUSK, ambient_c=20.0
-        )
-        hits = sum(detector.attempt(20.0) for _ in range(5000))
-        assert hits / 5000 == pytest.approx(detector.accuracy(20.0), abs=0.02)
-
-    def test_thermal_loss_degrades_at_night(self):
-        detector = DualModalityDetector(
-            rng=np.random.default_rng(0), light=LightCondition.NIGHT
-        )
-        with_thermal = detector.accuracy(20.0)
-        detector.thermal_available = False
-        without = detector.accuracy(20.0)
-        assert without < with_thermal - 0.2
-
-    def test_modality_report_keys(self):
-        detector = DualModalityDetector(rng=np.random.default_rng(0))
-        report = detector.modality_report(25.0)
-        assert set(report) == {"rgb", "thermal", "fused"}
-        assert report["fused"] >= max(report["rgb"], report["thermal"]) - 1e-9
 
 
 class TestArrangement:
