@@ -31,6 +31,7 @@ from repro.sar.detection import (
     FEATURE_STD,
 )
 from repro.sinadra.risk import Criticality, SarRiskModel, SituationInputs
+from repro.sinadra.situation import altitude_band
 
 HIGH_ALTITUDE_M = 40.0
 DESCENT_STEP_M = 4.0
@@ -134,7 +135,7 @@ def run_sar_accuracy_experiment(
         risk = risk_model.assess(
             SituationInputs(
                 detection_uncertainty=ensemble,
-                altitude_band="high" if altitude > 1.2 * TRAINING_ALTITUDE_M else "low",
+                altitude_band=altitude_band(altitude),
                 visibility="good",
                 occupancy_prior=0.3,
             )

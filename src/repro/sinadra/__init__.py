@@ -20,7 +20,7 @@ from repro.sinadra.risk import (
     SarRiskModel,
     SituationInputs,
 )
-from repro.sinadra.situation import altitude_band, situation_from_environment
+from repro.sinadra.situation import altitude_band
 
 __all__ = [
     "BayesianNetwork",
@@ -30,5 +30,4 @@ __all__ = [
     "SarRiskModel",
     "SituationInputs",
     "altitude_band",
-    "situation_from_environment",
 ]

@@ -1,16 +1,12 @@
-"""Situation assembly: environment + mission state → SINADRA inputs.
+"""Situation discretisation: mission state → SINADRA inputs.
 
-Bridges the simulation environment and the risk model: discretises the
-continuous environment (visibility from the environment state, altitude
-band relative to the detector's training altitude) and packages it with
-the live perception uncertainty and the cell occupancy prior.
+Maps the flight altitude onto the risk model's band vocabulary, relative
+to the detector's training altitude.
 """
 
 from __future__ import annotations
 
 from repro.sar.detection import TRAINING_ALTITUDE_M
-from repro.sinadra.risk import SituationInputs
-from repro.uav.environment import Environment
 
 HIGH_ALTITUDE_FACTOR = 1.2
 """Altitudes above this multiple of the training altitude count as high."""
@@ -21,18 +17,3 @@ def altitude_band(altitude_m: float) -> str:
     if altitude_m <= 0.0:
         raise ValueError("altitude must be positive")
     return "high" if altitude_m > HIGH_ALTITUDE_FACTOR * TRAINING_ALTITUDE_M else "low"
-
-
-def situation_from_environment(
-    environment: Environment,
-    altitude_m: float,
-    detection_uncertainty: float,
-    occupancy_prior: float,
-) -> SituationInputs:
-    """Build the SINADRA situation from the live environment."""
-    return SituationInputs(
-        detection_uncertainty=detection_uncertainty,
-        altitude_band=altitude_band(altitude_m),
-        visibility=environment.visibility,
-        occupancy_prior=occupancy_prior,
-    )

@@ -1,14 +1,11 @@
-"""Tests for the declarative scenario loader and the SINADRA bridge."""
+"""Tests for the declarative scenario loader and the SINADRA altitude bands."""
 
 import json
 
 import pytest
 
 from repro.scenario import Scenario, ScenarioError, load_scenario, load_scenario_json
-from repro.sinadra.situation import altitude_band, situation_from_environment
-from repro.uav.environment import Environment
-
-import numpy as np
+from repro.sinadra.situation import altitude_band
 
 
 BASIC = {
@@ -136,14 +133,6 @@ class TestSituationBridge:
         assert altitude_band(30.0) == "high"
         with pytest.raises(ValueError):
             altitude_band(0.0)
-
-    def test_situation_carries_environment_visibility(self):
-        env = Environment(rng=np.random.default_rng(0), visibility="poor")
-        situation = situation_from_environment(env, 40.0, 0.8, 0.3)
-        assert situation.visibility == "poor"
-        assert situation.altitude_band == "high"
-        assert situation.detection_uncertainty == 0.8
-        assert situation.occupancy_prior == 0.3
 
 
 class TestArchivedScenarios:
