@@ -86,6 +86,12 @@ DEFAULTS: dict[str, Any] = {
 }
 """Scenario knobs; any subset may be overridden by the config dict."""
 
+META_KEYS = frozenset({"seed", "kind", "description"})
+"""Top-level keys a scenario file may carry besides :data:`DEFAULTS`."""
+
+FAULT_ROLES = {"follower_loss": "follower", "leader_demotion": "leader"}
+"""Each scripted fault type and the role of the UAV it must name."""
+
 
 @dataclass
 class SwarmRun:
@@ -120,6 +126,37 @@ def _poi_name(i: int) -> str:
     return f"poi{i:05d}"
 
 
+def _checked_faults(
+    faults: Any, leaders: list[str], followers: list[str]
+) -> list[dict[str, Any]]:
+    """The scripted faults in firing order; ``ValueError`` on a malformed one.
+
+    Checked when the swarm is built, so a bad entry fails validation
+    instead of surfacing mid-run when (or if) the fault fires.
+    """
+    if not isinstance(faults, (list, tuple)):
+        raise ValueError(f"'faults' must be a list, got {faults!r}")
+    members = {"leader": set(leaders), "follower": set(followers)}
+    checked = []
+    for i, fault in enumerate(faults):
+        if not isinstance(fault, dict):
+            raise ValueError(f"fault {i}: expected an object, got {fault!r}")
+        kind = fault.get("type")
+        if not isinstance(kind, str) or kind not in FAULT_ROLES:
+            raise ValueError(
+                f"fault {i}: 'type' must be one of {sorted(FAULT_ROLES)}, got {kind!r}"
+            )
+        role = FAULT_ROLES[kind]
+        uav = fault.get("uav")
+        if not isinstance(uav, str) or uav not in members[role]:
+            raise ValueError(f"fault {i}: 'uav' {uav!r} is not a {role} of this swarm")
+        at = fault.get("at")
+        if isinstance(at, bool) or not isinstance(at, (int, float)) or not math.isfinite(at):
+            raise ValueError(f"fault {i}: 'at' must be a finite time, got {at!r}")
+        checked.append(dict(fault))
+    return sorted(checked, key=lambda f: (float(f["at"]), f["uav"]))
+
+
 @dataclass
 class _MessageCensus:
     """Transport-level message counts by protocol plane (via interceptor)."""
@@ -150,6 +187,9 @@ class SwarmSim:
     """One seeded swarm scenario, steppable tick by tick."""
 
     def __init__(self, config: dict[str, Any], seed: int = 0) -> None:
+        unknown = sorted(set(config) - set(DEFAULTS) - META_KEYS)
+        if unknown:
+            raise ValueError(f"unknown swarm config key(s): {unknown}")
         cfg = dict(DEFAULTS)
         cfg.update(config)
         self.config = cfg
@@ -197,6 +237,9 @@ class SwarmSim:
         ]
         self._names = self.leader_names + self.follower_names
         self._index = {name: i for i, name in enumerate(self._names)}
+        self._faults = _checked_faults(
+            cfg["faults"], self.leader_names, self.follower_names
+        )
 
         # PoI field.
         poi_rng = np.random.default_rng(poi_ss)
@@ -278,10 +321,6 @@ class SwarmSim:
         self.forced_down: set[str] = set()
         self.decisions: list[dict[str, Any]] = []
         self.verdicts: dict[str, int] = {}
-        self._faults = sorted(
-            (dict(f) for f in cfg["faults"]),
-            key=lambda f: (float(f["at"]), str(f["uav"])),
-        )
         self._next_consert = self.consert_period
 
     # ------------------------------------------------------------- faults

@@ -24,7 +24,7 @@ from repro.harness.campaign import (
     list_experiments,
     run_campaign,
 )
-from repro.harness.fuzz.generator import ScenarioGenerator, scenario_to_json
+from repro.harness.fuzz.generator import PROFILES, ScenarioGenerator, scenario_to_json
 from repro.obs.export import prometheus_text
 
 CATALOGUE = [(e.name, p) for e in list_experiments() for p in e.presets]
@@ -184,6 +184,18 @@ class TestFuzzCli:
         assert f"python -m repro scenario replay {saved[0]}" in out
 
 
+def _drop_fault_type(config):
+    del config["faults"][1]["type"]
+
+
+def _fault_on_unknown_uav(config):
+    config["faults"][0]["uav"] = "nobody"
+
+
+def _misspell_top_level_key(config):
+    config["k_leader"] = 9
+
+
 class TestScenarioReplayCli:
     def test_swarm_reproducer_replays_under_swarm_oracles(
         self, capsys, tmp_path
@@ -222,6 +234,38 @@ class TestScenarioReplayCli:
         err = capsys.readouterr().err
         assert "does not load" in err
         assert "'at'" in err
+
+    @pytest.mark.parametrize(
+        "mutate, needle",
+        [
+            (_drop_fault_type, "'type'"),
+            (_fault_on_unknown_uav, "'nobody'"),
+            (_misspell_top_level_key, "'k_leader'"),
+        ],
+        ids=["fault-without-type", "fault-on-unknown-uav", "misspelt-top-level-key"],
+    )
+    def test_malformed_swarm_file_fails_validation(
+        self, capsys, tmp_path, mutate, needle
+    ):
+        config = ScenarioGenerator(4).generate_swarm("hostile")
+        mutate(config)
+        path = tmp_path / "swarm.json"
+        path.write_text(scenario_to_json(config))
+        assert main(["scenario", "validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "does not load: ValueError" in err
+        assert needle in err
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_every_generated_swarm_file_validates(self, capsys, tmp_path, profile):
+        path = tmp_path / "swarm.json"
+        for seed in range(20):
+            path.write_text(
+                scenario_to_json(ScenarioGenerator(seed).generate_swarm(profile))
+            )
+            assert main(["scenario", "validate", str(path)]) == 0, (
+                seed, capsys.readouterr().err
+            )
 
 
 class TestInterruptAndResume:
