@@ -327,9 +327,8 @@ class SwarmSim:
     def _apply_faults(self, now: float) -> None:
         while self._faults and float(self._faults[0]["at"]) <= now:
             fault = self._faults.pop(0)
-            uav = str(fault["uav"])
-            kind = str(fault["type"])
-            if kind == "follower_loss" and uav in self.followers:
+            uav = fault["uav"]
+            if fault["type"] == "follower_loss":
                 self.dead.add(uav)
                 self.bus.set_node_down(uav)
                 self.kin.clear_target(self._index[uav])
@@ -338,7 +337,7 @@ class SwarmSim:
                         "error", "swarm.sim", "follower_loss",
                         sim_time=now, uav=uav,
                     )
-            elif kind == "leader_demotion" and uav in self.leaders:
+            else:  # leader_demotion; _checked_faults vetted type and uav
                 # Not an instant kill: the squad certificate loses its
                 # leader_ok evidence and the *decider* orders the recovery
                 # at the next ConSert cycle — assurance-driven, as in the
