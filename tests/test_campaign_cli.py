@@ -256,16 +256,16 @@ class TestScenarioReplayCli:
         assert "does not load: ValueError" in err
         assert needle in err
 
+    @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_every_generated_swarm_file_validates(self, capsys, tmp_path, profile):
+    def test_every_generated_swarm_file_validates(
+        self, capsys, tmp_path, profile, seed
+    ):
         path = tmp_path / "swarm.json"
-        for seed in range(20):
-            path.write_text(
-                scenario_to_json(ScenarioGenerator(seed).generate_swarm(profile))
-            )
-            assert main(["scenario", "validate", str(path)]) == 0, (
-                seed, capsys.readouterr().err
-            )
+        path.write_text(
+            scenario_to_json(ScenarioGenerator(seed).generate_swarm(profile))
+        )
+        assert main(["scenario", "validate", str(path)]) == 0, capsys.readouterr().err
 
 
 class TestInterruptAndResume:
