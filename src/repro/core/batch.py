@@ -13,7 +13,8 @@ fleet-wide array operations:
   arrays (:class:`BatchSafeDrones`) — each battery row steps through the
   same closed-form kernel the scalar monitor uses
   (:func:`repro.safedrones.battery.battery_transient`), and propulsion
-  PoF comes from the scalar model's memo;
+  PoF comes from the scalar model's memo (a miss solves the closed form
+  :func:`repro.safedrones.propulsion.motor_transient`);
 * GPS fixes, quality draws and IMU velocities are gathered for the whole
   fleet from the shared noise channels.
 

@@ -30,7 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.safedrones.markov import ContinuousMarkovChain, MarkovModelError
+from repro.safedrones.markov import (
+    ContinuousMarkovChain,
+    MarkovModelError,
+    checked_start,
+    renormalised,
+)
 
 BOLTZMANN_EV = 8.617333e-5
 """Boltzmann constant in eV/K for the Arrhenius acceleration factor."""
@@ -63,13 +68,7 @@ def battery_transient(p0, rate_per_s: float, t: float) -> np.ndarray:
     to 1, non-negative rate and time, then the clip, the normalisation
     check and the renormalisation.
     """
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (len(STATES),):
-        raise MarkovModelError("p0 has wrong length")
-    a, b, c, d = p0.tolist()
-    # np.isclose(sum, 1.0, atol=1e-9) written out: |sum - 1| <= atol + rtol * 1.
-    if not abs((a + b + c + d) - 1.0) <= 1e-9 + 1e-5:
-        raise MarkovModelError("p0 must sum to 1")
+    a, b, c, d = checked_start(p0, len(STATES))
     if rate_per_s < 0.0:
         raise MarkovModelError("rate factor must be non-negative")
     if t < 0.0:
@@ -81,18 +80,12 @@ def battery_transient(p0, rate_per_s: float, t: float) -> np.ndarray:
     tail1 = -math.expm1(-x)  # P(at least one transition)
     tail2 = tail1 - w1
     tail3 = tail2 - w2
-    pt = [
-        max(a * e, 0.0),
-        max(a * w1 + b * e, 0.0),
-        max(a * w2 + b * w1 + c * e, 0.0),
-        max(d + c * tail1 + b * tail2 + a * tail3, 0.0),
-    ]
-    total = pt[0] + pt[1] + pt[2] + pt[3]
-    if not 0.97 <= total <= 1.03:
-        raise MarkovModelError(
-            f"transient solve lost normalisation (sum={total:.6f})"
-        )
-    return np.array(pt) / total
+    return renormalised([
+        a * e,
+        a * w1 + b * e,
+        a * w2 + b * w1 + c * e,
+        d + c * tail1 + b * tail2 + a * tail3,
+    ])
 
 
 @dataclass

@@ -5,10 +5,12 @@ are failures. This module provides the generic machinery: generator-matrix
 validation, transient probability via the matrix exponential, absorbing
 failure probability, and mean time to failure via the fundamental matrix.
 
-The propulsion model solves its chain here. The battery chain has a
-closed-form transient (:func:`repro.safedrones.battery.battery_transient`)
-that the runtime monitors use instead; this ``expm`` solve remains its
-readable definition and the oracle the tests check the closed form against.
+No runtime monitor solves its chain here. The battery and motor chains
+have closed-form transients
+(:func:`repro.safedrones.battery.battery_transient`,
+:func:`repro.safedrones.propulsion.motor_transient`) that both assurance
+planes use instead; this ``expm`` solve remains their readable definition
+and the oracle the tests check the closed forms against.
 """
 
 from __future__ import annotations
@@ -126,6 +128,36 @@ class ContinuousMarkovChain:
         return ContinuousMarkovChain(
             states=list(self.states), q=self.q * factor, absorbing=self.absorbing
         )
+
+
+def checked_start(p0, n: int) -> list[float]:
+    """``p0`` as floats, after the start checks of ``transient``.
+
+    For the closed-form kernels that stand in for the ``expm`` solve: the
+    same tolerances and error type as :meth:`ContinuousMarkovChain.transient`.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (n,):
+        raise MarkovModelError("p0 has wrong length")
+    start = p0.tolist()
+    # np.isclose(sum, 1.0, atol=1e-9) written out: |sum - 1| <= atol + rtol * 1.
+    if not abs(sum(start) - 1.0) <= 1e-9 + 1e-5:
+        raise MarkovModelError("p0 must sum to 1")
+    return start
+
+
+def renormalised(pt: list[float]) -> np.ndarray:
+    """A closed-form kernel's result, ended as ``transient`` ends its solve.
+
+    Clips tiny negatives, refuses a sum outside 0.97–1.03 and renormalises.
+    """
+    pt = [max(p, 0.0) for p in pt]
+    total = sum(pt)
+    if not 0.97 <= total <= 1.03:
+        raise MarkovModelError(
+            f"transient solve lost normalisation (sum={total:.6f})"
+        )
+    return np.array(pt) / total
 
 
 def series_reliability(reliabilities: list[float]) -> float:

@@ -36,6 +36,7 @@ used by the property suite and the golden trace.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -126,6 +127,16 @@ def _poi_name(i: int) -> str:
     return f"poi{i:05d}"
 
 
+def _whole(cfg: dict[str, Any], key: str) -> int:
+    """``cfg[key]`` as an int; ``ValueError`` naming ``key`` unless it is whole."""
+    value = cfg[key]
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key!r} must be a whole number, got {value!r}")
+
+
 def _checked_faults(
     faults: Any, leaders: list[str], followers: list[str]
 ) -> list[dict[str, Any]]:
@@ -194,9 +205,9 @@ class SwarmSim:
         cfg.update(config)
         self.config = cfg
         self.seed = int(cfg.get("seed", seed))
-        self.k = int(cfg["k_leaders"])
-        self.rho = int(cfg["rho"])
-        self.n_pois = int(cfg["n_pois"])
+        self.k = _whole(cfg, "k_leaders")
+        self.rho = _whole(cfg, "rho")
+        self.n_pois = _whole(cfg, "n_pois")
         if self.k < 1 or self.rho < 0 or self.n_pois < 0:
             raise ValueError("k_leaders >= 1, rho >= 0, n_pois >= 0 required")
         self.area = float(cfg["area_m"])
@@ -204,6 +215,16 @@ class SwarmSim:
         self.detect_radius = float(cfg["detect_radius_m"])
         self.dt = float(cfg["dt"])
         self.horizon_s = float(cfg["horizon_s"])
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"'dt' must be a positive finite step, got {cfg['dt']!r}")
+        if not (self.horizon_s >= 0.0 and math.isfinite(self.horizon_s)):
+            raise ValueError(
+                f"'horizon_s' must be a non-negative finite time, got {cfg['horizon_s']!r}"
+            )
+        if not self.comm_radius >= 0.0:
+            raise ValueError(
+                f"'comm_radius_m' must be non-negative, got {cfg['comm_radius_m']!r}"
+            )
         self.consert_period = float(cfg["consert_period_s"])
         self.base_loss = float(cfg["link_loss"])
         self.now = 0.0

@@ -174,3 +174,25 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
             capture_output=True, text=True, env=env, timeout=120, check=True,
         )
         assert proc.stdout.split() == [], "scipy imported on the cold path"
+
+    #: Fig. 5 drives the scalar SafeDrones monitor; ten UAVs take the
+    #: batched assurance plane (``BatchSafeDrones``).
+    RUN_PROBE = """
+import sys
+from repro.experiments import run_fig5_battery_experiment
+from repro.experiments.fleet_scale import run_assurance_scale_point
+run_fig5_battery_experiment()
+point = run_assurance_scale_point(n_uavs=10, max_time_s=10.0)
+assert point["assurance_engine"] == "vectorized", point["assurance_engine"]
+assert point["assurance_cycles"] > 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+    def test_safedrones_runtime_never_imports_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.RUN_PROBE],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        assert proc.stdout.split() == [], "scipy imported by a SafeDrones solve"

@@ -8,7 +8,8 @@ from repro.safedrones.battery import (
     battery_chain,
     battery_transient,
 )
-from repro.safedrones.markov import MarkovModelError
+from repro.safedrones.arrangement import ArrangementAnalysis
+from repro.safedrones.markov import ContinuousMarkovChain, MarkovModelError
 from repro.safedrones.monitor import (
     ReliabilityLevel,
     SafeDronesMonitor,
@@ -18,6 +19,8 @@ from repro.safedrones.propulsion import (
     PropulsionModel,
     TOLERABLE_FAILURES,
     motor_chain,
+    motor_chain_from_survival,
+    motor_transient,
 )
 
 
@@ -222,6 +225,141 @@ class TestBatteryTransientKernel:
             model.update(now, soc, temp)
             p = battery_chain(RATE).scaled(model.stress_factor(soc, temp)).transient(p, dt)
             np.testing.assert_allclose(model.distribution, p, rtol=0.0, atol=1e-12)
+
+
+HORIZONS = [0.0, 1e-9, 1.0, 600.0, 3600.0, 1e5, 1e7]
+
+
+def expm_transient(chain, p0, t):
+    """The generic ``expm`` solve, whatever ``transient`` the chain overrides."""
+    return ContinuousMarkovChain.transient(chain, p0, t)
+
+
+@pytest.fixture(scope="module")
+def arrangement_chains():
+    return {
+        rotors: motor_chain_from_survival(
+            rotors, ArrangementAnalysis(rotor_count=rotors).survival_by_count
+        )
+        for rotors in (4, 6, 8)
+    }
+
+
+class TestMotorTransientKernel:
+    """The closed form against the ``expm`` chain it stands in for."""
+
+    def assert_matches_oracle(self, chain, t):
+        n = len(chain.states)
+        starts = [np.eye(n)[i] for i in range(n)]
+        starts += list(np.random.default_rng(28).dirichlet(np.ones(n), size=3))
+        for p0 in starts:
+            np.testing.assert_allclose(
+                motor_transient(chain, p0, t),
+                expm_transient(chain, p0, t),
+                rtol=0.0,
+                atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("t", HORIZONS)
+    @pytest.mark.parametrize("rotors", [4, 6, 8])
+    def test_matches_expm_oracle(self, rotors, t):
+        for reconfig in (0.0, 0.5, 0.9, 1.0):
+            self.assert_matches_oracle(motor_chain(rotors, reconfig_success=reconfig), t)
+        self.assert_matches_oracle(motor_chain(rotors, failure_rate_per_hour=0.0), t)
+        self.assert_matches_oracle(motor_chain(rotors, failure_rate_per_hour=0.05), t)
+
+    @pytest.mark.parametrize("t", HORIZONS)
+    @pytest.mark.parametrize("rotors", [4, 6, 8])
+    def test_arrangement_chain_matches_expm_oracle(self, arrangement_chains, rotors, t):
+        self.assert_matches_oracle(arrangement_chains[rotors], t)
+
+    @pytest.mark.parametrize("t", HORIZONS)
+    @pytest.mark.parametrize("rotors", [4, 6, 8])
+    def test_model_pof_matches_oracle_for_every_controllable_state(self, rotors, t):
+        model = PropulsionModel(rotor_count=rotors)
+        while model.controllable:
+            p0 = np.eye(len(model.chain.states))[model.chain.index(model._current_state())]
+            expected = expm_transient(model.chain, p0, t)[-1]
+            assert model.failure_probability(t) == pytest.approx(expected, rel=0.0, abs=1e-12)
+            model.record_motor_failure()
+        assert model.failure_probability(t) == 1.0
+
+    def test_chain_transient_is_the_kernel(self):
+        chain = motor_chain(8)
+        p0 = np.array([0.5, 0.25, 0.25, 0.0])
+        np.testing.assert_array_equal(chain.transient(p0, 3600.0), motor_transient(chain, p0, 3600.0))
+
+    def test_zero_time_returns_p0(self):
+        chain = motor_chain(8)
+        for p0 in (np.eye(4)[1], np.array([0.5, 0.25, 0.125, 0.125])):
+            np.testing.assert_array_equal(motor_transient(chain, p0, 0.0), p0)
+
+    @pytest.mark.parametrize(
+        "p0, t",
+        [
+            ([0.7, 0.7, 0.0, 0.0], 1.0),  # does not sum to 1
+            ([1.0 + 1.2e-5, 0.0, 0.0, 0.0], 1.0),  # just outside np.isclose
+            ([0.5, 0.5, 0.0], 1.0),  # wrong length
+            ([1.0, 0.0, 0.0, 0.0], -1.0),  # negative time
+            ([1.0, 0.0, 0.0, 0.0], -1e-9),  # negative time, barely
+            ([1.05, -0.05, 0.0, 0.0], 0.0),  # clip loses normalisation
+        ],
+    )
+    def test_rejects_what_the_oracle_rejects(self, p0, t):
+        chain = motor_chain(8)
+        with pytest.raises(MarkovModelError):
+            expm_transient(chain, np.array(p0), t)
+        with pytest.raises(MarkovModelError):
+            motor_transient(chain, np.array(p0), t)
+
+    @pytest.mark.parametrize("rotors", [4, 6, 8])
+    def test_negative_horizon_rejected_by_the_model(self, rotors):
+        with pytest.raises(MarkovModelError, match="t must be non-negative"):
+            PropulsionModel(rotor_count=rotors).failure_probability(-1.0)
+
+    def test_sum_tolerance_unchanged(self):
+        chain = motor_chain(6)
+        p0 = np.array([1.0 + 0.9e-5, 0.0, 0.0])
+        np.testing.assert_allclose(
+            motor_transient(chain, p0, 1e5),
+            expm_transient(chain, p0, 1e5),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "q, absorbing",
+        [
+            # A repair transition back to a healthier stage.
+            ([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]], {"c"}),
+            # A stage skipped on the way down.
+            ([[-3.0, 1.0, 1.0, 1.0], [0.0, -2.0, 1.0, 1.0], [0.0, 0.0, -1.0, 1.0],
+              [0.0, 0.0, 0.0, 0.0]], {"d"}),
+            # Stage rates not equally spaced.
+            ([[-4.0, 3.0, 0.0, 1.0], [0.0, -2.0, 1.0, 1.0], [0.0, 0.0, -1.0, 1.0],
+              [0.0, 0.0, 0.0, 0.0]], {"d"}),
+            # Stage rates rising down the chain.
+            ([[-1.0, 0.5, 0.5], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]], {"c"}),
+            # Two absorbing states.
+            ([[-2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], {"b", "c"}),
+        ],
+        ids=["repair", "skip", "uneven-rates", "rising-rates", "two-absorbing"],
+    )
+    def test_rejects_a_chain_of_another_shape(self, q, absorbing):
+        states = "abcd"[: len(q)]
+        chain = ContinuousMarkovChain(states=list(states), q=np.array(q), absorbing=frozenset(absorbing))
+        with pytest.raises(MarkovModelError, match="not a motor chain"):
+            motor_transient(chain, np.eye(len(q))[0], 1.0)
+
+    def test_model_never_falls_back_to_expm(self):
+        model = PropulsionModel(rotor_count=6)
+        model.chain = ContinuousMarkovChain(
+            states=["ok_6", "ok_5", "failed"],
+            q=np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]),
+            absorbing=frozenset({"failed"}),
+        )
+        with pytest.raises(MarkovModelError, match="not a motor chain"):
+            model.failure_probability(600.0)
 
 
 class TestProcessor:

@@ -6,7 +6,10 @@ nothing) when a scripted fault comes due. The rules:
 
 * every top-level key is a :data:`DEFAULTS` knob or one of
   :data:`META_KEYS`;
-* ``k_leaders >= 1``, ``rho >= 0`` and ``n_pois >= 0``;
+* ``k_leaders``, ``rho`` and ``n_pois`` are whole numbers with
+  ``k_leaders >= 1``, ``rho >= 0`` and ``n_pois >= 0``;
+* ``dt`` is positive and finite, ``horizon_s`` non-negative and finite,
+  and ``comm_radius_m`` non-negative;
 * ``faults`` is a list of objects, each with a known ``type``, a ``uav``
   of the role that type acts on, and a finite ``at``.
 """
@@ -74,6 +77,46 @@ class TestSizing:
     def test_zero_is_a_valid_size(self, key):
         sim = build(**{key: 0})
         assert getattr(sim, key) == 0
+
+
+    @pytest.mark.parametrize("key", ["k_leaders", "rho", "n_pois"])
+    @pytest.mark.parametrize(
+        "value", [2.7, 0.5, "3", None, True, math.nan, math.inf],
+        ids=["fraction", "half", "string", "null", "bool", "nan", "inf"],
+    )
+    def test_non_integer_size_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}' must be a whole number"):
+            build(**{key: value})
+
+    @pytest.mark.parametrize("key", ["k_leaders", "rho", "n_pois"])
+    def test_whole_float_size_accepted(self, key):
+        sim = build(**{key: 3.0})
+        assert getattr(sim, "k" if key == "k_leaders" else key) == 3
+
+
+class TestTiming:
+    @pytest.mark.parametrize(
+        "dt", [0.0, -0.5, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+    )
+    def test_bad_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="'dt' must be a positive finite step"):
+            build(dt=dt)
+
+    @pytest.mark.parametrize(
+        "horizon", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"]
+    )
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="'horizon_s' must be a non-negative"):
+            build(horizon_s=horizon)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_bad_comm_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="'comm_radius_m' must be non-negative"):
+            build(comm_radius_m=radius)
+
+    def test_zero_horizon_and_radius_accepted(self):
+        sim = build(horizon_s=0.0, comm_radius_m=0.0)
+        assert (sim.horizon_s, sim.comm_radius) == (0.0, 0.0)
 
 
 class TestFaultList:
