@@ -5,7 +5,7 @@ measured battery temperature, thermal fault at t=250 s) through
 :class:`~repro.safedrones.monitor.SafeDronesMonitor`, and through a
 reference monitor whose battery integrates ``battery_chain(rate).scaled(f)``
 with the generic ``expm`` transient on every sample and whose propulsion
-PoF is solved afresh on every sample. Both must produce the same PoF
+PoF is solved afresh with ``expm`` on every sample. Both must produce the same PoF
 curve; the monitor must be at least ``TARGET_SPEEDUP`` times faster per
 update.
 
@@ -21,6 +21,7 @@ from conftest import print_table, run_once
 
 from repro.experiments import run_fig5_battery_experiment
 from repro.safedrones.battery import BatteryReliabilityModel, battery_chain
+from repro.safedrones.markov import ContinuousMarkovChain
 from repro.safedrones.monitor import SafeDronesMonitor
 from repro.safedrones.propulsion import PropulsionModel
 
@@ -45,7 +46,7 @@ class ExpmBattery(BatteryReliabilityModel):
 
 
 class UncachedPropulsion(PropulsionModel):
-    """Propulsion model that re-solves its chain on every query."""
+    """Propulsion model that re-solves its chain with ``expm`` on every query."""
 
     def failure_probability(self, horizon_s: float) -> float:
         state = self._current_state()
@@ -53,7 +54,7 @@ class UncachedPropulsion(PropulsionModel):
             return 1.0
         p0 = np.zeros(len(self.chain.states))
         p0[self.chain.index(state)] = 1.0
-        return self.chain.failure_probability(p0, horizon_s)
+        return float(ContinuousMarkovChain.transient(self.chain, p0, horizon_s)[-1])
 
 
 def fig5_profile() -> list[tuple[float, float, float]]:
