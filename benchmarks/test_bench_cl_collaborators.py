@@ -7,7 +7,7 @@ landing error scale from one to two assisting UAVs."""
 
 from conftest import print_table, run_once
 
-from repro.experiments import run_fig7_collaborative_landing
+from repro.experiments.fig7_collab_landing import run_fig7_collaborative_landing
 
 
 def sweep():

@@ -6,7 +6,7 @@ from conftest import print_table, run_once
 
 from repro.core.decider import MissionDecider
 from repro.core.uav_network import UavConSertNetwork
-from repro.experiments import run_conserts_scenario_matrix
+from repro.experiments.conserts_network import run_conserts_scenario_matrix
 from repro.experiments.conserts_network import UavCondition, apply_condition
 
 

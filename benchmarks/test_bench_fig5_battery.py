@@ -4,7 +4,7 @@ improvement)."""
 
 from conftest import print_table, run_once
 
-from repro.experiments import run_fig5_battery_experiment
+from repro.experiments.fig5_battery import run_fig5_battery_experiment
 
 
 def test_fig5_probability_of_failure(benchmark):

@@ -3,7 +3,7 @@ spoofing, with immediate Security EDDI detection)."""
 
 from conftest import print_table, run_once
 
-from repro.experiments import run_fig6_spoofing_experiment
+from repro.experiments.fig6_spoofing import run_fig6_spoofing_experiment
 
 
 def test_fig6_spoofing_trajectory_deviation(benchmark):

@@ -3,7 +3,7 @@ GPS-denied spoofed UAV to a high-precision safe landing)."""
 
 from conftest import print_table, run_once
 
-from repro.experiments import run_fig7_collaborative_landing
+from repro.experiments.fig7_collab_landing import run_fig7_collaborative_landing
 
 
 def test_fig7_collaborative_safe_landing(benchmark):

@@ -22,7 +22,7 @@ import time
 from conftest import print_table, run_once
 
 from repro import obs
-from repro.experiments import run_fig5_battery_experiment
+from repro.experiments.fig5_battery import run_fig5_battery_experiment
 from repro.middleware.rosbus import Message, RosBus
 
 REPEATS = 3

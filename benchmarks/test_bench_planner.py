@@ -15,12 +15,12 @@ import time
 import numpy as np
 from conftest import print_table, run_once
 
-from repro.plan import (
-    ObstacleField,
+from repro.plan.astar import route_waypoints
+from repro.plan.grid import ObstacleField
+from repro.plan.routing import (
     inspection_points,
     nearest_neighbor_tour,
     partition_points,
-    route_waypoints,
     tour_length,
     two_opt,
 )

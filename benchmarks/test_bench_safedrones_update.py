@@ -19,7 +19,7 @@ import numpy as np
 
 from conftest import print_table, run_once
 
-from repro.experiments import run_fig5_battery_experiment
+from repro.experiments.fig5_battery import run_fig5_battery_experiment
 from repro.safedrones.battery import BatteryReliabilityModel, battery_chain
 from repro.safedrones.markov import ContinuousMarkovChain
 from repro.safedrones.monitor import SafeDronesMonitor

@@ -3,7 +3,7 @@ high altitude -> descend -> ~75% uncertainty, 99.8% accuracy)."""
 
 from conftest import print_table, run_once
 
-from repro.experiments import run_sar_accuracy_experiment
+from repro.experiments.sar_accuracy import run_sar_accuracy_experiment
 
 
 def test_sar_accuracy_altitude_adaptation(benchmark):

@@ -10,7 +10,7 @@ comparison.
 Run:  python examples/battery_failure_availability.py
 """
 
-from repro.experiments import run_fig5_battery_experiment
+from repro.experiments.fig5_battery import run_fig5_battery_experiment
 
 
 def ascii_curve(times, values, width=72, height=12, threshold=0.9):

@@ -8,7 +8,7 @@ threshold, ConSerts command a descent, and the uncertainty settles near
 Run:  python examples/sar_accuracy_adaptation.py
 """
 
-from repro.experiments import run_sar_accuracy_experiment
+from repro.experiments.sar_accuracy import run_sar_accuracy_experiment
 from repro.experiments.sar_accuracy import theoretical_accuracy_curve
 
 

@@ -9,10 +9,8 @@ designated point.
 Run:  python examples/spoofing_attack_response.py
 """
 
-from repro.experiments import (
-    run_fig6_spoofing_experiment,
-    run_fig7_collaborative_landing,
-)
+from repro.experiments.fig6_spoofing import run_fig6_spoofing_experiment
+from repro.experiments.fig7_collab_landing import run_fig7_collaborative_landing
 
 
 def main() -> None:

@@ -19,17 +19,3 @@ Public API highlights:
 """
 
 __version__ = "1.0.0"
-
-from repro.geo import EnuFrame, GeoPoint, haversine_m
-from repro.scenario import Scenario, ScenarioError, load_scenario, load_scenario_json
-
-__all__ = [
-    "EnuFrame",
-    "GeoPoint",
-    "haversine_m",
-    "Scenario",
-    "ScenarioError",
-    "load_scenario",
-    "load_scenario_json",
-    "__version__",
-]

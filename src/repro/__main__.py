@@ -48,7 +48,7 @@ def _run_fig4(seed: int) -> None:
 
 
 def _run_fig5(seed: int) -> None:
-    from repro.experiments import run_fig5_battery_experiment
+    from repro.experiments.fig5_battery import run_fig5_battery_experiment
 
     result = run_fig5_battery_experiment(seed=seed)
     print(f"nominal mission:        {result.nominal_mission_s:.0f} s")
@@ -62,7 +62,7 @@ def _run_fig5(seed: int) -> None:
 
 
 def _run_sar_accuracy(seed: int) -> None:
-    from repro.experiments import run_sar_accuracy_experiment
+    from repro.experiments.sar_accuracy import run_sar_accuracy_experiment
 
     result = run_sar_accuracy_experiment(seed=seed)
     print(f"uncertainty high/final: {result.uncertainty_high:.3f} / "
@@ -73,7 +73,7 @@ def _run_sar_accuracy(seed: int) -> None:
 
 
 def _run_fig6(seed: int) -> None:
-    from repro.experiments import run_fig6_spoofing_experiment
+    from repro.experiments.fig6_spoofing import run_fig6_spoofing_experiment
 
     result = run_fig6_spoofing_experiment(seed=seed)
     print(f"max trajectory deviation: {result.max_deviation_m:.1f} m")
@@ -82,7 +82,7 @@ def _run_fig6(seed: int) -> None:
 
 
 def _run_fig7(seed: int) -> None:
-    from repro.experiments import run_fig7_collaborative_landing
+    from repro.experiments.fig7_collab_landing import run_fig7_collaborative_landing
 
     result = run_fig7_collaborative_landing(seed=seed)
     print(f"landed:                {result.cl_report.landed}")
@@ -91,7 +91,7 @@ def _run_fig7(seed: int) -> None:
 
 
 def _run_comm(seed: int) -> None:
-    from repro.experiments import run_comm_availability_experiment
+    from repro.experiments.comm_availability import run_comm_availability_experiment
 
     result = run_comm_availability_experiment(seed=seed)
     print("loss    delivery (exp/meas)   availability   demotions")
@@ -103,7 +103,7 @@ def _run_comm(seed: int) -> None:
 
 
 def _run_conserts(seed: int) -> None:
-    from repro.experiments import run_conserts_scenario_matrix
+    from repro.experiments.conserts_network import run_conserts_scenario_matrix
 
     for result in run_conserts_scenario_matrix():
         degraded = result.conditions[0]
@@ -115,7 +115,7 @@ def _run_conserts(seed: int) -> None:
 
 
 def _run_fleet_scale(seed: int) -> None:
-    from repro.experiments import run_fleet_scale_experiment
+    from repro.experiments.fleet_scale import run_fleet_scale_experiment
 
     result = run_fleet_scale_experiment(seed=seed)
     print(result.render())
@@ -169,8 +169,7 @@ def _run_fuzz_cli(args: argparse.Namespace, policy) -> int:
     import json as json_module
 
     from repro.harness.campaign import CampaignAborted
-    from repro.harness.fuzz import run_fuzz
-    from repro.harness.fuzz.campaign import summarize_fuzz
+    from repro.harness.fuzz.campaign import run_fuzz, summarize_fuzz
 
     if args.count is not None and args.count < 1:
         return _usage_error(f"--count must be >= 1, got {args.count}")

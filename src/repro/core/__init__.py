@@ -20,48 +20,3 @@ Modules:
 - :mod:`repro.core.ode` — Open-Dependability-Exchange-style packaging of
   dependability models (serialisation for design-time interchange).
 """
-
-from repro.core.conserts import (
-    AndNode,
-    ConSert,
-    Demand,
-    Guarantee,
-    OrNode,
-    RuntimeEvidence,
-)
-from repro.core.decider import MissionDecider, MissionVerdict
-from repro.core.eddi import Eddi, EddiResponse, MonitorAdapter
-from repro.core.uav_network import UavConSertNetwork, UavGuarantee
-from repro.core.ode import OdePackage
-from repro.core.adapters import (
-    MonitorStack,
-    PeerTelemetryMonitor,
-    attach_degraded_comm,
-    build_fleet_eddis,
-    build_uav_eddi,
-)
-from repro.core.responses import FleetResponseCoordinator, StandardResponsePolicy
-
-__all__ = [
-    "AndNode",
-    "ConSert",
-    "Demand",
-    "Guarantee",
-    "OrNode",
-    "RuntimeEvidence",
-    "MissionDecider",
-    "MissionVerdict",
-    "Eddi",
-    "EddiResponse",
-    "MonitorAdapter",
-    "UavConSertNetwork",
-    "UavGuarantee",
-    "OdePackage",
-    "MonitorStack",
-    "PeerTelemetryMonitor",
-    "attach_degraded_comm",
-    "build_fleet_eddis",
-    "build_uav_eddi",
-    "FleetResponseCoordinator",
-    "StandardResponsePolicy",
-]

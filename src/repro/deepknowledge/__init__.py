@@ -12,18 +12,3 @@ The paper applies it to tiny YOLOv4 person detection; here the network
 under analysis is a from-scratch NumPy MLP (see DESIGN.md substitutions),
 which exhibits the same activation-trace behaviour the method consumes.
 """
-
-from repro.deepknowledge.network import FeedForwardNetwork, TrainConfig
-from repro.deepknowledge.knowledge import (
-    CoverageReport,
-    DeepKnowledgeAnalyzer,
-    TransferKnowledgeNeuron,
-)
-
-__all__ = [
-    "FeedForwardNetwork",
-    "TrainConfig",
-    "CoverageReport",
-    "DeepKnowledgeAnalyzer",
-    "TransferKnowledgeNeuron",
-]

@@ -4,50 +4,3 @@ One module per experiment; each exposes a ``run_*`` function returning a
 structured result dataclass, shared by the examples, the benchmark
 harness, and EXPERIMENTS.md. See DESIGN.md's per-experiment index.
 """
-
-from repro.experiments.fig5_battery import Fig5Result, run_fig5_battery_experiment
-from repro.experiments.sar_accuracy import SarAccuracyResult, run_sar_accuracy_experiment
-from repro.experiments.fig6_spoofing import Fig6Result, run_fig6_spoofing_experiment
-from repro.experiments.fig7_collab_landing import (
-    Fig7Result,
-    run_fig7_collaborative_landing,
-)
-from repro.experiments.conserts_network import (
-    ConsertScenarioResult,
-    run_conserts_scenario_matrix,
-)
-from repro.experiments.monte_carlo import MonteCarloResult, run_monte_carlo_fig5
-from repro.experiments.fig4_platform import Fig4Result, run_fig4_platform_demo
-from repro.experiments.comm_availability import (
-    CommAvailabilityResult,
-    CommSweepPoint,
-    run_comm_availability_experiment,
-)
-from repro.experiments.fleet_scale import (
-    FleetScalePoint,
-    FleetScaleResult,
-    run_fleet_scale_experiment,
-)
-
-__all__ = [
-    "Fig5Result",
-    "run_fig5_battery_experiment",
-    "SarAccuracyResult",
-    "run_sar_accuracy_experiment",
-    "Fig6Result",
-    "run_fig6_spoofing_experiment",
-    "Fig7Result",
-    "run_fig7_collaborative_landing",
-    "ConsertScenarioResult",
-    "run_conserts_scenario_matrix",
-    "MonteCarloResult",
-    "run_monte_carlo_fig5",
-    "Fig4Result",
-    "run_fig4_platform_demo",
-    "CommAvailabilityResult",
-    "CommSweepPoint",
-    "run_comm_availability_experiment",
-    "FleetScalePoint",
-    "FleetScaleResult",
-    "run_fleet_scale_experiment",
-]

@@ -31,47 +31,3 @@ Entry points: :func:`repro.harness.campaign.run_campaign` and the
 ``python -m repro campaign <experiment>`` CLI (including
 ``campaign fuzz --profile {smoke,default,hostile} --count N``).
 """
-
-from repro.harness.campaign import (
-    CampaignAborted,
-    CampaignExperiment,
-    CampaignResult,
-    FaultPolicy,
-    SampleRecord,
-    get_experiment,
-    list_experiments,
-    register_experiment,
-    run_campaign,
-)
-from repro.harness.cache import ResultCache, code_fingerprint, stable_hash
-from repro.harness.manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    manifest_fingerprint,
-    write_manifest,
-)
-from repro.harness.oracles import OracleReport, Violation, run_scenario_oracles
-from repro.harness.seeding import spawn_sample_seeds
-from repro.harness.timing import PhaseTimer
-
-__all__ = [
-    "CampaignAborted",
-    "CampaignExperiment",
-    "CampaignResult",
-    "FaultPolicy",
-    "MANIFEST_SCHEMA_VERSION",
-    "OracleReport",
-    "PhaseTimer",
-    "ResultCache",
-    "SampleRecord",
-    "Violation",
-    "code_fingerprint",
-    "get_experiment",
-    "list_experiments",
-    "manifest_fingerprint",
-    "register_experiment",
-    "run_campaign",
-    "run_scenario_oracles",
-    "spawn_sample_seeds",
-    "stable_hash",
-    "write_manifest",
-]

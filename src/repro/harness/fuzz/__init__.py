@@ -18,20 +18,3 @@ of inputs the stack has survived. This package turns the three curated
     Greedy scenario minimizer: drop UAVs, faults, attacks, weather;
     shorten the horizon; keep only what still reproduces the violation.
 """
-
-from repro.harness.fuzz.campaign import FUZZ_EXPERIMENT, run_fuzz
-from repro.harness.fuzz.generator import (
-    PROFILES,
-    FuzzProfile,
-    ScenarioGenerator,
-)
-from repro.harness.fuzz.shrink import shrink_scenario
-
-__all__ = [
-    "FUZZ_EXPERIMENT",
-    "FuzzProfile",
-    "PROFILES",
-    "ScenarioGenerator",
-    "run_fuzz",
-    "shrink_scenario",
-]

@@ -21,25 +21,3 @@ Pipeline implemented here:
 5. :mod:`repro.localization.landing` — guided safe-landing controller
    feeding CL position estimates back to the GPS-denied UAV (Fig. 7).
 """
-
-from repro.localization.depth import MonocularDepthEstimator
-from repro.localization.detection import DroneDetection, DroneDetector
-from repro.localization.collaborative import (
-    CollaborativeLocalizer,
-    PositionEstimate,
-    Sighting,
-)
-from repro.localization.fusion import ConstantVelocityKalman
-from repro.localization.landing import GuidedLandingController, LandingReport
-
-__all__ = [
-    "MonocularDepthEstimator",
-    "DroneDetection",
-    "DroneDetector",
-    "CollaborativeLocalizer",
-    "PositionEstimate",
-    "Sighting",
-    "ConstantVelocityKalman",
-    "GuidedLandingController",
-    "LandingReport",
-]

@@ -13,29 +13,3 @@ delayed, partitionable per-UAV-pair links under the same bus API, and
 explicit link-down signal on top — the realistic mesh transport the
 Communication-based Localization ConSert monitors.
 """
-
-from repro.middleware.rosbus import Message, RosBus, Subscription, TrafficLog
-from repro.middleware.degraded import DegradedBus, LinkModel, LinkStats
-from repro.middleware.reliable import ReliableChannel, ReliableChannelStats
-from repro.middleware.attacks import (
-    Attacker,
-    EavesdropAttack,
-    MitmAttack,
-    SpoofingAttack,
-)
-
-__all__ = [
-    "Message",
-    "RosBus",
-    "Subscription",
-    "TrafficLog",
-    "DegradedBus",
-    "LinkModel",
-    "LinkStats",
-    "ReliableChannel",
-    "ReliableChannelStats",
-    "Attacker",
-    "EavesdropAttack",
-    "MitmAttack",
-    "SpoofingAttack",
-]

@@ -11,35 +11,3 @@ or harness layers, which sit above it):
 - :mod:`repro.plan.routing` — multi-UAV inspection-point tours
   (east-band partitioning, nearest-neighbour + 2-opt).
 """
-
-from repro.plan.astar import plan_path, route_waypoints, shortcut_path
-from repro.plan.grid import (
-    ObstacleField,
-    ObstacleIndex,
-    OccupancyGrid3D,
-    PlanError,
-)
-from repro.plan.routing import (
-    inspection_points,
-    nearest_neighbor_tour,
-    partition_points,
-    plan_inspection_tours,
-    tour_length,
-    two_opt,
-)
-
-__all__ = [
-    "ObstacleField",
-    "ObstacleIndex",
-    "OccupancyGrid3D",
-    "PlanError",
-    "inspection_points",
-    "nearest_neighbor_tour",
-    "partition_points",
-    "plan_inspection_tours",
-    "plan_path",
-    "route_waypoints",
-    "shortcut_path",
-    "tour_length",
-    "two_opt",
-]

@@ -7,36 +7,3 @@ task manager (algorithms as services). The layers are faithful to the
 paper's component responsibilities while running fully in-process on the
 simulation substrate.
 """
-
-from repro.platform.database import DatabaseManager, DbRequest, AccessDenied
-from repro.platform.uav_manager import UavManager, UavRecord
-from repro.platform.task_manager import TaskManager, TaskService
-from repro.platform.gcs import GroundControlStation, LogEntry
-from repro.platform.gui import (
-    render_fleet_status,
-    render_guarantee_timeline,
-    render_mission_panel,
-)
-from repro.platform.recorder import FlightKpis, FlightRecorder, TelemetryRecord
-from repro.platform.api import WebApi
-from repro.platform.map_view import MapView
-
-__all__ = [
-    "DatabaseManager",
-    "DbRequest",
-    "AccessDenied",
-    "UavManager",
-    "UavRecord",
-    "TaskManager",
-    "TaskService",
-    "GroundControlStation",
-    "LogEntry",
-    "render_fleet_status",
-    "render_mission_panel",
-    "render_guarantee_timeline",
-    "FlightKpis",
-    "FlightRecorder",
-    "TelemetryRecord",
-    "WebApi",
-    "MapView",
-]

@@ -19,44 +19,3 @@ This subpackage implements that stack from scratch:
 - :mod:`repro.safedrones.monitor` — the runtime monitor mapping live
   telemetry to {HIGH, MEDIUM, LOW} reliability guarantees.
 """
-
-from repro.safedrones.markov import ContinuousMarkovChain
-from repro.safedrones.propulsion import PropulsionModel, motor_chain
-from repro.safedrones.battery import BatteryReliabilityModel
-from repro.safedrones.processor import ProcessorReliabilityModel
-from repro.safedrones.fta import (
-    AndGate,
-    BasicEvent,
-    ComplexBasicEvent,
-    FaultTree,
-    KooNGate,
-    OrGate,
-)
-from repro.safedrones.monitor import ReliabilityLevel, SafeDronesMonitor
-from repro.safedrones.arrangement import ArrangementAnalysis, regular_airframe
-from repro.safedrones.communication import (
-    CommLinkMonitor,
-    GilbertElliottChannel,
-    LinkAssessment,
-)
-
-__all__ = [
-    "ContinuousMarkovChain",
-    "PropulsionModel",
-    "motor_chain",
-    "BatteryReliabilityModel",
-    "ProcessorReliabilityModel",
-    "AndGate",
-    "BasicEvent",
-    "ComplexBasicEvent",
-    "FaultTree",
-    "KooNGate",
-    "OrGate",
-    "ReliabilityLevel",
-    "SafeDronesMonitor",
-    "CommLinkMonitor",
-    "GilbertElliottChannel",
-    "LinkAssessment",
-    "ArrangementAnalysis",
-    "regular_airframe",
-]

@@ -84,7 +84,7 @@ class SafeDronesMonitor:
             name="uav_loss",
             children=[
                 ComplexBasicEvent("battery_failure", self.battery),
-                ComplexBasicEvent("processor_failure", _SnapshotModel(self)),
+                ComplexBasicEvent("processor_failure", self.processor),
             ],
         )
         self.fault_tree = FaultTree(name=f"{self.uav_id}_loss", top=loss_tree)
@@ -120,7 +120,6 @@ class SafeDronesMonitor:
         # Junction temperature tracks battery bay temperature plus load rise.
         processor_pof = self.processor.update(now, battery_temp_c + 15.0)
         propulsion_pof = self.propulsion.failure_probability(self.mission_horizon_s)
-        self._propulsion_snapshot = propulsion_pof
 
         total_pof = self.fault_tree.top_event_probability()
         # Fold the propulsion mission-horizon risk in as an OR term.
@@ -142,14 +141,3 @@ class SafeDronesMonitor:
     def latest(self) -> ReliabilityAssessment | None:
         """The most recent assessment, or None before the first update."""
         return self.history[-1] if self.history else None
-
-
-@dataclass
-class _SnapshotModel:
-    """Adapter exposing the monitor's processor PoF to the fault tree."""
-
-    monitor: "SafeDronesMonitor"
-
-    @property
-    def failure_probability(self) -> float:
-        return self.monitor.processor.failure_probability

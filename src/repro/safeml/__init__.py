@@ -11,29 +11,3 @@ Anderson–Darling, Cramér–von Mises, Wasserstein, and the combined DTS
 measure — together with the sliding-window runtime monitor that maps
 dissimilarity to a confidence level consumed by the ConSert layer.
 """
-
-from repro.safeml.ecdf import Ecdf
-from repro.safeml.distances import (
-    anderson_darling_distance,
-    cramer_von_mises_distance,
-    dts_distance,
-    kolmogorov_smirnov_distance,
-    kuiper_distance,
-    wasserstein_distance,
-    ALL_MEASURES,
-)
-from repro.safeml.monitor import ConfidenceLevel, SafeMlMonitor, SafeMlReport
-
-__all__ = [
-    "Ecdf",
-    "anderson_darling_distance",
-    "cramer_von_mises_distance",
-    "dts_distance",
-    "kolmogorov_smirnov_distance",
-    "kuiper_distance",
-    "wasserstein_distance",
-    "ALL_MEASURES",
-    "ConfidenceLevel",
-    "SafeMlMonitor",
-    "SafeMlReport",
-]

@@ -77,7 +77,8 @@ import numpy as np
 
 from repro.geo import EnuFrame, GeoPoint
 from repro.middleware.attacks import SpoofingAttack
-from repro.plan import ObstacleField, PlanError, route_waypoints
+from repro.plan.astar import route_waypoints
+from repro.plan.grid import ObstacleField, PlanError
 from repro.sar.coverage import CameraConfig
 from repro.middleware.degraded import DegradedBus
 from repro.uav.battery import BatterySpec

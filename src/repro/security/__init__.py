@@ -13,23 +13,3 @@ simulated ROS traffic, spoofing detectors (GPS and ROS message), and the
 Security EDDI engine that traces alerts from attack-tree leaves toward the
 root.
 """
-
-from repro.security.attack_trees import AttackNode, AttackTree, GateType
-from repro.security.broker import MqttBroker
-from repro.security.ids import Alert, IntrusionDetectionSystem, IdsRule
-from repro.security.eddi import SecurityEddi, SecurityEvent
-from repro.security.spoofing import GpsSpoofingDetector, SpoofVerdict
-
-__all__ = [
-    "AttackNode",
-    "AttackTree",
-    "GateType",
-    "MqttBroker",
-    "Alert",
-    "IntrusionDetectionSystem",
-    "IdsRule",
-    "SecurityEddi",
-    "SecurityEvent",
-    "GpsSpoofingDetector",
-    "SpoofVerdict",
-]

@@ -12,22 +12,3 @@ This subpackage implements a discrete Bayesian-network engine (exact
 inference by variable elimination) and the SAR missed-person risk model
 built on it.
 """
-
-from repro.sinadra.bayesnet import BayesianNetwork, DiscreteNode
-from repro.sinadra.risk import (
-    Criticality,
-    RiskAssessment,
-    SarRiskModel,
-    SituationInputs,
-)
-from repro.sinadra.situation import altitude_band
-
-__all__ = [
-    "BayesianNetwork",
-    "DiscreteNode",
-    "Criticality",
-    "RiskAssessment",
-    "SarRiskModel",
-    "SituationInputs",
-    "altitude_band",
-]

@@ -37,27 +37,3 @@ Everything is a pure function of the scenario config and seed — same
 inputs, byte-identical task ledger and campaign fingerprint at any
 worker count (``tests/test_swarm_properties.py``).
 """
-
-from repro.swarm.protocol import (
-    FollowerProtocol,
-    FollowerState,
-    LeaderProtocol,
-    SwarmProtocolConfig,
-    SwarmLedger,
-    Task,
-    TaskState,
-)
-from repro.swarm.sim import SwarmRun, build_swarm, run_swarm
-
-__all__ = [
-    "FollowerProtocol",
-    "FollowerState",
-    "LeaderProtocol",
-    "SwarmProtocolConfig",
-    "SwarmLedger",
-    "Task",
-    "TaskState",
-    "SwarmRun",
-    "build_swarm",
-    "run_swarm",
-]

@@ -93,6 +93,26 @@ META_KEYS = frozenset({"seed", "kind", "description"})
 FAULT_ROLES = {"follower_loss": "follower", "leader_demotion": "leader"}
 """Each scripted fault type and the role of the UAV it must name."""
 
+FLOAT_KNOBS: dict[str, tuple[str, str]] = {
+    "area_m": ("positive", "length"),
+    "detect_radius_m": ("positive", "length"),
+    "patrol_altitude_m": ("non-negative", "height"),
+    "leader_speed_mps": ("positive", "speed"),
+    "follower_speed_mps": ("positive", "speed"),
+    "dt": ("positive", "step"),
+    "horizon_s": ("non-negative", "time"),
+    "link_latency_s": ("non-negative", "time"),
+    "link_jitter_s": ("non-negative", "time"),
+    "task_timeout_s": ("positive", "time"),
+    "visit_dwell_s": ("non-negative", "time"),
+    "reassign_backoff_s": ("non-negative", "time"),
+    "reassign_backoff_max_s": ("non-negative", "time"),
+    "follower_dead_after_s": ("positive", "time"),
+    "heartbeat_s": ("positive", "period"),
+    "consert_period_s": ("positive", "period"),
+}
+"""Each finite float knob's range and what it measures (for the error)."""
+
 
 @dataclass
 class SwarmRun:
@@ -135,6 +155,22 @@ def _whole(cfg: dict[str, Any], key: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{key!r} must be a whole number, got {value!r}")
+
+
+def _finite(cfg: dict[str, Any], key: str) -> float:
+    """``cfg[key]`` as a float; ``ValueError`` naming ``key`` unless it is a
+    finite number in the range :data:`FLOAT_KNOBS` gives it."""
+    rule, noun = FLOAT_KNOBS[key]
+    value = cfg[key]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value < 0.0
+        or (rule == "positive" and value == 0.0)
+    ):
+        raise ValueError(f"{key!r} must be a {rule} finite {noun}, got {value!r}")
+    return float(value)
 
 
 def _checked_faults(
@@ -210,23 +246,22 @@ class SwarmSim:
         self.n_pois = _whole(cfg, "n_pois")
         if self.k < 1 or self.rho < 0 or self.n_pois < 0:
             raise ValueError("k_leaders >= 1, rho >= 0, n_pois >= 0 required")
-        self.area = float(cfg["area_m"])
+        knob = {key: _finite(cfg, key) for key in FLOAT_KNOBS}
+        self.area = knob["area_m"]
+        self.detect_radius = knob["detect_radius_m"]
+        self.dt = knob["dt"]
+        self.horizon_s = knob["horizon_s"]
+        self.consert_period = knob["consert_period_s"]
         self.comm_radius = float(cfg["comm_radius_m"])
-        self.detect_radius = float(cfg["detect_radius_m"])
-        self.dt = float(cfg["dt"])
-        self.horizon_s = float(cfg["horizon_s"])
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"'dt' must be a positive finite step, got {cfg['dt']!r}")
-        if not (self.horizon_s >= 0.0 and math.isfinite(self.horizon_s)):
-            raise ValueError(
-                f"'horizon_s' must be a non-negative finite time, got {cfg['horizon_s']!r}"
-            )
         if not self.comm_radius >= 0.0:
             raise ValueError(
                 f"'comm_radius_m' must be non-negative, got {cfg['comm_radius_m']!r}"
             )
-        self.consert_period = float(cfg["consert_period_s"])
         self.base_loss = float(cfg["link_loss"])
+        if not 0.0 <= self.base_loss <= 1.0:
+            raise ValueError(
+                f"'link_loss' must be a probability in [0, 1], got {cfg['link_loss']!r}"
+            )
         self.now = 0.0
         self._step_index = 0
 
@@ -240,16 +275,16 @@ class SwarmSim:
         # stepped once per tick, so a copy drains at the first tick at or
         # past its worst-case link delay and its ACK takes as long back; a
         # shorter timer resends every reliable message once.
-        max_delay = float(cfg["link_latency_s"]) + float(cfg["link_jitter_s"])
+        max_delay = knob["link_latency_s"] + knob["link_jitter_s"]
         round_trip = 2 * (math.floor(max_delay / self.dt) + 1) * self.dt
         self.protocol_config = SwarmProtocolConfig(
             retry_after_s=round_trip,
-            task_timeout_s=float(cfg["task_timeout_s"]),
-            reassign_backoff_s=float(cfg["reassign_backoff_s"]),
-            reassign_backoff_max_s=float(cfg["reassign_backoff_max_s"]),
-            follower_dead_after_s=float(cfg["follower_dead_after_s"]),
-            heartbeat_s=float(cfg["heartbeat_s"]),
-            visit_dwell_s=float(cfg["visit_dwell_s"]),
+            task_timeout_s=knob["task_timeout_s"],
+            reassign_backoff_s=knob["reassign_backoff_s"],
+            reassign_backoff_max_s=knob["reassign_backoff_max_s"],
+            follower_dead_after_s=knob["follower_dead_after_s"],
+            heartbeat_s=knob["heartbeat_s"],
+            visit_dwell_s=knob["visit_dwell_s"],
         )
 
         self.leader_names = [_leader_name(k) for k in range(self.k)]
@@ -278,7 +313,7 @@ class SwarmSim:
         spacing = 2.0 * self.detect_radius
         for k, name in enumerate(self.leader_names):
             wps = sector_sweep(
-                self.area, self.k, k, float(cfg["patrol_altitude_m"]), spacing
+                self.area, self.k, k, knob["patrol_altitude_m"], spacing
             )
             self._waypoints[name] = [(e, n) for e, n, _ in wps]
             self._wp_index[name] = 0
@@ -289,13 +324,13 @@ class SwarmSim:
         speeds = np.zeros(n_total)
         for name in self.leader_names:
             positions[self._index[name]] = self._waypoints[name][0]
-            speeds[self._index[name]] = float(cfg["leader_speed_mps"])
+            speeds[self._index[name]] = knob["leader_speed_mps"]
         for k in range(self.k):
             lead_pos = positions[self._index[_leader_name(k)]]
             for j in range(self.rho):
                 idx = self._index[_follower_name(k, j)]
                 positions[idx] = lead_pos
-                speeds[idx] = float(cfg["follower_speed_mps"])
+                speeds[idx] = knob["follower_speed_mps"]
         self.kin = SwarmKinematics(positions, speeds)
 
         # One LinkModel per leader×follower pair, rngs spawned in sorted
@@ -310,8 +345,8 @@ class SwarmSim:
             link = LinkModel(
                 rng=np.random.default_rng(child),
                 loss_probability=self.base_loss,
-                latency_s=float(cfg["link_latency_s"]),
-                jitter_s=float(cfg["link_jitter_s"]),
+                latency_s=knob["link_latency_s"],
+                jitter_s=knob["link_jitter_s"],
             )
             self.bus.set_link(ln, fn, link)
             self._links.append((self._index[ln], self._index[fn], link))

@@ -11,58 +11,3 @@ The EDDI technologies consume telemetry streams, not aerodynamics, so a
 kinematic waypoint-following model reproduces every signal the paper's
 experiments depend on while remaining laptop-fast.
 """
-
-from repro.uav.battery import Battery, BatteryFault, BatterySpec
-from repro.uav.dynamics import UavDynamics, WaypointPlan
-from repro.uav.sensors import (
-    Camera,
-    GpsSensor,
-    GpsFix,
-    ImuSensor,
-    SensorSuite,
-    TemperatureSensor,
-    WindSensor,
-)
-from repro.uav.environment import Environment, GustProcess
-from repro.uav.faults import (
-    Fault,
-    FaultSchedule,
-    battery_collapse,
-    camera_degradation,
-    gps_denial,
-    gps_spoof,
-    imu_failure,
-    motor_failure,
-)
-from repro.uav.uav import Telemetry, Uav, UavSpec
-from repro.uav.world import Person, World
-
-__all__ = [
-    "Battery",
-    "BatteryFault",
-    "BatterySpec",
-    "UavDynamics",
-    "WaypointPlan",
-    "Camera",
-    "GpsSensor",
-    "GpsFix",
-    "ImuSensor",
-    "SensorSuite",
-    "TemperatureSensor",
-    "WindSensor",
-    "Telemetry",
-    "Uav",
-    "UavSpec",
-    "Person",
-    "World",
-    "Environment",
-    "GustProcess",
-    "Fault",
-    "FaultSchedule",
-    "battery_collapse",
-    "camera_degradation",
-    "gps_denial",
-    "gps_spoof",
-    "imu_failure",
-    "motor_failure",
-]

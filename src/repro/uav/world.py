@@ -73,7 +73,7 @@ class World:
     # is bit-identical to scalar (see tests/test_fleet_equivalence.py). The
     # world builders pick it with engine_for(fleet size).
     engine: str = "scalar"
-    # Obstacle field (repro.plan.ObstacleField) and camera geometry
+    # Obstacle field (repro.plan.grid.ObstacleField) and camera geometry
     # (repro.sar.coverage.CameraConfig) set by the scenario loader. Typed
     # loosely because this substrate layer never imports upward — planners
     # and missions that know the concrete types live above it.

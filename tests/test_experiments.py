@@ -9,13 +9,11 @@ import pytest
 
 from repro.core.uav_network import UavGuarantee
 from repro.core.decider import MissionVerdict
-from repro.experiments import (
-    run_conserts_scenario_matrix,
-    run_fig5_battery_experiment,
-    run_fig6_spoofing_experiment,
-    run_fig7_collaborative_landing,
-    run_sar_accuracy_experiment,
-)
+from repro.experiments.conserts_network import run_conserts_scenario_matrix
+from repro.experiments.fig5_battery import run_fig5_battery_experiment
+from repro.experiments.fig6_spoofing import run_fig6_spoofing_experiment
+from repro.experiments.fig7_collab_landing import run_fig7_collaborative_landing
+from repro.experiments.sar_accuracy import run_sar_accuracy_experiment
 from repro.experiments.conserts_network import UavCondition, evaluate_fleet
 from repro.sinadra.risk import Criticality
 

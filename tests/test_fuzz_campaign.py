@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.harness.fuzz import run_fuzz, shrink_scenario
+from repro.harness.fuzz.campaign import run_fuzz
+from repro.harness.fuzz.shrink import shrink_scenario
 from repro.harness.fuzz.campaign import (
     fuzz_grid,
     fuzz_sample,

@@ -75,12 +75,10 @@ def collect_fleet_trace(engine: str = "vectorized") -> dict:
 
 def collect_traces() -> dict:
     """Run every pinned experiment at its default seed; gather headlines."""
-    from repro.experiments import (
-        run_fig5_battery_experiment,
-        run_fig6_spoofing_experiment,
-        run_fig7_collaborative_landing,
-        run_sar_accuracy_experiment,
-    )
+    from repro.experiments.fig5_battery import run_fig5_battery_experiment
+    from repro.experiments.fig6_spoofing import run_fig6_spoofing_experiment
+    from repro.experiments.fig7_collab_landing import run_fig7_collaborative_landing
+    from repro.experiments.sar_accuracy import run_sar_accuracy_experiment
     from repro.experiments.monte_carlo import MONTE_CARLO_CAMPAIGN
     from repro.harness.campaign import run_campaign
 

@@ -40,22 +40,16 @@ from repro.harness.oracles import (
     PlannedPathClearanceOracle,
     run_scenario_oracles,
 )
-from repro.plan import (
-    ObstacleField,
-    ObstacleIndex,
-    OccupancyGrid3D,
-    PlanError,
+from repro.plan.astar import astar_cells, plan_path, route_waypoints, shortcut_path
+from repro.plan.grid import ObstacleField, ObstacleIndex, OccupancyGrid3D, PlanError
+from repro.plan.routing import (
     inspection_points,
     nearest_neighbor_tour,
     partition_points,
     plan_inspection_tours,
-    plan_path,
-    route_waypoints,
-    shortcut_path,
     tour_length,
     two_opt,
 )
-from repro.plan.astar import astar_cells
 from repro.plan.experiment import (
     PINNED_SEED,
     PLANNER_ABLATION_CAMPAIGN,

@@ -1,5 +1,7 @@
 """Unit tests for the multi-UAV control platform layers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,74 @@ class TestGui:
         text = render_mission_panel(decision)
         assert decision.verdict.value in text
         assert "uav2" in text
+
+
+class TestWebApi:
+    def build(self):
+        from repro.experiments.common import build_three_uav_world
+        from repro.platform.api import WebApi
+        from repro.platform.database import DatabaseManager
+        from repro.platform.gcs import GroundControlStation
+        from repro.platform.recorder import FlightRecorder
+        from repro.platform.uav_manager import UavManager
+        from repro.security.broker import MqttBroker
+        from repro.security.ids import IntrusionDetectionSystem
+
+        scenario = build_three_uav_world(seed=4, n_persons=0)
+        world = scenario.world
+        manager = UavManager(bus=world.bus, database=DatabaseManager())
+        recorder = FlightRecorder(bus=world.bus)
+        for uav in world.uavs.values():
+            manager.connect(uav)
+            recorder.watch(uav.spec.uav_id)
+        gcs = GroundControlStation(bus=world.bus, uav_manager=manager)
+        ids = IntrusionDetectionSystem(bus=world.bus, broker=MqttBroker())
+        for node in list(world.uavs) + ["uav_manager", "gcs", "flight_recorder"]:
+            ids.register_node(node)
+        api = WebApi(uav_manager=manager, gcs=gcs, recorder=recorder, ids=ids)
+        world.uavs["uav1"].start_mission([(350.0, 280.0, 20.0)])
+        for _ in range(40):
+            world.step()
+        ids.scan(world.time)
+        return world, api, ids
+
+    def test_fleet_status_payload(self):
+        world, api, _ = self.build()
+        payload = api.fleet_status()
+        assert len(payload["uavs"]) == 3
+        uav1 = next(u for u in payload["uavs"] if u["id"] == "uav1")
+        assert uav1["mode"] == "mission"
+        assert uav1["connected"]
+
+    def test_tracks_downsampled(self):
+        world, api, _ = self.build()
+        tracks = api.tracks(max_points=10)["tracks"]
+        assert "uav1" in tracks
+        assert 0 < len(tracks["uav1"]) <= 12
+
+    def test_alert_feed_clean_traffic(self):
+        world, api, ids = self.build()
+        assert api.alert_feed() == {"alerts": []}
+        world.bus.publish("/uav1/pose", 1, sender="uav1", origin="adversary")
+        ids.scan(world.time)
+        alerts = api.alert_feed()["alerts"]
+        assert alerts
+        assert alerts[-1]["suspect"] == "adversary"
+
+    def test_dashboard_is_valid_json(self):
+        world, api, _ = self.build()
+        document = json.loads(api.dashboard())
+        assert set(document) == {"fleet", "tracks", "alerts", "logs"}
+
+    def test_dashboard_with_mission_panel(self):
+        from repro.core.decider import MissionDecider
+        from repro.core.uav_network import UavConSertNetwork
+
+        world, api, _ = self.build()
+        decider = MissionDecider()
+        for i in range(3):
+            network = UavConSertNetwork(uav_id=f"uav{i + 1}")
+            network.set_reliability_level("high")
+            decider.add_uav(network)
+        document = json.loads(api.dashboard(decider.decide()))
+        assert document["mission"]["verdict"] == "mission_completed_as_planned"

@@ -3,7 +3,8 @@
 Structural checks a downstream adopter relies on: the ConSert network's
 monotonicity (more evidence never yields a weaker guarantee), docstring
 coverage on the public API, layering (substrates never import
-technologies), and a cold import path that loads no SciPy.
+technologies), and a cold import path that loads no SciPy and no repro
+module it does not run.
 """
 
 import importlib
@@ -137,13 +138,61 @@ class TestLayering:
 
 
 class TestColdImports:
-    """Importing what a command or campaign worker imports loads no SciPy.
+    """Importing what a command or campaign worker imports loads no SciPy,
+    and no repro module the command does not run.
 
     SciPy costs more to import than a paper-suite round takes to run, so
     it loads only inside the solvers that need it (``expm``,
-    ``linprog``). The check runs in a fresh interpreter:
-    this test process has SciPy loaded already.
+    ``linprog``). Every cold start also compiles each repro module it
+    imports, so a package ``__init__`` imports none of its siblings. The
+    checks run in a fresh interpreter: this test process has SciPy and
+    most of repro loaded already.
     """
+
+    @staticmethod
+    def _repro_modules(code: str) -> set[str]:
+        """The repro modules a fresh interpreter has loaded after ``code``."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = code + (
+            "\nimport sys"
+            "\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'repro'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        return set(proc.stdout.splitlines()[-1].split())
+
+    def test_bare_import_loads_no_other_repro_module(self):
+        assert self._repro_modules("import repro") == {"repro"}
+
+    def test_cli_help_loads_only_the_obs_package(self):
+        # Building the parser needs only ``repro.obs.cli``; experiment,
+        # core, platform and scenario modules load when a command runs.
+        loaded = self._repro_modules(
+            "import runpy, sys\n"
+            "sys.argv = ['repro', '--help']\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit:\n"
+            "    pass"
+        )
+        assert sorted(m for m in loaded - {"repro"} if not m.startswith("repro.obs")) == []
+
+    def test_paper_drivers_load_no_unreached_or_batched_module(self):
+        from test_reachability import UNREACHED
+
+        loaded = self._repro_modules(
+            "import repro.experiments.fig5_battery\n"
+            "import repro.experiments.sar_accuracy\n"
+            "import repro.experiments.fig6_spoofing\n"
+            "import repro.experiments.fig7_collab_landing\n"
+            "import repro.plan.experiment\n"
+            "import repro.swarm.experiment"
+        )
+        unwanted = UNREACHED | {"repro.core.batch", "repro.harness.oracles"}
+        assert sorted(loaded & unwanted) == []
 
     COLD_PATH = (
         "repro",
@@ -179,7 +228,7 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     #: batched assurance plane (``BatchSafeDrones``).
     RUN_PROBE = """
 import sys
-from repro.experiments import run_fig5_battery_experiment
+from repro.experiments.fig5_battery import run_fig5_battery_experiment
 from repro.experiments.fleet_scale import run_assurance_scale_point
 run_fig5_battery_experiment()
 point = run_assurance_scale_point(n_uavs=10, max_time_s=10.0)

@@ -5,11 +5,11 @@ imported) from the entry points: ``repro.__main__``, ``repro.scenario``
 and every module of ``repro.harness`` and ``repro.experiments``. Imports
 inside functions count, since the CLI imports lazily.
 
-A name imported from a package resolves to the module that defines it,
-so a package ``__init__`` that re-exports a module does not by itself
-reach it. A package bound as a namespace (``from repro import obs``), or
-a name its ``__init__`` defines, reaches everything that ``__init__``
-imports.
+Importing ``repro.x.y`` also runs ``repro/x/__init__.py``. Apart from
+``repro.obs``, no package ``__init__`` imports a repro module (checked
+below), so the walk reaches what a process loads, and a package
+``__init__`` reaches nothing by itself. ``from repro import obs`` reaches
+everything ``repro/obs/__init__.py`` imports.
 
 The modules the walk does not reach are pinned below. Connecting one to
 an experiment, an oracle or a CLI command, or deleting it, shrinks the
@@ -68,24 +68,10 @@ def _base(module: str, node: ast.ImportFrom) -> str:
     return f"{package}.{node.module}" if node.module else package
 
 
-def _defining_module(module: str, name: str) -> str:
-    """Follow a package's re-export of ``name`` to the module defining it."""
-    if module not in PACKAGES:
-        return module
-    for node in _tree(module).body:
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if (alias.asname or alias.name) == name:
-                    return _target(_base(module, node), alias.name)
-    return module
-
-
 def _target(base: str, name: str) -> str:
     """What ``from base import name`` reaches."""
     submodule = f"{base}.{name}"
-    if submodule in FILES:
-        return submodule
-    return _defining_module(base, name)
+    return submodule if submodule in FILES else base
 
 
 def _imports(module: str) -> set[str]:
@@ -126,9 +112,12 @@ def test_unreached_modules_are_exactly_the_pinned_set():
     )
 
 
-def test_re_exports_resolve_to_the_defining_module():
-    # Importing a re-exported name reaches only the module defining it.
-    assert _target("repro.core", "MissionDecider") == "repro.core.decider"
-    assert _target("repro", "load_scenario") == "repro.scenario"
-    # A subpackage bound as a namespace reaches its __init__.
-    assert _target("repro", "obs") == "repro.obs"
+def test_no_package_init_but_obs_imports_a_repro_module():
+    # An __init__ that imports a sibling makes every import of the package
+    # load it, whether or not the entry point uses it.
+    offenders = {
+        package: sorted(_imports(package))
+        for package in PACKAGES - {"repro.obs"}
+        if _imports(package)
+    }
+    assert offenders == {}

@@ -1,5 +1,8 @@
 """Unit tests for the SafeDrones component models and runtime monitor."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -446,3 +449,19 @@ class TestSafeDronesMonitor:
         assessment = monitor.update(0.0, 0.9, 25.0)
         assert assessment.failure_probability >= assessment.battery_pof
         assert assessment.failure_probability >= assessment.processor_pof
+
+    def test_monitor_is_freed_without_the_cycle_collector(self):
+        # The fault tree holds the models, not the monitor, so a monitor
+        # and its history go as soon as the last reference does.
+        monitor = SafeDronesMonitor(uav_id="u")
+        for t in range(5):
+            monitor.update(float(t), 0.9, 25.0)
+        ref = weakref.ref(monitor)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del monitor
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -8,8 +8,9 @@ nothing) when a scripted fault comes due. The rules:
   :data:`META_KEYS`;
 * ``k_leaders``, ``rho`` and ``n_pois`` are whole numbers with
   ``k_leaders >= 1``, ``rho >= 0`` and ``n_pois >= 0``;
-* ``dt`` is positive and finite, ``horizon_s`` non-negative and finite,
-  and ``comm_radius_m`` non-negative;
+* each :data:`FLOAT_KNOBS` knob is a finite number, positive or
+  non-negative as the table says, ``comm_radius_m`` is non-negative and
+  ``link_loss`` lies in [0, 1];
 * ``faults`` is a list of objects, each with a known ``type``, a ``uav``
   of the role that type acts on, and a finite ``at``.
 """
@@ -117,6 +118,58 @@ class TestTiming:
     def test_zero_horizon_and_radius_accepted(self):
         sim = build(horizon_s=0.0, comm_radius_m=0.0)
         assert (sim.horizon_s, sim.comm_radius) == (0.0, 0.0)
+
+
+#: One out-of-range value per float knob, and the range the error names.
+BAD_KNOBS = [
+    ("consert_period_s", 0, "positive"),
+    ("heartbeat_s", 0, "positive"),
+    ("leader_speed_mps", -5, "positive"),
+    ("follower_speed_mps", 0, "positive"),
+    ("task_timeout_s", -1, "positive"),
+    ("follower_dead_after_s", 0, "positive"),
+    ("reassign_backoff_s", -1, "non-negative"),
+    ("reassign_backoff_max_s", -1, "non-negative"),
+    ("visit_dwell_s", math.nan, "non-negative"),
+    ("link_latency_s", -1, "non-negative"),
+    ("link_jitter_s", -1, "non-negative"),
+    ("patrol_altitude_m", math.inf, "non-negative"),
+    ("detect_radius_m", -1, "positive"),
+    ("area_m", -100, "positive"),
+]
+
+
+class TestKnobRanges:
+    @pytest.mark.parametrize(
+        "key, value, rule", [pytest.param(*case, id=case[0]) for case in BAD_KNOBS]
+    )
+    def test_bad_value_rejected_naming_the_key(self, key, value, rule):
+        with pytest.raises(ValueError, match=f"'{key}' must be a {rule} finite"):
+            build(**{key: value})
+
+    @pytest.mark.parametrize("value", ["5", None, True], ids=["string", "none", "bool"])
+    def test_non_number_rejected_naming_the_key(self, value):
+        with pytest.raises(ValueError, match="'heartbeat_s' must be a positive finite"):
+            build(heartbeat_s=value)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "link_latency_s",
+            "link_jitter_s",
+            "patrol_altitude_m",
+            "reassign_backoff_s",
+            "reassign_backoff_max_s",
+            "visit_dwell_s",
+        ],
+    )
+    def test_zero_accepted_where_non_negative(self, key):
+        build(**{key: 0})
+
+    @pytest.mark.parametrize("loss", [-0.5, 2.0, math.nan], ids=["negative", "above-one", "nan"])
+    def test_bad_link_loss_rejected(self, loss):
+        with pytest.raises(ValueError, match="'link_loss' must be a probability"):
+            build(link_loss=loss)
 
 
 class TestFaultList:

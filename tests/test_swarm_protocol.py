@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.middleware.rosbus import RosBus
-from repro.swarm import (
+from repro.swarm.protocol import (
     FollowerProtocol,
     FollowerState,
     LeaderProtocol,
