@@ -9,8 +9,6 @@ afterwards.
 Run:  python examples/scenario_driven.py
 """
 
-import json
-
 from repro.core.adapters import build_fleet_eddis
 from repro.core.decider import MissionDecider
 from repro.platform.gui import render_guarantee_timeline, render_mission_panel

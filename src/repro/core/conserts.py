@@ -146,24 +146,8 @@ class ConSert:
 
     def evidence_nodes(self) -> list[RuntimeEvidence]:
         """Every RuntimeEvidence leaf reachable from this ConSert's trees."""
-        found: list[RuntimeEvidence] = []
-        seen: set[int] = set()
-
-        def walk(node: Node) -> None:
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            if isinstance(node, RuntimeEvidence):
-                found.append(node)
-            elif isinstance(node, (AndNode, OrNode)):
-                for child in node.children:
-                    walk(child)
-            # Demands stop the walk: their providers own their own evidence.
-
-        for guarantee in self.guarantees:
-            if guarantee.condition is not None:
-                walk(guarantee.condition)
-        return found
+        # Demands stop the walk: their providers own their own evidence.
+        return self._leaves(RuntimeEvidence)
 
     def evidence_by_name(self, name: str) -> RuntimeEvidence:
         """Look up a RuntimeEvidence leaf by name (raises KeyError)."""
@@ -174,20 +158,27 @@ class ConSert:
 
     def demand_nodes(self) -> list[Demand]:
         """Every Demand leaf in this ConSert's trees."""
-        found: list[Demand] = []
-        seen: set[int] = set()
+        return self._leaves(Demand)
 
-        def walk(node: Node) -> None:
+    def _leaves(self, kind: type) -> list:
+        """Nodes of type ``kind`` in the guarantee trees, depth-first preorder.
+
+        Each node is visited once, on its first occurrence, in guarantee
+        order then child order. An explicit stack walks the tree: a
+        self-recursive closure would be a reference cycle per call.
+        """
+        found = []
+        seen: set[int] = set()
+        stack = [
+            g.condition for g in reversed(self.guarantees) if g.condition is not None
+        ]
+        while stack:
+            node = stack.pop()
             if id(node) in seen:
-                return
+                continue
             seen.add(id(node))
-            if isinstance(node, Demand):
+            if isinstance(node, kind):
                 found.append(node)
             elif isinstance(node, (AndNode, OrNode)):
-                for child in node.children:
-                    walk(child)
-
-        for guarantee in self.guarantees:
-            if guarantee.condition is not None:
-                walk(guarantee.condition)
+                stack.extend(reversed(node.children))
         return found

@@ -111,12 +111,13 @@ def _run_point(
         bus.set_link(a, b, LinkModel(channel=channel))
 
     eddis = {}
+    monitors = []
     for uav_id, uav in world.uavs.items():
         # Fleet spacing exceeds the default CL range; the scenario assumes
         # the mesh radio covers the whole search area.
         eddi, stack = build_uav_eddi(uav, world, cl_range_m=500.0)
         peers = tuple(p for p in scenario.uav_ids if p != uav_id)
-        attach_degraded_comm(
+        monitor = attach_degraded_comm(
             eddi,
             stack,
             bus,
@@ -125,6 +126,7 @@ def _run_point(
             nominal_rate_hz=uav.telemetry_rate_hz,
         )
         eddis[uav_id] = eddi
+        monitors.append(monitor)
         # Hold on station at mission altitude; the question the sweep
         # answers is purely what guarantee the assurance layer can offer.
         east, north, _ = uav.spec.base_position
@@ -145,6 +147,8 @@ def _run_point(
         demotions += sum(
             1 for r in eddi.response_log if r.guarantee not in MISSION_CAPABLE
         )
+    for monitor in monitors:
+        monitor.detach()
 
     availability = (
         sum(mission_cycles.values()) / (cycles * len(eddis)) if cycles else 0.0

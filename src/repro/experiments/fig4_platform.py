@@ -92,6 +92,8 @@ def run_fig4_platform_demo(
             networks[uav_id].set_reliability_level(assessment.level.value)
 
     decision = decider.decide()
+    manager.close()
+    recorder.close()
     view = MapView()
     return Fig4Result(
         map_panel=view.render(world, tracks=recorder.records and {

@@ -139,6 +139,7 @@ def _fly_mapping(
             break
 
     extras["ids_alert_count"] = len(ids.alerts)
+    eddi.close()
     return times, trajectory, extras
 
 

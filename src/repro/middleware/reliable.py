@@ -173,6 +173,12 @@ class ReliableChannel:
                 self.on_link_change(up)
 
     def close(self) -> None:
-        """Unsubscribe both endpoints' topics (e.g. on UAV shutdown)."""
+        """Unsubscribe both endpoints' topics (e.g. on UAV shutdown).
+
+        A closed channel delivers nothing, so it drops its callbacks: they
+        usually belong to the owner that holds this channel.
+        """
         for sub in self._subs:
             sub.unsubscribe()
+        self.on_deliver = None
+        self.on_link_change = None

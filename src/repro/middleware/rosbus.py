@@ -44,6 +44,10 @@ class Message(NamedTuple):
         return self.sender != self.origin
 
 
+def _unsubscribed(message: Message) -> None:
+    """The callback of an unsubscribed :class:`Subscription` (never called)."""
+
+
 @dataclass
 class Subscription:
     """A live subscription; deactivate with :meth:`unsubscribe`."""
@@ -54,8 +58,14 @@ class Subscription:
     active: bool = True
 
     def unsubscribe(self) -> None:
-        """Stop delivering messages to this subscription."""
+        """Stop delivering messages to this subscription.
+
+        The callback goes too: it is often a bound method of the
+        subscriber, which holds the bus, so keeping it would tie every
+        unsubscribed owner to the bus in a reference cycle.
+        """
         self.active = False
+        self.callback = _unsubscribed
 
 
 class TrafficLog:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from repro.middleware.rosbus import Message, RosBus
+from repro.middleware.rosbus import Message, RosBus, Subscription
 from repro.uav.uav import Telemetry
 
 
@@ -62,13 +62,23 @@ class FlightRecorder:
 
     bus: RosBus
     records: dict[str, list[TelemetryRecord]] = field(default_factory=dict)
+    _subs: list[Subscription] = field(default_factory=list, repr=False)
 
     def watch(self, uav_id: str) -> None:
         """Start recording one UAV's telemetry topic."""
         self.records.setdefault(uav_id, [])
-        self.bus.subscribe(
-            f"/{uav_id}/telemetry", node="flight_recorder", callback=self._on_telemetry
+        self._subs.append(
+            self.bus.subscribe(
+                f"/{uav_id}/telemetry", node="flight_recorder",
+                callback=self._on_telemetry,
+            )
         )
+
+    def close(self) -> None:
+        """Stop recording (the bus holds this recorder until then)."""
+        for sub in self._subs:
+            sub.unsubscribe()
+        self._subs.clear()
 
     def _on_telemetry(self, message: Message) -> None:
         sample = message.data

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.middleware.rosbus import Message, RosBus
+from repro.middleware.rosbus import Message, RosBus, Subscription
 from repro.platform.database import DatabaseManager
 from repro.uav.uav import FlightMode, Telemetry, Uav
 
@@ -44,6 +44,7 @@ class UavManager:
     database: DatabaseManager
     uavs: dict[str, Uav] = field(default_factory=dict)
     registry: dict[str, UavRecord] = field(default_factory=dict)
+    _subs: list[Subscription] = field(default_factory=list, repr=False)
 
     def connect(
         self, uav: Uav, uav_type: str = "DJI-M300-RTK", equipment: list[str] | None = None
@@ -59,10 +60,18 @@ class UavManager:
             equipment=equipment or ["rgb_camera", "thermal", "gps", "jetson_xavier_nx"],
         )
         self.registry[uav_id] = record
-        self.bus.subscribe(
-            f"/{uav_id}/telemetry", node="uav_manager", callback=self._on_telemetry
+        self._subs.append(
+            self.bus.subscribe(
+                f"/{uav_id}/telemetry", node="uav_manager", callback=self._on_telemetry
+            )
         )
         return record
+
+    def close(self) -> None:
+        """Unsubscribe from every UAV's telemetry (the bus holds this hub)."""
+        for sub in self._subs:
+            sub.unsubscribe()
+        self._subs.clear()
 
     def _on_telemetry(self, message: Message) -> None:
         sample = message.data

@@ -26,6 +26,10 @@ def topic_matches(pattern: str, topic: str) -> bool:
     return len(p_levels) == len(t_levels)
 
 
+def _unsubscribed(topic: str, payload: Any) -> None:
+    """The callback of an unsubscribed subscription (never called)."""
+
+
 @dataclass
 class _BrokerSubscription:
     pattern: str
@@ -53,8 +57,13 @@ class MqttBroker:
         return sub
 
     def unsubscribe(self, sub: _BrokerSubscription) -> None:
-        """Deactivate a subscription."""
+        """Deactivate a subscription and drop its callback.
+
+        The callback is often a bound method of a subscriber that holds
+        the broker (and this handle); keeping it would be a cycle.
+        """
         sub.active = False
+        sub.callback = _unsubscribed
 
     def publish(self, topic: str, payload: Any, retain: bool = False) -> int:
         """Publish to all matching subscribers; returns delivery count."""

@@ -47,7 +47,11 @@ class SecurityEddi:
     _root_reported: bool = False
 
     def __post_init__(self) -> None:
-        self.broker.subscribe("ids/alerts/#", self._on_alert)
+        self._subscription = self.broker.subscribe("ids/alerts/#", self._on_alert)
+
+    def close(self) -> None:
+        """Unsubscribe from the broker, which otherwise holds this monitor."""
+        self.broker.unsubscribe(self._subscription)
 
     @property
     def root_achieved(self) -> bool:

@@ -537,9 +537,9 @@ class LeaderProtocol:
         return followers, released
 
     def close(self) -> None:
+        """Unsubscribe and close every channel; the roster stays readable."""
         for fid in sorted(self._slots):
             self._slots[fid].channel.close()
-        self._slots.clear()
         for sub in self._subs:
             sub.unsubscribe()
         self._subs.clear()

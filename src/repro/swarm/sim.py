@@ -561,7 +561,21 @@ class SwarmSim:
         ):
             for _ in range(n_steps):
                 self.step()
-        return self.finalize()
+        run = self.finalize()
+        self.close()
+        return run
+
+    def close(self) -> None:
+        """Close every protocol endpoint's bus subscriptions and channels.
+
+        The bus holds each endpoint's callbacks and each endpoint holds
+        the bus; closing breaks those cycles, so a finished swarm is freed
+        by reference counting. A closed swarm must not be stepped again.
+        """
+        for leader in self.leaders.values():
+            leader.close()
+        for follower in self.followers.values():
+            follower.close()
 
     # ------------------------------------------------------------ results
     def finalize(self) -> SwarmRun:

@@ -370,7 +370,10 @@ class FleetEngine:
     """
 
     def __init__(self, world) -> None:
-        self.world = world
+        # The frame and bus, not the world: the world owns this engine, and
+        # a back-reference would leave every finished world to the cyclic GC.
+        self.frame = world.frame
+        self.bus = world.bus
         self.arrays = FleetArrays()
         self._uavs: list[Uav] = []
         self._gps: list = []
@@ -912,7 +915,7 @@ class FleetEngine:
         arrays = self.arrays
         n = arrays.n
         uavs = self._uavs
-        to_geo = self.world.frame.to_geo
+        to_geo = self.frame.to_geo
         ids = self._ids
         topics = self._topics
         mode_str = self._mode_str
@@ -993,7 +996,7 @@ class FleetEngine:
                 )
                 uavs[k]._last_telemetry = now
                 items_append((topics[k], sample, ids[k]))
-            self.world.bus.publish_many(items, now)
+            self.bus.publish_many(items, now)
             return
         vi = 0
         ii = 0
@@ -1020,4 +1023,4 @@ class FleetEngine:
             )
             uavs[k]._last_telemetry = now
             items_append((topics[k], sample, ids[k]))
-        self.world.bus.publish_many(items, now)
+        self.bus.publish_many(items, now)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,9 +17,11 @@ from repro.geo import EnuFrame, GeoPoint
 from repro.obs import OBS
 from repro.middleware.attacks import Attacker
 from repro.uav.environment import Environment
-from repro.uav.fleet import FleetEngine
 from repro.middleware.rosbus import RosBus
 from repro.uav.uav import Uav
+
+if TYPE_CHECKING:
+    from repro.uav.fleet import FleetEngine
 
 ENGINES = ("scalar", "vectorized")
 """Valid values for ``World.engine``."""
@@ -87,6 +90,8 @@ class World:
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         if self.engine == "vectorized":
+            from repro.uav.fleet import FleetEngine
+
             self._fleet = FleetEngine(self)
 
     def add_uav(self, uav: Uav) -> Uav:

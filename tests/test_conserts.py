@@ -190,3 +190,90 @@ class TestConSert:
         assert navigation.evaluate().name == "nav_ok"
         sensor_ev.set(False)
         assert navigation.evaluate().name == "nav_bad"
+
+
+def _recursive_leaves(consert: ConSert, kind: type) -> list:
+    """The leaf walk as first written: a self-recursive closure (the oracle)."""
+    found: list = []
+    seen: set[int] = set()
+
+    def walk(node) -> None:
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        if isinstance(node, kind):
+            found.append(node)
+        elif isinstance(node, (AndNode, OrNode)):
+            for child in node.children:
+                walk(child)
+
+    for guarantee in consert.guarantees:
+        if guarantee.condition is not None:
+            walk(guarantee.condition)
+    return found
+
+
+def _ids(nodes: list) -> list[int]:
+    return [id(node) for node in nodes]
+
+
+def _paper_conserts() -> list[ConSert]:
+    """Every ConSert of a UAV network, a squad and the swarm mission."""
+    import dataclasses
+
+    from repro.core.squad import SquadConSert, SwarmMissionDecider
+    from repro.core.uav_network import UavConSertNetwork
+
+    network = UavConSertNetwork(uav_id="uav1")
+    conserts = [
+        getattr(network, f.name) for f in dataclasses.fields(network)
+        if isinstance(getattr(network, f.name, None), ConSert)
+    ]
+    decider = SwarmMissionDecider()
+    for squad_id in ("lead01", "lead00"):
+        squad = SquadConSert(squad_id)
+        decider.add_squad(squad)
+        conserts.append(squad.consert)
+    conserts.append(decider._mission_consert())
+    return conserts
+
+
+class TestLeafWalk:
+    """``evidence_nodes``/``demand_nodes`` walk with a stack, in the same order."""
+
+    @pytest.mark.parametrize("consert", _paper_conserts(), ids=lambda c: c.name)
+    def test_same_nodes_in_the_same_order_as_the_recursive_walk(self, consert):
+        assert _ids(consert.evidence_nodes()) == _ids(
+            _recursive_leaves(consert, RuntimeEvidence)
+        )
+        assert _ids(consert.demand_nodes()) == _ids(_recursive_leaves(consert, Demand))
+
+    def test_the_paper_networks_have_leaves_of_both_kinds(self):
+        conserts = _paper_conserts()
+        assert sum(len(c.evidence_nodes()) for c in conserts) > 10
+        assert sum(len(c.demand_nodes()) for c in conserts) > 10
+
+    def test_shared_nodes_are_listed_once_at_their_first_visit(self):
+        a, b, c = (RuntimeEvidence(name) for name in "abc")
+        shared = OrNode([b, a])
+        consert = ConSert(
+            "diamond",
+            guarantees=[
+                Guarantee("g1", AndNode([shared, c, AndNode([a, shared])])),
+                Guarantee("g2", AndNode([c, b])),
+                Guarantee("default", None),
+            ],
+        )
+        assert [e.name for e in consert.evidence_nodes()] == ["b", "a", "c"]
+        assert _ids(consert.evidence_nodes()) == _ids(
+            _recursive_leaves(consert, RuntimeEvidence)
+        )
+
+    def test_a_deep_tree_walks_without_recursion(self):
+        import sys
+
+        node = leaf = RuntimeEvidence("deep")
+        for _ in range(sys.getrecursionlimit() + 100):
+            node = AndNode([node])
+        consert = ConSert("deep", guarantees=[Guarantee("g", node)])
+        assert consert.evidence_nodes() == [leaf]

@@ -191,7 +191,9 @@ class TestColdImports:
             "import repro.plan.experiment\n"
             "import repro.swarm.experiment"
         )
-        unwanted = UNREACHED | {"repro.core.batch", "repro.harness.oracles"}
+        unwanted = UNREACHED | {
+            "repro.core.batch", "repro.harness.oracles", "repro.uav.fleet"
+        }
         assert sorted(loaded & unwanted) == []
 
     COLD_PATH = (
