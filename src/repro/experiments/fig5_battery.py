@@ -1,9 +1,11 @@
 """Fig. 5 — probability of failure under a battery fault, with/without SESAME.
 
 Scenario (paper Sec. V-A): three UAVs fly a SAR mission; one UAV's battery
-"became faulty due to high temperature, causing a sharp drop from 80% to
-40% at the 250th second"; the mission nominally completes "around the
-510th second".
+"became faulty due to high temperature, causing a sharp drop from 80% to 40% at
+the 250th second"; the mission nominally completes "around the 510th second".
+The driver simulates only that UAV, whose results are reported: the other two
+fly disjoint strips sharing no noise stream, bus consumer or airspace with it,
+and ``tests/test_paper_driver_fleet.py`` proves their absence changes no bit.
 
 Without SESAME the UAV aborts immediately on the battery drop, returns to
 base for a replacement ("estimated to take 60 seconds"), flies back out
@@ -108,8 +110,7 @@ def _mission_path() -> list[tuple[float, float, float]]:
 
 def _measure_nominal_mission_s(seed: int) -> float:
     """Clean-run mission duration (no fault, no policy interference)."""
-    scenario = build_three_uav_world(seed=seed, n_persons=0)
-    world = scenario.world
+    world = build_three_uav_world(seed=seed, n_persons=0, n_uavs=1).world
     uav = world.uavs["uav1"]
     uav.dynamics.max_speed_mps = 7.6
     uav.start_mission(_mission_path())
@@ -119,8 +120,7 @@ def _measure_nominal_mission_s(seed: int) -> float:
 
 
 def _run_policy(seed: int, use_sesame: bool) -> ScenarioTrace:
-    scenario = build_three_uav_world(seed=seed, n_persons=0)
-    world = scenario.world
+    world = build_three_uav_world(seed=seed, n_persons=0, n_uavs=1).world
     uav = world.uavs["uav1"]
     uav.dynamics.max_speed_mps = 7.6
     _make_faulted_uav(world, uav)

@@ -17,7 +17,10 @@ The attack has two faces, both reproduced:
   traces to the attack-tree root (detection).
 
 An IMU cross-check spoofing detector provides the second, sensor-level
-detection channel.
+detection channel. The driver simulates only the mapping UAV, whose
+trajectory is reported: the paper's other two fly disjoint strips that
+share no noise stream, bus consumer or airspace with it, and
+``tests/test_paper_driver_fleet.py`` proves their absence changes no bit.
 """
 
 from __future__ import annotations
@@ -76,8 +79,7 @@ def _fly_mapping(
     seed: int, attack: bool, duration_s: float = 240.0
 ) -> tuple[list[float], list[tuple[float, float, float]], dict]:
     """One mapping flight; returns times, true trajectory, and extras."""
-    scenario = build_three_uav_world(seed=seed, n_persons=0)
-    world = scenario.world
+    world = build_three_uav_world(seed=seed, n_persons=0, n_uavs=1).world
     uav = world.uavs["uav1"]
     uav.start_mission(boustrophedon_path(MAPPING_STRIP, MAPPING_ALTITUDE_M))
 
@@ -89,7 +91,7 @@ def _fly_mapping(
     }
     broker = MqttBroker()
     ids = IntrusionDetectionSystem(bus=world.bus, broker=broker)
-    for node in ("uav1", "uav2", "uav3", "uav_manager", "gcs"):
+    for node in (*world.uavs, "uav_manager", "gcs"):
         ids.register_node(node)
     eddi = SecurityEddi(tree=ros_spoofing_attack_tree(), broker=broker)
     detector = GpsSpoofingDetector()

@@ -43,7 +43,6 @@ class MqttBroker:
 
     _subs: list[_BrokerSubscription] = field(default_factory=list)
     retained: dict[str, Any] = field(default_factory=dict)
-    published: list[tuple[str, Any]] = field(default_factory=list)
 
     def subscribe(
         self, pattern: str, callback: Callable[[str, Any], None]
@@ -69,7 +68,6 @@ class MqttBroker:
         """Publish to all matching subscribers; returns delivery count."""
         if "+" in topic or "#" in topic:
             raise ValueError("publish topics may not contain wildcards")
-        self.published.append((topic, payload))
         if retain:
             self.retained[topic] = payload
         delivered = 0
