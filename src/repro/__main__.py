@@ -364,57 +364,32 @@ def _run_scenario_cli(args: argparse.Namespace) -> int:
         print(f"{path}: expected a JSON object at the top level", file=sys.stderr)
         return 1
 
-    if args.scenario_command == "validate" and config.get("kind") == "swarm":
-        # Swarm files follow the swarm simulator's schema, not the SAR
-        # one: build them with the loader ``scenario replay`` uses.
-        from repro.swarm.sim import build_swarm
+    from repro.scenario import lint_scenario
 
-        try:
-            sim = build_swarm(config)
-        except Exception as exc:
-            print(
-                f"{path}: does not load: {type(exc).__name__}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
+    # Both kinds, both commands: lint first, so a file that does not load
+    # is reported field by field instead of as a simulator failure.
+    problems = lint_scenario(config)
+    if problems:
         print(
-            f"{path}: OK — swarm, k_leaders={sim.k}, rho={sim.rho}, "
-            f"n_pois={sim.n_pois}"
+            f"{path}: does not load: ScenarioError, {len(problems)} problem(s)",
+            file=sys.stderr,
         )
-        return 0
-
-    if args.scenario_command == "validate":
-        from repro.scenario import lint_scenario
-
-        problems = lint_scenario(config)
-        if problems:
-            print(f"{path}: {len(problems)} problem(s)", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        uavs = config.get("uavs", [])
-        print(
-            f"{path}: OK — {len(uavs)} uav(s), "
-            f"{len(config.get('faults', []))} fault(s), "
-            f"{len(config.get('attacks', []))} attack(s)"
-            + (", chaos script present" if config.get("chaos") else "")
-        )
-        return 0
-
-    # replay: run the scenario under its property-oracle suite.
-    from repro.harness.oracles import run_scenario_oracles, run_swarm_oracles
-    from repro.scenario import ScenarioError
-
-    try:
-        if config.get("kind") == "swarm":
-            if args.horizon is not None:
-                config = {**config, "horizon_s": args.horizon}
-            report = run_swarm_oracles(config)
-        else:
-            report = run_scenario_oracles(config, horizon_s=args.horizon)
-    except ScenarioError as exc:
-        print(f"{path}: scenario does not load: {exc}", file=sys.stderr)
+        for problem in problems:
+            print(f"  - {problem}", file=sys.stderr)
         return 1
+    if args.scenario_command == "validate":
+        from repro.schema import schema_for
+
+        print(f"{path}: OK — {schema_for(config).summary(config)}")
+        return 0
+
+    # replay: run the scenario under its kind's property-oracle suite.
+    from repro.harness.oracles import run_scenario_oracles, run_swarm_oracles
+
+    if args.horizon is not None:
+        config = {**config, "horizon_s": args.horizon}
+    run = run_swarm_oracles if config.get("kind") == "swarm" else run_scenario_oracles
+    report = run(config)
     print(
         f"{path}: {report.steps} steps over {report.horizon_s:g} s sim "
         f"time, oracles: {', '.join(report.checked)}"

@@ -7,8 +7,7 @@ the whole scenario is a pure function of ``(seed, profile)``:
 
 - same seed ⇒ byte-identical JSON (:meth:`ScenarioGenerator.generate_json`
   serialises with sorted keys), across processes and platforms;
-- every emitted config round-trips through
-  :func:`repro.scenario.load_scenario_json` and lints clean under
+- every emitted config, of either kind, loads and lints clean under
   :func:`repro.scenario.lint_scenario`;
 - every drawn value is a plain Python scalar/list (no NumPy types), so
   the config survives JSON serialisation unchanged.
@@ -26,16 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Fault vocabulary understood by :func:`repro.scenario.load_scenario`.
-BASIC_FAULTS = (
-    "battery_collapse",
-    "gps_denial",
-    "gps_spoof",
-    "imu_failure",
-    "motor_failure",
-    "camera_degradation",
-)
-COMM_FAULTS = ("comm_blackout", "comm_degradation", "network_partition")
+from repro.schema import COMM_FAULT_TYPES, VEHICLE_FAULT_TYPES
+
+#: Fault vocabulary of :data:`repro.schema.SAR`. The draw picks by
+#: index, so the declaration's order is part of the byte-stable format.
+BASIC_FAULTS = VEHICLE_FAULT_TYPES
+COMM_FAULTS = COMM_FAULT_TYPES
 
 
 @dataclass(frozen=True)

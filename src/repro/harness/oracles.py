@@ -71,6 +71,7 @@ from repro.core.uav_network import UavGuarantee
 from repro.plan.grid import blocked_legs
 from repro.safedrones.monitor import ReliabilityLevel
 from repro.scenario import Scenario, load_scenario
+from repro.schema import SAR
 from repro.uav.uav import FlightMode
 from repro.uav.world import World
 
@@ -538,15 +539,12 @@ class _ChaosScript:
     """
 
     def __init__(self, spec: dict) -> None:
-        self.mode = spec.get("mode")
-        if self.mode not in ("teleport", "soc_jump", "exception"):
-            raise ValueError(f"chaos.mode: unknown mode {self.mode!r}")
-        self.uav = spec.get("uav", "uav1")
-        self.at = float(spec.get("at", 0.0))
-        self.magnitude = float(
-            spec.get("magnitude", 300.0 if self.mode == "teleport" else 0.25)
-        )
-        self.armed_file = spec.get("armed_file")
+        """``spec``: the block's values as :data:`repro.schema.SAR` checks them."""
+        self.mode, self.uav, self.at = spec["mode"], spec["uav"], spec["at"]
+        self.magnitude = spec["magnitude"]
+        if self.magnitude is None:
+            self.magnitude = 300.0 if self.mode == "teleport" else 0.25
+        self.armed_file = spec["armed_file"]
         self.fired = False
 
     def armed(self) -> bool:
@@ -574,9 +572,9 @@ class _ChaosScript:
 # ------------------------------------------------------------------ runner
 def scenario_horizon_s(config: dict, horizon_s: float | None = None) -> float:
     """The simulated horizon for a scenario: argument > config > default."""
-    if horizon_s is not None:
-        return float(horizon_s)
-    return float(config.get("horizon_s", DEFAULT_HORIZON_S))
+    if horizon_s is None:
+        horizon_s = config.get("horizon_s")
+    return float(DEFAULT_HORIZON_S if horizon_s is None else horizon_s)
 
 
 def run_scenario_oracles(
@@ -620,11 +618,8 @@ def run_scenario_oracles(
     exception = Oracle(max_violations=max_violations)
     exception.name = "no_unhandled_exception"
 
-    chaos = (
-        _ChaosScript(config["chaos"])
-        if isinstance(config.get("chaos"), dict)
-        else None
-    )
+    chaos_spec = SAR.load(config)["chaos"]
+    chaos = None if chaos_spec is None else _ChaosScript(chaos_spec)
 
     completed = 0
     try:

@@ -36,7 +36,6 @@ used by the property suite and the golden trace.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -51,6 +50,7 @@ from repro.core.squad import (
 from repro.middleware.degraded import DegradedBus, LinkModel
 from repro.middleware.rosbus import Message
 from repro.sar.patterns import sector_sweep
+from repro.schema import FAULT_ROLES, SWARM, ScenarioError
 from repro.swarm.protocol import (
     FollowerProtocol,
     FollowerState,
@@ -62,56 +62,10 @@ from repro.swarm.protocol import (
 from repro.uav.swarm_kinematics import SwarmKinematics
 
 DEFAULTS: dict[str, Any] = {
-    "k_leaders": 2,
-    "rho": 3,
-    "n_pois": 50,
-    "area_m": 600.0,
-    "comm_radius_m": 450.0,
-    "leader_speed_mps": 12.0,
-    "follower_speed_mps": 15.0,
-    "detect_radius_m": 40.0,
-    "patrol_altitude_m": 60.0,
-    "dt": 0.5,
-    "horizon_s": 600.0,
-    "link_loss": 0.05,
-    "link_latency_s": 0.02,
-    "link_jitter_s": 0.02,
-    "task_timeout_s": 90.0,
-    "visit_dwell_s": 2.0,
-    "reassign_backoff_s": 5.0,
-    "reassign_backoff_max_s": 40.0,
-    "follower_dead_after_s": 60.0,
-    "heartbeat_s": 5.0,
-    "consert_period_s": 5.0,
-    "faults": (),
+    key: spec.default for key, spec in SWARM.keys.items() if spec.default is not None
 }
-"""Scenario knobs; any subset may be overridden by the config dict."""
-
-META_KEYS = frozenset({"seed", "kind", "description"})
-"""Top-level keys a scenario file may carry besides :data:`DEFAULTS`."""
-
-FAULT_ROLES = {"follower_loss": "follower", "leader_demotion": "leader"}
-"""Each scripted fault type and the role of the UAV it must name."""
-
-FLOAT_KNOBS: dict[str, tuple[str, str]] = {
-    "area_m": ("positive", "length"),
-    "detect_radius_m": ("positive", "length"),
-    "patrol_altitude_m": ("non-negative", "height"),
-    "leader_speed_mps": ("positive", "speed"),
-    "follower_speed_mps": ("positive", "speed"),
-    "dt": ("positive", "step"),
-    "horizon_s": ("non-negative", "time"),
-    "link_latency_s": ("non-negative", "time"),
-    "link_jitter_s": ("non-negative", "time"),
-    "task_timeout_s": ("positive", "time"),
-    "visit_dwell_s": ("non-negative", "time"),
-    "reassign_backoff_s": ("non-negative", "time"),
-    "reassign_backoff_max_s": ("non-negative", "time"),
-    "follower_dead_after_s": ("positive", "time"),
-    "heartbeat_s": ("positive", "period"),
-    "consert_period_s": ("positive", "period"),
-}
-"""Each finite float knob's range and what it measures (for the error)."""
+"""Scenario knobs and their defaults (from :data:`repro.schema.SWARM`);
+any subset may be overridden by the config dict."""
 
 
 @dataclass
@@ -147,61 +101,26 @@ def _poi_name(i: int) -> str:
     return f"poi{i:05d}"
 
 
-def _whole(cfg: dict[str, Any], key: str) -> int:
-    """``cfg[key]`` as an int; ``ValueError`` naming ``key`` unless it is whole."""
-    value = cfg[key]
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{key!r} must be a whole number, got {value!r}")
-
-
-def _finite(cfg: dict[str, Any], key: str) -> float:
-    """``cfg[key]`` as a float; ``ValueError`` naming ``key`` unless it is a
-    finite number in the range :data:`FLOAT_KNOBS` gives it."""
-    rule, noun = FLOAT_KNOBS[key]
-    value = cfg[key]
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-        or value < 0.0
-        or (rule == "positive" and value == 0.0)
-    ):
-        raise ValueError(f"{key!r} must be a {rule} finite {noun}, got {value!r}")
-    return float(value)
-
-
 def _checked_faults(
     faults: Any, leaders: list[str], followers: list[str]
 ) -> list[dict[str, Any]]:
-    """The scripted faults in firing order; ``ValueError`` on a malformed one.
+    """The scripted faults in firing order; :class:`ScenarioError` unless
+    each names a UAV of the role its type acts on.
 
     Checked when the swarm is built, so a bad entry fails validation
     instead of surfacing mid-run when (or if) the fault fires.
     """
-    if not isinstance(faults, (list, tuple)):
-        raise ValueError(f"'faults' must be a list, got {faults!r}")
     members = {"leader": set(leaders), "follower": set(followers)}
-    checked = []
     for i, fault in enumerate(faults):
-        if not isinstance(fault, dict):
-            raise ValueError(f"fault {i}: expected an object, got {fault!r}")
-        kind = fault.get("type")
-        if not isinstance(kind, str) or kind not in FAULT_ROLES:
-            raise ValueError(
-                f"fault {i}: 'type' must be one of {sorted(FAULT_ROLES)}, got {kind!r}"
-            )
-        role = FAULT_ROLES[kind]
+        role = FAULT_ROLES[fault["type"]]
         uav = fault.get("uav")
         if not isinstance(uav, str) or uav not in members[role]:
-            raise ValueError(f"fault {i}: 'uav' {uav!r} is not a {role} of this swarm")
-        at = fault.get("at")
-        if isinstance(at, bool) or not isinstance(at, (int, float)) or not math.isfinite(at):
-            raise ValueError(f"fault {i}: 'at' must be a finite time, got {at!r}")
-        checked.append(dict(fault))
-    return sorted(checked, key=lambda f: (float(f["at"]), f["uav"]))
+            raise ScenarioError(
+                f"fault {i}: 'uav' {uav!r} is not a {role} of this swarm"
+            )
+    return sorted(
+        (dict(fault) for fault in faults), key=lambda f: (float(f["at"]), f["uav"])
+    )
 
 
 @dataclass
@@ -234,34 +153,21 @@ class SwarmSim:
     """One seeded swarm scenario, steppable tick by tick."""
 
     def __init__(self, config: dict[str, Any], seed: int = 0) -> None:
-        unknown = sorted(set(config) - set(DEFAULTS) - META_KEYS)
-        if unknown:
-            raise ValueError(f"unknown swarm config key(s): {unknown}")
+        knob = SWARM.load(config)
         cfg = dict(DEFAULTS)
         cfg.update(config)
         self.config = cfg
-        self.seed = int(cfg.get("seed", seed))
-        self.k = _whole(cfg, "k_leaders")
-        self.rho = _whole(cfg, "rho")
-        self.n_pois = _whole(cfg, "n_pois")
-        if self.k < 1 or self.rho < 0 or self.n_pois < 0:
-            raise ValueError("k_leaders >= 1, rho >= 0, n_pois >= 0 required")
-        knob = {key: _finite(cfg, key) for key in FLOAT_KNOBS}
+        self.seed = int(seed) if knob["seed"] is None else knob["seed"]
+        self.k = knob["k_leaders"]
+        self.rho = knob["rho"]
+        self.n_pois = knob["n_pois"]
         self.area = knob["area_m"]
         self.detect_radius = knob["detect_radius_m"]
         self.dt = knob["dt"]
         self.horizon_s = knob["horizon_s"]
         self.consert_period = knob["consert_period_s"]
-        self.comm_radius = float(cfg["comm_radius_m"])
-        if not self.comm_radius >= 0.0:
-            raise ValueError(
-                f"'comm_radius_m' must be non-negative, got {cfg['comm_radius_m']!r}"
-            )
-        self.base_loss = float(cfg["link_loss"])
-        if not 0.0 <= self.base_loss <= 1.0:
-            raise ValueError(
-                f"'link_loss' must be a probability in [0, 1], got {cfg['link_loss']!r}"
-            )
+        self.comm_radius = knob["comm_radius_m"]
+        self.base_loss = knob["link_loss"]
         self.now = 0.0
         self._step_index = 0
 
@@ -393,7 +299,7 @@ class SwarmSim:
                         "error", "swarm.sim", "follower_loss",
                         sim_time=now, uav=uav,
                     )
-            else:  # leader_demotion; _checked_faults vetted type and uav
+            else:  # leader_demotion; the schema and _checked_faults vetted it
                 # Not an instant kill: the squad certificate loses its
                 # leader_ok evidence and the *decider* orders the recovery
                 # at the next ConSert cycle — assurance-driven, as in the

@@ -253,7 +253,7 @@ class TestScenarioReplayCli:
         path.write_text(scenario_to_json(config))
         assert main(["scenario", "validate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "does not load: ValueError" in err
+        assert "does not load: ScenarioError" in err
         assert needle in err
 
     @pytest.mark.parametrize("seed", range(20))

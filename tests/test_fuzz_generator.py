@@ -2,8 +2,9 @@
 
 The generator's contract is threefold: same seed ⇒ byte-identical JSON
 (including across processes — the manifest records only the seed, so the
-scenario must be reconstructible anywhere), every emitted config loads
-and lints clean, and each profile stays inside its declared envelope.
+scenario must be reconstructible anywhere), every emitted config of
+either kind loads and lints clean, and each profile stays inside its
+declared envelope.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.harness.fuzz.generator import (
     scenario_to_json,
 )
 from repro.scenario import lint_scenario, load_scenario_json
+from repro.swarm.sim import build_swarm
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 SEEDS = range(25)
@@ -74,6 +76,16 @@ class TestValidity:
                 uav["id"] for uav in config["uavs"]
             )
             assert len(scenario.faults.faults) == len(config["faults"])
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_generated_swarm_scenarios_load_and_lint_clean(self, profile):
+        for seed in SEEDS:
+            config = ScenarioGenerator(seed).generate_swarm(profile)
+            assert lint_scenario(config) == []
+            sim = build_swarm(config)
+            assert (sim.k, sim.rho) == (config["k_leaders"], config["rho"])
+            assert len(sim._faults) == len(config["faults"])
+            sim.close()
 
     def test_canonical_serialisation_round_trips(self):
         config = ScenarioGenerator(3).generate("smoke")

@@ -200,3 +200,82 @@ class TestErrorsNameTheOffendingField:
         assert scenario.world.dt == 0.25
         scenario.run_until(1.5)
         assert scenario.world.uavs["uav1"].motors_failed == 1
+
+
+def test_zero_gps_denial_duration_clears_at_onset():
+    # A 0 s denial is 0 s long, as every other fault reads a duration.
+    scenario = load_scenario(
+        _mutated(faults=[{"type": "gps_denial", "uav": "uav1", "at": 5.0,
+                          "duration": 0}])
+    )
+    (fault,) = scenario.faults.faults
+    assert fault.clear_at_time == 5.0
+
+
+#: One malformed input per schema rule, and the field its report must name.
+MALFORMED = [
+    ("uav-entry-not-an-object", _mutated(uavs=[5]), "uavs[0]"),
+    ("fault-entry-not-an-object", _mutated(faults=[5]), "faults[0]"),
+    ("attack-entry-not-an-object", _mutated(attacks=[5]), "attacks[0]"),
+    ("attacks-not-a-list", _mutated(attacks={"type": "ros_spoofing"}),
+     "attacks"),
+    ("environment-not-an-object", _mutated(environment=5), "environment"),
+    ("comms-not-an-object", _mutated(comms=5), "comms"),
+    ("unknown-visibility", _mutated(environment={"visibility": "foggy"}),
+     "environment.visibility"),
+    ("unsupported-rotor-count", _mutated(uavs=[{"id": "u", "rotors": 5}]),
+     "uavs[0] (u).rotors"),
+    ("zero-attack-rate", _mutated(attacks=[{"type": "ros_spoofing",
+                                            "rate_hz": 0}]),
+     "attacks[0].rate_hz"),
+    ("negative-speed", _mutated(uavs=[{"id": "u", "max_speed_mps": -1}]),
+     "uavs[0] (u).max_speed_mps"),
+    ("nan-string-time", _mutated(faults=[{"type": "imu_failure", "uav": "uav1",
+                                          "at": "nan"}]), "faults[0].at"),
+    ("bool-time", _mutated(faults=[{"type": "imu_failure", "uav": "uav1",
+                                    "at": True}]), "faults[0].at"),
+    ("negative-duration", _mutated(faults=[{"type": "gps_denial", "uav": "uav1",
+                                            "at": 1.0, "duration": -5}]),
+     "faults[0].duration"),
+    ("negative-persons", _mutated(persons=-2), "persons"),
+    ("negative-area", _mutated(area_size_m=[-10, 5]), "area_size_m[0]"),
+    ("soc-above-one", _mutated(faults=[{"type": "battery_collapse",
+                                        "uav": "uav1", "at": 1.0,
+                                        "soc_drop_to": 2.0}]),
+     "faults[0].soc_drop_to"),
+    ("negative-camera-rate", _mutated(faults=[{"type": "camera_degradation",
+                                               "uav": "uav1", "at": 1.0,
+                                               "rate": -1}]),
+     "faults[0].rate"),
+    ("fractional-seed", _mutated(seed=7.9), "seed"),
+    ("number-as-string", _mutated(dt="inf"), "dt"),
+    ("nan-number", _mutated(environment={"wind_mean_mps": float("nan")}),
+     "environment.wind_mean_mps"),
+    ("swarm-loss-above-one", {"kind": "swarm", "link_loss": 3}, "link_loss"),
+]
+
+
+class TestMalformedInputIsReported:
+    """A malformed file is a report naming its field, from the linter and
+    both CLI commands, never a traceback or an oracle violation."""
+
+    @pytest.mark.parametrize(
+        "config, field", [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_reported_naming_the_field(self, config, field, tmp_path, capsys):
+        from repro.__main__ import main
+        from repro.scenario import lint_scenario
+
+        problems = lint_scenario(config)
+        assert any(field in problem for problem in problems), problems
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["scenario", "validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert field in err
+        assert main(["scenario", "replay", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "does not load" in err
+        assert "VIOLATION" not in err

@@ -4,12 +4,12 @@
 validate`` catches it instead of the run failing (or silently doing
 nothing) when a scripted fault comes due. The rules:
 
-* every top-level key is a :data:`DEFAULTS` knob or one of
-  :data:`META_KEYS`;
+* every top-level key is declared in :data:`repro.schema.SWARM`: a
+  :data:`DEFAULTS` knob or one of the meta keys with no default;
 * ``k_leaders``, ``rho`` and ``n_pois`` are whole numbers with
   ``k_leaders >= 1``, ``rho >= 0`` and ``n_pois >= 0``;
-* each :data:`FLOAT_KNOBS` knob is a finite number, positive or
-  non-negative as the table says, ``comm_radius_m`` is non-negative and
+* each float knob is a finite number, positive or non-negative as the
+  declaration says, ``comm_radius_m`` is non-negative and
   ``link_loss`` lies in [0, 1];
 * ``faults`` is a list of objects, each with a known ``type``, a ``uav``
   of the role that type acts on, and a finite ``at``.
@@ -21,7 +21,10 @@ import math
 
 import pytest
 
-from repro.swarm.sim import DEFAULTS, FAULT_ROLES, META_KEYS, SwarmSim
+from repro.schema import SWARM
+from repro.swarm.sim import DEFAULTS, FAULT_ROLES, SwarmSim
+
+META_KEYS = sorted(set(SWARM.keys) - set(DEFAULTS))
 
 #: Two leaders with two followers each: lead00, lead01, f00_00 .. f01_01.
 SMALL = {"k_leaders": 2, "rho": 2, "n_pois": 4}
