@@ -2,17 +2,14 @@
 
 Walks a fleet of three UAVs through a storyline of degradations —
 reliability drops, a cyber attack, camera loss — and shows how each UAV's
-top-level guarantee and the mission-level verdict respond. Also
-demonstrates the ODE design-time/runtime round trip (DDI -> EDDI).
+top-level guarantee and the mission-level verdict respond.
 
 Run:  python examples/conserts_playground.py
 """
 
 from repro.core.decider import MissionDecider
-from repro.core.ode import OdePackage
 from repro.core.uav_network import UavConSertNetwork
 from repro.platform.gui import render_mission_panel
-from repro.security.attack_trees import ros_spoofing_attack_tree
 
 
 def show(decider: MissionDecider, title: str) -> None:
@@ -51,28 +48,6 @@ def main() -> None:
     networks["uav2"].set_nearby_uavs_available(False)
     networks["uav2"].set_camera_healthy(False)
     show(decider, "uav2 attacked + isolated + camera dead -> emergency land")
-
-    # Design-time export / runtime import (the DDI -> EDDI generation step).
-    package = OdePackage(system_name="sar-fleet", metadata={"tool": "playground"})
-    network = networks["uav3"]
-    for consert in (
-        network.security,
-        network.gps_localization,
-        network.vision_health,
-        network.vision_localization,
-        network.comm_localization,
-        network.drone_detection,
-        network.reliability,
-        network.navigation,
-        network.uav,
-    ):
-        package.add_consert(consert)
-    package.add_attack_tree(ros_spoofing_attack_tree())
-    blob = package.to_json()
-    print(f"ODE package serialised: {len(blob)} bytes, "
-          f"{len(package.conserts)} ConSerts, {len(package.attack_trees)} attack tree(s)")
-    rebuilt = OdePackage.from_json(blob).instantiate_conserts()
-    print(f"rebuilt executable ConSerts: {sorted(rebuilt)}")
 
 
 if __name__ == "__main__":

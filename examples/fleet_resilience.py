@@ -5,8 +5,7 @@ mission in wind; one UAV's battery degrades; SafeDrones demotes its
 reliability; the mission decider rules "task redistribution needed"; the
 task redistributor hands the dropped UAV's remaining coverage to the
 peers with spare capacity; the mission completes. Along the way, the
-flight recorder captures KPIs, and the web API renders the dashboard
-payload.
+flight recorder captures KPIs.
 
 Run:  python examples/fleet_resilience.py
 """
@@ -16,7 +15,6 @@ import numpy as np
 from repro.core.decider import MissionDecider, MissionVerdict
 from repro.core.uav_network import UavConSertNetwork
 from repro.experiments.common import build_three_uav_world
-from repro.platform.api import WebApi
 from repro.platform.database import DatabaseManager
 from repro.platform.gui import render_mission_panel
 from repro.platform.recorder import FlightRecorder
@@ -42,7 +40,6 @@ def main() -> None:
     for uav in world.uavs.values():
         manager.connect(uav)
         recorder.watch(uav.spec.uav_id)
-    api = WebApi(uav_manager=manager, recorder=recorder)
 
     # Assurance layer: ConSert networks + monitors per UAV.
     decider = MissionDecider()
@@ -102,9 +99,6 @@ def main() -> None:
             f"energy {100 * kpis.energy_used_fraction:.0f}%, "
             f"min SoC {100 * kpis.min_battery_soc:.0f}%"
         )
-
-    dashboard = api.dashboard()
-    print(f"\nweb dashboard payload: {len(dashboard)} bytes of JSON")
 
 
 if __name__ == "__main__":

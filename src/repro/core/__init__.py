@@ -12,11 +12,9 @@ Modules:
 - :mod:`repro.core.conserts` — guarantees, demands, runtime evidence,
   boolean gate trees, hierarchical composition, evaluation.
 - :mod:`repro.core.eddi` — the runtime monitor/diagnose/respond loop that
-  hosts ConSerts plus technology adapters on each UAV and the GCS.
+  hosts ConSerts plus technology adapters on each UAV.
 - :mod:`repro.core.decider` — the mission-level decider combining all UAV
   guarantees (the Σ node of Fig. 1).
 - :mod:`repro.core.uav_network` — the full Fig. 1 hierarchical ConSert
   network for the SAR use case, ready to wire to live monitors.
-- :mod:`repro.core.ode` — Open-Dependability-Exchange-style packaging of
-  dependability models (serialisation for design-time interchange).
 """

@@ -787,23 +787,24 @@ def run_swarm_oracles(
 ) -> OracleReport:
     """Run a swarm scenario config under the tasking oracle.
 
-    The swarm analogue of :func:`run_scenario_oracles`: any exception
-    from the simulation lands in ``no_unhandled_exception`` instead of
-    crashing the harness, and the report is fully deterministic for a
-    given (config, seed).
+    The swarm analogue of :func:`run_scenario_oracles`: a config that
+    does not load raises :class:`~repro.schema.ScenarioError` naming the
+    key, any exception from the simulation lands in
+    ``no_unhandled_exception`` instead of crashing the harness, and the
+    report is fully deterministic for a given (config, seed).
     """
-    from repro.swarm.sim import run_swarm
+    from repro.swarm.sim import build_swarm
 
     tasking = SwarmTaskingOracle(max_violations=max_violations)
     exception = Oracle(max_violations=max_violations)
     exception.name = "no_unhandled_exception"
 
+    sim = build_swarm(dict(config), seed=seed)
+    horizon = sim.horizon_s
     steps = 0
-    horizon = float(config.get("horizon_s", DEFAULT_HORIZON_S))
     try:
-        run = run_swarm(dict(config), seed=seed)
-        horizon = run.metrics["horizon_s"]
-        steps = int(round(horizon / float(run.config["dt"])))
+        run = sim.run()
+        steps = int(round(horizon / sim.dt))
         tasking.check_ledger(run.ledger, counters=run.metrics["leader"])
     except Exception as exc:
         frame = traceback.extract_tb(exc.__traceback__)[-1]

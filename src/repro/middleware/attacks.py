@@ -1,9 +1,9 @@
 """Attack injectors against the ROS-like bus.
 
-Reproduces the threat models the paper attributes to ROS deployments
-(Sec. I): data injection / message spoofing (the Fig. 6 experiment),
-man-in-the-middle tampering, and eavesdropping. Each attack is a stateful
-object stepped by the simulation between ``t_start`` and ``t_stop``.
+Reproduces data injection / message spoofing, the threat the paper's
+Fig. 6 experiment attacks ROS deployments with (Sec. I, Sec. V-C). An
+attack is a stateful object stepped by the simulation between
+``t_start`` and ``t_stop``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.middleware.rosbus import Message, RosBus
+from repro.middleware.rosbus import RosBus
 
 
 @dataclass
@@ -70,66 +70,3 @@ class SpoofingAttack(Attacker):
                 stamp=now,
             )
             self._next_emit += 1.0 / self.rate_hz
-
-
-@dataclass
-class MitmAttack(Attacker):
-    """Man-in-the-middle: transparently rewrite messages on selected topics.
-
-    Installs a transport interceptor that applies ``mutate(message, data)``
-    to the payload of every matching message while the window is active.
-    """
-
-    topic: str = "/uav/pose"
-    mutate: Callable[[Message, Any], Any] = lambda message, data: data
-    _installed: bool = field(default=False, repr=False)
-
-    def step(self, now: float) -> None:
-        """Arm the interceptor once the attack window opens."""
-        if self._installed or now < self.t_start:
-            return
-        self._installed = True
-
-        def interceptor(message: Message) -> Message:
-            if message.topic != self.topic or not self.active_at(message.stamp):
-                return message
-            return Message(
-                topic=message.topic,
-                data=self.mutate(message, message.data),
-                sender=message.sender,
-                origin=self.name,
-                seq=message.seq,
-                stamp=message.stamp,
-            )
-
-        self.bus.add_interceptor(interceptor)
-
-
-@dataclass
-class EavesdropAttack(Attacker):
-    """Passive eavesdropping: silently record traffic on matching topics.
-
-    Leaves no transport trace (the realistic worst case for a passive
-    adversary); the captured messages accumulate in :attr:`captured`.
-    """
-
-    topic_pattern: str = "/*"
-    captured: list[Message] = field(default_factory=list)
-    _installed: bool = field(default=False, repr=False)
-
-    def step(self, now: float) -> None:
-        """Arm the passive tap once the attack window opens."""
-        if self._installed or now < self.t_start:
-            return
-        self._installed = True
-
-        def interceptor(message: Message) -> Message:
-            import fnmatch
-
-            if self.active_at(message.stamp) and fnmatch.fnmatch(
-                message.topic, self.topic_pattern
-            ):
-                self.captured.append(message)
-            return message
-
-        self.bus.add_interceptor(interceptor)

@@ -2,9 +2,9 @@
 
 ROS's publish/subscribe architecture "brings certain security
 vulnerabilities, such as the risk of eavesdropping, man-in-the-middle
-attacks, and data injection" (paper Sec. I). To reproduce those attack
-surfaces faithfully the bus performs **no authentication**: any node handle
-may publish to any topic. Every delivered message carries provenance
+attacks, and data injection" (paper Sec. I). To keep the data-injection
+surface that the spoofing attack uses, the bus performs **no
+authentication**: any node handle may publish to any topic. Every delivered message carries provenance
 metadata (claimed sender, true origin, sequence number, timestamp) that the
 intrusion-detection system inspects — mirroring how a network IDS sees
 packet headers that application code does not.
@@ -141,7 +141,7 @@ class RosBus:
         return sub
 
     def add_interceptor(self, fn: Callable[[Message], "Message | None"]) -> None:
-        """Install a transport-level interceptor (used by MITM attacks).
+        """Install a transport-level interceptor (the swarm's message census is one).
 
         Interceptors run in installation order; each may return a replacement
         message or ``None`` to drop the message entirely.

@@ -7,8 +7,7 @@ failed motors; airframes with redundant rotors (hexa/octa) can
 *reconfigure* (remap thrust allocation) to tolerate failures, while a
 quadrotor is lost on its first motor-out.
 
-The chains :func:`motor_chain` and :func:`motor_chain_from_survival` build
-are upper-triangular: ``ok_k`` stages whose exit rates ``k * lambda`` fall
+The chains :func:`motor_chain` builds are upper-triangular: ``ok_k`` stages whose exit rates ``k * lambda`` fall
 by one ``lambda`` per stage, plus the absorbing ``failed``. Their
 transient has a closed form (:func:`motor_transient`), which is what the
 runtime solves: :class:`MotorChain` answers ``transient`` with it, and
@@ -137,41 +136,6 @@ def motor_chain(
     return MotorChain(states=states, q=q, absorbing=frozenset({"failed"}))
 
 
-def motor_chain_from_survival(
-    rotor_count: int,
-    survival_by_count: dict[int, float],
-    failure_rate_per_hour: float = 1e-3,
-) -> MotorChain:
-    """Build the motor CTMC from an arrangement's exact survival table.
-
-    ``survival_by_count[k]`` is the fraction of k-failure combinations
-    that remain controllable (from
-    :class:`repro.safedrones.arrangement.ArrangementAnalysis`). Each
-    tolerated stage's split between "reconfigure successfully" and "lose
-    control" is the conditional survival of the next failure.
-    """
-    lam = failure_rate_per_hour / 3600.0
-    max_tolerable = max(
-        (k for k, p in survival_by_count.items() if p > 0.0), default=0
-    )
-    healthy_counts = [rotor_count - i for i in range(max_tolerable + 1)]
-    states = [f"ok_{k}" for k in healthy_counts] + ["failed"]
-    n = len(states)
-    q = np.zeros((n, n))
-    for i, k in enumerate(healthy_counts):
-        failures_so_far = rotor_count - k
-        total = k * lam
-        current = survival_by_count.get(failures_so_far, 0.0)
-        nxt = survival_by_count.get(failures_so_far + 1, 0.0)
-        success = min(1.0, nxt / current) if current > 0.0 else 0.0
-        if i < len(healthy_counts) - 1:
-            q[i, i + 1] = total * success
-            q[i, n - 1] = total * (1.0 - success)
-        else:
-            q[i, n - 1] = total
-    return MotorChain(states=states, q=q, absorbing=frozenset({"failed"}))
-
-
 @dataclass
 class PropulsionModel:
     """Runtime propulsion reliability estimator for one airframe.
@@ -191,29 +155,6 @@ class PropulsionModel:
             self.rotor_count, self.failure_rate_per_hour, self.reconfig_success
         )
         self._memo: dict[tuple[int, int, float], float] = {}
-        self._memo_chain = self.chain
-
-    @classmethod
-    def from_arrangement(
-        cls, analysis, failure_rate_per_hour: float = 1e-3
-    ) -> "PropulsionModel":
-        """Calibrate the Markov model from an arrangement analysis.
-
-        The chain is rebuilt from the arrangement's exact per-count
-        survival table, so a PNPNPN hexarotor's combination-dependent
-        second-failure survivability (see
-        :class:`repro.safedrones.arrangement.ArrangementAnalysis`) flows
-        into the runtime reliability numbers.
-        """
-        model = cls(
-            rotor_count=analysis.rotor_count,
-            failure_rate_per_hour=failure_rate_per_hour,
-            reconfig_success=analysis.effective_reconfig_success(0),
-        )
-        model.chain = motor_chain_from_survival(
-            analysis.rotor_count, analysis.survival_by_count, failure_rate_per_hour
-        )
-        return model
 
     def record_motor_failure(self) -> None:
         """Register one additional failed motor."""
@@ -223,9 +164,8 @@ class PropulsionModel:
     def controllable(self) -> bool:
         """Whether the airframe remains controllable after observed failures.
 
-        Derived from the chain's state space, so arrangement-calibrated
-        models (which may tolerate more failures than the default table)
-        answer consistently.
+        Derived from the chain's state space: a healthy-count state the
+        chain has no stage for means control is lost.
         """
         return f"ok_{self.rotor_count - self.motors_failed}" in self.chain.states
 
@@ -239,13 +179,9 @@ class PropulsionModel:
 
         The value only changes when a motor fails, so it is memoized on
         the current state (rotor and failed-motor counts) and horizon.
-        The memo is dropped whenever ``chain`` is replaced, as
-        :meth:`from_arrangement` does. A miss solves the chain with
-        :func:`motor_transient`, which refuses a chain of another shape.
+        A miss solves the chain with :func:`motor_transient`, which
+        refuses a chain of another shape.
         """
-        if self._memo_chain is not self.chain:
-            self._memo = {}
-            self._memo_chain = self.chain
         key = (self.rotor_count, self.motors_failed, horizon_s)
         pof = self._memo.get(key)
         if pof is None:

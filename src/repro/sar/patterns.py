@@ -1,111 +1,15 @@
-"""Standard SAR search patterns beyond the boustrophedon sweep.
+"""Sector patrols for the swarm's leaders.
 
-Search-and-rescue doctrine (IAMSAR-style) prescribes different patterns
-for different prior knowledge about the missing person's location:
+The search square is cut into vertical strips, one per leader
+(:func:`sector_partition`), and each leader loops a boustrophedon sweep
+of its strip (:func:`sector_sweep`). The single-UAV parallel-track sweep
+lives in :mod:`repro.sar.coverage`.
 
-* **Expanding square** — datum known with good confidence: spiral
-  outward from the last known position, covering the highest-probability
-  area first.
-* **Sector search** — datum known, small search radius: repeated passes
-  through the datum along rotating spokes, maximising coverage density at
-  the centre.
-* **Parallel track (boustrophedon)** — datum weak, large area: the
-  uniform sweep implemented in :mod:`repro.sar.coverage`.
-
-All generators emit ENU waypoints compatible with
+The sweeps emit ENU waypoints compatible with
 :class:`repro.uav.dynamics.WaypointPlan`.
 """
 
 from __future__ import annotations
-
-import math
-
-from repro.sar.coverage import swath_width_m
-
-
-def expanding_square(
-    datum: tuple[float, float],
-    altitude_m: float,
-    max_radius_m: float,
-    half_fov_deg: float = 35.0,
-    overlap: float = 0.15,
-) -> list[tuple[float, float, float]]:
-    """Expanding-square (square spiral) pattern around a datum.
-
-    Leg lengths grow by one track spacing every two legs, which tiles the
-    plane with the camera swath; the pattern stops once the leg length
-    would exceed ``2 * max_radius_m``.
-    """
-    if max_radius_m <= 0.0:
-        raise ValueError("max_radius_m must be positive")
-    spacing = swath_width_m(altitude_m, half_fov_deg, overlap)
-    east0, north0 = datum
-    east, north = east0, north0
-    waypoints = [(east, north, altitude_m)]
-    # Headings cycle N, E, S, W; leg length grows every second leg.
-    directions = [(0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)]
-    leg = spacing
-    i = 0
-    while leg <= 2.0 * max_radius_m:
-        de, dn = directions[i % 4]
-        cand_east = east + de * leg
-        cand_north = north + dn * leg
-        # Containment: stop before any vertex leaves the declared search
-        # radius — the search area assignment is a hard boundary.
-        if math.hypot(cand_east - east0, cand_north - north0) > max_radius_m:
-            break
-        east, north = cand_east, cand_north
-        waypoints.append((east, north, altitude_m))
-        if i % 2 == 1:
-            leg += spacing
-        i += 1
-    return waypoints
-
-
-def sector_search(
-    datum: tuple[float, float],
-    altitude_m: float,
-    radius_m: float,
-    n_sectors: int = 3,
-) -> list[tuple[float, float, float]]:
-    """Sector-search pattern: spokes through the datum, rotating turns.
-
-    Each sector flies out along a spoke, across an arc chord, and back
-    through the datum — the pattern's repeated datum passes give maximum
-    coverage density where the person most likely is.
-    """
-    if radius_m <= 0.0:
-        raise ValueError("radius_m must be positive")
-    if n_sectors < 1:
-        raise ValueError("need at least one sector")
-    east0, north0 = datum
-    waypoints = [(east0, north0, altitude_m)]
-    # The classic pattern turns 120 degrees per sector for 3 sectors;
-    # generalise to 360/n + 60 so chords interleave.
-    turn_deg = 360.0 / n_sectors + 60.0
-    heading = 0.0
-    for _ in range(n_sectors * 2):
-        theta = math.radians(heading)
-        out = (
-            east0 + radius_m * math.sin(theta),
-            north0 + radius_m * math.cos(theta),
-            altitude_m,
-        )
-        waypoints.append(out)
-        # The chord crosses half a sector (180/n degrees) so its far end
-        # lands back on the search-radius circle; the historical constant
-        # 60.0 is the n_sectors == 3 special case.
-        chord_heading = heading + 180.0 / n_sectors
-        phi = math.radians(chord_heading)
-        chord = (
-            east0 + radius_m * math.sin(phi),
-            north0 + radius_m * math.cos(phi),
-            altitude_m,
-        )
-        waypoints.append(chord)
-        waypoints.append((east0, north0, altitude_m))
-        heading += turn_deg
-    return waypoints
 
 
 def sector_partition(
@@ -159,52 +63,3 @@ def sector_sweep(
             waypoints.append((east, area_m, altitude_m))
             waypoints.append((east, 0.0, altitude_m))
     return waypoints
-
-
-def pattern_length_m(waypoints: list[tuple[float, float, float]]) -> float:
-    """Total path length of a pattern."""
-    return sum(math.dist(a, b) for a, b in zip(waypoints, waypoints[1:]))
-
-
-def coverage_radius_profile(
-    waypoints: list[tuple[float, float, float]],
-    datum: tuple[float, float],
-    radii_m: list[float],
-    altitude_m: float,
-) -> dict[float, float]:
-    """Fraction of each datum-centred ring that the pattern's swath covers.
-
-    Samples each ring at 1-degree resolution and checks whether any path
-    vertex-to-vertex segment passes within half a swath width — a cheap
-    but faithful coverage proxy for comparing patterns.
-    """
-    swath_half = swath_width_m(altitude_m) / 2.0
-    segments = list(zip(waypoints, waypoints[1:]))
-
-    def min_distance(point: tuple[float, float]) -> float:
-        best = math.inf
-        px, py = point
-        for (x1, y1, _), (x2, y2, _) in segments:
-            dx, dy = x2 - x1, y2 - y1
-            norm = dx * dx + dy * dy
-            if norm == 0.0:
-                d = math.hypot(px - x1, py - y1)
-            else:
-                t = max(0.0, min(1.0, ((px - x1) * dx + (py - y1) * dy) / norm))
-                d = math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
-            best = min(best, d)
-        return best
-
-    out = {}
-    for radius in radii_m:
-        covered = 0
-        for deg in range(0, 360, 4):
-            theta = math.radians(deg)
-            point = (
-                datum[0] + radius * math.sin(theta),
-                datum[1] + radius * math.cos(theta),
-            )
-            if min_distance(point) <= swath_half:
-                covered += 1
-        out[radius] = covered / 90.0
-    return out

@@ -15,7 +15,6 @@ scripts execute.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 
@@ -129,47 +128,6 @@ class AttackTree:
         if not leaves:
             return 0.0
         return sum(1 for n in leaves if n.achieved) / len(leaves)
-
-    # ------------------------------------------------------- serialisation
-    def to_json(self) -> str:
-        """Serialise the tree (structure + metadata) to JSON."""
-
-        def encode(node: AttackNode) -> dict:
-            return {
-                "node_id": node.node_id,
-                "title": node.title,
-                "gate": node.gate.value,
-                "capecId": node.capec_id,
-                "description": node.description,
-                "severity": node.severity,
-                "likelihood": node.likelihood,
-                "mitigation": node.mitigation,
-                "alert_type": node.alert_type,
-                "children": [encode(c) for c in node.children],
-            }
-
-        return json.dumps({"name": self.name, "root": encode(self.root)}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackTree":
-        """Deserialise a tree produced by :meth:`to_json`."""
-
-        def decode(obj: dict) -> AttackNode:
-            return AttackNode(
-                node_id=obj["node_id"],
-                title=obj["title"],
-                gate=GateType(obj["gate"]),
-                capec_id=obj.get("capecId"),
-                description=obj.get("description", ""),
-                severity=obj.get("severity", "medium"),
-                likelihood=obj.get("likelihood", "medium"),
-                mitigation=obj.get("mitigation", ""),
-                alert_type=obj.get("alert_type"),
-                children=[decode(c) for c in obj.get("children", [])],
-            )
-
-        data = json.loads(text)
-        return cls(name=data["name"], root=decode(data["root"]))
 
 
 def ros_spoofing_attack_tree() -> AttackTree:

@@ -18,7 +18,7 @@ EXPECTED_OUTPUT = {
     "battery_failure_availability.py": ["availability improvement", "threshold"],
     "sar_accuracy_adaptation.py": ["uncertainty after descent", "99."],
     "spoofing_attack_response.py": ["Security EDDI detection", "landing error"],
-    "conserts_playground.py": ["MISSION:", "ODE package serialised"],
+    "conserts_playground.py": ["MISSION:", "* uav2: emergency_land"],
     "fleet_resilience.py": ["task_redistribution_needed", "post-flight KPIs"],
     "scenario_driven.py": ["guarantee timeline", "fault campaign log"],
 }

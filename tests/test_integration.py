@@ -1,9 +1,8 @@
 """Integration tests: the full stack wired together.
 
 These exercise the end-to-end flows the paper demonstrates on its
-platform: a complete SAR mission with EDDIs attached to every UAV, the
-spoofing-detection-to-collaborative-landing response chain, and the
-design-time-to-runtime ODE package flow.
+platform: a complete SAR mission with EDDIs attached to every UAV and
+the spoofing-detection-to-collaborative-landing response chain.
 """
 
 
@@ -11,7 +10,6 @@ import numpy as np
 
 from repro.core.decider import MissionDecider, MissionVerdict
 from repro.core.eddi import Eddi, MonitorAdapter
-from repro.core.ode import OdePackage
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
 from repro.experiments.common import build_three_uav_world
 from repro.localization.collaborative import CollaborativeLocalizer, Sighting
@@ -19,7 +17,6 @@ from repro.localization.detection import DroneDetector
 from repro.localization.landing import GuidedLandingController
 from repro.middleware.attacks import SpoofingAttack
 from repro.platform.database import DatabaseManager
-from repro.platform.gcs import GroundControlStation
 from repro.platform.task_manager import TaskManager
 from repro.platform.uav_manager import UavManager
 from repro.sar.mission import SarMission
@@ -38,9 +35,6 @@ class TestFullPlatformMission:
         manager = UavManager(bus=world.bus, database=db)
         for uav in world.uavs.values():
             manager.connect(uav)
-        gcs = GroundControlStation(bus=world.bus, uav_manager=manager)
-        for uav_id in world.uavs:
-            gcs.watch_uav(uav_id)
         tasks = TaskManager(uav_manager=manager)
         tasks.execute(
             "sar_coverage",
@@ -195,42 +189,3 @@ class TestSpoofToLandingChain:
         assert report.final_error_m < 5.0
         # The ConSert now offers collaborative navigation, not GPS.
         assert network.navigation_guarantee() == "collaborative_navigation"
-
-
-class TestDesignTimeToRuntime:
-    def test_ode_package_generates_working_eddi(self):
-        """DDI -> EDDI: serialise the network, rebuild, run the loop."""
-        source = UavConSertNetwork(uav_id="uav1")
-        package = OdePackage(system_name="uav1", metadata={"origin": "design-tool"})
-        for consert in (
-            source.security,
-            source.gps_localization,
-            source.vision_health,
-            source.vision_localization,
-            source.comm_localization,
-            source.drone_detection,
-            source.reliability,
-            source.navigation,
-            source.uav,
-        ):
-            package.add_consert(consert)
-        package.add_attack_tree(ros_spoofing_attack_tree())
-
-        shipped = package.to_json()
-        restored = OdePackage.from_json(shipped)
-        conserts = restored.instantiate_conserts()
-        uav_consert = conserts["uav1/uav"]
-
-        # Runtime evidence starts pessimistic: default guarantee.
-        assert uav_consert.evaluate().name == "emergency_land"
-
-        # Feed healthy evidence into the reconstructed models.
-        for consert in conserts.values():
-            for evidence in consert.evidence_nodes():
-                evidence.set(True)
-        assert uav_consert.evaluate().name == "continue_mission_extra_tasks"
-
-        trees = restored.instantiate_attack_trees()
-        trees[0].mark_achieved("network_intrusion")
-        trees[0].mark_achieved("inject_messages")
-        assert trees[0].root_achieved()

@@ -1,13 +1,8 @@
 """Geometric properties of the SAR search patterns.
 
-Every pattern declares a containment contract — an expanding square and a
-sector search never leave their assigned radius, a sector sweep never
-leaves its strip — and the camera-driven patterns promise that adjacent
-parallel tracks sit no further apart than the camera swath (otherwise the
-ground between tracks is never imaged). These tests pin both, plus the
-``sector_search`` chord-heading regression: the chord offset must follow
-the actual sector angle (``180 / n_sectors`` degrees), not the historical
-``60°`` constant that was only correct for three sectors.
+A leader's sector sweep never leaves its strip, and the camera-driven
+boustrophedon sweep keeps adjacent parallel tracks no further apart than
+the camera swath (otherwise the ground between tracks is never imaged).
 """
 
 from __future__ import annotations
@@ -17,123 +12,9 @@ import math
 import pytest
 
 from repro.sar.coverage import boustrophedon_path, swath_width_m
-from repro.sar.patterns import (
-    expanding_square,
-    sector_partition,
-    sector_search,
-    sector_sweep,
-)
+from repro.sar.patterns import sector_partition, sector_sweep
 
-DATUM = (120.0, 80.0)
 ALTITUDE = 25.0
-
-
-def _bearing_deg(point, datum) -> float:
-    """Compass bearing of ``point`` from ``datum`` (0 = north, 90 = east)."""
-    return math.degrees(
-        math.atan2(point[0] - datum[0], point[1] - datum[1])
-    ) % 360.0
-
-
-class TestExpandingSquareContainment:
-    @pytest.mark.parametrize("radius", [40.0, 80.0, 150.0])
-    def test_never_leaves_declared_radius(self, radius):
-        path = expanding_square(DATUM, ALTITUDE, max_radius_m=radius)
-        assert len(path) >= 2
-        for east, north, up in path:
-            assert math.hypot(east - DATUM[0], north - DATUM[1]) <= radius + 1e-9
-            assert up == ALTITUDE
-
-    def test_starts_at_datum(self):
-        path = expanding_square(DATUM, ALTITUDE, max_radius_m=100.0)
-        assert path[0] == (DATUM[0], DATUM[1], ALTITUDE)
-
-    @pytest.mark.parametrize(
-        "altitude, half_fov, overlap",
-        [(15.0, 35.0, 0.15), (25.0, 35.0, 0.15), (25.0, 20.0, 0.3)],
-    )
-    def test_parallel_tracks_within_swath(self, altitude, half_fov, overlap):
-        # The spiral's vertical (north-south) legs are the coverage
-        # tracks; any adjacent pair further apart than the swath leaves
-        # an unimaged gap between them. (The east-west legs alone are NOT
-        # swath-dense — the datum row has no horizontal leg — so the
-        # property is stated on the north-south tracks.)
-        swath = swath_width_m(altitude, half_fov, overlap)
-        path = expanding_square(
-            DATUM, altitude, max_radius_m=150.0,
-            half_fov_deg=half_fov, overlap=overlap,
-        )
-        easts = sorted(
-            {a[0] for a, b in zip(path, path[1:]) if a[0] == b[0]}
-        )
-        assert len(easts) >= 2
-        for lo, hi in zip(easts, easts[1:]):
-            assert hi - lo <= swath + 1e-9
-
-
-class TestSectorSearchGeometry:
-    RADIUS = 70.0
-
-    @pytest.mark.parametrize("n_sectors", [2, 3, 4, 6])
-    def test_all_waypoints_on_radius_or_datum(self, n_sectors):
-        path = sector_search(
-            DATUM, ALTITUDE, radius_m=self.RADIUS, n_sectors=n_sectors
-        )
-        for east, north, up in path:
-            dist = math.hypot(east - DATUM[0], north - DATUM[1])
-            assert dist == pytest.approx(0.0, abs=1e-9) or dist == pytest.approx(
-                self.RADIUS, abs=1e-9
-            )
-            assert up == ALTITUDE
-
-    @pytest.mark.parametrize("n_sectors", [2, 3, 4, 6])
-    def test_chord_waypoints_on_radius(self, n_sectors):
-        # Regression for the hardcoded 60° chord heading: every sector's
-        # chord waypoint (index 2, 5, 8, ... in the out/chord/datum
-        # cadence) must land back on the search-radius circle.
-        path = sector_search(
-            DATUM, ALTITUDE, radius_m=self.RADIUS, n_sectors=n_sectors
-        )
-        chords = path[2::3]
-        assert len(chords) == n_sectors * 2
-        for east, north, _ in chords:
-            assert math.hypot(east - DATUM[0], north - DATUM[1]) == pytest.approx(
-                self.RADIUS, abs=1e-9
-            )
-
-    @pytest.mark.parametrize("n_sectors", [2, 3, 4, 6])
-    def test_chord_spans_half_a_sector(self, n_sectors):
-        # The discriminating half of the regression: the chord's far end
-        # must sit 180/n degrees around the circle from its spoke — the
-        # old constant put it 60° around regardless of n_sectors, which
-        # only matches for n_sectors == 3.
-        path = sector_search(
-            DATUM, ALTITUDE, radius_m=self.RADIUS, n_sectors=n_sectors
-        )
-        spokes = path[1::3]
-        chords = path[2::3]
-        expected = 180.0 / n_sectors
-        for spoke, chord in zip(spokes, chords):
-            offset = (
-                _bearing_deg(chord, DATUM) - _bearing_deg(spoke, DATUM)
-            ) % 360.0
-            assert offset == pytest.approx(expected, abs=1e-6)
-
-    @pytest.mark.parametrize("n_sectors", [1, 2, 3, 4, 6])
-    def test_never_leaves_declared_radius(self, n_sectors):
-        path = sector_search(
-            DATUM, ALTITUDE, radius_m=self.RADIUS, n_sectors=n_sectors
-        )
-        for east, north, _ in path:
-            assert (
-                math.hypot(east - DATUM[0], north - DATUM[1])
-                <= self.RADIUS + 1e-9
-            )
-
-    def test_datum_passes_between_sectors(self):
-        path = sector_search(DATUM, ALTITUDE, radius_m=self.RADIUS, n_sectors=4)
-        for waypoint in path[0::3]:
-            assert waypoint == (DATUM[0], DATUM[1], ALTITUDE)
 
 
 class TestSectorSweepContainment:

@@ -1,7 +1,5 @@
 """Unit tests for the multi-UAV control platform layers."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from repro.core.uav_network import UavConSertNetwork
 from repro.geo import EnuFrame, GeoPoint
 from repro.middleware.rosbus import RosBus
 from repro.platform.database import AccessDenied, DatabaseManager, DbRequest
-from repro.platform.gcs import GroundControlStation
 from repro.platform.gui import render_fleet_status, render_mission_panel
 from repro.platform.task_manager import TaskManager, TaskService
 from repro.platform.uav_manager import UavManager
@@ -180,37 +177,6 @@ class TestTaskManager:
             tasks.execute("nope")
 
 
-class TestGcs:
-    def test_low_battery_warning_once(self):
-        bus, db, manager, uavs = build_platform()
-        gcs = GroundControlStation(bus=bus, uav_manager=manager)
-        gcs.watch_uav("uav1")
-        uavs[0].battery.soc = 0.2
-        uavs[0].start_mission([(10.0, 0.0, 10.0)])
-        for i in range(1, 30):
-            bus.advance_clock(i * 0.5)
-            uavs[0].step(0.5, i * 0.5)
-        warnings = gcs.logs_at_level("warning")
-        assert len(warnings) == 1
-        assert "battery low" in warnings[0].message
-
-    def test_log_rejects_unknown_level(self):
-        bus, db, manager, _ = build_platform()
-        gcs = GroundControlStation(bus=bus, uav_manager=manager)
-        with pytest.raises(ValueError):
-            gcs.log(0.0, "x", "noisy", "msg")
-
-    def test_mission_decision_through_decider(self):
-        bus, db, manager, _ = build_platform()
-        gcs = GroundControlStation(bus=bus, uav_manager=manager)
-        for i in range(3):
-            network = UavConSertNetwork(uav_id=f"uav{i + 1}")
-            network.set_reliability_level("high")
-            gcs.decider.add_uav(network)
-        decision = gcs.mission_decision()
-        assert decision.verdict.value == "mission_completed_as_planned"
-
-
 class TestGui:
     def test_fleet_status_renders_all_uavs(self):
         _, _, manager, _ = build_platform()
@@ -231,74 +197,3 @@ class TestGui:
         text = render_mission_panel(decision)
         assert decision.verdict.value in text
         assert "uav2" in text
-
-
-class TestWebApi:
-    def build(self):
-        from repro.experiments.common import build_three_uav_world
-        from repro.platform.api import WebApi
-        from repro.platform.database import DatabaseManager
-        from repro.platform.gcs import GroundControlStation
-        from repro.platform.recorder import FlightRecorder
-        from repro.platform.uav_manager import UavManager
-        from repro.security.broker import MqttBroker
-        from repro.security.ids import IntrusionDetectionSystem
-
-        scenario = build_three_uav_world(seed=4, n_persons=0)
-        world = scenario.world
-        manager = UavManager(bus=world.bus, database=DatabaseManager())
-        recorder = FlightRecorder(bus=world.bus)
-        for uav in world.uavs.values():
-            manager.connect(uav)
-            recorder.watch(uav.spec.uav_id)
-        gcs = GroundControlStation(bus=world.bus, uav_manager=manager)
-        ids = IntrusionDetectionSystem(bus=world.bus, broker=MqttBroker())
-        for node in list(world.uavs) + ["uav_manager", "gcs", "flight_recorder"]:
-            ids.register_node(node)
-        api = WebApi(uav_manager=manager, gcs=gcs, recorder=recorder, ids=ids)
-        world.uavs["uav1"].start_mission([(350.0, 280.0, 20.0)])
-        for _ in range(40):
-            world.step()
-        ids.scan(world.time)
-        return world, api, ids
-
-    def test_fleet_status_payload(self):
-        world, api, _ = self.build()
-        payload = api.fleet_status()
-        assert len(payload["uavs"]) == 3
-        uav1 = next(u for u in payload["uavs"] if u["id"] == "uav1")
-        assert uav1["mode"] == "mission"
-        assert uav1["connected"]
-
-    def test_tracks_downsampled(self):
-        world, api, _ = self.build()
-        tracks = api.tracks(max_points=10)["tracks"]
-        assert "uav1" in tracks
-        assert 0 < len(tracks["uav1"]) <= 12
-
-    def test_alert_feed_clean_traffic(self):
-        world, api, ids = self.build()
-        assert api.alert_feed() == {"alerts": []}
-        world.bus.publish("/uav1/pose", 1, sender="uav1", origin="adversary")
-        ids.scan(world.time)
-        alerts = api.alert_feed()["alerts"]
-        assert alerts
-        assert alerts[-1]["suspect"] == "adversary"
-
-    def test_dashboard_is_valid_json(self):
-        world, api, _ = self.build()
-        document = json.loads(api.dashboard())
-        assert set(document) == {"fleet", "tracks", "alerts", "logs"}
-
-    def test_dashboard_with_mission_panel(self):
-        from repro.core.decider import MissionDecider
-        from repro.core.uav_network import UavConSertNetwork
-
-        world, api, _ = self.build()
-        decider = MissionDecider()
-        for i in range(3):
-            network = UavConSertNetwork(uav_id=f"uav{i + 1}")
-            network.set_reliability_level("high")
-            decider.add_uav(network)
-        document = json.loads(api.dashboard(decider.decide()))
-        assert document["mission"]["verdict"] == "mission_completed_as_planned"

@@ -142,8 +142,8 @@ class TestColdImports:
     and no repro module the command does not run.
 
     SciPy costs more to import than a paper-suite round takes to run, so
-    it loads only inside the solvers that need it (``expm``,
-    ``linprog``). Every cold start also compiles each repro module it
+    it loads only inside the one solver that needs it (``expm``, the
+    tests' oracle). Every cold start also compiles each repro module it
     imports, so a package ``__init__`` imports none of its siblings. The
     checks run in a fresh interpreter: this test process has SciPy and
     most of repro loaded already.

@@ -13,7 +13,9 @@ everything ``repro/obs/__init__.py`` imports.
 
 The modules the walk does not reach are pinned below. Connecting one to
 an experiment, an oracle or a CLI command, or deleting it, shrinks the
-set; a new module that nothing runs grows it and fails this test.
+set; a new module that nothing runs grows it and fails this test. The
+same holds one level down for the top-level functions and classes of
+reached modules that no ``src`` code names.
 """
 
 from __future__ import annotations
@@ -29,12 +31,34 @@ ROOT_MODULES = ("repro.__main__", "repro.scenario")
 
 #: Modules no entry point reaches, each waiting to be connected or cut.
 UNREACHED = {
-    "repro.core.ode",
     "repro.core.responses",
     "repro.sar.redistribution",
-    "repro.platform.api",
-    "repro.platform.gcs",
-    "repro.safedrones.arrangement",
+}
+
+#: Top-level functions and classes of reached modules that no ``src`` code
+#: names: only tests, examples or benches call them.
+TEST_ONLY = {
+    "repro.experiments.monte_carlo.run_monte_carlo_fig5",
+    "repro.experiments.sar_accuracy.theoretical_accuracy_curve",
+    "repro.geo.enu_distance",
+    "repro.geo.initial_bearing_deg",
+    "repro.geo.slant_range_m",
+    "repro.harness.manifest.read_manifest",
+    "repro.harness.oracles.demotion_monotone_ok",
+    "repro.harness.oracles.demotion_step_ok",
+    "repro.harness.oracles.distance_in_bounds",
+    "repro.harness.oracles.guarantee_rank",
+    "repro.harness.seeding.sample_seed",
+    "repro.localization.collaborative.sighting_to_geopoint",
+    "repro.obs.disable",
+    "repro.obs.enable",
+    "repro.plan.routing.tour_length",
+    "repro.platform.gui.render_guarantee_timeline",
+    "repro.safedrones.battery.battery_chain",
+    "repro.safedrones.markov.parallel_reliability",
+    "repro.safedrones.markov.series_reliability",
+    "repro.sar.coverage.estimated_coverage_time_s",
+    "repro.scenario.load_scenario_json",
 }
 
 
@@ -109,6 +133,35 @@ def test_unreached_modules_are_exactly_the_pinned_set():
     assert unreached == UNREACHED, (
         f"newly unreached: {sorted(unreached - UNREACHED)}; "
         f"now reached or gone: {sorted(UNREACHED - unreached)}"
+    )
+
+
+@cache
+def _names(module: str) -> frozenset[str]:
+    """Every identifier ``module``'s code names: loads, attributes, imports."""
+    names = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.rpartition(".")[2])
+    return frozenset(names)
+
+
+def test_test_only_names_are_exactly_the_pinned_set():
+    # A definition is not a use: ``def f`` and ``class C`` add no Name node.
+    test_only = {
+        f"{module}.{node.name}"
+        for module in reached_modules()
+        for node in _tree(module).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(node.name in _names(other) for other in FILES)
+    }
+    assert test_only == TEST_ONLY, (
+        f"newly test-only: {sorted(test_only - TEST_ONLY)}; "
+        f"now used or gone: {sorted(TEST_ONLY - test_only)}"
     )
 
 

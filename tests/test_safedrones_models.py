@@ -11,7 +11,6 @@ from repro.safedrones.battery import (
     battery_chain,
     battery_transient,
 )
-from repro.safedrones.arrangement import ArrangementAnalysis
 from repro.safedrones.markov import ContinuousMarkovChain, MarkovModelError
 from repro.safedrones.monitor import (
     ReliabilityLevel,
@@ -22,7 +21,6 @@ from repro.safedrones.propulsion import (
     PropulsionModel,
     TOLERABLE_FAILURES,
     motor_chain,
-    motor_chain_from_survival,
     motor_transient,
 )
 
@@ -238,16 +236,6 @@ def expm_transient(chain, p0, t):
     return ContinuousMarkovChain.transient(chain, p0, t)
 
 
-@pytest.fixture(scope="module")
-def arrangement_chains():
-    return {
-        rotors: motor_chain_from_survival(
-            rotors, ArrangementAnalysis(rotor_count=rotors).survival_by_count
-        )
-        for rotors in (4, 6, 8)
-    }
-
-
 class TestMotorTransientKernel:
     """The closed form against the ``expm`` chain it stands in for."""
 
@@ -270,11 +258,6 @@ class TestMotorTransientKernel:
             self.assert_matches_oracle(motor_chain(rotors, reconfig_success=reconfig), t)
         self.assert_matches_oracle(motor_chain(rotors, failure_rate_per_hour=0.0), t)
         self.assert_matches_oracle(motor_chain(rotors, failure_rate_per_hour=0.05), t)
-
-    @pytest.mark.parametrize("t", HORIZONS)
-    @pytest.mark.parametrize("rotors", [4, 6, 8])
-    def test_arrangement_chain_matches_expm_oracle(self, arrangement_chains, rotors, t):
-        self.assert_matches_oracle(arrangement_chains[rotors], t)
 
     @pytest.mark.parametrize("t", HORIZONS)
     @pytest.mark.parametrize("rotors", [4, 6, 8])

@@ -18,10 +18,11 @@ nothing) when a scripted fault comes due. The rules:
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
-from repro.schema import SWARM
+from repro.schema import SWARM, ScenarioError
 from repro.swarm.sim import DEFAULTS, FAULT_ROLES, SwarmSim
 
 META_KEYS = sorted(set(SWARM.keys) - set(DEFAULTS))
@@ -287,3 +288,40 @@ class TestFaultTime:
     def test_int_or_float_time_accepted(self, at):
         (fault,) = with_fault(type="follower_loss", uav="f00_00", at=at)._faults
         assert fault["at"] == at
+
+
+class TestOracleRunnerRejectsLikeTheLoader:
+    """A swarm config that does not load is the caller's error, not a verdict.
+
+    ``run_swarm_oracles`` raises the loader's :class:`ScenarioError`, as
+    ``run_scenario_oracles`` does for a SAR config, instead of reporting
+    it as a ``no_unhandled_exception`` violation.
+    """
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("link_loss", 3, "probability in [0, 1]"),
+            ("horizon_s", "abc", "non-negative finite time"),
+        ],
+        ids=["link_loss", "horizon_s"],
+    )
+    def test_raises_naming_the_key(self, key, value, rule):
+        from repro.harness.oracles import run_swarm_oracles
+
+        with pytest.raises(ScenarioError, match=re.escape(f"'{key}' must be a {rule}")):
+            run_swarm_oracles({"kind": "swarm", **SMALL, key: value})
+
+    def test_sar_runner_raises_the_same_way(self):
+        from repro.harness.oracles import run_scenario_oracles
+
+        with pytest.raises(ScenarioError, match="'persons'"):
+            run_scenario_oracles({"persons": -2})
+
+    def test_report_reads_the_checked_horizon(self):
+        from repro.harness.oracles import run_swarm_oracles
+
+        report = run_swarm_oracles({"kind": "swarm", **SMALL, "horizon_s": 30})
+        assert report.horizon_s == 30.0
+        assert report.steps == int(round(30.0 / DEFAULTS["dt"]))
+        assert report.passed
