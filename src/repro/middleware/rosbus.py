@@ -4,10 +4,11 @@ ROS's publish/subscribe architecture "brings certain security
 vulnerabilities, such as the risk of eavesdropping, man-in-the-middle
 attacks, and data injection" (paper Sec. I). To keep the data-injection
 surface that the spoofing attack uses, the bus performs **no
-authentication**: any node handle may publish to any topic. Every delivered message carries provenance
-metadata (claimed sender, true origin, sequence number, timestamp) that the
-intrusion-detection system inspects — mirroring how a network IDS sees
-packet headers that application code does not.
+authentication**: any node handle may publish to any topic. Every
+delivered message carries provenance metadata (claimed sender, true
+origin, sequence number, timestamp) that the intrusion-detection system
+inspects — mirroring how a network IDS sees packet headers that
+application code does not.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ failed motors; airframes with redundant rotors (hexa/octa) can
 *reconfigure* (remap thrust allocation) to tolerate failures, while a
 quadrotor is lost on its first motor-out.
 
-The chains :func:`motor_chain` builds are upper-triangular: ``ok_k`` stages whose exit rates ``k * lambda`` fall
-by one ``lambda`` per stage, plus the absorbing ``failed``. Their
+The chains :func:`motor_chain` builds are upper-triangular: ``ok_k``
+stages whose exit rates ``k * lambda`` fall by one ``lambda`` per stage,
+plus the absorbing ``failed``. Their
 transient has a closed form (:func:`motor_transient`), which is what the
 runtime solves: :class:`MotorChain` answers ``transient`` with it, and
 :meth:`PropulsionModel.failure_probability` (the one path both assurance
