@@ -140,6 +140,20 @@ class TestConSert:
         with pytest.raises(KeyError):
             consert.evidence_by_name("zzz")
 
+    def test_unbound_demand_falls_back_until_bound(self):
+        # An integrator may bind a demand after the consumer is built;
+        # meanwhile the consumer offers its default.
+        provider, _ = provider_consert()
+        demand = Demand("d", frozenset({"service_ok"}))
+        consumer = ConSert(
+            name="consumer",
+            guarantees=[Guarantee("go", AndNode([demand])), Guarantee("stop", None)],
+        )
+        assert consumer.evaluate().name == "stop"
+        assert consumer.demand_nodes()[0].providers == []
+        demand.bind(provider)
+        assert consumer.evaluate().name == "go"
+
     def test_demand_nodes_enumeration(self):
         provider, _ = provider_consert()
         demand = Demand("d", frozenset({"service_ok"})).bind(provider)

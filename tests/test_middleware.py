@@ -1,4 +1,4 @@
-"""Unit tests for the ROS-like bus and the attack injectors."""
+"""Unit tests for the ROS-like bus, its interceptors and the attack injectors."""
 
 import pytest
 
@@ -238,3 +238,43 @@ class TestSpoofingAttack:
         )
         attack.step(1.0)  # 0.0 .. 1.0 at 10 Hz -> ~11 emissions
         assert 9 <= len(bus.traffic) <= 12
+
+
+def publish_via(bus, mode, items):
+    """Publish ``(topic, data, sender)`` items one by one or as a batch."""
+    if mode == "publish":
+        for topic, data, sender in items:
+            bus.publish(topic, data, sender=sender)
+    else:
+        bus.publish_many(items, stamp=bus.clock)
+
+
+class TestTransportInterceptors:
+    """What a transport-level observer or rewriter does, on both publish paths."""
+
+    ITEMS = [("/uav1/pose", "p1", "uav1"), ("/gcs/cmd", "c1", "gcs"), ("/uav1/pose", "p2", "uav1")]
+
+    @pytest.mark.parametrize("mode", ["publish", "publish_many"])
+    def test_observer_sees_everything_and_changes_nothing(self, bus, mode):
+        seen, received = [], []
+        bus.subscribe("/uav1/pose", "n", received.append)
+        bus.add_interceptor(lambda m: seen.append(m) or m)
+        publish_via(bus, mode, self.ITEMS)
+        assert [m.data for m in seen] == ["p1", "c1", "p2"]
+        assert list(bus.traffic) == seen
+        assert [m.data for m in received] == ["p1", "p2"]
+        assert not any(m.is_forged for m in received)
+
+    @pytest.mark.parametrize("mode", ["publish", "publish_many"])
+    def test_topic_scoped_rewrite_leaves_other_topics_untouched(self, bus, mode):
+        poses, commands = [], []
+        bus.subscribe("/uav1/pose", "n", poses.append)
+        bus.subscribe("/gcs/cmd", "n", commands.append)
+        bus.add_interceptor(
+            lambda m: m._replace(data=m.data.upper(), origin="mitm")
+            if m.topic == "/uav1/pose" else m
+        )
+        publish_via(bus, mode, self.ITEMS)
+        assert [(m.data, m.origin) for m in poses] == [("P1", "mitm"), ("P2", "mitm")]
+        assert [(m.data, m.origin) for m in commands] == [("c1", "gcs")]
+        assert [m.seq for m in bus.traffic] == sorted(m.seq for m in bus.traffic)

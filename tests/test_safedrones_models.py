@@ -18,6 +18,7 @@ from repro.safedrones.monitor import (
 )
 from repro.safedrones.processor import ProcessorReliabilityModel
 from repro.safedrones.propulsion import (
+    MotorChain,
     PropulsionModel,
     TOLERABLE_FAILURES,
     motor_chain,
@@ -87,6 +88,39 @@ class TestPropulsion:
 
     def test_tolerable_failures_table(self):
         assert TOLERABLE_FAILURES == {4: 0, 6: 1, 8: 2}
+
+    @pytest.mark.parametrize("rotors", [4, 6, 8])
+    def test_pof_grows_with_horizon(self, rotors):
+        model = PropulsionModel(rotor_count=rotors)
+        pofs = [model.failure_probability(t) for t in (0.0, 60.0, 3600.0, 1e5, 1e7)]
+        assert pofs[0] == 0.0
+        assert all(a < b for a, b in zip(pofs, pofs[1:]))
+        assert pofs[-1] <= 1.0
+
+    @pytest.mark.parametrize("horizon", [600.0, 3600.0])
+    @pytest.mark.parametrize("rotors", [6, 8])
+    def test_each_tolerated_failure_raises_pof_until_control_is_lost(self, rotors, horizon):
+        # Perfect remaps: only the spare motors stand between a stage and
+        # loss. (With risky remaps a healthier stage can be the riskier
+        # one over a short horizon: it has more motors to lose.)
+        model = PropulsionModel(rotor_count=rotors, reconfig_success=1.0)
+        pofs = []
+        while model.controllable:
+            pofs.append(model.failure_probability(horizon))
+            model.record_motor_failure()
+        assert len(pofs) == TOLERABLE_FAILURES[rotors] + 1
+        assert all(a < b for a, b in zip(pofs, pofs[1:]))
+        assert model.failure_probability(horizon) == 1.0
+
+    @pytest.mark.parametrize("rotors", [6, 8])
+    def test_mttf_falls_with_each_tolerated_failure(self, rotors):
+        model = PropulsionModel(rotor_count=rotors)
+        mttfs = []
+        while model.controllable:
+            mttfs.append(model.mttf_hours())
+            model.record_motor_failure()
+        assert all(a > b > 0.0 for a, b in zip(mttfs, mttfs[1:]))
+        assert model.mttf_hours() == 0.0
 
 
 class TestBatteryReliability:
@@ -236,6 +270,37 @@ def expm_transient(chain, p0, t):
     return ContinuousMarkovChain.transient(chain, p0, t)
 
 
+def staged_motor_chain(rotors, successes, failure_rate_per_hour=0.05):
+    """A motor-shaped chain whose reconfiguration odds differ per stage.
+
+    ``successes[i]`` is the chance that the ``i``-th tolerated motor-out
+    is remapped; the stage after the last one fails on any further loss.
+    :func:`motor_chain` uses one odds for every stage, but the closed form
+    only needs the motor-chain shape.
+    """
+    lam = failure_rate_per_hour / 3600.0
+    counts = [rotors - i for i in range(len(successes) + 1)]
+    n = len(counts) + 1
+    q = np.zeros((n, n))
+    for i, k in enumerate(counts):
+        q[i, i] = -k * lam
+        if i < len(successes):
+            q[i, i + 1] = k * lam * successes[i]
+            q[i, n - 1] = k * lam * (1.0 - successes[i])
+        else:
+            q[i, n - 1] = k * lam
+    states = [f"ok_{k}" for k in counts] + ["failed"]
+    return MotorChain(states=states, q=q, absorbing=frozenset({"failed"}))
+
+
+STAGED_CHAINS = {
+    "quad": (4, ()),
+    "hexa": (6, (0.8,)),
+    "octa": (8, (0.95, 0.6)),
+    "dodeca": (12, (0.99, 0.9, 0.7, 0.4)),
+}
+
+
 class TestMotorTransientKernel:
     """The closed form against the ``expm`` chain it stands in for."""
 
@@ -258,6 +323,12 @@ class TestMotorTransientKernel:
             self.assert_matches_oracle(motor_chain(rotors, reconfig_success=reconfig), t)
         self.assert_matches_oracle(motor_chain(rotors, failure_rate_per_hour=0.0), t)
         self.assert_matches_oracle(motor_chain(rotors, failure_rate_per_hour=0.05), t)
+
+    @pytest.mark.parametrize("t", HORIZONS)
+    @pytest.mark.parametrize("airframe", sorted(STAGED_CHAINS))
+    def test_stage_dependent_reconfig_matches_expm_oracle(self, airframe, t):
+        rotors, successes = STAGED_CHAINS[airframe]
+        self.assert_matches_oracle(staged_motor_chain(rotors, successes), t)
 
     @pytest.mark.parametrize("t", HORIZONS)
     @pytest.mark.parametrize("rotors", [4, 6, 8])

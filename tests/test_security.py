@@ -1,5 +1,7 @@
 """Unit tests for attack trees, broker, IDS, Security EDDI, spoof detector."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,46 @@ class TestAttackTree:
         )
         with pytest.raises(ValueError, match="duplicate node_id 'dup'"):
             AttackTree(name="bad", root=root)
+
+SPOOFING_LEAVES = ("network_intrusion", "node_compromise", "inject_messages")
+
+
+class TestRosSpoofingTree:
+    """The Fig. 6 tree: (network intrusion OR node compromise) AND injection."""
+
+    @pytest.mark.parametrize(
+        "achieved",
+        [
+            frozenset(combo)
+            for size in range(len(SPOOFING_LEAVES) + 1)
+            for combo in itertools.combinations(SPOOFING_LEAVES, size)
+        ],
+        ids=lambda combo: "+".join(sorted(combo)) or "none",
+    )
+    def test_root_truth_table(self, achieved):
+        tree = ros_spoofing_attack_tree()
+        for leaf in achieved:
+            tree.mark_achieved(leaf)
+        access = bool(achieved & {"network_intrusion", "node_compromise"})
+        goal = access and "inject_messages" in achieved
+        assert tree.root_achieved() is goal
+        assert ("gain_access" in tree.attack_path()) is access
+        assert ("manipulate_mapping" in tree.attack_path()) is goal
+        assert tree.progress() == pytest.approx(len(achieved) / 3)
+
+    @pytest.mark.parametrize("leaf_id", SPOOFING_LEAVES)
+    def test_each_leaf_is_a_detectable_capec_step(self, leaf_id):
+        # Sec. III-B: every scenario record carries a CAPEC id, a severity,
+        # a likelihood and a mitigation; a leaf also names the IDS alert
+        # that evidences it, and that alert finds exactly this leaf.
+        tree = ros_spoofing_attack_tree()
+        (leaf,) = [n for n in tree.leaves() if n.node_id == leaf_id]
+        assert leaf.capec_id.startswith("CAPEC-")
+        assert leaf.severity in {"low", "medium", "high"}
+        assert leaf.likelihood in {"low", "medium", "high"}
+        assert leaf.mitigation
+        assert tree.leaf_by_alert_type(leaf.alert_type) == [leaf]
+
 
 class TestTopicMatching:
     @pytest.mark.parametrize(

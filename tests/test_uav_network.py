@@ -84,6 +84,51 @@ class TestUavNetwork:
         assert net.evaluate() is UavGuarantee.HOLD_POSITION
 
 
+NETWORK_CONSERTS = [
+    "security",
+    "gps_localization",
+    "vision_health",
+    "vision_localization",
+    "comm_localization",
+    "drone_detection",
+    "reliability",
+    "navigation",
+    "uav",
+]
+
+
+def set_all_evidence(network, value):
+    for name in NETWORK_CONSERTS:
+        for evidence in getattr(network, name).evidence_nodes():
+            evidence.set(value)
+
+
+class TestNetworkExtremes:
+    """Every ConSert of Fig. 1 at all-pessimistic and all-healthy evidence."""
+
+    @pytest.mark.parametrize("consert", NETWORK_CONSERTS)
+    def test_no_evidence_falls_back_to_the_unconditional_default(self, consert):
+        network = UavConSertNetwork(uav_id="uav1")
+        set_all_evidence(network, False)
+        certificate = getattr(network, consert)
+        assert certificate.guarantees[-1].condition is None
+        assert certificate.evaluate() is certificate.guarantees[-1]
+
+    @pytest.mark.parametrize("consert", NETWORK_CONSERTS)
+    def test_all_evidence_offers_the_strongest_guarantee(self, consert):
+        network = UavConSertNetwork(uav_id="uav1")
+        set_all_evidence(network, True)
+        certificate = getattr(network, consert)
+        assert certificate.evaluate() is certificate.guarantees[0]
+
+    def test_extremes_span_the_flight_decisions(self):
+        network = UavConSertNetwork(uav_id="uav1")
+        set_all_evidence(network, False)
+        assert network.evaluate() is UavGuarantee.EMERGENCY_LAND
+        set_all_evidence(network, True)
+        assert network.evaluate() is UavGuarantee.CONTINUE_MISSION_EXTRA
+
+
 def fleet(n=3):
     decider = MissionDecider()
     networks = []
