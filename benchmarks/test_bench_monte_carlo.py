@@ -2,17 +2,18 @@
 
 from conftest import print_table, run_once
 
-from repro.experiments.monte_carlo import run_monte_carlo_fig5
+from repro.experiments.monte_carlo import MONTE_CARLO_CAMPAIGN, result_from_campaign
+from repro.harness.campaign import run_campaign
 
 
 def test_fig5_monte_carlo_robustness(benchmark):
     """Does the Fig. 5 conclusion survive scenario perturbation?"""
-    result = run_once(
-        benchmark,
-        run_monte_carlo_fig5,
-        fault_times=(150.0, 250.0, 350.0),
-        soc_levels=(0.40,),
-        seeds=(3,),
+    grid = [
+        {"fault_time_s": fault_time, "soc_after_fault": 0.40, "seed": 3}
+        for fault_time in (150.0, 250.0, 350.0)
+    ]
+    result = result_from_campaign(
+        run_once(benchmark, run_campaign, MONTE_CARLO_CAMPAIGN, grid=grid)
     )
     print_table(
         "Fig. 5 Monte Carlo — availability across fault scenarios",

@@ -21,9 +21,9 @@ from repro.plan.routing import (
     inspection_points,
     nearest_neighbor_tour,
     partition_points,
-    tour_length,
     two_opt,
 )
+from repro.sar.coverage import path_length_m
 
 AREA_M = 256.0
 CELL_M = 4.0          # 256 m / 4 m = 64 cells per axis
@@ -101,11 +101,11 @@ def test_planner_200_point_mission(benchmark):
         for start, part in zip(STARTS, parts):
             pts = [points[i] for i in part]
             nn = nearest_neighbor_tour(start, pts)
-            nn_m = tour_length([start] + [pts[i] for i in nn])
+            nn_m = path_length_m([start] + [pts[i] for i in nn])
             order = two_opt(start, pts, nn)
-            opt_m = tour_length([start] + [pts[i] for i in order])
+            opt_m = path_length_m([start] + [pts[i] for i in order])
             tour = route_waypoints(field, start, [pts[i] for i in order])
-            routed_m = tour_length([start] + tour)
+            routed_m = path_length_m([start] + tour)
             tours.append((start, tour))
             rows.append((len(pts), nn_m, opt_m, routed_m, len(tour)))
         plan_s = time.perf_counter() - t1

@@ -34,7 +34,6 @@ def main() -> None:
 
     networks["uav1"].set_reliability_level("low")
     show(decider, "uav1 reliability drops to LOW -> return to base")
-    print("redistribution plan:", decider.redistribution_plan())
     print()
 
     networks["uav1"].set_reliability_level("high")

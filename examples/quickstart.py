@@ -27,7 +27,7 @@ def main() -> None:
     for uav in world.uavs.values():
         uav_manager.connect(uav)
     task_manager = TaskManager(uav_manager=uav_manager)
-    print("Available platform services:", task_manager.available_services())
+    print("Available platform services:", sorted(task_manager.services))
 
     # 3. Launch the SAR coverage task at 20 m survey altitude.
     assignment = task_manager.execute(

@@ -9,7 +9,6 @@ Run:  python examples/sar_accuracy_adaptation.py
 """
 
 from repro.experiments.sar_accuracy import run_sar_accuracy_experiment
-from repro.experiments.sar_accuracy import theoretical_accuracy_curve
 
 
 def main() -> None:
@@ -39,11 +38,6 @@ def main() -> None:
         f"{100 * result.classifier_accuracy_low:.1f}% at 20 m, "
         f"{100 * result.classifier_accuracy_high:.1f}% at 40 m"
     )
-    print()
-    print("theoretical detection accuracy vs altitude:")
-    for altitude, accuracy in theoretical_accuracy_curve([20, 25, 30, 40, 50, 60]):
-        bar = "#" * int((accuracy - 0.95) * 800) if accuracy > 0.95 else ""
-        print(f"  {altitude:>3.0f} m: {100 * accuracy:6.2f}%  {bar}")
 
 
 if __name__ == "__main__":

@@ -3,17 +3,19 @@
 Shows the adoption-path API: describe the whole experiment (fleet,
 environment, faults, attack) as one JSON document, load it with
 ``load_scenario``, attach the full Fig. 1 assurance stack to every UAV
-with one ``build_fleet_eddis`` call, and read the guarantee timelines
-afterwards.
+with one ``build_fleet_eddis`` call, and read each UAV's guarantee
+transitions afterwards.
 
 Run:  python examples/scenario_driven.py
 """
 
+import json
+
 from repro.core.adapters import build_fleet_eddis
 from repro.core.decider import MissionDecider
-from repro.platform.gui import render_guarantee_timeline, render_mission_panel
+from repro.platform.gui import render_mission_panel
 from repro.sar.coverage import boustrophedon_path, partition_area
-from repro.scenario import load_scenario_json
+from repro.scenario import load_scenario
 
 SCENARIO = """
 {
@@ -41,7 +43,7 @@ SCENARIO = """
 
 
 def main() -> None:
-    scenario = load_scenario_json(SCENARIO)
+    scenario = load_scenario(json.loads(SCENARIO))
     world = scenario.world
     print(
         f"scenario loaded: {len(world.uavs)} UAVs, "
@@ -70,10 +72,12 @@ def main() -> None:
         print(f"  t={stamp:6.1f}s  {name} {state}")
     print()
 
+    print("guarantee timeline:")
     for uav_id in sorted(fleet):
         eddi, _ = fleet[uav_id]
-        print(render_guarantee_timeline(eddi))
-        print()
+        for response in eddi.response_log:
+            print(f"  t={response.stamp:6.1f}s  {uav_id} -> {response.guarantee.value}")
+    print()
 
     print(render_mission_panel(decider.decide()))
 

@@ -18,8 +18,7 @@ fleet-wide array operations:
 * GPS fixes, quality draws and IMU velocities are gathered for the whole
   fleet from the shared noise channels.
 
-Everything else is the scalar code: SafeML reports come from each row's
-:meth:`repro.safeml.monitor.SafeMlMonitor.report`, responses from one
+Everything else is the scalar code: responses come from one
 :class:`repro.core.eddi.EddiResponder` per row, and the mission verdict
 from :func:`repro.core.decider.mission_decision`.
 
@@ -87,7 +86,6 @@ from repro.safedrones.communication import CommLinkMonitor
 from repro.safedrones.monitor import ReliabilityAssessment, ReliabilityLevel
 from repro.safedrones.processor import ProcessorReliabilityModel
 from repro.safedrones.propulsion import PropulsionModel
-from repro.safeml.monitor import SafeMlReport
 from repro.security.spoofing import GpsSpoofingDetector
 
 
@@ -481,11 +479,9 @@ class ScalarAssurancePlane:
         self.decider = MissionDecider()
         for _, stack in self.eddis.values():
             self.decider.add_uav(stack.network)
-        self._last_now = world.time
 
     def step(self, now: float) -> dict[str, UavGuarantee]:
         """Run one assurance cycle for every UAV; uav_id -> guarantee."""
-        self._last_now = now
         return {uid: eddi.step(now) for uid, (eddi, _) in self.eddis.items()}
 
     def decide(self) -> MissionDecision:
@@ -529,24 +525,6 @@ class ScalarAssurancePlane:
 
     def assessment(self, uav_id: str) -> ReliabilityAssessment | None:
         return self.eddis[uav_id][1].safedrones.latest
-
-    def safeml_report(self, uav_id: str) -> SafeMlReport | None:
-        """The SafeML report as of the last step (recomputed; pure).
-
-        Read it before observing new features — the scalar monitor keeps
-        no report history, so this re-runs ``report()`` on the current
-        window (bit-identical while the window is unchanged).
-        """
-        stack = self.eddis[uav_id][1]
-        if stack.safeml is not None and stack.safeml.window_full:
-            return stack.safeml.report(self._last_now)
-        return None
-
-    def set_safeml(self, uav_id: str, monitor) -> None:
-        self.eddis[uav_id][1].safeml = monitor
-
-    def safeml_monitor(self, uav_id: str):
-        return self.eddis[uav_id][1].safeml
 
     def spoof_detector(self, uav_id: str) -> GpsSpoofingDetector:
         return self.eddis[uav_id][1].spoof_detector
@@ -595,8 +573,6 @@ class BatchAssurancePlane:
         )
         self._detectors = [GpsSpoofingDetector() for _ in range(n)]
         self._links = [CommLinkMonitor() for _ in range(n)]
-        self._safeml: list = [None] * n
-        self._safeml_reports: list = [None] * n
         self._responders = [
             EddiResponder(name=f"{uav_id}-eddi") for uav_id in self._ids
         ]
@@ -751,15 +727,9 @@ class BatchAssurancePlane:
                 no_attack[k] = not verdict.spoofed
         evidence["gps_quality_ok"][:] = quality
 
-        # --- vision health + SafeML confidence ----------------------------
+        # --- vision health -------------------------------------------------
         evidence["camera_healthy"][:] = cam_ok
         evidence["drone_detection_ok"][:] = cam_ok
-        confidence = evidence["safeml_confidence_ok"]
-        for k, monitor in enumerate(self._safeml):
-            if monitor is not None and monitor.window_full:
-                report = monitor.report(now)
-                self._safeml_reports[k] = report
-                confidence[k] = report.level.value != "low"
 
         # --- communication: link quality + collaborator availability ------
         comm = evidence["comm_links_ok"]
@@ -841,17 +811,6 @@ class BatchAssurancePlane:
 
     def assessment(self, uav_id: str) -> ReliabilityAssessment | None:
         return self.safedrones.assessment(self._row[uav_id])
-
-    def safeml_report(self, uav_id: str) -> SafeMlReport | None:
-        return self._safeml_reports[self._row[uav_id]]
-
-    def set_safeml(self, uav_id: str, monitor) -> None:
-        row = self._row[uav_id]
-        self._safeml[row] = monitor
-        self._safeml_reports[row] = None
-
-    def safeml_monitor(self, uav_id: str):
-        return self._safeml[self._row[uav_id]]
 
     def spoof_detector(self, uav_id: str) -> GpsSpoofingDetector:
         return self._detectors[self._row[uav_id]]

@@ -55,11 +55,6 @@ class Demand:
     providers: list["ConSert"] = field(default_factory=list)
     description: str = ""
 
-    def bind(self, provider: "ConSert") -> "Demand":
-        """Attach a provider ConSert; returns self for chaining."""
-        self.providers.append(provider)
-        return self
-
     def satisfied(self) -> bool:
         """Whether any bound provider offers an accepted guarantee now."""
         for provider in self.providers:
@@ -127,12 +122,6 @@ class ConSert:
         for rank, guarantee in enumerate(self.guarantees):
             guarantee.rank = rank
 
-    def add_guarantee(self, guarantee: Guarantee) -> Guarantee:
-        """Append a guarantee (weaker than all existing ones)."""
-        guarantee.rank = len(self.guarantees)
-        self.guarantees.append(guarantee)
-        return guarantee
-
     def evaluate(self) -> Guarantee | None:
         """The strongest currently satisfiable guarantee, or None."""
         for guarantee in self.guarantees:
@@ -148,13 +137,6 @@ class ConSert:
         """Every RuntimeEvidence leaf reachable from this ConSert's trees."""
         # Demands stop the walk: their providers own their own evidence.
         return self._leaves(RuntimeEvidence)
-
-    def evidence_by_name(self, name: str) -> RuntimeEvidence:
-        """Look up a RuntimeEvidence leaf by name (raises KeyError)."""
-        for evidence in self.evidence_nodes():
-            if evidence.name == name:
-                return evidence
-        raise KeyError(name)
 
     def demand_nodes(self) -> list[Demand]:
         """Every Demand leaf in this ConSert's trees."""

@@ -93,20 +93,3 @@ class MissionDecider:
         )
         self.history.append(decision)
         return decision
-
-    def redistribution_plan(self) -> dict[str, str]:
-        """Map each dropped UAV to a takeover UAV (after a REDISTRIBUTE).
-
-        Simple round-robin assignment; raises if the last decision did not
-        call for redistribution.
-        """
-        if not self.history:
-            raise RuntimeError("decide() has not run yet")
-        decision = self.history[-1]
-        if decision.verdict is not MissionVerdict.REDISTRIBUTE:
-            raise RuntimeError("last verdict did not call for redistribution")
-        plan: dict[str, str] = {}
-        takeover = decision.takeover_uavs
-        for i, dropped in enumerate(decision.dropped_uavs):
-            plan[dropped] = takeover[i % len(takeover)]
-        return plan

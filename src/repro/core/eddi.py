@@ -137,20 +137,6 @@ class EddiResponder:
                       guarantee=guarantee.value):
                 callback(response)
 
-    def time_in_guarantee(self, guarantee: UavGuarantee) -> float:
-        """Total simulated time spent offering ``guarantee``.
-
-        Computed from the guarantee trace assuming uniform step spacing
-        between consecutive trace entries.
-        """
-        if len(self.guarantee_trace) < 2:
-            return 0.0
-        total = 0.0
-        for (t0, g), (t1, _) in zip(self.guarantee_trace, self.guarantee_trace[1:]):
-            if g is guarantee:
-                total += t1 - t0
-        return total
-
 
 @dataclass(kw_only=True)
 class Eddi(EddiResponder):
@@ -192,7 +178,3 @@ class Eddi(EddiResponder):
             guarantee = self.network.evaluate()
         self.respond(now, guarantee)
         return guarantee
-
-    def stale_adapters(self) -> list[MonitorAdapter]:
-        """Adapters currently past their evidence-staleness window."""
-        return [a for a in self.adapters if a.stale]

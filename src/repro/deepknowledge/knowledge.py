@@ -151,38 +151,6 @@ class DeepKnowledgeAnalyzer:
             total += self.n_bins
         return CoverageReport(covered_bins=covered, total_bins=total)
 
-    def combination_coverage(
-        self, test_inputs: np.ndarray, max_pairs: int = 20
-    ) -> CoverageReport:
-        """Pairwise joint-bin coverage over TK neurons.
-
-        Stricter than per-neuron coverage: a test set can light every
-        individual bin yet never exercise *combinations* of abstractions.
-        Counts observed (bin_i, bin_j) joint cells over the first
-        ``max_pairs`` adjacent TK-neuron pairs.
-        """
-        self._require_fit()
-        if len(self.tk_neurons) < 2:
-            raise ValueError("need at least two TK neurons for pair coverage")
-        trace = self.network.activation_trace(test_inputs)
-        covered = 0
-        total = 0
-        pairs = list(zip(self.tk_neurons, self.tk_neurons[1:]))[:max_pairs]
-        for first, second in pairs:
-            bins_i = np.clip(
-                np.digitize(trace[:, first.index], first.bin_edges) - 1,
-                0,
-                self.n_bins - 1,
-            )
-            bins_j = np.clip(
-                np.digitize(trace[:, second.index], second.bin_edges) - 1,
-                0,
-                self.n_bins - 1,
-            )
-            covered += len(set(zip(bins_i.tolist(), bins_j.tolist())))
-            total += self.n_bins * self.n_bins
-        return CoverageReport(covered_bins=covered, total_bins=total)
-
     # ------------------------------------------------------------- runtime
     def uncertainty(self, inputs: np.ndarray) -> float:
         """Runtime uncertainty in [0, 1] for a batch of inputs.

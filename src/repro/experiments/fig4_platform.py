@@ -97,8 +97,7 @@ def run_fig4_platform_demo(
     view = MapView()
     return Fig4Result(
         map_panel=view.render(world, tracks=recorder.records and {
-            uav_id: [(r.east, r.north, r.up) for r in records]
-            for uav_id, records in recorder.records.items()
+            uav_id: recorder.track(uav_id) for uav_id in recorder.records
         }),
         status_panel=render_fleet_status(manager.fleet_status()),
         sesame_panel=render_mission_panel(decision),

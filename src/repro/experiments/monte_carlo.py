@@ -23,7 +23,6 @@ from repro.harness.campaign import (
     CampaignExperiment,
     CampaignResult,
     register_experiment,
-    run_campaign,
 )
 from repro.harness.timing import PhaseTimer
 
@@ -73,9 +72,9 @@ class MonteCarloResult:
 def monte_carlo_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
     """One campaign sample: a Fig. 5 run at a perturbed scenario point.
 
-    ``config`` may pin an explicit ``seed`` (the legacy seed-as-grid-axis
-    study); otherwise the harness-assigned per-sample stream seed is
-    used. The Fig. 5 scenario constants are module-level, so they are
+    ``config`` may pin an explicit ``seed``; otherwise the
+    harness-assigned per-sample stream seed is used. The Fig. 5
+    scenario constants are module-level, so they are
     patched and restored around the run — safe in pool workers, where
     each sample owns its process's module state.
     """
@@ -166,27 +165,3 @@ MONTE_CARLO_CAMPAIGN = register_experiment(
     )
 )
 
-
-def run_monte_carlo_fig5(
-    fault_times=(150.0, 250.0, 350.0),
-    soc_levels=(0.35, 0.40, 0.45),
-    seeds=(3, 7),
-    workers: int = 1,
-    cache_dir=None,
-) -> MonteCarloResult:
-    """Sweep the Fig. 5 scenario space (legacy seed-as-grid-axis study).
-
-    Runs through the campaign engine — pass ``workers`` to shard the grid
-    across processes (identical results at any worker count) and
-    ``cache_dir`` to skip already-completed points.
-    """
-    configs = [
-        {"fault_time_s": fault_time, "soc_after_fault": soc, "seed": seed}
-        for fault_time in fault_times
-        for soc in soc_levels
-        for seed in seeds
-    ]
-    campaign = run_campaign(
-        MONTE_CARLO_CAMPAIGN, grid=configs, workers=workers, cache_dir=cache_dir
-    )
-    return result_from_campaign(campaign)

@@ -26,7 +26,6 @@ from repro.safeml.monitor import SafeMlMonitor
 from repro.sar.detection import (
     DetectionModel,
     TRAINING_ALTITUDE_M,
-    detection_accuracy,
     feature_means,
     FEATURE_STD,
 )
@@ -182,9 +181,3 @@ def run_sar_accuracy_experiment(
         classifier_accuracy_high=network.accuracy(x_high, y_high),
     )
 
-
-def theoretical_accuracy_curve(
-    altitudes: list[float],
-) -> list[tuple[float, float]]:
-    """(altitude, detection accuracy) pairs for the sweep figure."""
-    return [(a, detection_accuracy(a)) for a in altitudes]

@@ -391,10 +391,6 @@ class ScenarioGenerator:
         config["faults"] = faults
         return config
 
-    def generate_json(self, profile: str | FuzzProfile = "default") -> str:
-        """The canonical byte-stable serialisation of one drawn scenario."""
-        return scenario_to_json(self.generate(profile))
-
 
 def scenario_to_json(config: dict) -> str:
     """Canonical scenario serialisation: sorted keys, 2-space indent."""

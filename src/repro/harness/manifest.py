@@ -100,8 +100,3 @@ def write_manifest(path: str | Path, manifest: dict) -> Path:
         handle.write("\n")
     return path
 
-
-def read_manifest(path: str | Path) -> dict:
-    """Load a manifest written by :func:`write_manifest`."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)

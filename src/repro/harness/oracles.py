@@ -69,7 +69,6 @@ from typing import Any
 from repro.core.batch import build_assurance
 from repro.core.uav_network import UavGuarantee
 from repro.plan.grid import blocked_legs
-from repro.safedrones.monitor import ReliabilityLevel
 from repro.scenario import Scenario, load_scenario
 from repro.schema import SAR
 from repro.uav.uav import FlightMode
@@ -120,54 +119,6 @@ def landed_step_ok(
     return pos == landed_pos
 
 
-#: UavGuarantee declaration order is severity order: 0 = best offer
-#: (continue with extra tasks), 4 = worst (emergency land).
-GUARANTEE_RANK = {guarantee: i for i, guarantee in enumerate(UavGuarantee)}
-#: Same for the SafeDrones reliability vocabulary: HIGH=0, MEDIUM=1, LOW=2.
-RELIABILITY_RANK = {level: i for i, level in enumerate(ReliabilityLevel)}
-#: Per-measure upper bound of the SafeML distances over ECDFs in [0, 1].
-#: KS is a sup of |F_a - F_b| (≤ 1); Kuiper sums two sups (≤ 2); the
-#: integrated/weighted measures are unbounded in data units but must stay
-#: finite and non-negative.
-DISTANCE_UPPER_BOUND = {"kolmogorov_smirnov": 1.0, "kuiper": 2.0}
-
-
-def guarantee_rank(guarantee: UavGuarantee) -> int:
-    """Severity rank of a top-level guarantee (0 = best, 4 = worst)."""
-    return GUARANTEE_RANK[guarantee]
-
-
-def demotion_monotone_ok(prev: UavGuarantee, cur: UavGuarantee) -> bool:
-    """Whether a guarantee change respects decay monotonicity.
-
-    Under *pure evidence decay* (bits only flip good -> bad, nothing
-    recovers) the offered guarantee can only hold or worsen — the ConSert
-    trees are monotone boolean programs of positive evidence.
-    """
-    return GUARANTEE_RANK[cur] >= GUARANTEE_RANK[prev]
-
-
-def demotion_step_ok(prev: ReliabilityLevel, cur: ReliabilityLevel) -> bool:
-    """Whether a reliability demotion moved at most one level.
-
-    The level is a threshold function of a continuously-evolving failure
-    probability (HIGH below 0.2, MEDIUM below 0.6), so as long as the
-    per-cycle PoF increment is small the monitor must pass through
-    MEDIUM on the way from HIGH to LOW — skipping a level means the PoF
-    jumped the whole [0.2, 0.6) band in one cycle.
-    """
-    return RELIABILITY_RANK[cur] - RELIABILITY_RANK[prev] <= 1
-
-
-def distance_in_bounds(measure: str, value: float) -> bool:
-    """Whether one SafeML distance value is in its legal range."""
-    return (
-        math.isfinite(value)
-        and value >= 0.0
-        and value <= DISTANCE_UPPER_BOUND.get(measure, math.inf)
-    )
-
-
 # ---------------------------------------------------------------- plumbing
 @dataclass(frozen=True)
 class Violation:
@@ -207,9 +158,6 @@ class Oracle:
 
     def observe(self, world: World, now: float) -> None:
         """Check one completed step (override)."""
-
-    def finish(self) -> None:
-        """Run end-of-scenario checks (override)."""
 
 
 class SocMonotonicOracle(Oracle):

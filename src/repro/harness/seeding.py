@@ -32,13 +32,3 @@ def spawn_sample_seeds(root_seed: int, n: int) -> list[int]:
     # only guarantee signed-64 integers.
     return [int(child.generate_state(1, dtype=np.uint64)[0] >> 1) for child in children]
 
-
-def sample_seed(root_seed: int, index: int) -> int:
-    """The seed :func:`spawn_sample_seeds` assigns to grid point ``index``.
-
-    ``SeedSequence.spawn`` children are keyed by position alone, so the
-    seed of sample ``i`` does not depend on how many other samples the
-    campaign contains — this is what makes a single manifest entry
-    reproducible without re-deriving the whole grid.
-    """
-    return spawn_sample_seeds(root_seed, index + 1)[index]

@@ -2,9 +2,7 @@
 
 Each collaborator sighting (bearing, elevation, monocular range) converts
 to a position hypothesis for the affected UAV by spherical-to-ENU
-trigonometry; the geodetic form of the same computation uses
-:func:`repro.geo.destination_point` — the haversine-family projection the
-paper cites. Hypotheses from all collaborators fuse by inverse-variance
+trigonometry. Hypotheses from all collaborators fuse by inverse-variance
 weighting, and uncertainty shrinks as more collaborators contribute (the
 basis for the "Collaborative Navigation with accuracy <0.75 m" guarantee
 in the Fig. 1 ConSert).
@@ -15,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.geo import EnuFrame, GeoPoint, destination_point
 from repro.localization.detection import DroneDetection
 
 
@@ -36,11 +33,6 @@ class PositionEstimate:
     n_sightings: int
     stamp: float
 
-    @property
-    def meets_collaborative_accuracy(self) -> bool:
-        """Whether the ConSert's <0.75 m collaborative-accuracy demand holds."""
-        return self.sigma_m < 0.75
-
 
 def sighting_to_position(sighting: Sighting) -> tuple[tuple[float, float, float], float]:
     """Convert one sighting to an ENU position hypothesis and its sigma.
@@ -58,16 +50,6 @@ def sighting_to_position(sighting: Sighting) -> tuple[tuple[float, float, float]
     angular_sigma = det.range_m * math.sin(math.radians(1.5))
     sigma = math.hypot(det.range_sigma_m, angular_sigma)
     return (east, north, up), sigma
-
-
-def sighting_to_geopoint(sighting: Sighting, frame: EnuFrame) -> GeoPoint:
-    """Geodetic form of the hypothesis using the haversine projection."""
-    det = sighting.detection
-    observer_geo = frame.to_geo(*sighting.observer_enu)
-    horizontal = det.range_m * math.cos(math.radians(det.elevation_deg))
-    point = destination_point(observer_geo, det.bearing_deg, horizontal)
-    up = sighting.observer_enu[2] + det.range_m * math.sin(math.radians(det.elevation_deg))
-    return point.with_alt(frame.origin.alt + up)
 
 
 @dataclass

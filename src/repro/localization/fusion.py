@@ -82,10 +82,3 @@ class ConstantVelocityKalman:
         if not self.initialized:
             raise RuntimeError("initialize() first")
         return tuple(float(x) for x in self.state[:3])
-
-    @property
-    def position_sigma_m(self) -> float:
-        """RMS position standard deviation from the covariance trace."""
-        if not self.initialized:
-            raise RuntimeError("initialize() first")
-        return float(np.sqrt(np.trace(self.covariance[:3, :3]) / 3.0))

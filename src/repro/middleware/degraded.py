@@ -74,8 +74,7 @@ class LinkModel:
     taking it duck-typed). ``loss_probability`` adds i.i.d. loss on top —
     either mechanism alone is typical. Latency plus uniform jitter delays
     delivery; ``bandwidth_msgs_per_s`` caps throughput per one-second
-    bucket (excess packets are dropped, UDP-style); scheduled outages
-    black the link out completely.
+    bucket (excess packets are dropped, UDP-style).
     """
 
     rng: np.random.Generator | None = None
@@ -85,7 +84,6 @@ class LinkModel:
     jitter_s: float = 0.0
     bandwidth_msgs_per_s: float | None = None
     stats: LinkStats = field(default_factory=LinkStats)
-    outages: list[tuple[float, float]] = field(default_factory=list)
     _bucket: int = field(default=-1, repr=False)
     _bucket_count: int = field(default=0, repr=False)
 
@@ -97,16 +95,6 @@ class LinkModel:
         if self.rng is None:
             self.rng = np.random.default_rng(0)
 
-    def schedule_outage(self, start_s: float, end_s: float) -> None:
-        """Black the link out for ``[start_s, end_s)`` simulated seconds."""
-        if end_s <= start_s:
-            raise ValueError("outage end must be after start")
-        self.outages.append((start_s, end_s))
-
-    def blacked_out(self, now: float) -> bool:
-        """Whether a scheduled outage covers ``now``."""
-        return any(start <= now < end for start, end in self.outages)
-
     def step(self, dt: float) -> None:
         """Advance the burst-loss channel state by ``dt`` seconds."""
         if self.channel is not None and dt > 0.0:
@@ -115,9 +103,6 @@ class LinkModel:
     def transmit(self, now: float) -> float | None:
         """One packet attempt at ``now``: delivery time, or None if lost."""
         self.stats.sent += 1
-        if self.blacked_out(now):
-            self.stats.dropped_outage += 1
-            return None
         if self.bandwidth_msgs_per_s is not None:
             bucket = math.floor(now)
             if bucket != self._bucket:
@@ -185,10 +170,6 @@ class DegradedBus(RosBus):
             self._down_nodes.add(node)
         else:
             self._down_nodes.discard(node)
-
-    def node_down(self, node: str) -> bool:
-        """Whether ``node`` is currently blacked out."""
-        return node in self._down_nodes
 
     def set_node_loss(self, node: str, loss_probability: float) -> None:
         """Extra i.i.d. loss applied to every packet to or from ``node``."""
@@ -333,7 +314,3 @@ class DegradedBus(RosBus):
                         topic=message.topic,
                         reason="unsubscribed",
                     )
-
-    def pending_count(self) -> int:
-        """Number of in-flight (delayed, not yet delivered) messages."""
-        return len(self._pending)

@@ -129,11 +129,6 @@ class ReliableChannel:
             if now - oldest > self.link_down_after_s:
                 self._set_link(False)
 
-    @property
-    def in_flight(self) -> int:
-        """Messages sent but not yet acknowledged."""
-        return len(self._pending)
-
     # ------------------------------------------------------------- receive
     def _on_data(self, message: Message) -> None:
         seq = int(message.data["seq"])

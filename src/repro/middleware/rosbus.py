@@ -13,7 +13,6 @@ application code does not.
 
 from __future__ import annotations
 
-import fnmatch
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -104,14 +103,6 @@ class TrafficLog:
 
     def __iter__(self) -> Iterator[Message]:
         return iter(self._messages)
-
-    def on_topic(self, pattern: str) -> list[Message]:
-        """Messages whose topic matches a glob pattern (e.g. ``/uav*/pose``)."""
-        return [m for m in self._messages if fnmatch.fnmatch(m.topic, pattern)]
-
-    def since(self, stamp: float) -> list[Message]:
-        """Messages recorded at or after ``stamp``."""
-        return [m for m in self._messages if m.stamp >= stamp]
 
 
 class RosBus:
@@ -272,7 +263,3 @@ class RosBus:
     def topics(self) -> list[str]:
         """All topics with at least one subscription, sorted."""
         return sorted(t for t, subs in self._subs.items() if any(s.active for s in subs))
-
-    def subscriber_nodes(self, topic: str) -> list[str]:
-        """Names of nodes actively subscribed to ``topic``."""
-        return [s.node for s in self._subs.get(topic, ()) if s.active]

@@ -43,8 +43,6 @@ __all__ = [
     "ObsSession",
     "MetricsRegistry",
     "merge_snapshots",
-    "enable",
-    "disable",
     "reset",
     "span",
     "timed_span",
@@ -88,16 +86,6 @@ class ObsSession:
 
 #: The process-local session every instrumented call site consults.
 OBS = ObsSession()
-
-
-def enable() -> None:
-    """Turn recording on (idempotent)."""
-    OBS.enabled = True
-
-
-def disable() -> None:
-    """Turn recording off (idempotent); recorded data is kept."""
-    OBS.enabled = False
 
 
 def reset() -> None:

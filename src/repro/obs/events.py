@@ -63,10 +63,6 @@ class EventLog:
                   sim_time=sim_time, wall_s=wall_s, payload=dict(payload))
         )
 
-    def by_name(self, name: str) -> list[Event]:
-        """All events with the given name, in emission order."""
-        return [e for e in self.events if e.name == name]
-
     def drain(self) -> list[dict]:
         """Return all events as dicts and forget them."""
         out = [e.to_dict() for e in self.events]

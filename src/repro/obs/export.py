@@ -157,12 +157,6 @@ def prometheus_text(snapshot: dict) -> str:
         series = snapshot["counters"][name]
         for key in sorted(series):
             lines.append(f"{metric}{_prom_labels(key)} {series[key]:g}")
-    for name in sorted(snapshot.get("gauges", {})):
-        metric = _sanitize(name)
-        _header(lines, metric, "gauge")
-        series = snapshot["gauges"][name]
-        for key in sorted(series):
-            lines.append(f"{metric}{_prom_labels(key)} {series[key]:g}")
     for name in sorted(snapshot.get("histograms", {})):
         metric = _sanitize(name)
         _header(lines, metric, "histogram")

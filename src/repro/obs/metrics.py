@@ -9,13 +9,10 @@ parent folds all snapshots with :func:`merge_snapshots` — by
 construction the merged result equals what a serial run would have
 counted.
 
-Three instrument kinds:
+Two instrument kinds:
 
 ``counter``
     Monotonic sum (messages published, alerts raised). Merge: add.
-``gauge``
-    Last-known level (queue depth, SoC). Merge: max — the only
-    order-independent fold that never invents a value.
 ``histogram``
     Fixed-bound bucketed distribution (latencies, tick durations) with
     sum/count/min/max. Merge: element-wise add.
@@ -50,13 +47,11 @@ def parse_label_key(key: str) -> dict[str, str]:
 
 
 class MetricsRegistry:
-    """Process-local labelled counters, gauges, and histograms."""
+    """Process-local labelled counters and histograms."""
 
     def __init__(self) -> None:
         self._counters: dict[str, dict[str, float]] = {}
-        self._gauges: dict[str, dict[str, float]] = {}
         self._histograms: dict[str, dict[str, dict]] = {}
-        self._bounds: dict[str, tuple[float, ...]] = {}
 
     # ------------------------------------------------------------- write
     def inc(self, name: str, value: float = 1.0, **labels: object) -> None:
@@ -65,29 +60,15 @@ class MetricsRegistry:
         key = label_key(labels)
         series[key] = series.get(key, 0.0) + value
 
-    def gauge(self, name: str, value: float, **labels: object) -> None:
-        """Set the gauge ``name{labels}`` to ``value``."""
-        self._gauges.setdefault(name, {})[label_key(labels)] = float(value)
-
-    def set_histogram_bounds(self, name: str, bounds: Iterable[float]) -> None:
-        """Override the bucket upper bounds used for histogram ``name``.
-
-        Must be called before the first :meth:`observe` of ``name``.
-        """
-        if name in self._histograms:
-            raise ValueError(f"histogram {name!r} already has observations")
-        self._bounds[name] = tuple(sorted(float(b) for b in bounds))
-
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Record ``value`` into the histogram ``name{labels}``."""
         series = self._histograms.setdefault(name, {})
         key = label_key(labels)
         hist = series.get(key)
         if hist is None:
-            bounds = self._bounds.get(name, DEFAULT_BOUNDS)
             hist = series[key] = {
-                "bounds": list(bounds),
-                "counts": [0] * (len(bounds) + 1),
+                "bounds": list(DEFAULT_BOUNDS),
+                "counts": [0] * (len(DEFAULT_BOUNDS) + 1),
                 "sum": 0.0,
                 "count": 0,
                 "min": None,
@@ -105,19 +86,10 @@ class MetricsRegistry:
         hist["max"] = value if hist["max"] is None else max(hist["max"], value)
 
     # -------------------------------------------------------------- read
-    def counter_value(self, name: str, **labels: object) -> float:
-        """Current value of one counter series (0.0 if never incremented)."""
-        return self._counters.get(name, {}).get(label_key(labels), 0.0)
-
-    def counter_series(self, name: str) -> dict[str, float]:
-        """All label series of counter ``name`` as ``{label_key: value}``."""
-        return dict(self._counters.get(name, {}))
-
     def snapshot(self) -> dict:
         """JSON-able deep copy of everything recorded so far."""
         return {
             "counters": {n: dict(s) for n, s in self._counters.items()},
-            "gauges": {n: dict(s) for n, s in self._gauges.items()},
             "histograms": {
                 n: {k: {**h, "bounds": list(h["bounds"]),
                         "counts": list(h["counts"])}
@@ -127,15 +99,14 @@ class MetricsRegistry:
         }
 
     def clear(self) -> None:
-        """Drop every recorded series (bounds registrations survive)."""
+        """Drop every recorded series."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
 
 def empty_snapshot() -> dict:
     """The snapshot of a registry that recorded nothing."""
-    return {"counters": {}, "gauges": {}, "histograms": {}}
+    return {"counters": {}, "histograms": {}}
 
 
 def _merge_hist(into: dict, hist: dict) -> None:
@@ -157,7 +128,7 @@ def _merge_hist(into: dict, hist: dict) -> None:
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     """Fold worker snapshots into one, as if a single registry had counted.
 
-    Counters and histograms add; gauges keep the max (order-independent).
+    Counters and histograms add.
     """
     merged = empty_snapshot()
     for snap in snapshots:
@@ -167,10 +138,6 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
             out = merged["counters"].setdefault(name, {})
             for key, value in series.items():
                 out[key] = out.get(key, 0.0) + value
-        for name, series in snap.get("gauges", {}).items():
-            out = merged["gauges"].setdefault(name, {})
-            for key, value in series.items():
-                out[key] = max(out[key], value) if key in out else value
         for name, series in snap.get("histograms", {}).items():
             out = merged["histograms"].setdefault(name, {})
             for key, hist in series.items():

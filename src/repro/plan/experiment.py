@@ -27,8 +27,6 @@ across worker counts. Run it like every other sweep::
 
 from __future__ import annotations
 
-import math
-
 from repro.harness.campaign import (
     CampaignExperiment,
     CampaignResult,
@@ -37,6 +35,7 @@ from repro.harness.campaign import (
 from repro.harness.timing import PhaseTimer
 from repro.plan.grid import blocked_legs
 from repro.plan.routing import inspection_points, plan_inspection_tours
+from repro.sar.coverage import path_length_m
 from repro.sar.mission import SarMission
 from repro.scenario import load_scenario
 
@@ -172,11 +171,7 @@ def planner_ablation_sample(config: dict, seed: int, timer: PhaseTimer) -> dict:
         "horizon_s": horizon_s,
         "altitude_m": altitude_m,
         "path_length_m": round(
-            sum(
-                sum(math.dist(a, b) for a, b in zip(plan, plan[1:]))
-                for plan in plans.values()
-            ),
-            3,
+            sum(path_length_m(plan) for plan in plans.values()), 3
         ),
         "plan_waypoints": sum(len(plan) for plan in plans.values()),
         "time_to_first_find_s": min(detected) if detected else None,

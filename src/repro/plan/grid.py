@@ -16,9 +16,7 @@ JSON), with
   for bit as a one-segment query would: the length is the same BLAS dot
   per row (a stacked ``matmul``, not a row-wise sum that rounds apart),
   the t values are ``_unit_samples`` and the points ``a*(1-t) + b*t``,
-  all elementwise, and
-* :class:`ObstacleIndex` — KD-tree-style nearest-obstacle queries built
-  from pure-NumPy uniform cell binning (no SciPy dependency).
+  all elementwise.
 
 Everything here is pure geometry: no imports from the simulation
 substrate, so the planner stack sits beside :mod:`repro.uav` rather than
@@ -28,7 +26,7 @@ on top of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,9 +82,6 @@ class OccupancyGrid3D:
     origin: tuple[float, float, float]
     cell_m: float
     occupied: np.ndarray
-    _index: "ObstacleIndex | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def empty(
@@ -145,7 +140,6 @@ class OccupancyGrid3D:
         self.occupied |= (
             mx[:, None, None] & my[None, :, None] & mz[None, None, :]
         )
-        self._index = None
 
     def add_cylinder(
         self,
@@ -164,7 +158,6 @@ class OccupancyGrid3D:
         )
         mz = (zs >= base_u) & (zs <= base_u + height_m)
         self.occupied |= footprint[:, :, None] & mz[None, None, :]
-        self._index = None
 
     # ------------------------------------------------------------ queries
     def point_indices(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,18 +314,6 @@ class OccupancyGrid3D:
             origin=self.origin, cell_m=self.cell_m, occupied=grown
         )
 
-    # --------------------------------------------------------- clearances
-    def clearance_m(self, points: np.ndarray) -> np.ndarray:
-        """Distance from each ``(n, 3)`` point to the nearest occupied
-        cell centre (``inf`` when the grid holds no obstacles)."""
-        if self._index is None:
-            occ = np.argwhere(self.occupied)
-            self._index = ObstacleIndex(
-                self.cell_centers(occ) if len(occ) else np.empty((0, 3)),
-                bin_m=max(4.0 * self.cell_m, 1e-9),
-            )
-        return self._index.nearest_distance(points)
-
 
 def blocked_legs(
     grid: OccupancyGrid3D, points: list[tuple[float, float, float]]
@@ -348,79 +329,6 @@ def blocked_legs(
         return []
     free = grid.segments_free(points[:-1], points[1:])
     return np.flatnonzero(~free).tolist()
-
-
-class ObstacleIndex:
-    """Nearest-neighbour queries over a 3D point cloud via cell binning.
-
-    A KD-tree substitute built from NumPy only: points are hashed into
-    uniform cubic bins of side ``bin_m``; a query walks outward over bin
-    *shells* and stops once no unseen shell can hold a closer point —
-    the same pruning argument a KD-tree makes, traded for O(1) bin
-    lookups. Exact (not approximate) nearest distances.
-    """
-
-    def __init__(self, points: np.ndarray, bin_m: float) -> None:
-        if bin_m <= 0.0:
-            raise PlanError("bin_m must be positive")
-        self.bin_m = float(bin_m)
-        self.points = np.asarray(points, dtype=float).reshape(-1, 3)
-        self._bins: dict[tuple[int, int, int], np.ndarray] = {}
-        if len(self.points):
-            keys = np.floor(self.points / self.bin_m).astype(int)
-            order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-            keys, pts = keys[order], self.points[order]
-            boundaries = np.flatnonzero(np.any(np.diff(keys, axis=0), axis=1)) + 1
-            for chunk_keys, chunk in zip(
-                np.split(keys, boundaries), np.split(pts, boundaries)
-            ):
-                self._bins[tuple(int(v) for v in chunk_keys[0])] = chunk
-
-    def _shell(self, center: tuple[int, int, int], r: int) -> list[np.ndarray]:
-        """Point arrays of every non-empty bin on shell ``r`` (Chebyshev)."""
-        cx, cy, cz = center
-        found = []
-        if r == 0:
-            chunk = self._bins.get(center)
-            return [chunk] if chunk is not None else []
-        for dx in range(-r, r + 1):
-            for dy in range(-r, r + 1):
-                for dz in range(-r, r + 1):
-                    if max(abs(dx), abs(dy), abs(dz)) != r:
-                        continue
-                    chunk = self._bins.get((cx + dx, cy + dy, cz + dz))
-                    if chunk is not None:
-                        found.append(chunk)
-        return found
-
-    def nearest_distance(self, queries: np.ndarray) -> np.ndarray:
-        """Exact distance from each query point to its nearest point."""
-        queries = np.asarray(queries, dtype=float).reshape(-1, 3)
-        out = np.full(len(queries), np.inf)
-        if not self._bins:
-            return out
-        max_shell = max(
-            max(abs(k) for k in key) for key in self._bins
-        ) + 1
-        for qi, q in enumerate(queries):
-            center = tuple(int(v) for v in np.floor(q / self.bin_m))
-            best = np.inf
-            r = 0
-            while True:
-                # Any point in an unseen shell >= r is at least
-                # (r - 1) * bin_m away from q; once that exceeds the
-                # best-so-far the search is complete.
-                if best < np.inf and (r - 1) * self.bin_m > best:
-                    break
-                span = max(abs(c) for c in center) + max_shell
-                if r > span:
-                    break
-                for chunk in self._shell(center, r):
-                    d = float(np.min(np.linalg.norm(chunk - q, axis=1)))
-                    best = min(best, d)
-                r += 1
-            out[qi] = best
-        return out
 
 
 @dataclass

@@ -21,13 +21,6 @@ from repro.plan.grid import ObstacleField
 Point = tuple[float, float, float]
 
 
-def tour_length(points: list[Point]) -> float:
-    """Total Euclidean length of a polyline through ``points``."""
-    return float(
-        sum(math.dist(a, b) for a, b in zip(points, points[1:]))
-    )
-
-
 def nearest_neighbor_tour(start: Point, points: list[Point]) -> list[int]:
     """Order ``points`` greedily by nearest-neighbour from ``start``.
 

@@ -10,7 +10,6 @@ layer "lightweight in processing" as the paper requires.
 from __future__ import annotations
 
 from repro.core.decider import MissionDecision
-from repro.core.eddi import Eddi
 from repro.platform.uav_manager import UavRecord
 
 
@@ -38,30 +37,4 @@ def render_mission_panel(decision: MissionDecision) -> str:
         lines.append(f"dropped: {', '.join(sorted(decision.dropped_uavs))}")
     if decision.takeover_uavs:
         lines.append(f"takeover capacity: {', '.join(sorted(decision.takeover_uavs))}")
-    return "\n".join(lines)
-
-
-def render_guarantee_timeline(eddi: Eddi) -> str:
-    """Render an EDDI's guarantee transitions as a text timeline.
-
-    One line per transition (the response log), plus the total time spent
-    under each guarantee — the audit view an assurance engineer reads
-    after a mission.
-    """
-    lines = [f"EDDI {eddi.name} — guarantee timeline"]
-    for response in eddi.response_log:
-        previous = response.previous.value if response.previous else "(start)"
-        lines.append(
-            f"  t={response.stamp:8.1f}s  {previous} -> {response.guarantee.value}"
-        )
-    seen = []
-    for _, guarantee in eddi.guarantee_trace:
-        if guarantee not in seen:
-            seen.append(guarantee)
-    if eddi.guarantee_trace:
-        lines.append("  time in guarantee:")
-        for guarantee in seen:
-            lines.append(
-                f"    {guarantee.value:<32} {eddi.time_in_guarantee(guarantee):8.1f} s"
-            )
     return "\n".join(lines)

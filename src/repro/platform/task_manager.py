@@ -53,10 +53,6 @@ class TaskManager:
             raise ValueError(f"service {service.name!r} already registered")
         self.services[service.name] = service
 
-    def available_services(self) -> list[str]:
-        """Names of all registered services."""
-        return sorted(self.services)
-
     def execute(self, name: str, params: dict[str, Any] | None = None) -> Any:
         """Run a service by name with GUI-supplied parameters."""
         if name not in self.services:

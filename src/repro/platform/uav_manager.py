@@ -30,11 +30,6 @@ class UavRecord:
     last_seen: float = 0.0
     position_enu: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    @property
-    def connected(self) -> bool:
-        """Connected if telemetry arrived (last_seen updated at least once)."""
-        return self.last_seen > 0.0
-
 
 @dataclass
 class UavManager:

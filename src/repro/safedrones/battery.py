@@ -166,14 +166,3 @@ class BatteryReliabilityModel:
     def reliability(self) -> float:
         """1 - probability of failure."""
         return 1.0 - self.failure_probability
-
-    def most_likely_state(self) -> str:
-        """The degradation stage with the largest probability mass."""
-        return STATES[int(np.argmax(self.distribution))]
-
-    def predict_failure_probability(
-        self, horizon_s: float, soc: float, temp_c: float
-    ) -> float:
-        """PoF ``horizon_s`` seconds ahead if the condition persists."""
-        rate = self.base_rate_per_s * self.stress_factor(soc, temp_c)
-        return float(battery_transient(self.distribution, rate, horizon_s)[FAILED])

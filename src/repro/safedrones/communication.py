@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.safedrones.markov import ContinuousMarkovChain
 
 
 @dataclass
@@ -68,18 +67,6 @@ class GilbertElliottChannel:
         """Long-run packet delivery ratio."""
         bad = self.stationary_bad_fraction
         return (1.0 - bad) * (1.0 - self.loss_good) + bad * (1.0 - self.loss_bad)
-
-    def as_markov_chain(self) -> ContinuousMarkovChain:
-        """The underlying CTMC (no absorbing state; for analysis)."""
-        return ContinuousMarkovChain(
-            states=["good", "bad"],
-            q=np.array(
-                [
-                    [0.0, self.p_good_to_bad],
-                    [self.p_bad_to_good, 0.0],
-                ]
-            ),
-        )
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,13 @@ SafeDrones "introduces the concept of complex basic event in Fault Tree
 Analysis" (Sec. III-A1, citing Kabir et al., IMBSA 2019): a fault-tree
 leaf whose probability is not a constant but the output of a dynamic model
 (here: a Markov chain or any object exposing ``failure_probability``).
-The tree is evaluated bottom-up under the usual independence assumption,
-with exact k-out-of-n combination via dynamic programming.
+The tree is evaluated bottom-up under the usual independence assumption.
+The SafeDrones monitor's UAV-loss tree is an OR gate over complex basic
+events.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Protocol, Union
 
@@ -22,21 +22,7 @@ class FailureModel(Protocol):
     def failure_probability(self) -> float: ...
 
 
-Node = Union["BasicEvent", "ComplexBasicEvent", "AndGate", "OrGate", "KooNGate"]
-
-
-@dataclass
-class BasicEvent:
-    """A leaf with a fixed (or externally updated) failure probability."""
-
-    name: str
-    probability: float = 0.0
-
-    def evaluate(self) -> float:
-        """Return the leaf probability, validating its range."""
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"{self.name}: probability {self.probability} out of range")
-        return self.probability
+Node = Union["ComplexBasicEvent", "OrGate"]
 
 
 @dataclass
@@ -59,21 +45,6 @@ class ComplexBasicEvent:
 
 
 @dataclass
-class AndGate:
-    """Output fails only if *all* children fail (independence assumed)."""
-
-    name: str
-    children: list[Node] = field(default_factory=list)
-
-    def evaluate(self) -> float:
-        """Product of child probabilities."""
-        p = 1.0
-        for child in self.children:
-            p *= child.evaluate()
-        return p
-
-
-@dataclass
 class OrGate:
     """Output fails if *any* child fails (independence assumed)."""
 
@@ -89,38 +60,6 @@ class OrGate:
 
 
 @dataclass
-class KooNGate:
-    """Fails when at least ``k`` of the ``n`` children have failed.
-
-    Exact evaluation by dynamic programming over the distribution of the
-    number of failed children (children independent, possibly heterogeneous
-    probabilities) — O(n^2), no 2^n enumeration.
-    """
-
-    name: str
-    k: int
-    children: list[Node] = field(default_factory=list)
-
-    def evaluate(self) -> float:
-        """P[at least k children failed]."""
-        n = len(self.children)
-        if not 1 <= self.k <= n:
-            raise ValueError(f"{self.name}: k={self.k} invalid for n={n}")
-        probs = [child.evaluate() for child in self.children]
-        # dist[j] = P[exactly j failures among children processed so far]
-        dist = [1.0] + [0.0] * n
-        for p in probs:
-            new = [0.0] * (n + 1)
-            for j, mass in enumerate(dist):
-                if mass == 0.0:
-                    continue
-                new[j] += mass * (1.0 - p)
-                new[j + 1] += mass * p
-            dist = new
-        return float(sum(dist[self.k :]))
-
-
-@dataclass
 class FaultTree:
     """A named fault tree with a single top event."""
 
@@ -130,58 +69,3 @@ class FaultTree:
     def top_event_probability(self) -> float:
         """Evaluate the tree bottom-up and return the top-event probability."""
         return self.top.evaluate()
-
-    def leaves(self) -> list[Node]:
-        """All basic / complex basic events in the tree, in traversal order."""
-        found: list[Node] = []
-
-        def walk(node: Node) -> None:
-            children = getattr(node, "children", None)
-            if children is None:
-                found.append(node)
-            else:
-                for child in children:
-                    walk(child)
-
-        walk(self.top)
-        return found
-
-    def minimal_cut_sets(self) -> list[frozenset[str]]:
-        """Minimal cut sets by qualitative expansion (small trees only).
-
-        KooN gates expand to the OR of all k-subsets ANDed. Intended for
-        design-time inspection of the UAV tree, not for large industrial
-        models.
-        """
-
-        def expand(node: Node) -> list[frozenset[str]]:
-            if isinstance(node, (BasicEvent, ComplexBasicEvent)):
-                return [frozenset({node.name})]
-            if isinstance(node, OrGate):
-                out: list[frozenset[str]] = []
-                for child in node.children:
-                    out.extend(expand(child))
-                return out
-            if isinstance(node, AndGate):
-                parts = [expand(child) for child in node.children]
-                out = [frozenset()]
-                for part in parts:
-                    out = [a | b for a in out for b in part]
-                return out
-            if isinstance(node, KooNGate):
-                out = []
-                for combo in itertools.combinations(node.children, node.k):
-                    parts = [expand(child) for child in combo]
-                    sets = [frozenset()]
-                    for part in parts:
-                        sets = [a | b for a in sets for b in part]
-                    out.extend(sets)
-                return out
-            raise TypeError(f"unknown node type {type(node)!r}")
-
-        cut_sets = expand(self.top)
-        minimal: list[frozenset[str]] = []
-        for cs in sorted(set(cut_sets), key=len):
-            if not any(existing <= cs for existing in minimal):
-                minimal.append(cs)
-        return minimal

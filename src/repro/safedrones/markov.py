@@ -88,12 +88,6 @@ class ContinuousMarkovChain:
             )
         return pt / total
 
-    def transient_from(self, state: str, t: float) -> np.ndarray:
-        """State distribution after ``t`` seconds starting surely in ``state``."""
-        p0 = np.zeros(len(self.states))
-        p0[self.index(state)] = 1.0
-        return self.transient(p0, t)
-
     def failure_probability(self, p0: np.ndarray, t: float) -> float:
         """Total probability mass in absorbing states after ``t`` seconds."""
         pt = self.transient(p0, t)
@@ -102,20 +96,6 @@ class ContinuousMarkovChain:
     def reliability(self, p0: np.ndarray, t: float) -> float:
         """1 - failure probability at time ``t``."""
         return 1.0 - self.failure_probability(p0, t)
-
-    def mttf(self, start: str) -> float:
-        """Mean time to absorption starting from ``start``.
-
-        Uses the fundamental matrix of the transient sub-generator:
-        ``MTTF = -1 * (Q_tt^{-1} @ 1)`` restricted to transient states.
-        """
-        transient_idx = [i for i, s in enumerate(self.states) if s not in self.absorbing]
-        if self.index(start) not in transient_idx:
-            return 0.0
-        q_tt = self.q[np.ix_(transient_idx, transient_idx)]
-        ones = np.ones(len(transient_idx))
-        times = np.linalg.solve(q_tt, -ones)
-        return float(times[transient_idx.index(self.index(start))])
 
     def scaled(self, factor: float) -> "ContinuousMarkovChain":
         """A copy of this chain with all rates multiplied by ``factor``.
@@ -158,23 +138,3 @@ def renormalised(pt: list[float]) -> np.ndarray:
             f"transient solve lost normalisation (sum={total:.6f})"
         )
     return np.array(pt) / total
-
-
-def series_reliability(reliabilities: list[float]) -> float:
-    """Reliability of independent components in series (all must survive)."""
-    out = 1.0
-    for r in reliabilities:
-        if not 0.0 <= r <= 1.0 + 1e-12:
-            raise ValueError(f"reliability out of range: {r}")
-        out *= min(r, 1.0)
-    return out
-
-
-def parallel_reliability(reliabilities: list[float]) -> float:
-    """Reliability of independent components in parallel (any may survive)."""
-    out = 1.0
-    for r in reliabilities:
-        if not 0.0 <= r <= 1.0 + 1e-12:
-            raise ValueError(f"reliability out of range: {r}")
-        out *= 1.0 - min(r, 1.0)
-    return 1.0 - out

@@ -66,7 +66,3 @@ class ProcessorReliabilityModel:
     def reliability(self) -> float:
         """1 - probability of failure."""
         return math.exp(-self.accumulated_hazard)
-
-    def mission_reliability(self, duration_s: float, junction_temp_c: float) -> float:
-        """Predicted reliability over a mission at constant temperature."""
-        return math.exp(-self.hazard_rate_per_s(junction_temp_c) * duration_s)

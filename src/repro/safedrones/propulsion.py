@@ -195,10 +195,3 @@ class PropulsionModel:
                 pof = float(motor_transient(self.chain, p0, horizon_s)[-1])
             self._memo[key] = pof
         return pof
-
-    def mttf_hours(self) -> float:
-        """Mean time to propulsion failure from the current state, hours."""
-        state = self._current_state()
-        if state == "failed":
-            return 0.0
-        return self.chain.mttf(state) / 3600.0

@@ -102,11 +102,3 @@ def path_length_m(waypoints: list[tuple[float, float, float]]) -> float:
         math.dist(a, b) for a, b in zip(waypoints, waypoints[1:])
     )
 
-
-def estimated_coverage_time_s(
-    waypoints: list[tuple[float, float, float]], speed_mps: float
-) -> float:
-    """Time to fly the path at constant ``speed_mps``."""
-    if speed_mps <= 0.0:
-        raise ValueError("speed must be positive")
-    return path_length_m(waypoints) / speed_mps

@@ -105,11 +105,3 @@ class DetectionModel:
         """
         p = detection_accuracy(altitude_m)
         return int(np.count_nonzero(self.rng.random(n) < p))
-
-    def false_positive(self, altitude_m: float) -> bool:
-        """Whether an empty frame yields a spurious detection.
-
-        False positives grow mildly with altitude (texture confusion).
-        """
-        rate = 0.001 + 2e-5 * max(0.0, altitude_m - TRAINING_ALTITUDE_M)
-        return bool(self.rng.random() < rate)

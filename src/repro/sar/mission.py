@@ -116,27 +116,6 @@ class SarMission:
         self.metrics.persons_total = len(self.world.persons)
         return plans
 
-    def set_fleet_altitude(self, altitude_m: float) -> None:
-        """Command every mission UAV to re-fly remaining track at a new altitude.
-
-        Remaining waypoints keep their ground track; only the altitude
-        changes — the paper's 'descend to increase SAR accuracy' response.
-        In an obstacle world the re-flown track is re-routed through the
-        planner, since a track that was clear at the old altitude may clip
-        a rooftop at the new one.
-        """
-        self.altitude_m = altitude_m
-        obstacles = getattr(self.world, "obstacles", None)
-        for uav in self.world.uavs.values():
-            if uav.mode is FlightMode.MISSION:
-                remaining = uav.plan.waypoints[uav.plan.index :]
-                track = [(e, n, altitude_m) for e, n, _ in remaining]
-                if obstacles is not None and track:
-                    track = route_waypoints(
-                        obstacles, uav.dynamics.position, track
-                    )
-                uav.plan.replace(track)
-
     # ----------------------------------------------------------------- step
     def step(self) -> None:
         """Advance the world one tick and run scanning for every UAV."""

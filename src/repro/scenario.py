@@ -27,7 +27,6 @@ checks them but builds nothing from them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -71,13 +70,6 @@ class Scenario:
         now = self.world.step()
         self.faults.step(now, self.world.uavs)
         return now
-
-    def run_until(self, t_end: float, callback=None) -> None:
-        """Step to ``t_end`` with the fault campaign active."""
-        while self.world.time < t_end:
-            self.step()
-            if callback is not None:
-                callback(self)
 
 
 def _names_uav(value: Any, uav_ids) -> bool:
@@ -284,17 +276,6 @@ def load_scenario(config: dict[str, Any], engine: str | None = None) -> Scenario
         )
 
     return Scenario(world=world, faults=faults, config=dict(config))
-
-
-def load_scenario_json(text: str) -> Scenario:
-    """Load a scenario from a JSON document."""
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ScenarioError("scenario JSON must be an object")
-    return load_scenario(config)
 
 
 def lint_scenario(config: Any) -> list[str]:

@@ -280,11 +280,14 @@ class Schema(Obj):
         return values
 
     def summary(self, config: Any) -> str:
-        """One line: the kind, its whole-number keys and its list lengths."""
+        """One line: the kind, its whole-number keys, the values of its
+        fixed-size lists (``320x320``) and the lengths of its other lists."""
         values = self.load(config)
         parts = [self.name]
         for name, field in self.keys.items():
-            if isinstance(field, ListOf):
+            if isinstance(field, ListOf) and field.size:
+                parts.append(f"{name}={'x'.join(f'{v:g}' for v in values[name])}")
+            elif isinstance(field, ListOf):
                 parts.append(f"{name}={len(values[name])}")
             elif isinstance(field, Whole) and values[name] is not None:
                 parts.append(f"{name}={values[name]}")

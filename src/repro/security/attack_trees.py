@@ -90,10 +90,6 @@ class AttackTree:
             if node.gate is GateType.LEAF:
                 self._leaves_by_alert.setdefault(node.alert_type, []).append(node)
 
-    def leaves(self) -> list[AttackNode]:
-        """All leaf attack steps."""
-        return [n for n in self.root.iter_nodes() if n.gate is GateType.LEAF]
-
     def leaf_by_alert_type(self, alert_type: str) -> list[AttackNode]:
         """Leaves evidenced by a given IDS alert type."""
         return list(self._leaves_by_alert.get(alert_type, ()))
@@ -121,13 +117,6 @@ class AttackTree:
         currently satisfied.
         """
         return [n.node_id for n in self.root.iter_nodes() if n.evaluate()]
-
-    def progress(self) -> float:
-        """Fraction of leaves achieved — coarse attack-progress metric."""
-        leaves = self.leaves()
-        if not leaves:
-            return 0.0
-        return sum(1 for n in leaves if n.achieved) / len(leaves)
 
 
 def ros_spoofing_attack_tree() -> AttackTree:

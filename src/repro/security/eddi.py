@@ -58,10 +58,6 @@ class SecurityEddi:
         """Whether the monitored attack's end goal has been observed."""
         return self.tree.root_achieved()
 
-    def add_response(self, callback: Callable[[SecurityEvent], None]) -> None:
-        """Register a mitigation callback fired on the critical event."""
-        self.on_critical.append(callback)
-
     def reset(self) -> None:
         """Clear runtime state (new mission)."""
         self.tree.reset()

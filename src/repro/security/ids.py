@@ -67,10 +67,6 @@ class IntrusionDetectionSystem:
         """Declare a legitimate fleet node (UAV, GCS, platform service)."""
         self.known_nodes.add(node)
 
-    def set_rate_limit(self, topic: str, max_hz: float) -> None:
-        """Set the nominal maximum publish rate for a topic."""
-        self.rate_limits_hz[topic] = max_hz
-
     # ----------------------------------------------------------------- scan
     def scan(self, now: float) -> list[Alert]:
         """Inspect traffic recorded since the previous scan."""

@@ -265,9 +265,6 @@ class LeaderProtocol:
     def idle_followers(self) -> list[str]:
         return [fid for fid in sorted(self._slots) if self._slots[fid].busy_with is None]
 
-    def channel_for(self, fid: str) -> ReliableChannel:
-        return self._slots[fid].channel
-
     def _adopt(self, fid: str, now: float) -> None:
         channel = self.config.channel(
             self.bus,

@@ -94,19 +94,3 @@ class Battery:
                     sim_time=now, soc_drop_to=fault.soc_drop_to,
                     temp_c=round(self.temp_c, 2),
                 )
-
-    @property
-    def soc_percent(self) -> float:
-        """State of charge as a percentage in [0, 100]."""
-        return 100.0 * self.soc
-
-    @property
-    def thermally_stressed(self) -> bool:
-        """True when cell temperature exceeds the spec stress threshold."""
-        return self.temp_c > self.spec.stress_temp_c
-
-    def endurance_estimate_s(self, draw_w: float) -> float:
-        """Remaining flight time in seconds at a constant ``draw_w`` load."""
-        if draw_w <= 0.0:
-            return float("inf")
-        return self.soc * self.spec.capacity_wh * 3600.0 / draw_w

@@ -111,11 +111,3 @@ class UavDynamics:
         """Current ground-frame speed magnitude."""
         vx, vy, vz = self.velocity
         return math.sqrt(vx * vx + vy * vy + vz * vz)
-
-    @property
-    def heading_deg(self) -> float:
-        """Course over ground in degrees from north, [0, 360)."""
-        east, north = self.velocity[0], self.velocity[1]
-        if abs(east) < 1e-9 and abs(north) < 1e-9:
-            return 0.0
-        return math.degrees(math.atan2(east, north)) % 360.0

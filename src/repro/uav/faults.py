@@ -275,8 +275,3 @@ class FaultSchedule:
                     uav=fault.target_uav,
                     fault=fault.name,
                 )
-
-    @property
-    def all_applied(self) -> bool:
-        """Whether every scheduled fault has manifested."""
-        return all(f.applied for f in self.faults)

@@ -160,17 +160,3 @@ class World:
             )
         return self.time
 
-    def run_until(self, t_end: float, callback=None) -> None:
-        """Step until simulation time reaches ``t_end``.
-
-        ``callback(world)``, if given, runs after every step — the hook the
-        EDDI runtime and experiment drivers use to observe and react.
-        """
-        while self.time < t_end:
-            self.step()
-            if callback is not None:
-                callback(self)
-
-    def undetected_persons(self) -> list[Person]:
-        """Persons not yet found by any UAV."""
-        return [p for p in self.persons if not p.detected]

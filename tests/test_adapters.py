@@ -1,11 +1,13 @@
 """Tests for the standard EDDI wiring factory."""
 
 import numpy as np
+import pytest
 
 from repro.core.adapters import build_fleet_eddis, build_uav_eddi
 from repro.core.decider import MissionDecider, MissionVerdict
 from repro.core.uav_network import UavGuarantee
 from repro.experiments.common import build_three_uav_world
+from repro.safeml.distances import ALL_MEASURES
 from repro.safeml.monitor import SafeMlMonitor
 from repro.uav.faults import FaultSchedule, gps_spoof, motor_failure
 
@@ -79,11 +81,14 @@ class TestBuildUavEddi:
             "vision_navigation",
         )
 
-    def test_safeml_gate(self):
+    @pytest.mark.parametrize("measure", sorted(ALL_MEASURES))
+    def test_safeml_gate(self, measure):
         world = stepped_world()
         uav = world.uavs["uav1"]
         rng = np.random.default_rng(4)
-        safeml = SafeMlMonitor(window_size=10, rng=np.random.default_rng(5))
+        safeml = SafeMlMonitor(
+            measure=measure, window_size=10, rng=np.random.default_rng(5)
+        )
         safeml.fit(rng.normal(0.0, 1.0, size=(100, 3)))
         eddi, stack = build_uav_eddi(uav, world, safeml=safeml)
         # Feed badly shifted camera features.
@@ -92,6 +97,11 @@ class TestBuildUavEddi:
         world.step()
         eddi.step(world.time)
         assert not stack.network._ev_safeml_ok.value
+        # The report is a pure function of the window: the gate read the
+        # same report a second call returns.
+        report = safeml.report(world.time)
+        assert report.level.value == "low"
+        assert report == safeml.report(world.time)
 
     def test_fleet_factory_with_decider(self):
         world = stepped_world()

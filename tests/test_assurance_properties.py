@@ -2,9 +2,8 @@
 
 Where ``tests/test_assurance_equivalence.py`` proves the batched plane
 *equals* the scalar reference, this file proves both satisfy the
-semantic invariants the assurance layer is supposed to have — expressed
-through the shared predicates in :mod:`repro.harness.oracles` so the
-fuzzing campaign checks exactly the same properties:
+semantic invariants the assurance layer is supposed to have, expressed
+through the predicates defined below:
 
 * ConSert guarantees are monotone under evidence decay: losing evidence
   never *improves* the offered guarantee (``demotion_monotone_ok``).
@@ -20,21 +19,65 @@ fuzzing campaign checks exactly the same properties:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.batch import BatchSafeDrones, compiled_conserts
-from repro.core.uav_network import UavConSertNetwork
-from repro.harness.oracles import (
-    RELIABILITY_RANK,
-    demotion_monotone_ok,
-    demotion_step_ok,
-    distance_in_bounds,
-    guarantee_rank,
-)
+from repro.core.uav_network import UavConSertNetwork, UavGuarantee
 from repro.safedrones.monitor import ReliabilityLevel, SafeDronesMonitor
 from repro.safeml.distances import ALL_MEASURES
 from repro.safeml.monitor import SafeMlMonitor
+
+
+# -------------------------------------------------------------- predicates
+#: UavGuarantee declaration order is severity order: 0 = best offer
+#: (continue with extra tasks), 4 = worst (emergency land).
+GUARANTEE_RANK = {guarantee: i for i, guarantee in enumerate(UavGuarantee)}
+#: Same for the SafeDrones reliability vocabulary: HIGH=0, MEDIUM=1, LOW=2.
+RELIABILITY_RANK = {level: i for i, level in enumerate(ReliabilityLevel)}
+#: Per-measure upper bound of the SafeML distances over ECDFs in [0, 1].
+#: KS is a sup of |F_a - F_b| (≤ 1); Kuiper sums two sups (≤ 2); the
+#: integrated/weighted measures are unbounded in data units but must stay
+#: finite and non-negative.
+DISTANCE_UPPER_BOUND = {"kolmogorov_smirnov": 1.0, "kuiper": 2.0}
+
+
+def guarantee_rank(guarantee: UavGuarantee) -> int:
+    """Severity rank of a top-level guarantee (0 = best, 4 = worst)."""
+    return GUARANTEE_RANK[guarantee]
+
+
+def demotion_monotone_ok(prev: UavGuarantee, cur: UavGuarantee) -> bool:
+    """Whether a guarantee change respects decay monotonicity.
+
+    Under *pure evidence decay* (bits only flip good -> bad, nothing
+    recovers) the offered guarantee can only hold or worsen — the ConSert
+    trees are monotone boolean programs of positive evidence.
+    """
+    return GUARANTEE_RANK[cur] >= GUARANTEE_RANK[prev]
+
+
+def demotion_step_ok(prev: ReliabilityLevel, cur: ReliabilityLevel) -> bool:
+    """Whether a reliability demotion moved at most one level.
+
+    The level is a threshold function of a continuously-evolving failure
+    probability (HIGH below 0.2, MEDIUM below 0.6), so as long as the
+    per-cycle PoF increment is small the monitor must pass through
+    MEDIUM on the way from HIGH to LOW — skipping a level means the PoF
+    jumped the whole [0.2, 0.6) band in one cycle.
+    """
+    return RELIABILITY_RANK[cur] - RELIABILITY_RANK[prev] <= 1
+
+
+def distance_in_bounds(measure: str, value: float) -> bool:
+    """Whether one SafeML distance value is in its legal range."""
+    return (
+        math.isfinite(value)
+        and value >= 0.0
+        and value <= DISTANCE_UPPER_BOUND.get(measure, math.inf)
+    )
 
 
 # ------------------------------------------------------------ ConSert layer

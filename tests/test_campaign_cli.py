@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.harness.campaign import (
 from repro.harness.fuzz.generator import PROFILES, ScenarioGenerator, scenario_to_json
 from repro.obs.export import prometheus_text
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CATALOGUE = [(e.name, p) for e in list_experiments() for p in e.presets]
 PRESET_CHECKED = [e.name for e in list_experiments() if e.name != "fuzz"]
 
@@ -211,15 +213,23 @@ class TestScenarioReplayCli:
         assert main(["scenario", "replay", str(path), "--horizon", "20"]) == 0
         assert "40 steps over 20 s sim time" in capsys.readouterr().out
 
-    def test_swarm_file_validates_with_the_replay_loader(self, capsys, tmp_path):
-        path = tmp_path / "swarm.json"
-        path.write_text(
-            scenario_to_json(ScenarioGenerator(4).generate_swarm("hostile"))
-        )
+    @pytest.mark.parametrize(
+        "config, summary",
+        [
+            (ScenarioGenerator(4).generate_swarm("hostile"), "k_leaders=3, rho=8, n_pois=18"),
+            # A fixed-size vector reads as its values, not as its length.
+            (json.loads((SCENARIOS / "urban_sar.json").read_text()),
+             "seed=47, area_size_m=320x320, persons=5, uavs=3"),
+        ],
+        ids=["swarm", "sar"],
+    )
+    def test_file_validates_with_the_replay_loader(self, capsys, tmp_path, config, summary):
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario_to_json(config))
         assert main(["scenario", "validate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
-        assert "k_leaders=3, rho=8, n_pois=18" in out
+        assert summary in out
 
     def test_swarm_file_missing_a_required_key_fails_validation(
         self, capsys, tmp_path

@@ -63,12 +63,3 @@ class TestMonteCarloEquivalence:
         b = result_from_campaign(parallel)
         assert a.samples == b.samples
         assert a.mean_advantage == b.mean_advantage
-
-    def test_legacy_api_serial_parallel_agree(self):
-        from repro.experiments.monte_carlo import run_monte_carlo_fig5
-
-        kwargs = dict(fault_times=(250.0,), soc_levels=(0.40,), seeds=(3, 7))
-        assert (
-            run_monte_carlo_fig5(workers=1, **kwargs).samples
-            == run_monte_carlo_fig5(workers=2, **kwargs).samples
-        )

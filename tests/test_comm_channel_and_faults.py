@@ -9,6 +9,7 @@ from repro.safedrones.communication import (
     CommLinkMonitor,
     GilbertElliottChannel,
 )
+from repro.safedrones.markov import ContinuousMarkovChain
 from repro.uav.faults import (
     FaultSchedule,
     battery_collapse,
@@ -75,11 +76,13 @@ class TestGilbertElliott:
         ]
         assert sum(follow_loss) / len(follow_loss) > 2.0 * loss_rate
 
-    def test_markov_chain_export(self):
-        chain = make_channel(p_good_to_bad=0.1, p_bad_to_good=0.3).as_markov_chain()
-        assert chain.states == ["good", "bad"]
-        pt = chain.transient_from("good", 1000.0)
-        assert pt[1] == pytest.approx(0.25, abs=0.01)
+    def test_stationary_fraction_matches_the_ctmc(self):
+        channel = make_channel(p_good_to_bad=0.1, p_bad_to_good=0.3)
+        chain = ContinuousMarkovChain(
+            states=["good", "bad"], q=np.array([[0.0, 0.1], [0.3, 0.0]])
+        )
+        pt = chain.transient(np.array([1.0, 0.0]), 1000.0)
+        assert pt[1] == pytest.approx(channel.stationary_bad_fraction, abs=1e-9)
 
 
 class TestCommLinkMonitor:
@@ -208,13 +211,20 @@ class TestFaultInjection:
         schedule.step(61.0, world.uavs)
         assert not removed.sensors.imu.healthy
 
-    def test_all_applied_flag(self):
+    @pytest.mark.parametrize(
+        "make",
+        [gps_denial, gps_spoof, camera_degradation, imu_failure, battery_collapse],
+        ids=lambda make: make.__name__,
+    )
+    def test_fault_applies_once_at_its_time(self, make):
+        extra = {"offset_m": (1.0, 0.0, 0.0)} if make is gps_spoof else {}
+        fault = make("uav2", at_time=2.0, **extra)
+        # battery_collapse arms the battery's own schedule a second early.
         world = self.setup_world()
         schedule = FaultSchedule()
-        schedule.add(imu_failure("uav1", at_time=1.0))
-        schedule.add(gps_spoof("uav2", at_time=2.0, offset_m=(1.0, 0.0, 0.0)))
-        assert not schedule.all_applied
-        while world.time < 3.0:
+        schedule.add(fault, world.uavs)
+        while world.time < 4.0:
             world.step()
             schedule.step(world.time, world.uavs)
-        assert schedule.all_applied
+            assert fault.applied is (world.time >= fault.at_time)
+        assert schedule.log == [(fault.at_time, fault.name, "applied")]

@@ -65,25 +65,25 @@ class TestDemand:
         provider, _ = provider_consert(offering=True)
         demand = Demand("d", frozenset({"service_ok"}))
         assert not demand.satisfied()  # unbound
-        demand.bind(provider)
+        demand.providers.append(provider)
         assert demand.satisfied()
 
     def test_unsatisfied_when_provider_degrades(self):
         provider, ev = provider_consert(offering=True)
-        demand = Demand("d", frozenset({"service_ok"})).bind(provider)
+        demand = Demand("d", frozenset({"service_ok"}), [provider])
         ev.set(False)
         assert not demand.satisfied()
 
     def test_accepts_alternative_guarantees(self):
         provider, ev = provider_consert(offering=False)
-        demand = Demand("d", frozenset({"service_ok", "service_degraded"})).bind(provider)
+        demand = Demand("d", frozenset({"service_ok", "service_degraded"}), [provider])
         assert demand.satisfied()  # degraded is also acceptable
 
     def test_any_of_multiple_providers(self):
         p1, ev1 = provider_consert(offering=False)
         p2, _ = provider_consert(offering=True)
         demand = Demand("d", frozenset({"service_ok"}))
-        demand.bind(p1).bind(p2)
+        demand.providers += [p1, p2]
         assert demand.satisfied()
 
 
@@ -119,12 +119,6 @@ class TestConSert:
         )
         assert [g.rank for g in consert.guarantees] == [0, 1]
 
-    def test_add_guarantee_appends_weakest(self):
-        consert = ConSert(name="c", guarantees=[Guarantee("a", None)])
-        added = consert.add_guarantee(Guarantee("z", None))
-        assert added.rank == 1
-        assert consert.guarantee_names() == ["a", "z"]
-
     def test_evidence_nodes_enumeration(self):
         a, b = RuntimeEvidence("a"), RuntimeEvidence("b")
         consert = ConSert(
@@ -132,13 +126,6 @@ class TestConSert:
             guarantees=[Guarantee("g", AndNode([a, OrNode([b])]))],
         )
         assert {e.name for e in consert.evidence_nodes()} == {"a", "b"}
-
-    def test_evidence_by_name(self):
-        a = RuntimeEvidence("a")
-        consert = ConSert(name="c", guarantees=[Guarantee("g", AndNode([a]))])
-        assert consert.evidence_by_name("a") is a
-        with pytest.raises(KeyError):
-            consert.evidence_by_name("zzz")
 
     def test_unbound_demand_falls_back_until_bound(self):
         # An integrator may bind a demand after the consumer is built;
@@ -151,12 +138,12 @@ class TestConSert:
         )
         assert consumer.evaluate().name == "stop"
         assert consumer.demand_nodes()[0].providers == []
-        demand.bind(provider)
+        demand.providers.append(provider)
         assert consumer.evaluate().name == "go"
 
     def test_demand_nodes_enumeration(self):
         provider, _ = provider_consert()
-        demand = Demand("d", frozenset({"service_ok"})).bind(provider)
+        demand = Demand("d", frozenset({"service_ok"}), [provider])
         consert = ConSert(name="c", guarantees=[Guarantee("g", AndNode([demand]))])
         assert consert.demand_nodes() == [demand]
 
@@ -186,7 +173,7 @@ class TestConSert:
             guarantees=[
                 Guarantee(
                     "loc_ok",
-                    AndNode([Demand("s", frozenset({"sensor_ok"})).bind(sensor)]),
+                    AndNode([Demand("s", frozenset({"sensor_ok"}), [sensor])]),
                 ),
                 Guarantee("loc_bad", None),
             ],
@@ -196,7 +183,7 @@ class TestConSert:
             guarantees=[
                 Guarantee(
                     "nav_ok",
-                    AndNode([Demand("l", frozenset({"loc_ok"})).bind(localization)]),
+                    AndNode([Demand("l", frozenset({"loc_ok"}), [localization])]),
                 ),
                 Guarantee("nav_bad", None),
             ],

@@ -259,33 +259,3 @@ class TestAnalyzer:
         analyzer.fit(x_train, x_shift)
         for data in (x_train, x_train + 100.0):
             assert 0.0 <= analyzer.uncertainty(data) <= 1.0
-
-
-class TestCombinationCoverage:
-    def test_pair_coverage_below_marginal(self):
-        from repro.deepknowledge.knowledge import DeepKnowledgeAnalyzer
-        from repro.deepknowledge.network import FeedForwardNetwork, TrainConfig
-
-        rng = np.random.default_rng(2)
-        x = rng.normal(0.0, 1.0, size=(400, 3))
-        y = (x[:, 0] + x[:, 1] > 0).astype(int)
-        net = FeedForwardNetwork([3, 12, 2], rng=np.random.default_rng(3))
-        net.train(x, y, TrainConfig(epochs=10))
-        analyzer = DeepKnowledgeAnalyzer(network=net)
-        analyzer.fit(x, x + 0.5)
-        marginal = analyzer.coverage(x)
-        pairwise = analyzer.combination_coverage(x)
-        assert 0.0 < pairwise.score <= marginal.score + 1e-9
-
-    def test_requires_two_tk_neurons(self):
-        from repro.deepknowledge.knowledge import DeepKnowledgeAnalyzer
-        from repro.deepknowledge.network import FeedForwardNetwork
-
-        rng = np.random.default_rng(2)
-        x = rng.normal(0.0, 1.0, size=(50, 2))
-        net = FeedForwardNetwork([2, 4, 2], rng=np.random.default_rng(3))
-        analyzer = DeepKnowledgeAnalyzer(network=net, tk_fraction=0.2)
-        analyzer.fit(x, x)
-        if len(analyzer.tk_neurons) < 2:
-            with pytest.raises(ValueError):
-                analyzer.combination_coverage(x)

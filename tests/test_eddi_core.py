@@ -1,7 +1,5 @@
 """Unit tests for the EDDI runtime loop."""
 
-import pytest
-
 from repro.core.eddi import Eddi, MonitorAdapter
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
 
@@ -58,13 +56,3 @@ class TestEddiRuntime:
             UavGuarantee.CONTINUE_MISSION,
             UavGuarantee.CONTINUE_MISSION_EXTRA,
         ]
-
-    def test_time_in_guarantee(self):
-        eddi, network = make_eddi()
-        for t in range(0, 10):
-            eddi.step(float(t))
-        network.set_reliability_level("medium")
-        for t in range(10, 15):
-            eddi.step(float(t))
-        assert eddi.time_in_guarantee(UavGuarantee.CONTINUE_MISSION_EXTRA) == pytest.approx(10.0)
-        assert eddi.time_in_guarantee(UavGuarantee.CONTINUE_MISSION) == pytest.approx(4.0)

@@ -19,7 +19,6 @@ EXPECTED_OUTPUT = {
     "sar_accuracy_adaptation.py": ["uncertainty after descent", "99."],
     "spoofing_attack_response.py": ["Security EDDI detection", "landing error"],
     "conserts_playground.py": ["MISSION:", "* uav2: emergency_land"],
-    "fleet_resilience.py": ["task_redistribution_needed", "post-flight KPIs"],
     "scenario_driven.py": ["guarantee timeline", "fault campaign log"],
 }
 

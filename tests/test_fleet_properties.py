@@ -192,9 +192,10 @@ class TestZeroUavWorld:
             assert world.bus.clock == now
         assert len(world.bus.traffic) == 0
 
-    def test_run_until_terminates(self):
+    def test_stepping_to_a_horizon_terminates(self):
         world = World(engine="vectorized")
-        world.run_until(10.0)
+        while world.time < 10.0:
+            world.step()
         assert world.time == pytest.approx(10.0)
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])

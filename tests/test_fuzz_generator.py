@@ -22,7 +22,7 @@ from repro.harness.fuzz.generator import (
     get_profile,
     scenario_to_json,
 )
-from repro.scenario import lint_scenario, load_scenario_json
+from repro.scenario import lint_scenario, load_scenario
 from repro.swarm.sim import build_swarm
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -33,28 +33,28 @@ class TestDeterminism:
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_same_seed_same_bytes(self, profile):
         for seed in SEEDS:
-            first = ScenarioGenerator(seed).generate_json(profile)
-            second = ScenarioGenerator(seed).generate_json(profile)
+            first = scenario_to_json(ScenarioGenerator(seed).generate(profile))
+            second = scenario_to_json(ScenarioGenerator(seed).generate(profile))
             assert first == second
 
     def test_different_seeds_differ(self):
-        texts = {ScenarioGenerator(seed).generate_json("default")
+        texts = {scenario_to_json(ScenarioGenerator(seed).generate("default"))
                  for seed in range(20)}
         assert len(texts) == 20
 
     def test_profiles_draw_differently_from_same_seed(self):
-        texts = {ScenarioGenerator(99).generate_json(p) for p in PROFILES}
+        texts = {scenario_to_json(ScenarioGenerator(99).generate(p)) for p in PROFILES}
         assert len(texts) == len(PROFILES)
 
     def test_identical_json_across_processes(self):
         # The cross-process half of the contract: a fresh interpreter
         # with the same seed emits the same bytes this process does.
         seed, profile = 4711, "default"
-        local = ScenarioGenerator(seed).generate_json(profile)
+        local = scenario_to_json(ScenarioGenerator(seed).generate(profile))
         script = (
-            "from repro.harness.fuzz.generator import ScenarioGenerator; "
+            "from repro.harness.fuzz.generator import ScenarioGenerator, scenario_to_json; "
             f"import sys; sys.stdout.write("
-            f"ScenarioGenerator({seed}).generate_json({profile!r}))"
+            f"scenario_to_json(ScenarioGenerator({seed}).generate({profile!r})))"
         )
         remote = subprocess.run(
             [sys.executable, "-c", script],
@@ -68,10 +68,10 @@ class TestValidity:
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_generated_scenarios_load_and_lint_clean(self, profile):
         for seed in SEEDS:
-            text = ScenarioGenerator(seed).generate_json(profile)
+            text = scenario_to_json(ScenarioGenerator(seed).generate(profile))
             config = json.loads(text)
             assert lint_scenario(config) == []
-            scenario = load_scenario_json(text)
+            scenario = load_scenario(config)
             assert sorted(scenario.world.uavs) == sorted(
                 uav["id"] for uav in config["uavs"]
             )

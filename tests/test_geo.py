@@ -1,19 +1,21 @@
-"""Unit tests for the geodesy primitives."""
+"""Unit tests for the ENU frame, against the haversine great-circle distance."""
 
 import math
 
 import pytest
 
-from repro.geo import (
-    EARTH_RADIUS_M,
-    EnuFrame,
-    GeoPoint,
-    destination_point,
-    enu_distance,
-    haversine_m,
-    initial_bearing_deg,
-    slant_range_m,
-)
+from repro.geo import EARTH_RADIUS_M, EnuFrame, GeoPoint
+
+
+def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle ground distance in metres (altitude ignored): the reference."""
+    phi1 = math.radians(a.lat)
+    phi2 = math.radians(b.lat)
+    dphi = math.radians(b.lat - a.lat)
+    dlam = math.radians(b.lon - a.lon)
+    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
 
 NICOSIA = GeoPoint(35.1856, 33.3823, 0.0)
 LIMASSOL = GeoPoint(34.7071, 33.0226, 0.0)
@@ -38,65 +40,13 @@ class TestHaversine:
         assert haversine_m(NICOSIA, north) == pytest.approx(111.2, rel=0.01)
 
     def test_ignores_altitude(self):
-        high = NICOSIA.with_alt(500.0)
+        high = NICOSIA._replace(alt=500.0)
         assert haversine_m(NICOSIA, high) == 0.0
 
     def test_antipodal_is_half_circumference(self):
         a = GeoPoint(0.0, 0.0)
         b = GeoPoint(0.0, 180.0)
         assert haversine_m(a, b) == pytest.approx(math.pi * EARTH_RADIUS_M, rel=1e-9)
-
-
-class TestSlantRange:
-    def test_pure_vertical(self):
-        assert slant_range_m(NICOSIA, NICOSIA.with_alt(100.0)) == pytest.approx(100.0)
-
-    def test_pythagorean_combination(self):
-        north = GeoPoint(NICOSIA.lat + 0.001, NICOSIA.lon, 50.0)
-        ground = haversine_m(NICOSIA, north)
-        assert slant_range_m(NICOSIA, north) == pytest.approx(
-            math.hypot(ground, 50.0)
-        )
-
-
-class TestBearing:
-    def test_due_north(self):
-        north = GeoPoint(NICOSIA.lat + 0.01, NICOSIA.lon)
-        assert initial_bearing_deg(NICOSIA, north) == pytest.approx(0.0, abs=0.01)
-
-    def test_due_east(self):
-        east = GeoPoint(NICOSIA.lat, NICOSIA.lon + 0.01)
-        assert initial_bearing_deg(NICOSIA, east) == pytest.approx(90.0, abs=0.1)
-
-    def test_due_south(self):
-        south = GeoPoint(NICOSIA.lat - 0.01, NICOSIA.lon)
-        assert initial_bearing_deg(NICOSIA, south) == pytest.approx(180.0, abs=0.01)
-
-    def test_range_is_0_360(self):
-        west = GeoPoint(NICOSIA.lat, NICOSIA.lon - 0.01)
-        bearing = initial_bearing_deg(NICOSIA, west)
-        assert 0.0 <= bearing < 360.0
-        assert bearing == pytest.approx(270.0, abs=0.1)
-
-
-class TestDestinationPoint:
-    def test_roundtrip_distance(self):
-        dest = destination_point(NICOSIA, 45.0, 1000.0)
-        assert haversine_m(NICOSIA, dest) == pytest.approx(1000.0, rel=1e-6)
-
-    def test_roundtrip_bearing(self):
-        dest = destination_point(NICOSIA, 123.0, 5000.0)
-        assert initial_bearing_deg(NICOSIA, dest) == pytest.approx(123.0, abs=0.05)
-
-    def test_zero_distance_is_identity(self):
-        dest = destination_point(NICOSIA, 77.0, 0.0)
-        assert dest.lat == pytest.approx(NICOSIA.lat)
-        assert dest.lon == pytest.approx(NICOSIA.lon)
-
-    def test_altitude_carried_over(self):
-        origin = NICOSIA.with_alt(120.0)
-        dest = destination_point(origin, 10.0, 500.0)
-        assert dest.alt == 120.0
 
 
 class TestEnuFrame:
@@ -127,7 +77,17 @@ class TestEnuFrame:
         assert abs(east) < 1e-9
         assert north == pytest.approx(111.2, rel=0.01)
 
+    @pytest.mark.parametrize("range_m", [10.0, 1_000.0, 5_000.0])
+    @pytest.mark.parametrize("bearing_deg", [0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0])
+    def test_local_offsets_match_the_great_circle(self, bearing_deg, range_m):
+        # The simulation works in the frame; a geodetic round trip must
+        # keep an offset's length and heading within the small-area
+        # approximation, whatever the direction.
+        frame = EnuFrame(origin=NICOSIA)
+        east = range_m * math.sin(math.radians(bearing_deg))
+        north = range_m * math.cos(math.radians(bearing_deg))
+        point = frame.to_geo(east, north, 25.0)
+        back = frame.to_enu(point)
+        assert back == pytest.approx((east, north, 25.0), abs=1e-6)
+        assert haversine_m(NICOSIA, point) == pytest.approx(range_m, rel=1e-3)
 
-def test_enu_distance():
-    assert enu_distance((0, 0, 0), (3, 4, 0)) == pytest.approx(5.0)
-    assert enu_distance((1, 1, 1), (1, 1, 1)) == 0.0

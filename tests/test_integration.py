@@ -125,7 +125,7 @@ class TestSpoofToLandingChain:
         security_eddi = SecurityEddi(tree=ros_spoofing_attack_tree(), broker=broker)
 
         responses = []
-        security_eddi.add_response(
+        security_eddi.on_critical.append(
             lambda event: responses.append(("cl_triggered", event.stamp))
         )
         world.add_attacker(

@@ -10,7 +10,6 @@ from repro.geo import EnuFrame, GeoPoint
 from repro.localization.collaborative import (
     CollaborativeLocalizer,
     Sighting,
-    sighting_to_geopoint,
     sighting_to_position,
 )
 from repro.localization.depth import MonocularDepthEstimator
@@ -114,16 +113,6 @@ class TestTriangulation:
             errors.append(math.dist(position, target))
             assert sigma > 0.0
         assert np.mean(errors) < 5.0
-
-    def test_geodetic_form_consistent_with_enu(self):
-        rng = np.random.default_rng(4)
-        target = (25.0, 35.0, 18.0)
-        sighting = make_sighting((0.0, 0.0, 15.0), target, rng)
-        enu_pos, _ = sighting_to_position(sighting)
-        geo = sighting_to_geopoint(sighting, FRAME)
-        back = FRAME.to_enu(geo)
-        assert math.dist(back[:2], enu_pos[:2]) < 0.5
-        assert back[2] == pytest.approx(enu_pos[2], abs=0.2)
 
     def test_localizer_rejects_wrong_target(self):
         rng = np.random.default_rng(5)
@@ -229,7 +218,7 @@ class TestKalman:
     def test_sigma_shrinks_with_updates(self):
         kf = ConstantVelocityKalman()
         kf.update((0.0, 0.0, 0.0), sigma_m=2.0, now=0.0)
-        initial = kf.position_sigma_m
+        initial = np.trace(kf.covariance[:3, :3])
         for k in range(1, 20):
             kf.update((0.0, 0.0, 0.0), sigma_m=2.0, now=float(k))
-        assert kf.position_sigma_m < initial
+        assert np.trace(kf.covariance[:3, :3]) < initial

@@ -6,8 +6,6 @@ import pytest
 from repro.safedrones.markov import (
     ContinuousMarkovChain,
     MarkovModelError,
-    parallel_reliability,
-    series_reliability,
 )
 
 
@@ -67,11 +65,6 @@ class TestTransient:
         assert pt.sum() == pytest.approx(1.0)
         assert (pt >= -1e-12).all()
 
-    def test_transient_from_named_state(self):
-        chain = two_state(0.2)
-        pt = chain.transient_from("down", 5.0)
-        assert pt[chain.index("down")] == pytest.approx(1.0)
-
     def test_rejects_bad_p0(self):
         chain = two_state()
         with pytest.raises(MarkovModelError):
@@ -88,27 +81,6 @@ class TestTransient:
         assert chain.reliability(p0, 10.0) == pytest.approx(
             1.0 - chain.failure_probability(p0, 10.0)
         )
-
-
-class TestMttf:
-    def test_exponential_mttf(self):
-        chain = two_state(0.01)
-        assert chain.mttf("up") == pytest.approx(100.0)
-
-    def test_mttf_of_absorbing_state_is_zero(self):
-        chain = two_state()
-        assert chain.mttf("down") == 0.0
-
-    def test_two_stage_chain_mttf_adds(self):
-        lam = 0.02
-        chain = ContinuousMarkovChain(
-            states=["a", "b", "fail"],
-            q=np.array(
-                [[0.0, lam, 0.0], [0.0, 0.0, lam], [0.0, 0.0, 0.0]]
-            ),
-            absorbing=frozenset({"fail"}),
-        )
-        assert chain.mttf("a") == pytest.approx(2.0 / lam)
 
 
 class TestScaled:
@@ -128,23 +100,3 @@ class TestScaled:
     def test_rejects_negative_factor(self):
         with pytest.raises(MarkovModelError):
             two_state().scaled(-1.0)
-
-
-class TestCompositions:
-    def test_series_reliability(self):
-        assert series_reliability([0.9, 0.9]) == pytest.approx(0.81)
-
-    def test_parallel_reliability(self):
-        assert parallel_reliability([0.9, 0.9]) == pytest.approx(0.99)
-
-    def test_series_bounded_by_weakest(self):
-        assert series_reliability([0.5, 0.99]) <= 0.5
-
-    def test_parallel_at_least_best(self):
-        assert parallel_reliability([0.5, 0.99]) >= 0.99
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            series_reliability([1.5])
-        with pytest.raises(ValueError):
-            parallel_reliability([-0.1])

@@ -3,15 +3,18 @@
 import pytest
 
 import repro.experiments.fig5_battery as fig5
-from repro.experiments.monte_carlo import run_monte_carlo_fig5
+from repro.experiments.monte_carlo import MONTE_CARLO_CAMPAIGN, result_from_campaign
+from repro.harness.campaign import run_campaign
 
 
 @pytest.fixture(scope="module")
 def mc_result():
     # Small grid keeps the test fast while exercising all sweep axes.
-    return run_monte_carlo_fig5(
-        fault_times=(250.0, 350.0), soc_levels=(0.40,), seeds=(3,)
-    )
+    grid = [
+        {"fault_time_s": fault_time, "soc_after_fault": 0.40, "seed": 3}
+        for fault_time in (250.0, 350.0)
+    ]
+    return result_from_campaign(run_campaign(MONTE_CARLO_CAMPAIGN, grid=grid))
 
 
 class TestMonteCarlo:

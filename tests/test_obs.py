@@ -9,6 +9,7 @@ from repro import obs
 from repro.obs.events import EventLog
 from repro.obs.export import chrome_trace, prometheus_text, write_chrome_trace
 from repro.obs.metrics import (
+    DEFAULT_BOUNDS,
     MetricsRegistry,
     empty_snapshot,
     label_key,
@@ -16,6 +17,11 @@ from repro.obs.metrics import (
     parse_label_key,
 )
 from repro.obs.trace import Tracer
+
+
+def counter(metrics: MetricsRegistry, name: str, **labels: object) -> float:
+    """One counter series' value (0.0 if never incremented)."""
+    return metrics.snapshot()["counters"].get(name, {}).get(label_key(labels), 0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -32,10 +38,8 @@ class TestMetricsRegistry:
         reg.inc("msgs", topic="/a")
         reg.inc("msgs", 2.0, topic="/a")
         reg.inc("msgs", topic="/b")
-        assert reg.counter_value("msgs", topic="/a") == 3.0
-        assert reg.counter_value("msgs", topic="/b") == 1.0
-        assert reg.counter_value("msgs", topic="/nope") == 0.0
-        assert reg.counter_series("msgs") == {"topic=/a": 3.0, "topic=/b": 1.0}
+        assert counter(reg, "msgs", topic="/nope") == 0.0
+        assert reg.snapshot()["counters"]["msgs"] == {"topic=/a": 3.0, "topic=/b": 1.0}
 
     def test_label_key_roundtrip_is_sorted(self):
         key = label_key({"b": 2, "a": "x"})
@@ -43,23 +47,28 @@ class TestMetricsRegistry:
         assert parse_label_key(key) == {"a": "x", "b": "2"}
         assert parse_label_key("") == {}
 
-    def test_gauge_keeps_last_value(self):
-        reg = MetricsRegistry()
-        reg.gauge("depth", 4, queue="q")
-        reg.gauge("depth", 2, queue="q")
-        assert reg.snapshot()["gauges"]["depth"]["queue=q"] == 2.0
-
     def test_histogram_buckets_and_stats(self):
         reg = MetricsRegistry()
-        reg.set_histogram_bounds("lat", [0.1, 1.0])
         for value in (0.05, 0.5, 0.5, 5.0):
             reg.observe("lat", value)
         hist = reg.snapshot()["histograms"]["lat"][""]
-        assert hist["bounds"] == [0.1, 1.0]
-        assert hist["counts"] == [1, 2, 1]
+        assert hist["bounds"] == [1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 60.0]
+        assert hist["counts"] == [0, 0, 0, 0, 1, 2, 1, 0, 0]
         assert hist["count"] == 4
         assert hist["sum"] == pytest.approx(6.05)
         assert hist["min"] == 0.05 and hist["max"] == 5.0
+
+    @pytest.mark.parametrize("bucket", range(len(DEFAULT_BOUNDS) + 1))
+    def test_a_value_on_a_bound_lands_in_that_bound_bucket(self, bucket):
+        reg = MetricsRegistry()
+        value = DEFAULT_BOUNDS[bucket] if bucket < len(DEFAULT_BOUNDS) else 1e3
+        reg.observe("h", value)
+        counts = reg.snapshot()["histograms"]["h"][""]["counts"]
+        assert counts == [int(i == bucket) for i in range(len(DEFAULT_BOUNDS) + 1)]
+        text = prometheus_text(reg.snapshot())
+        # Cumulative buckets: zero below the value's bucket, one from it on.
+        for i, bound in enumerate(DEFAULT_BOUNDS):
+            assert f'h_bucket{{le="{bound:g}"}} {int(i >= bucket)}' in text
 
     def test_snapshot_is_a_deep_copy(self):
         reg = MetricsRegistry()
@@ -71,7 +80,6 @@ class TestMetricsRegistry:
     def test_snapshot_is_json_serialisable(self):
         reg = MetricsRegistry()
         reg.inc("c", topic="/t", uav="u1")
-        reg.gauge("g", 3.5)
         reg.observe("h", 0.2, phase="x")
         json.dumps(reg.snapshot())  # must not raise
 
@@ -89,23 +97,13 @@ class TestMergeSnapshots:
             parts.append(worker.snapshot())
         assert merge_snapshots(parts) == serial.snapshot()
 
-    def test_gauges_merge_by_max(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("depth", 3)
-        b.gauge("depth", 7)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["gauges"]["depth"][""] == 7.0
-        # Order-independent.
-        assert merge_snapshots([b.snapshot(), a.snapshot()]) == merged
-
     def test_bounds_mismatch_rejected(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.set_histogram_bounds("h", [1.0])
-        a.observe("h", 0.5)
-        b.set_histogram_bounds("h", [2.0])
-        b.observe("h", 0.5)
+        reg = MetricsRegistry()
+        reg.observe("h", 0.5)
+        a, b = reg.snapshot(), reg.snapshot()
+        b["histograms"]["h"][""]["bounds"][0] = 2e-5
         with pytest.raises(ValueError, match="bounds"):
-            merge_snapshots([a.snapshot(), b.snapshot()])
+            merge_snapshots([a, b])
 
     def test_empty_and_missing_sections_are_fine(self):
         reg = MetricsRegistry()
@@ -120,7 +118,6 @@ def _pool_count_worker(n: int) -> dict:
         for i in range(n):
             session.metrics.inc("events_total", topic=f"/t{i % 3}")
             session.metrics.observe("latency_s", (i % 7) * 0.001)
-        session.metrics.gauge("peak", n)
         return session.metrics.snapshot()
 
 
@@ -135,11 +132,9 @@ class TestMultiprocessMerge:
             snapshots = pool.map(_pool_count_worker, chunks)
         merged = merge_snapshots(snapshots)
         serial = merge_snapshots([_pool_count_worker(n) for n in chunks])
-        # Gauges keep the max, so serial == merged there too.
         assert merged == serial
         total = sum(merged["counters"]["events_total"].values())
         assert total == sum(chunks)
-        assert merged["gauges"]["peak"][""] == max(chunks)
 
 
 class TestTracer:
@@ -194,7 +189,7 @@ class TestEventLog:
         log.emit("warning", "security.ids", "rate_anomaly",
                  sim_time=3.5, wall_s=0.1, topic="/t")
         assert len(log) == 1
-        assert log.by_name("rate_anomaly")[0].payload == {"topic": "/t"}
+        assert log.events[0].payload == {"topic": "/t"}
         (record,) = log.drain()
         assert record["severity"] == "warning"
         assert record["sim_time"] == 3.5
@@ -217,12 +212,12 @@ class TestGlobalSession:
         with obs.span("x"):
             pass
         obs.event("info", "sub", "name")
-        obs.enable()
+        obs.OBS.enabled = True
         assert len(obs.OBS.tracer.spans) == 0
         assert len(obs.OBS.events) == 0
 
     def test_enabled_records_spans_and_events(self):
-        obs.enable()
+        obs.OBS.enabled = True
         with obs.span("work", sim_time=1.0, uav="u1"):
             obs.event("info", "core", "thing", sim_time=1.0, detail=7)
         payload = obs.collect()
@@ -230,18 +225,18 @@ class TestGlobalSession:
         assert payload["events"][0]["payload"] == {"detail": 7}
 
     def test_isolated_sessions_nest_and_restore(self):
-        obs.enable()
+        obs.OBS.enabled = True
         obs.OBS.metrics.inc("outer")
         with obs.isolated(enabled=True) as session:
             session.metrics.inc("inner")
             with obs.isolated(enabled=False):
                 assert not obs.OBS.enabled
                 obs.event("info", "x", "swallowed")  # disabled: dropped
-            assert session.metrics.counter_value("inner") == 1.0
-            assert session.metrics.counter_value("outer") == 0.0
+            assert counter(session.metrics, "inner") == 1.0
+            assert counter(session.metrics, "outer") == 0.0
         assert obs.OBS.enabled
-        assert obs.OBS.metrics.counter_value("outer") == 1.0
-        assert obs.OBS.metrics.counter_value("inner") == 0.0
+        assert counter(obs.OBS.metrics, "outer") == 1.0
+        assert counter(obs.OBS.metrics, "inner") == 0.0
 
     def test_capture_roundtrips_through_jsonl(self, tmp_path):
         trace = tmp_path / "run.jsonl"
@@ -307,14 +302,11 @@ class TestPrometheusExport:
     def test_text_format(self):
         reg = MetricsRegistry()
         reg.inc("bus_published_total", 3, topic="/a")
-        reg.gauge("queue_depth", 4, uav="u1")
-        reg.set_histogram_bounds("lat_s", [0.1, 1.0])
         for value in (0.05, 0.5, 3.0):
             reg.observe("lat_s", value)
         text = prometheus_text(reg.snapshot())
         assert '# TYPE bus_published_total counter' in text
         assert 'bus_published_total{topic="/a"} 3' in text
-        assert 'queue_depth{uav="u1"} 4' in text
         # Buckets are cumulative and end at +Inf == count.
         assert 'lat_s_bucket{le="0.1"} 1' in text
         assert 'lat_s_bucket{le="1"} 2' in text
@@ -336,13 +328,11 @@ class TestPrometheusExport:
     def test_every_family_has_help_and_type(self):
         reg = MetricsRegistry()
         reg.inc("campaign_retries_total", experiment="x", kind="crash")
-        reg.gauge("made_up_level", 1)
         reg.observe("bus_delivery_latency_s", 0.05, topic="/t")
         reg.inc("made_up_metric_total")
         text = prometheus_text(reg.snapshot())
         assert "# HELP campaign_retries_total Campaign sample attempts" in text
         assert "# TYPE campaign_retries_total counter" in text
-        assert "# TYPE made_up_level gauge" in text
         assert "# TYPE bus_delivery_latency_s histogram" in text
         # Unknown families still get the header pair scrapers expect.
         assert "# HELP made_up_metric_total" in text

@@ -17,11 +17,17 @@ from repro.harness.campaign import (
 )
 from repro.middleware.degraded import DegradedBus, LinkModel
 from repro.middleware.rosbus import RosBus
-from repro.scenario import load_scenario_json
+from repro.obs.metrics import label_key
+from repro.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def counter(metrics, name: str, **labels: object) -> float:
+    """One counter series' value (0.0 if never incremented)."""
+    return metrics.snapshot()["counters"].get(name, {}).get(label_key(labels), 0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -37,9 +43,10 @@ class TestBusMetricsAgreement:
     def test_spoofing_scenario_counts_agree_per_topic(self):
         config = json.loads((SCENARIOS / "spoofing_attack.json").read_text())
         with obs.isolated(enabled=True) as session:
-            scenario = load_scenario_json(json.dumps(config))
-            scenario.run_until(90.0)
-            counters = session.metrics.counter_series("bus_published_total")
+            scenario = load_scenario(config)
+            while scenario.world.time < 90.0:
+                scenario.step()
+            counters = session.metrics.snapshot()["counters"]["bus_published_total"]
         by_topic = Counter(m.topic for m in scenario.world.bus.traffic)
         assert counters == {
             f"topic={topic}": float(n) for topic, n in by_topic.items()
@@ -57,13 +64,11 @@ class TestBusMetricsAgreement:
             assert bus.publish("/blocked", 1, sender="a") is None
             bus.publish("/ok", 1, sender="a")
             metrics = session.metrics
-            assert metrics.counter_value(
-                "bus_published_total", topic="/blocked") == 0.0
-            assert metrics.counter_value(
-                "bus_dropped_total", topic="/blocked", reason="intercepted"
+            assert counter(metrics, "bus_published_total", topic="/blocked") == 0.0
+            assert counter(
+                metrics, "bus_dropped_total", topic="/blocked", reason="intercepted"
             ) == 1.0
-            assert metrics.counter_value(
-                "bus_published_total", topic="/ok") == 1.0
+            assert counter(metrics, "bus_published_total", topic="/ok") == 1.0
         assert [m.topic for m in bus.traffic] == ["/ok"]
         assert got == []
 
@@ -77,10 +82,10 @@ class TestBusMetricsAgreement:
             sub.unsubscribe()
             bus.advance_clock(2.0)
             metrics = session.metrics
-            assert metrics.counter_value("bus_published_total", topic="/t") == 1.0
-            assert metrics.counter_value("bus_delivered_total", topic="/t") == 0.0
-            assert metrics.counter_value(
-                "bus_dropped_total", topic="/t", reason="unsubscribed"
+            assert counter(metrics, "bus_published_total", topic="/t") == 1.0
+            assert counter(metrics, "bus_delivered_total", topic="/t") == 0.0
+            assert counter(
+                metrics, "bus_dropped_total", topic="/t", reason="unsubscribed"
             ) == 1.0
         assert got == []
         assert bus.stats.delivered == 0
@@ -95,14 +100,14 @@ class TestBusMetricsAgreement:
         with obs.isolated(enabled=True) as session:
             bus.publish("/t", 1, sender="a")
             metrics = session.metrics
-            assert metrics.counter_value("bus_delivered_total", topic="/t") == 0.0
+            assert counter(metrics, "bus_delivered_total", topic="/t") == 0.0
             bus.advance_clock(2.0)
-            assert metrics.counter_value("bus_delivered_total", topic="/t") == 1.0
+            assert counter(metrics, "bus_delivered_total", topic="/t") == 1.0
             hist = metrics.snapshot()["histograms"]["bus_delivery_latency_s"]
             (series,) = hist.values()
             assert series["count"] == 1
             assert series["min"] >= 1.0  # measured at drain, not at publish
-        assert got == [bus.traffic.on_topic("/t")[0]]
+        assert got == [[m for m in bus.traffic if m.topic == "/t"][0]]
 
 
 class TestEddiTransitionEvents:
@@ -114,7 +119,7 @@ class TestEddiTransitionEvents:
             dict(config["faults"][0], at=10.0, soc_drop_to=0.08)
         ]
         with obs.isolated(enabled=True) as session:
-            scenario = load_scenario_json(json.dumps(config))
+            scenario = load_scenario(config)
             uav = scenario.world.uavs["uav1"]
             eddi, _stack = build_uav_eddi(uav, scenario.world)
             steps = 0
@@ -122,11 +127,11 @@ class TestEddiTransitionEvents:
                 now = scenario.step()
                 eddi.step(now)
                 steps += 1
-            transitions = session.events.by_name("guarantee_transition")
-            fault_events = session.events.by_name("fault_activated")
-            cycles = session.metrics.counter_value(
-                "eddi_cycles_total", uav=eddi.name
-            )
+            transitions = [
+                e for e in session.events.events if e.name == "guarantee_transition"
+            ]
+            fault_events = [e for e in session.events.events if e.name == "fault_activated"]
+            cycles = counter(session.metrics, "eddi_cycles_total", uav=eddi.name)
             span_names = Counter(s.name for s in session.tracer.spans)
 
         # Every EddiResponse has exactly one matching event, in order.
@@ -239,7 +244,7 @@ class TestCampaignObservability:
         assert not obs.OBS.enabled
         run_campaign(OBS_EXPERIMENT, grid=GRID, observe=True)
         assert not obs.OBS.enabled
-        assert obs.OBS.metrics.counter_series("bus_published_total") == {}
+        assert "bus_published_total" not in obs.OBS.metrics.snapshot()["counters"]
 
 
 class TestCli:

@@ -41,13 +41,12 @@ from repro.harness.oracles import (
     run_scenario_oracles,
 )
 from repro.plan.astar import astar_cells, plan_path, route_waypoints, shortcut_path
-from repro.plan.grid import ObstacleField, ObstacleIndex, OccupancyGrid3D, PlanError
+from repro.plan.grid import ObstacleField, OccupancyGrid3D, PlanError
 from repro.plan.routing import (
     inspection_points,
     nearest_neighbor_tour,
     partition_points,
     plan_inspection_tours,
-    tour_length,
     two_opt,
 )
 from repro.plan.experiment import (
@@ -55,7 +54,7 @@ from repro.plan.experiment import (
     PLANNER_ABLATION_CAMPAIGN,
     urban_config,
 )
-from repro.sar.coverage import CameraConfig, swath_width_m
+from repro.sar.coverage import CameraConfig, path_length_m, swath_width_m
 from repro.sar.mission import SarMission
 from repro.scenario import ScenarioError, lint_scenario, load_scenario
 from repro.uav.world import Person
@@ -186,29 +185,6 @@ class TestOccupancyGrid:
             grid.nearest_free((4.0, 4.0, 4.0))
 
 
-class TestObstacleIndex:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(7)
-        cloud = rng.uniform(0.0, 100.0, size=(200, 3))
-        queries = rng.uniform(-20.0, 120.0, size=(50, 3))
-        index = ObstacleIndex(cloud, bin_m=16.0)
-        got = index.nearest_distance(queries)
-        want = np.array(
-            [np.linalg.norm(cloud - q, axis=1).min() for q in queries]
-        )
-        assert np.allclose(got, want)
-
-    def test_empty_cloud_is_infinitely_clear(self):
-        index = ObstacleIndex(np.empty((0, 3)), bin_m=8.0)
-        assert np.isinf(index.nearest_distance(np.zeros((3, 3)))).all()
-
-    def test_grid_clearance_query(self):
-        field = _wall_field()
-        clear = field.grid.clearance_m(np.asarray([[10.0, 50.0, 10.0]]))
-        # Wall starts at east 40; nearest occupied cell centre is at 41.
-        assert 29.0 <= float(clear[0]) <= 33.0
-
-
 class TestPlanner:
     def test_straight_leg_untouched(self):
         field = _wall_field()
@@ -230,7 +206,7 @@ class TestPlanner:
         path = plan_path(field.inflated, start, goal)
         # The smoothed path must beat the rectilinear detour bound.
         direct = math.dist(start, goal)
-        assert direct < tour_length(path) < 2.5 * direct
+        assert direct < path_length_m(path) < 2.5 * direct
 
     def test_shortcut_path_keeps_endpoints(self):
         field = _wall_field()
@@ -339,8 +315,8 @@ class TestRouting:
         order = nearest_neighbor_tour(start, points)
         improved = two_opt(start, points, order)
         assert sorted(improved) == sorted(order)
-        before = tour_length([start] + [points[i] for i in order])
-        after = tour_length([start] + [points[i] for i in improved])
+        before = path_length_m([start] + [points[i] for i in order])
+        after = path_length_m([start] + [points[i] for i in improved])
         assert after <= before + 1e-9
 
     def test_partition_separation_property(self):
@@ -471,18 +447,17 @@ class TestScenarioIntegration:
                 [base] + [tuple(wp) for wp in plan]
             )
 
-    def test_set_fleet_altitude_reroutes(self):
+    def test_descended_track_reroutes_below_rooftops(self):
         scenario = load_scenario(json.loads(json.dumps(URBAN)))
         world = scenario.world
         mission = SarMission(world=world, altitude_m=35.0)
         mission.assign_paths()
         # Descending to 12 m puts the remaining track below the rooftops.
-        mission.set_fleet_altitude(12.0)
         for uav in world.uavs.values():
-            flown = [tuple(uav.dynamics.position)] + [
-                tuple(wp) for wp in uav.plan.waypoints
-            ]
-            assert world.obstacles.grid.path_free(flown)
+            track = [(e, n, 12.0) for e, n, _ in uav.plan.waypoints]
+            start = tuple(uav.dynamics.position)
+            routed = route_waypoints(world.obstacles, start, track)
+            assert world.obstacles.grid.path_free([start] + [tuple(wp) for wp in routed])
 
 
 class TestClearanceOracle:

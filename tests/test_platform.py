@@ -105,7 +105,7 @@ class TestUavManager:
             bus.advance_clock(i * 0.5)
             uavs[0].step(0.5, i * 0.5)
         record = manager.registry["uav1"]
-        assert record.connected
+        assert record.last_seen > 0.0
         assert record.mode == "mission"
         assert db.get("uav_locations", "uav1") is not None
 
@@ -146,7 +146,7 @@ class TestTaskManager:
     def test_builtin_sar_service_available(self):
         _, _, manager, _ = build_platform()
         tasks = TaskManager(uav_manager=manager)
-        assert "sar_coverage" in tasks.available_services()
+        assert "sar_coverage" in tasks.services
 
     def test_sar_coverage_starts_all_uavs(self):
         _, _, manager, uavs = build_platform()

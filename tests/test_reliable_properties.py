@@ -88,7 +88,7 @@ class TestReliableChannelProperties:
     def test_eventual_delivery_of_every_message(self, schedules):
         for delivered, payloads, alice, _ in schedules:
             assert [data for _, data in delivered] == payloads
-            assert alice.in_flight == 0
+            assert not alice._pending
             assert alice.stats.acked == len(payloads)
 
     def test_loss_actually_exercised_the_protocol(self, schedules):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.safedrones.battery import (
+    STATES,
     BatteryReliabilityModel,
     battery_chain,
     battery_transient,
@@ -79,7 +80,6 @@ class TestPropulsion:
         model.record_motor_failure()
         assert not model.controllable
         assert model.failure_probability(1.0) == 1.0
-        assert model.mttf_hours() == 0.0
 
     def test_reconfig_success_improves_survival(self):
         good = PropulsionModel(rotor_count=6, reconfig_success=0.99)
@@ -113,14 +113,15 @@ class TestPropulsion:
         assert model.failure_probability(horizon) == 1.0
 
     @pytest.mark.parametrize("rotors", [6, 8])
-    def test_mttf_falls_with_each_tolerated_failure(self, rotors):
+    def test_last_tolerated_failure_is_the_riskiest_state(self, rotors):
         model = PropulsionModel(rotor_count=rotors)
-        mttfs = []
+        pofs = []
         while model.controllable:
-            mttfs.append(model.mttf_hours())
+            pofs.append(model.failure_probability(3600.0))
             model.record_motor_failure()
-        assert all(a > b > 0.0 for a, b in zip(mttfs, mttfs[1:]))
-        assert model.mttf_hours() == 0.0
+        assert len(pofs) >= 2 and all(0.0 < pof < 1.0 for pof in pofs)
+        assert max(pofs) == pofs[-1]
+        assert model.failure_probability(3600.0) == 1.0
 
 
 class TestBatteryReliability:
@@ -168,22 +169,15 @@ class TestBatteryReliability:
     def test_cell_fault_advances_state(self):
         model = BatteryReliabilityModel()
         model.update(0.0, 0.9, 25.0)
-        assert model.most_likely_state() == "healthy"
+        assert STATES[int(np.argmax(model.distribution))] == "healthy"
         model.register_cell_fault()
-        assert model.most_likely_state() == "degraded"
+        assert STATES[int(np.argmax(model.distribution))] == "degraded"
 
     def test_rejects_time_reversal(self):
         model = BatteryReliabilityModel()
         model.update(10.0, 0.9, 25.0)
         with pytest.raises(ValueError):
             model.update(5.0, 0.9, 25.0)
-
-    def test_prediction_exceeds_current(self):
-        model = BatteryReliabilityModel()
-        model.update(0.0, 0.4, 80.0)
-        model.update(60.0, 0.4, 80.0)
-        predicted = model.predict_failure_probability(300.0, 0.4, 80.0)
-        assert predicted > model.failure_probability
 
     def test_distribution_remains_normalised(self):
         model = BatteryReliabilityModel()
@@ -433,11 +427,12 @@ class TestProcessor:
         assert model.thermal_factor(45.0) == pytest.approx(1.0)
         assert model.thermal_factor(90.0) > 1.0
 
-    def test_mission_reliability_closed_form(self):
+    def test_constant_temperature_reliability_closed_form(self):
         model = ProcessorReliabilityModel()
-        r = model.mission_reliability(3600.0, 45.0)
+        model.update(0.0, 45.0)
+        model.update(3600.0, 45.0)
         lam = (model.ser_rate_per_hour + model.wearout_rate_per_hour) / 3600.0
-        assert r == pytest.approx(np.exp(-lam * 3600.0))
+        assert model.reliability == pytest.approx(np.exp(-lam * 3600.0))
 
     def test_rejects_time_reversal(self):
         model = ProcessorReliabilityModel()
@@ -458,6 +453,18 @@ class TestReliabilityLevel:
 
 
 class TestSafeDronesMonitor:
+    @pytest.mark.parametrize("temp_c, soc", [(30.0, 0.9), (85.0, 0.4)], ids=["nominal", "hot-low"])
+    @pytest.mark.parametrize("rotors", [4, 6, 8])
+    def test_pof_is_the_or_of_its_component_models(self, rotors, temp_c, soc):
+        # The UAV-loss fault tree ORs battery and processor, and the
+        # propulsion mission-horizon risk is ORed on top.
+        monitor = SafeDronesMonitor(uav_id="u", rotor_count=rotors)
+        for t in range(0, 600, 60):
+            a = monitor.update(float(t), soc, temp_c)
+        survive = (1.0 - a.battery_pof) * (1.0 - a.processor_pof) * (1.0 - a.propulsion_pof)
+        assert a.failure_probability == pytest.approx(1.0 - survive, rel=1e-12)
+        assert a.battery_pof > 0.0 and a.processor_pof > 0.0 and a.propulsion_pof > 0.0
+
     def test_healthy_flight_stays_high(self):
         monitor = SafeDronesMonitor(uav_id="u")
         for t in range(0, 300, 5):

@@ -8,7 +8,6 @@ import pytest
 from repro.experiments.common import build_three_uav_world
 from repro.sar.coverage import (
     boustrophedon_path,
-    estimated_coverage_time_s,
     partition_area,
     path_length_m,
     swath_width_m,
@@ -88,12 +87,9 @@ class TestBoustrophedon:
         with pytest.raises(ValueError):
             boustrophedon_path(((10.0, 10.0), (0.0, 100.0)), 20.0)
 
-    def test_path_length_and_time(self):
+    def test_path_length(self):
         path = [(0.0, 0.0, 10.0), (0.0, 100.0, 10.0), (10.0, 100.0, 10.0)]
         assert path_length_m(path) == pytest.approx(110.0)
-        assert estimated_coverage_time_s(path, 10.0) == pytest.approx(11.0)
-        with pytest.raises(ValueError):
-            estimated_coverage_time_s(path, 0.0)
 
 
 class TestDetectionModel:
@@ -138,11 +134,6 @@ class TestDetectionModel:
         model = DetectionModel(rng=np.random.default_rng(0))
         assert model.sample_features(30.0, n_frames=7).shape == (7, 4)
 
-    def test_false_positive_rate_low(self):
-        model = DetectionModel(rng=np.random.default_rng(0))
-        fps = sum(model.false_positive(20.0) for _ in range(5000))
-        assert fps / 5000 < 0.01
-
 
 class TestSarMission:
     def make_mission(self, n_persons=6, seed=2):
@@ -183,18 +174,6 @@ class TestSarMission:
         mission.run(max_time_s=1500.0)
         if mission.metrics.attempts:
             assert mission.metrics.detection_accuracy > 0.9
-
-    def test_altitude_change_preserves_ground_track(self):
-        mission = self.make_mission(n_persons=0)
-        mission.assign_paths(altitude_m=40.0)
-        for _ in range(50):
-            mission.step()
-        uav = mission.world.uavs["uav1"]
-        before = [(wp[0], wp[1]) for wp in uav.plan.waypoints[uav.plan.index :]]
-        mission.set_fleet_altitude(20.0)
-        after = [(wp[0], wp[1]) for wp in uav.plan.waypoints]
-        assert before == after
-        assert all(wp[2] == 20.0 for wp in uav.plan.waypoints)
 
     def test_productive_time_tracked(self):
         mission = self.make_mission(n_persons=0)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.scenario import Scenario, ScenarioError, load_scenario, load_scenario_json
+from repro.scenario import Scenario, ScenarioError, load_scenario
 from repro.sinadra.situation import altitude_band
 
 
@@ -62,10 +62,12 @@ class TestLoadScenario:
             ],
         )
         scenario = load_scenario(config)
-        scenario.run_until(4.0)
+        while scenario.world.time < 4.0:
+            scenario.step()
         assert scenario.world.uavs["uav1"].sensors.gps.denied
         assert scenario.world.uavs["uav2"].motors_failed == 1
-        scenario.run_until(8.0)
+        while scenario.world.time < 8.0:
+            scenario.step()
         assert not scenario.world.uavs["uav1"].sensors.gps.denied
 
     def test_fault_unknown_uav_rejected(self):
@@ -98,7 +100,8 @@ class TestLoadScenario:
             ],
         )
         scenario = load_scenario(config)
-        scenario.run_until(5.0)
+        while scenario.world.time < 5.0:
+            scenario.step()
         forged = [m for m in scenario.world.bus.traffic if m.is_forged]
         assert forged
 
@@ -108,15 +111,22 @@ class TestLoadScenario:
             load_scenario(config)
 
     def test_json_roundtrip(self):
-        scenario = load_scenario_json(json.dumps(BASIC))
+        scenario = load_scenario(json.loads(json.dumps(BASIC)))
         assert isinstance(scenario, Scenario)
         assert sorted(scenario.world.uavs) == ["uav1", "uav2"]
 
-    def test_json_rejects_garbage(self):
-        with pytest.raises(ScenarioError):
-            load_scenario_json("not json{")
-        with pytest.raises(ScenarioError):
-            load_scenario_json("[1, 2, 3]")
+    @pytest.mark.parametrize(
+        "text, needle",
+        [("not json{", "not valid JSON"), ("[1, 2, 3]", "expected a JSON object")],
+    )
+    def test_cli_rejects_garbage_json(self, text, needle, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "garbage.json"
+        path.write_text(text)
+        for command in ("validate", "replay"):
+            assert main(["scenario", command, str(path)]) == 1
+            assert needle in capsys.readouterr().err
 
     def test_deterministic_given_seed(self):
         a = load_scenario(BASIC)
@@ -146,7 +156,8 @@ class TestArchivedScenarios:
         import pathlib
 
         path = pathlib.Path(__file__).parent.parent / "scenarios" / f"{name}.json"
-        scenario = load_scenario_json(path.read_text())
+        scenario = load_scenario(json.loads(path.read_text()))
         assert len(scenario.world.uavs) == 3
-        scenario.run_until(5.0)
+        while scenario.world.time < 5.0:
+            scenario.step()
         assert scenario.world.time >= 5.0

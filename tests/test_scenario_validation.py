@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenario import ScenarioError, load_scenario, load_scenario_json
+from repro.scenario import ScenarioError, load_scenario
+from repro.schema import SAR
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIOS.glob("*.json"))
@@ -18,25 +19,36 @@ class TestArchivedScenarios:
     @pytest.mark.parametrize(
         "path", SCENARIO_FILES, ids=[p.stem for p in SCENARIO_FILES]
     )
+    def test_summary_reads_vectors_as_values_and_lists_as_counts(self, path):
+        config = json.loads(path.read_text())
+        summary = SAR.summary(config).split(", ")
+        width, height = config.get("area_size_m", (400, 300))
+        assert f"area_size_m={width:g}x{height:g}" in summary
+        assert f"uavs={len(config['uavs'])}" in summary
+        assert f"faults={len(config.get('faults', []))}" in summary
+
+    @pytest.mark.parametrize(
+        "path", SCENARIO_FILES, ids=[p.stem for p in SCENARIO_FILES]
+    )
     def test_roundtrips_through_the_loader(self, path):
-        text = path.read_text()
-        scenario = load_scenario_json(text)
-        config = json.loads(text)
+        config = json.loads(path.read_text())
+        scenario = load_scenario(config)
         assert sorted(scenario.world.uavs) == sorted(
             u["id"] for u in config["uavs"]
         )
         assert len(scenario.world.persons) == config.get("persons", 0)
         assert len(scenario.faults.faults) == len(config.get("faults", []))
         # A re-serialised config loads to the same fleet.
-        again = load_scenario_json(json.dumps(scenario.config))
+        again = load_scenario(json.loads(json.dumps(scenario.config)))
         assert sorted(again.world.uavs) == sorted(scenario.world.uavs)
 
     @pytest.mark.parametrize(
         "path", SCENARIO_FILES, ids=[p.stem for p in SCENARIO_FILES]
     )
     def test_scenarios_step_cleanly(self, path):
-        scenario = load_scenario_json(path.read_text())
-        scenario.run_until(2.0)
+        scenario = load_scenario(json.loads(path.read_text()))
+        while scenario.world.time < 2.0:
+            scenario.step()
         assert scenario.world.time >= 2.0
 
 
@@ -159,7 +171,8 @@ class TestErrorsNameTheOffendingField:
             )
         )
         assert isinstance(scenario.world.bus, DegradedBus)
-        scenario.run_until(4.0)
+        while scenario.world.time < 4.0:
+            scenario.step()
 
     def test_lint_flags_unknown_keys_without_raising(self):
         from repro.scenario import lint_scenario
@@ -198,7 +211,8 @@ class TestErrorsNameTheOffendingField:
             )
         )
         assert scenario.world.dt == 0.25
-        scenario.run_until(1.5)
+        while scenario.world.time < 1.5:
+            scenario.step()
         assert scenario.world.uavs["uav1"].motors_failed == 1
 
 

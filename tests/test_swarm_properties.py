@@ -112,7 +112,7 @@ class TestLosslessLinks:
         sim = build_swarm(config, seed=123)
         run = sim.run()
         channels = [sim.followers[f].channel for f in sim.follower_names] + [
-            sim.leaders[name].channel_for(f)
+            sim.leaders[name]._slots[f].channel
             for name in sim.leader_names
             for f in sim.leaders[name].roster
         ]

@@ -522,12 +522,12 @@ def test_duplicate_ack_is_ignored():
         script={1: [("detect", "lead00", "poi00001", (10.0, 20.0))]}
     )
     harness.run(2)
-    channel = harness.leaders["lead00"].channel_for("f00_00")
+    channel = harness.leaders["lead00"]._slots["f00_00"].channel
     assert channel.stats.acked == 1
-    assert channel.in_flight == 0
+    assert not channel._pending
     harness.bus.publish("/swarm/lead00/f00_00/ack", {"seq": 0}, sender="f00_00")
     assert channel.stats.acked == 1
-    assert channel.in_flight == 0
+    assert not channel._pending
 
 
 def test_stale_confirm_after_timeout_is_ignored():

@@ -1,9 +1,15 @@
 """Unit tests for the Fig. 1 per-UAV ConSert network and mission decider."""
 
+import numpy as np
 import pytest
 
-from repro.core.decider import MissionDecider, MissionVerdict
+from repro.core.adapters import build_fleet_eddis
+from repro.core.decider import MissionDecider, MissionVerdict, mission_decision
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
+from repro.geo import EnuFrame, GeoPoint
+from repro.sar.coverage import boustrophedon_path, partition_area
+from repro.uav.uav import Uav, UavSpec
+from repro.uav.world import World
 
 
 @pytest.fixture
@@ -155,14 +161,6 @@ class TestMissionDecider:
         assert decision.dropped_uavs == ["uav1"]
         assert set(decision.takeover_uavs) == {"uav2", "uav3"}
 
-    def test_redistribution_plan_assigns_dropped_to_takeover(self):
-        decider, networks = fleet()
-        networks[0].set_reliability_level("low")
-        decider.decide()
-        plan = decider.redistribution_plan()
-        assert set(plan) == {"uav1"}
-        assert plan["uav1"] in ("uav2", "uav3")
-
     def test_no_spare_capacity_cannot_complete(self):
         decider, networks = fleet()
         networks[0].set_reliability_level("low")
@@ -189,17 +187,6 @@ class TestMissionDecider:
         with pytest.raises(RuntimeError):
             MissionDecider().decide()
 
-    def test_plan_requires_redistribute_verdict(self):
-        decider, _ = fleet()
-        decider.decide()
-        with pytest.raises(RuntimeError):
-            decider.redistribution_plan()
-
-    def test_plan_requires_prior_decision(self):
-        decider, _ = fleet()
-        with pytest.raises(RuntimeError):
-            decider.redistribution_plan()
-
     def test_history_accumulates(self):
         decider, networks = fleet()
         decider.decide()
@@ -208,3 +195,96 @@ class TestMissionDecider:
         assert len(decider.history) == 2
         assert decider.history[0].verdict is MissionVerdict.AS_PLANNED
         assert decider.history[1].verdict is MissionVerdict.REDISTRIBUTE
+
+
+def build_fleet_world(n_uavs: int, seed=0):
+    rng = np.random.default_rng(seed)
+    world = World(
+        frame=EnuFrame(origin=GeoPoint(35.1, 33.4, 0.0)),
+        rng=rng,
+        area_size_m=(120.0 * n_uavs, 300.0),
+    )
+    for i in range(n_uavs):
+        world.add_uav(
+            Uav(
+                spec=UavSpec(
+                    uav_id=f"uav{i + 1}", base_position=(60.0 + 120.0 * i, -20.0, 0.0)
+                ),
+                frame=world.frame,
+                bus=world.bus,
+                rng=rng,
+            )
+        )
+    return world
+
+
+class TestFleetScale:
+    @pytest.mark.parametrize("n_uavs", [6, 10])
+    def test_large_fleet_decider(self, n_uavs):
+        decider, networks = fleet(n_uavs)
+        assert decider.decide().verdict is MissionVerdict.AS_PLANNED
+        # Two dropouts with plenty of spare capacity -> redistribute.
+        networks[0].set_reliability_level("low")
+        networks[1].set_reliability_level("low")
+        decision = decider.decide()
+        assert decision.verdict is MissionVerdict.REDISTRIBUTE
+        assert decision.dropped_uavs == ["uav1", "uav2"]
+        assert len(decision.takeover_uavs) == n_uavs - 2
+
+    def test_six_uav_world_steps(self):
+        world = build_fleet_world(6, seed=9)
+        strips = partition_area(world.area_size_m, 6)
+        for (uav_id, uav), bounds in zip(sorted(world.uavs.items()), strips):
+            uav.start_mission(boustrophedon_path(bounds, 20.0))
+        fleet_eddis = build_fleet_eddis(world, cl_range_m=250.0)
+        for _ in range(40):
+            world.step()
+            for eddi, _ in fleet_eddis.values():
+                eddi.step(world.time)
+        guarantees = {
+            uav_id: eddi.current_guarantee for uav_id, (eddi, _) in fleet_eddis.items()
+        }
+        assert all(
+            g is UavGuarantee.CONTINUE_MISSION_EXTRA for g in guarantees.values()
+        )
+
+
+#: Every split of a 1- to 4-UAV fleet into (takeover-capable, capable,
+#: dropped) counts: the Σ rule depends on nothing else.
+FLEET_SPLITS = [
+    (extra, cont, n - extra - cont)
+    for n in range(1, 5)
+    for extra in range(n + 1)
+    for cont in range(n - extra + 1)
+]
+DROPPED_GUARANTEES = [
+    UavGuarantee.HOLD_POSITION,
+    UavGuarantee.RETURN_TO_BASE,
+    UavGuarantee.EMERGENCY_LAND,
+]
+
+
+class TestMissionDecisionRule:
+    @pytest.mark.parametrize(
+        "extra, cont, dropped", FLEET_SPLITS,
+        ids=[f"extra{e}-cont{c}-dropped{d}" for e, c, d in FLEET_SPLITS],
+    )
+    def test_verdict_follows_the_fig1_rule(self, extra, cont, dropped):
+        offers = (
+            [UavGuarantee.CONTINUE_MISSION_EXTRA] * extra
+            + [UavGuarantee.CONTINUE_MISSION] * cont
+            + [DROPPED_GUARANTEES[i % 3] for i in range(dropped)]
+        )
+        guarantees = {f"uav{i + 1}": g for i, g in enumerate(offers)}
+        decision = mission_decision(guarantees)
+        if dropped == 0:
+            expected = MissionVerdict.AS_PLANNED
+        elif extra >= dropped:
+            expected = MissionVerdict.REDISTRIBUTE
+        else:
+            expected = MissionVerdict.CANNOT_COMPLETE
+        assert decision.verdict is expected
+        assert len(decision.takeover_uavs) == extra
+        assert len(decision.capable_uavs) == extra + cont
+        assert decision.dropped_uavs == [f"uav{i + 1}" for i in range(extra + cont, len(offers))]
+

@@ -13,7 +13,6 @@ import pytest
 from repro.core.adapters import build_fleet_eddis
 from repro.core.uav_network import UavGuarantee
 from repro.experiments.common import build_three_uav_world
-from repro.platform.gui import render_guarantee_timeline
 from repro.security.spoofing import GpsSpoofingDetector
 from repro.uav.environment import Environment, GustProcess
 
@@ -87,7 +86,7 @@ class TestWindDriftSensing:
 
 
 class TestGuaranteeTimeline:
-    def test_renders_transitions_and_occupancy(self):
+    def test_response_log_starts_at_full_guarantee(self):
         world = windy_world()
         fleet = build_fleet_eddis(world)
         eddi, stack = fleet["uav1"]
@@ -104,7 +103,7 @@ class TestGuaranteeTimeline:
         for _ in range(5):
             world.step()
             eddi.step(world.time)
-        text = render_guarantee_timeline(eddi)
-        assert "guarantee timeline" in text
-        assert "(start) -> continue_mission_extra_tasks" in text
-        assert "time in guarantee:" in text
+        first = eddi.response_log[0]
+        assert first.previous is None
+        assert first.guarantee is UavGuarantee.CONTINUE_MISSION_EXTRA
+        assert eddi.guarantee_trace[-1][0] == world.time
