@@ -9,16 +9,12 @@ fleet-wide array operations:
 
 * ConSert gate trees are compiled once into boolean-array programs
   (:class:`CompiledConSerts`) and evaluated for all UAVs at once;
-* the SafeDrones battery/processor/propulsion models run as stacked
-  arrays (:class:`BatchSafeDrones`) — each battery row steps through the
-  same closed-form kernel the scalar monitor uses
-  (:func:`repro.safedrones.battery.battery_transient`), and propulsion
-  PoF comes from the scalar model's memo (a miss solves the closed form
-  :func:`repro.safedrones.propulsion.motor_transient`);
 * GPS fixes, quality draws and IMU velocities are gathered for the whole
   fleet from the shared noise channels.
 
-Everything else is the scalar code: responses come from one
+Everything else is the scalar code: SafeDrones is one
+:class:`repro.safedrones.monitor.SafeDronesMonitor` per row, fed the
+row's measured temperature; responses come from one
 :class:`repro.core.eddi.EddiResponder` per row, and the mission verdict
 from :func:`repro.core.decider.mission_decision`.
 
@@ -35,10 +31,9 @@ where any ULP difference compounds. The rules (same as
 
 * every arithmetic expression mirrors the scalar code's operation order
   exactly;
-* transcendentals the scalar code computes with :mod:`math`
-  (``math.exp`` in the Arrhenius/SoC/processor factors, ``math.dist`` in
-  the spoof detector) stay per-row :mod:`math` calls — ``np.exp`` is NOT
-  bit-identical to ``math.exp``;
+* transcendentals the scalar code computes with :mod:`math` stay
+  per-row :mod:`math` calls — ``np.exp`` is NOT bit-identical to
+  ``math.exp``;
 * sensor noise comes from the same per-channel fleet streams
   (``ch_temp``/``ch_gps``/``ch_quality``/``ch_imu``), consumed in the
   same per-row order the scalar adapter consumes them.
@@ -51,9 +46,6 @@ Known, documented deviations (none observable by the equivalence suite):
   span, counters and events still fire);
 * within one cycle, obs events are grouped by phase (all spoof-detected
   events, then all guarantee transitions) instead of interleaved per UAV;
-* :class:`BatchSafeDrones` keeps only the latest assessment arrays, not
-  a per-UAV history list (``assessment(row)`` synthesizes the newest
-  :class:`ReliabilityAssessment` on demand);
 * error raising: validations run phase-by-phase over all rows and report
   the first offending row, so when *different* UAVs would raise from
   *different* phases the scalar stack may name another one first;
@@ -66,7 +58,6 @@ Known, documented deviations (none observable by the equivalence suite):
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
@@ -76,16 +67,12 @@ from repro.core.conserts import AndNode, ConSert, Demand, OrNode, RuntimeEvidenc
 from repro.core.decider import MissionDecider, MissionDecision, mission_decision
 from repro.core.eddi import EddiResponder
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
-from repro.safedrones.battery import (
-    BOLTZMANN_EV,
-    FAILED,
-    BatteryReliabilityModel,
-    battery_transient,
-)
 from repro.safedrones.communication import CommLinkMonitor
-from repro.safedrones.monitor import ReliabilityAssessment, ReliabilityLevel
-from repro.safedrones.processor import ProcessorReliabilityModel
-from repro.safedrones.propulsion import PropulsionModel
+from repro.safedrones.monitor import (
+    ReliabilityAssessment,
+    ReliabilityLevel,
+    SafeDronesMonitor,
+)
 from repro.security.spoofing import GpsSpoofingDetector
 
 
@@ -255,208 +242,6 @@ def compiled_conserts() -> CompiledConSerts:
 
 
 # --------------------------------------------------------------------------
-# Batched SafeDrones: battery/processor/propulsion over the whole fleet
-# --------------------------------------------------------------------------
-class BatchSafeDrones:
-    """Fleet-wide :class:`~repro.safedrones.monitor.SafeDronesMonitor`.
-
-    One battery Markov distribution row per UAV, each integrated with the
-    scalar model's closed-form kernel; Arrhenius/SoC/processor thermal
-    factors stay per-row ``math.exp`` (bit-exactness). Propulsion PoF
-    comes from one :class:`PropulsionModel` per rotor count, whose memo
-    holds the same bits the scalar monitor's model returns.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        rotor_counts,
-        pof_abort_threshold: float = 0.9,
-        mission_horizon_s: float = 600.0,
-        soc_collapse_threshold: float = 0.15,
-    ) -> None:
-        self.n = n
-        self.pof_abort_threshold = pof_abort_threshold
-        self.mission_horizon_s = mission_horizon_s
-        self.soc_collapse_threshold = soc_collapse_threshold
-        battery = BatteryReliabilityModel()
-        self._bat_rate = battery.base_rate_per_s
-        self._bat_ea_b = battery.activation_energy_ev / BOLTZMANN_EV
-        self._bat_inv_tref = 1.0 / (battery.reference_temp_c + 273.15)
-        self._bat_gamma = battery.soc_stress_gamma
-        self._bat_knee = battery.soc_stress_knee
-        processor = ProcessorReliabilityModel()
-        self._proc_ser = processor.ser_rate_per_hour
-        self._proc_wearout = processor.wearout_rate_per_hour
-        self._proc_ea_b = processor.activation_energy_ev / BOLTZMANN_EV
-        self._proc_inv_tref = 1.0 / (processor.reference_temp_c + 273.15)
-        self._dist = np.zeros((n, 4))
-        if n:
-            self._dist[:, 0] = 1.0
-        self._last_time: float | None = None
-        self._last_soc: np.ndarray | None = None
-        self.battery_fault_detected = np.zeros(n, dtype=bool)
-        self._motors = [0] * n
-        self._hazard = [0.0] * n
-        self._rotor_counts = [int(r) for r in rotor_counts]
-        self._propulsion = {
-            r: PropulsionModel(rotor_count=r) for r in set(self._rotor_counts)
-        }
-        self._updated = False
-        self._stamp = 0.0
-        self.failure_probability = np.zeros(n)
-        self.battery_pof = np.zeros(n)
-        self.propulsion_pof = np.zeros(n)
-        self.processor_pof = np.zeros(n)
-        self.rel_high = np.zeros(n, dtype=bool)
-        self.rel_medium = np.zeros(n, dtype=bool)
-        self.abort_recommended = np.zeros(n, dtype=bool)
-
-    def update(self, now: float, soc, temp_c, motors_failed=None) -> np.ndarray:
-        """Feed one fleet-wide telemetry sample; returns total PoF per row.
-
-        ``soc`` / ``temp_c`` are (n,) arrays; ``motors_failed`` is an
-        optional per-row int sequence (motor-state sync, exactly the
-        scalar monitor's ``while ... record_motor_failure()`` loop).
-        """
-        n = self.n
-        mexp = math.exp
-        soc = np.asarray(soc, dtype=float)
-        temp_c = np.asarray(temp_c, dtype=float)
-        soc_l = soc.tolist()
-        temp_l = temp_c.tolist()
-
-        if motors_failed is not None:
-            motors = self._motors
-            for k in range(n):
-                m = motors_failed[k]
-                if motors[k] < m:
-                    motors[k] = m
-
-        if self._last_soc is not None and n:
-            last_l = self._last_soc.tolist()
-            threshold = self.soc_collapse_threshold
-            fault = self.battery_fault_detected
-            dist = self._dist
-            for k in range(n):
-                if not fault[k] and last_l[k] - soc_l[k] >= threshold:
-                    fault[k] = True
-                    # register_cell_fault: shift surviving mass one stage.
-                    p0 = float(dist[k, 0])
-                    p1 = float(dist[k, 1])
-                    tail = float(dist[k, 2]) + float(dist[k, 3])
-                    dist[k, 0] = 0.0
-                    dist[k, 1] = p0
-                    dist[k, 2] = p1
-                    dist[k, 3] = tail
-        self._last_soc = soc.copy()
-
-        first = self._last_time is None
-        if first:
-            self._last_time = now
-            dt = 0.0
-        else:
-            dt = now - self._last_time
-            if dt < 0.0:
-                raise ValueError("time went backwards")
-            self._last_time = now
-
-        if not first and dt != 0.0 and n:
-            dist = self._dist
-            base_rate = self._bat_rate
-            ea_b = self._bat_ea_b
-            inv_tref = self._bat_inv_tref
-            gamma = self._bat_gamma
-            knee = self._bat_knee
-            for k in range(n):
-                t = max(temp_l[k], -200.0) + 273.15
-                arrhenius = mexp(ea_b * (inv_tref - 1.0 / t))
-                s = min(max(soc_l[k], 0.0), 1.0)
-                socf = 1.0 if s >= knee else mexp(gamma * (knee - s))
-                dist[k] = battery_transient(dist[k], base_rate * (arrhenius * socf), dt)
-
-            ser = self._proc_ser
-            wearout_rate = self._proc_wearout
-            p_ea_b = self._proc_ea_b
-            p_inv_tref = self._proc_inv_tref
-            hazard = self._hazard
-            for k in range(n):
-                t = (temp_l[k] + 15.0) + 273.15
-                wearout = wearout_rate * mexp(p_ea_b * (p_inv_tref - 1.0 / t))
-                hazard[k] = hazard[k] + ((ser + wearout) / 3600.0) * dt
-
-        battery_pof = self._dist[:, FAILED].copy()
-        hazard = self._hazard
-        proc = [0.0] * n
-        for k in range(n):
-            proc[k] = 1.0 - mexp(-hazard[k])
-        proc_pof = np.array(proc, dtype=float)
-        rotors = self._rotor_counts
-        motors = self._motors
-        horizon = self.mission_horizon_s
-        prop = [0.0] * n
-        for k in range(n):
-            model = self._propulsion[rotors[k]]
-            model.motors_failed = motors[k]
-            prop[k] = model.failure_probability(horizon)
-        prop_pof = np.array(prop, dtype=float)
-
-        # Fault-tree CBE range checks, in scalar evaluation order; the
-        # positive-form mask makes NaN raise exactly like the scalar path.
-        bad = ~((battery_pof >= 0.0) & (battery_pof <= 1.0 + 1e-9))
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"battery_failure: model probability {float(battery_pof[k])} "
-                "out of range"
-            )
-        bad = ~((proc_pof >= 0.0) & (proc_pof <= 1.0 + 1e-9))
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"processor_failure: model probability {float(proc_pof[k])} "
-                "out of range"
-            )
-        clipped_b = np.minimum(battery_pof, 1.0)
-        clipped_p = np.minimum(proc_pof, 1.0)
-        total = 1.0 - (1.0 - clipped_b) * (1.0 - clipped_p)
-        total = 1.0 - (1.0 - total) * (1.0 - prop_pof)
-        bad = ~((total >= 0.0) & (total <= 1.0))
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"probability of failure out of range: {float(total[k])}"
-            )
-
-        self._stamp = now
-        self.failure_probability = total
-        self.battery_pof = battery_pof
-        self.propulsion_pof = prop_pof
-        self.processor_pof = proc_pof
-        self.rel_high = total < 0.2
-        self.rel_medium = total < 0.6
-        self.abort_recommended = total >= self.pof_abort_threshold
-        self._updated = True
-        return total
-
-    def assessment(self, row: int) -> ReliabilityAssessment | None:
-        """The latest per-row assessment (None before the first update)."""
-        if not self._updated:
-            return None
-        total = float(self.failure_probability[row])
-        return ReliabilityAssessment(
-            stamp=self._stamp,
-            failure_probability=total,
-            battery_pof=float(self.battery_pof[row]),
-            propulsion_pof=float(self.propulsion_pof[row]),
-            processor_pof=float(self.processor_pof[row]),
-            level=ReliabilityLevel.from_failure_probability(total),
-            battery_fault_detected=bool(self.battery_fault_detected[row]),
-            abort_recommended=bool(self.abort_recommended[row]),
-        )
-
-
-# --------------------------------------------------------------------------
 # Assurance planes: one step()/decide() facade per engine
 # --------------------------------------------------------------------------
 class ScalarAssurancePlane:
@@ -568,9 +353,10 @@ class BatchAssurancePlane:
             name: np.full(n, default, dtype=bool)
             for name, default in self.compiled.evidence_defaults.items()
         }
-        self.safedrones = BatchSafeDrones(
-            n, [uav.spec.rotor_count for uav in self._uav_list]
-        )
+        self._safedrones = [
+            SafeDronesMonitor(uav_id=uav_id, rotor_count=uav.spec.rotor_count)
+            for uav_id, uav in items
+        ]
         self._detectors = [GpsSpoofingDetector() for _ in range(n)]
         self._links = [CommLinkMonitor() for _ in range(n)]
         self._responders = [
@@ -656,12 +442,17 @@ class BatchAssurancePlane:
 
         # --- SafeDrones -> reliability evidence ---------------------------
         zt = fleet.ch_temp.take_all()[:n, 0]
-        temp_meas = np.array(temp_true, dtype=float) + self._temp_std * zt
-        self.safedrones.update(
-            now, np.array(soc_l, dtype=float), temp_meas, motors
-        )
-        evidence["reliability_high"][:] = self.safedrones.rel_high
-        evidence["reliability_medium"][:] = self.safedrones.rel_medium
+        temp_meas = (np.array(temp_true, dtype=float) + self._temp_std * zt).tolist()
+        safedrones = self._safedrones
+        high, low = ReliabilityLevel.HIGH, ReliabilityLevel.LOW
+        rel_high = [False] * n
+        rel_medium = [False] * n
+        for k in range(n):
+            level = safedrones[k].update(now, soc_l[k], temp_meas[k], motors[k]).level
+            rel_high[k] = level is high
+            rel_medium[k] = level is not low
+        evidence["reliability_high"][:] = rel_high
+        evidence["reliability_medium"][:] = rel_medium
 
         # --- GPS quality + spoof cross-check ------------------------------
         quality = np.zeros(n, dtype=bool)
@@ -810,7 +601,7 @@ class BatchAssurancePlane:
         }
 
     def assessment(self, uav_id: str) -> ReliabilityAssessment | None:
-        return self.safedrones.assessment(self._row[uav_id])
+        return self._safedrones[self._row[uav_id]].latest
 
     def spoof_detector(self, uav_id: str) -> GpsSpoofingDetector:
         return self._detectors[self._row[uav_id]]

@@ -8,7 +8,7 @@ covering "the battery, processor, and UAV rotors".
 This subpackage implements that stack from scratch:
 
 - :mod:`repro.safedrones.markov` — continuous-time Markov chain engine
-  (transient solve, absorbing failure probability, MTTF).
+  (transient solve, absorbing failure probability).
 - :mod:`repro.safedrones.propulsion` — k-out-of-n motor reliability with
   reconfiguration, after Aslansefat et al. (DoCEIS 2019).
 - :mod:`repro.safedrones.battery` — battery degradation chain whose rates

@@ -12,10 +12,11 @@ exactly as the paper's blue curve does.
 Every stage has the same rate, so the chain is a pure-birth process and
 its transient has a closed form (:func:`battery_transient`): over
 ``x = rate * dt`` the number of stage transitions is Poisson(``x``), and
-the absorbing ``failed`` stage collects the tail. That kernel is the one
-solve the scalar monitor and the batched bank
-(:class:`repro.core.batch.BatchSafeDrones`) share; the generic
-``expm``-based :class:`~repro.safedrones.markov.ContinuousMarkovChain`
+the absorbing ``failed`` stage collects the tail. The model keeps its
+distribution as a tuple of four floats and the kernel works on plain
+floats, so an update touches no NumPy; every SafeDrones monitor (Fig. 5,
+``fig4`` and one per UAV in both assurance planes) steps through it. The
+generic ``expm``-based :class:`~repro.safedrones.markov.ContinuousMarkovChain`
 from :func:`battery_chain` stays as the readable model and the test oracle.
 
 Calibration: with the paper's scenario (fault at t=250 s collapsing SoC to
@@ -34,7 +35,7 @@ from repro.safedrones.markov import (
     ContinuousMarkovChain,
     MarkovModelError,
     checked_start,
-    renormalised,
+    checked_total,
 )
 
 BOLTZMANN_EV = 8.617333e-5
@@ -58,7 +59,7 @@ def battery_chain(base_rate_per_s: float) -> ContinuousMarkovChain:
     return ContinuousMarkovChain(states=list(STATES), q=q, absorbing=frozenset({"failed"}))
 
 
-def battery_transient(p0, rate_per_s: float, t: float) -> np.ndarray:
+def battery_transient(p0, rate_per_s: float, t: float) -> tuple[float, ...]:
     """Closed-form ``battery_chain(rate_per_s).transient(p0, t)``.
 
     With ``x = rate_per_s * t`` and ``e = exp(-x)``, mass in stage ``i``
@@ -80,12 +81,21 @@ def battery_transient(p0, rate_per_s: float, t: float) -> np.ndarray:
     tail1 = -math.expm1(-x)  # P(at least one transition)
     tail2 = tail1 - w1
     tail3 = tail2 - w2
-    return renormalised([
+    a, b, c, d = (
         a * e,
         a * w1 + b * e,
         a * w2 + b * w1 + c * e,
         d + c * tail1 + b * tail2 + a * tail3,
-    ])
+    )
+    # ``renormalised`` unrolled over the four stages, which saves its two
+    # comprehensions on every monitor update: the same clip, check and
+    # division, in the same order.
+    a = 0.0 if a < 0.0 else a
+    b = 0.0 if b < 0.0 else b
+    c = 0.0 if c < 0.0 else c
+    d = 0.0 if d < 0.0 else d
+    total = checked_total((a, b, c, d))
+    return (a / total, b / total, c / total, d / total)
 
 
 @dataclass
@@ -103,24 +113,22 @@ class BatteryReliabilityModel:
     reference_temp_c: float = 25.0
     soc_stress_gamma: float = 6.0
     soc_stress_knee: float = 0.5
-    distribution: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    distribution: tuple[float, ...] = field(default=(1.0, 0.0, 0.0, 0.0), repr=False)
     last_time: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.distribution is None:
-            self.distribution = np.array([1.0, 0.0, 0.0, 0.0])
 
     # ------------------------------------------------------------- stress
     def arrhenius_factor(self, temp_c: float) -> float:
         """Thermal acceleration relative to the reference temperature."""
         t_ref = self.reference_temp_c + 273.15
-        t = max(temp_c, -200.0) + 273.15
+        t = (-200.0 if temp_c < -200.0 else temp_c) + 273.15
         exponent = (self.activation_energy_ev / BOLTZMANN_EV) * (1.0 / t_ref - 1.0 / t)
         return math.exp(exponent)
 
     def soc_factor(self, soc: float) -> float:
         """Deep-discharge stress: grows below the ``soc_stress_knee``."""
-        soc = min(max(soc, 0.0), 1.0)
+        # min(max(soc, 0.0), 1.0), NaN included.
+        soc = 0.0 if soc < 0.0 else soc
+        soc = 1.0 if soc > 1.0 else soc
         if soc >= self.soc_stress_knee:
             return 1.0
         return math.exp(self.soc_stress_gamma * (self.soc_stress_knee - soc))
@@ -147,15 +155,13 @@ class BatteryReliabilityModel:
         if dt == 0.0:
             return self.failure_probability
         rate = self.base_rate_per_s * self.stress_factor(soc, temp_c)
-        self.distribution = battery_transient(self.distribution, rate, dt)
-        return self.failure_probability
+        self.distribution = distribution = battery_transient(self.distribution, rate, dt)
+        return distribution[FAILED]
 
     def register_cell_fault(self) -> None:
         """Shift surviving mass one stage forward after a diagnosed cell fault."""
         p = self.distribution
-        self.distribution = np.array(
-            [0.0, p[0], p[1], p[2] + p[3]], dtype=float
-        )
+        self.distribution = (0.0, p[0], p[1], p[2] + p[3])
 
     @property
     def failure_probability(self) -> float:

@@ -41,7 +41,7 @@ class ComplexBasicEvent:
         p = float(self.model.failure_probability)
         if not 0.0 <= p <= 1.0 + 1e-9:
             raise ValueError(f"{self.name}: model probability {p} out of range")
-        return min(p, 1.0)
+        return 1.0 if p > 1.0 else p
 
 
 @dataclass

@@ -2,15 +2,19 @@
 
 SafeDrones expresses component degradation as CTMCs whose absorbing states
 are failures. This module provides the generic machinery: generator-matrix
-validation, transient probability via the matrix exponential, absorbing
-failure probability, and mean time to failure via the fundamental matrix.
+validation, transient probability via the matrix exponential and absorbing
+failure probability.
 
 No runtime monitor solves its chain here. The battery and motor chains
 have closed-form transients
 (:func:`repro.safedrones.battery.battery_transient`,
-:func:`repro.safedrones.propulsion.motor_transient`) that both assurance
-planes use instead; this ``expm`` solve remains their readable definition
-and the oracle the tests check the closed forms against.
+:func:`repro.safedrones.propulsion.motor_transient`) that every SafeDrones
+monitor uses instead; this ``expm`` solve remains their readable definition
+and the oracle the tests check the closed forms against. The closed forms
+share this module's start checks (:func:`checked_start`) and end
+(:func:`renormalised`, whose sum check is :func:`checked_total`), which
+work on plain floats: the battery model keeps its distribution as a
+tuple of floats and never builds an array.
 """
 
 from __future__ import annotations
@@ -110,31 +114,45 @@ class ContinuousMarkovChain:
         )
 
 
-def checked_start(p0, n: int) -> list[float]:
-    """``p0`` as floats, after the start checks of ``transient``.
+def checked_start(p0, n: int) -> tuple[float, ...]:
+    """``p0`` as a tuple of floats, after the start checks of ``transient``.
 
     For the closed-form kernels that stand in for the ``expm`` solve: the
     same tolerances and error type as :meth:`ContinuousMarkovChain.transient`.
+    A tuple is taken to hold floats already (the models keep their state
+    that way), so only its length is checked; anything else goes through
+    ``np.asarray(p0, dtype=float)`` as the ``expm`` solve does.
     """
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (n,):
+    if type(p0) is not tuple:
+        p0 = np.asarray(p0, dtype=float)
+        if p0.shape != (n,):
+            raise MarkovModelError("p0 has wrong length")
+        p0 = tuple(p0.tolist())
+    elif len(p0) != n:
         raise MarkovModelError("p0 has wrong length")
-    start = p0.tolist()
     # np.isclose(sum, 1.0, atol=1e-9) written out: |sum - 1| <= atol + rtol * 1.
-    if not abs(sum(start) - 1.0) <= 1e-9 + 1e-5:
+    if not abs(sum(p0) - 1.0) <= 1e-9 + 1e-5:
         raise MarkovModelError("p0 must sum to 1")
-    return start
+    return p0
 
 
-def renormalised(pt: list[float]) -> np.ndarray:
-    """A closed-form kernel's result, ended as ``transient`` ends its solve.
-
-    Clips tiny negatives, refuses a sum outside 0.97–1.03 and renormalises.
-    """
-    pt = [max(p, 0.0) for p in pt]
+def checked_total(pt) -> float:
+    """``sum(pt)``, refused outside 0.97–1.03 as ``transient`` refuses it."""
     total = sum(pt)
     if not 0.97 <= total <= 1.03:
         raise MarkovModelError(
             f"transient solve lost normalisation (sum={total:.6f})"
         )
-    return np.array(pt) / total
+    return total
+
+
+def renormalised(pt: list[float]) -> tuple[float, ...]:
+    """A closed-form kernel's result, ended as ``transient`` ends its solve.
+
+    Clips tiny negatives, refuses a sum outside 0.97–1.03 and renormalises,
+    on floats: each entry divided by the total rounds as NumPy's does.
+    ``0.0 if p < 0.0 else p`` is ``max(p, 0.0)``, NaN and ``-0.0`` included.
+    """
+    pt = [0.0 if p < 0.0 else p for p in pt]
+    total = checked_total(pt)
+    return tuple([p / total for p in pt])

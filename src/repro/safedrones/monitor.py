@@ -5,12 +5,19 @@ fault tree and maps the live probability of failure to the three-level
 guarantee vocabulary the Fig. 1 ConSert consumes (High / Medium / Low
 reliability). Also detects the battery cell-fault signature (sharp SoC
 collapse) that the Fig. 5 scenario injects.
+
+This one monitor is the SafeDrones runtime everywhere: Fig. 5, ``fig4``,
+the per-UAV assurance plane and the batched plane, which keeps one per
+row. Its update runs on plain floats (the component models hold floats,
+the assessment is a ``NamedTuple``), so it is cheap enough to run on
+every tick of the loop it watches.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.safedrones.battery import BatteryReliabilityModel
 from repro.safedrones.fta import ComplexBasicEvent, FaultTree, OrGate
@@ -39,8 +46,12 @@ class ReliabilityLevel(enum.Enum):
         return cls.LOW
 
 
-@dataclass(frozen=True)
-class ReliabilityAssessment:
+#: Bound once: on Python 3.11 every attribute lookup on an Enum class goes
+#: through ``EnumType.__getattr__``, which costs as much as the mapping.
+_level_of = ReliabilityLevel.from_failure_probability
+
+
+class ReliabilityAssessment(NamedTuple):
     """One SafeDrones output sample."""
 
     stamp: float
@@ -102,13 +113,15 @@ class SafeDronesMonitor:
         ``motors_failed`` (when reported) syncs the propulsion Markov
         model with the flight controller's observed motor state.
         """
+        propulsion = self.propulsion
         if motors_failed is not None:
-            while self.propulsion.motors_failed < motors_failed:
-                self.propulsion.record_motor_failure()
+            while propulsion.motors_failed < motors_failed:
+                propulsion.record_motor_failure()
+        last_soc = self._last_soc
         if (
-            self._last_soc is not None
+            last_soc is not None
             and not self.battery_fault_detected
-            and self._last_soc - soc >= self.soc_collapse_threshold
+            and last_soc - soc >= self.soc_collapse_threshold
         ):
             # Sharp SoC collapse between consecutive samples: diagnosed
             # cell-group fault (the Fig. 5 80% -> 40% drop).
@@ -119,20 +132,20 @@ class SafeDronesMonitor:
         battery_pof = self.battery.update(now, soc, battery_temp_c)
         # Junction temperature tracks battery bay temperature plus load rise.
         processor_pof = self.processor.update(now, battery_temp_c + 15.0)
-        propulsion_pof = self.propulsion.failure_probability(self.mission_horizon_s)
+        propulsion_pof = propulsion.failure_probability(self.mission_horizon_s)
 
         total_pof = self.fault_tree.top_event_probability()
         # Fold the propulsion mission-horizon risk in as an OR term.
         total_pof = 1.0 - (1.0 - total_pof) * (1.0 - propulsion_pof)
         assessment = ReliabilityAssessment(
-            stamp=now,
-            failure_probability=total_pof,
-            battery_pof=battery_pof,
-            propulsion_pof=propulsion_pof,
-            processor_pof=processor_pof,
-            level=ReliabilityLevel.from_failure_probability(total_pof),
-            battery_fault_detected=self.battery_fault_detected,
-            abort_recommended=total_pof >= self.pof_abort_threshold,
+            now,
+            total_pof,
+            battery_pof,
+            propulsion_pof,
+            processor_pof,
+            _level_of(total_pof),
+            self.battery_fault_detected,
+            total_pof >= self.pof_abort_threshold,
         )
         self.history.append(assessment)
         return assessment

@@ -13,7 +13,9 @@ plus the absorbing ``failed``. Their
 transient has a closed form (:func:`motor_transient`), which is what the
 runtime solves: :class:`MotorChain` answers ``transient`` with it, and
 :meth:`PropulsionModel.failure_probability` (the one path both assurance
-planes take) calls it directly, so flying a mission loads no SciPy. The
+planes take) calls it directly, so flying a mission loads no SciPy.
+Models with equal parameters share one chain and one PoF memo, so a
+fleet of monitors builds each chain and solves each state once. The
 generic ``expm`` solve, ``ContinuousMarkovChain.transient(chain, p0, t)``,
 stays the readable definition and the oracle the tests check it against.
 """
@@ -89,7 +91,7 @@ def motor_transient(chain: ContinuousMarkovChain, p0, t: float) -> np.ndarray:
             later += mass
             pt[j] += start[i] * mass
         pt[m] += start[i] * (-math.expm1(-rates[i] * t) - later)
-    return renormalised(pt)
+    return np.array(renormalised(pt))
 
 
 class MotorChain(ContinuousMarkovChain):
@@ -137,6 +139,14 @@ def motor_chain(
     return MotorChain(states=states, q=q, absorbing=frozenset({"failed"}))
 
 
+#: Motor chains by (rotor count, failure rate, reconfiguration success),
+#: shared by every :class:`PropulsionModel` with those parameters.
+_CHAINS: dict[tuple[int, float, float], MotorChain] = {}
+#: Propulsion PoF by (rotor count, failure rate, reconfiguration success,
+#: failed motors, horizon), shared the same way.
+_POF: dict[tuple[int, float, float, int, float], float] = {}
+
+
 @dataclass
 class PropulsionModel:
     """Runtime propulsion reliability estimator for one airframe.
@@ -152,10 +162,11 @@ class PropulsionModel:
     motors_failed: int = 0
 
     def __post_init__(self) -> None:
-        self.chain = motor_chain(
-            self.rotor_count, self.failure_rate_per_hour, self.reconfig_success
-        )
-        self._memo: dict[tuple[int, int, float], float] = {}
+        key = (self.rotor_count, self.failure_rate_per_hour, self.reconfig_success)
+        chain = _CHAINS.get(key)
+        if chain is None:
+            chain = _CHAINS[key] = motor_chain(*key)
+        self.chain = chain
 
     def record_motor_failure(self) -> None:
         """Register one additional failed motor."""
@@ -179,12 +190,19 @@ class PropulsionModel:
         """Probability of propulsion loss within ``horizon_s`` seconds.
 
         The value only changes when a motor fails, so it is memoized on
-        the current state (rotor and failed-motor counts) and horizon.
-        A miss solves the chain with :func:`motor_transient`, which
-        refuses a chain of another shape.
+        the chain's parameters, the failed-motor count and the horizon,
+        in one cache every model with those parameters shares. A miss
+        solves :attr:`chain` with :func:`motor_transient`, which refuses
+        a chain of another shape.
         """
-        key = (self.rotor_count, self.motors_failed, horizon_s)
-        pof = self._memo.get(key)
+        key = (
+            self.rotor_count,
+            self.failure_rate_per_hour,
+            self.reconfig_success,
+            self.motors_failed,
+            horizon_s,
+        )
+        pof = _POF.get(key)
         if pof is None:
             state = self._current_state()
             if state == "failed":
@@ -193,5 +211,5 @@ class PropulsionModel:
                 p0 = np.zeros(len(self.chain.states))
                 p0[self.chain.index(state)] = 1.0
                 pof = float(motor_transient(self.chain, p0, horizon_s)[-1])
-            self._memo[key] = pof
+            _POF[key] = pof
         return pof

@@ -29,8 +29,6 @@ class BatterySpec:
     cruise_draw_w: float = 950.0
     idle_draw_w: float = 60.0
     nominal_temp_c: float = 25.0
-    # Above this cell temperature the pack is considered thermally stressed.
-    stress_temp_c: float = 60.0
     thermal_time_constant_s: float = 120.0
 
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchSafeDrones, compiled_conserts
+from repro.core.batch import compiled_conserts
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
 from repro.safedrones.monitor import ReliabilityLevel, SafeDronesMonitor
 from repro.safeml.distances import ALL_MEASURES
@@ -159,23 +159,22 @@ def test_zero_rows_evaluate_cleanly():
     assert all(v.shape == (0,) for v in offers.values())
 
 
-# ---------------------------------------------------------- SafeDrones bank
+# ------------------------------------------------------ SafeDrones monitors
 def test_reliability_demotion_never_skips_levels():
     """Continuous PoF growth demotes HIGH -> MEDIUM -> LOW, one at a time."""
     rng = np.random.default_rng(23)
     n = 8
-    monitors = BatchSafeDrones(n, [4] * n)
-    soc = rng.uniform(0.3, 0.7, n)
-    temp = rng.uniform(55.0, 68.0, n)
+    monitors = [SafeDronesMonitor(uav_id=f"uav{row}", rotor_count=4) for row in range(n)]
+    soc = rng.uniform(0.3, 0.7, n).tolist()
+    temp = rng.uniform(55.0, 68.0, n).tolist()
     dt = 30.0
     now = 0.0
     prev = [ReliabilityLevel.HIGH] * n
     seen = [set() for _ in range(n)]
     for _ in range(200):
         now += dt
-        monitors.update(now, soc, temp)
         for row in range(n):
-            level = monitors.assessment(row).level
+            level = monitors[row].update(now, soc[row], temp[row]).level
             assert demotion_step_ok(prev[row], level), (
                 f"row {row} skipped {prev[row]} -> {level}"
             )
@@ -185,33 +184,6 @@ def test_reliability_demotion_never_skips_levels():
             break
     # The run must actually traverse the whole ladder to prove anything.
     assert all(s == set(ReliabilityLevel) for s in seen)
-
-
-def test_single_row_bank_matches_scalar_monitor():
-    """n=1 stacked SafeDrones is bitwise the scalar monitor."""
-    batched = BatchSafeDrones(1, [6], pof_abort_threshold=0.7)
-    scalar = SafeDronesMonitor(
-        uav_id="solo", rotor_count=6, pof_abort_threshold=0.7
-    )
-    rng = np.random.default_rng(3)
-    now = 0.0
-    soc, temp = 0.9, 25.0
-    for _ in range(100):
-        now += float(rng.uniform(0.5, 5.0))
-        soc = max(0.05, soc - float(rng.uniform(0.0, 0.02)))
-        temp += float(rng.uniform(-0.5, 1.5))
-        motors = int(rng.integers(0, 3))
-        batched.update(
-            now, np.array([soc]), np.array([temp]), np.array([motors])
-        )
-        reference = scalar.update(now, soc, temp, motors_failed=motors)
-        measured = batched.assessment(0)
-        assert measured.failure_probability == reference.failure_probability
-        assert measured.battery_pof == reference.battery_pof
-        assert measured.propulsion_pof == reference.propulsion_pof
-        assert measured.processor_pof == reference.processor_pof
-        assert measured.level is reference.level
-        assert measured.abort_recommended == reference.abort_recommended
 
 
 def test_reliability_rank_covers_vocabulary():

@@ -1,6 +1,7 @@
 """Same-bits kernels: the SAR swath scan, the spoof-detector epoch, the
 grid's point and segment clearance queries, the assurance adapter's
-neighbour test and the swarm simulator's motion and link-range updates.
+neighbour test, the swarm simulator's motion and link-range updates and
+the SafeDrones monitor's update.
 
 Each kernel is checked against its straightforward predecessor, kept
 below verbatim as a reference oracle, on seeded random cases and on the
@@ -17,7 +18,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,9 +29,21 @@ import repro.experiments.fig6_spoofing as fig6
 from repro.core.adapters import _within_range
 from repro.core.batch import build_assurance
 from repro.experiments.common import build_three_uav_world
+from repro.experiments.fig5_battery import run_fig5_battery_experiment
 from repro.obs import event
 from repro.plan.astar import astar_cells, shortcut_path
 from repro.plan.grid import OccupancyGrid3D, PlanError, _unit_samples, blocked_legs
+from repro.safedrones.battery import (
+    BOLTZMANN_EV,
+    FAILED,
+    STATES,
+    BatteryReliabilityModel,
+    battery_transient,
+)
+from repro.safedrones.fta import ComplexBasicEvent, FaultTree, OrGate
+from repro.safedrones.markov import MarkovModelError, checked_start, renormalised
+from repro.safedrones.monitor import ReliabilityLevel, SafeDronesMonitor
+from repro.safedrones.propulsion import PropulsionModel, motor_chain, motor_transient
 from repro.sar.mission import SarMission
 from repro.scenario import load_scenario
 from repro.security.spoofing import GpsSpoofingDetector, SpoofVerdict
@@ -1030,3 +1045,380 @@ class TestSwarmMotionMatchesReference:
                 delta = pos[fi] - pos[li]
                 in_range = delta[0] * delta[0] + delta[1] * delta[1] <= r2
                 assert link.loss_probability == (sim.base_loss if in_range else 1.0)
+
+
+# --------------------------------------------------------------- SafeDrones
+# The monitor as it was before its float rewrite: the battery keeps a NumPy
+# distribution, the battery kernel ends in NumPy, the clamps are builtin
+# ``min``/``max``, the propulsion memo is per model and the assessment is a
+# frozen dataclass.
+def _checked_start_reference(p0, n: int) -> list[float]:
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (n,):
+        raise MarkovModelError("p0 has wrong length")
+    start = p0.tolist()
+    # np.isclose(sum, 1.0, atol=1e-9) written out: |sum - 1| <= atol + rtol * 1.
+    if not abs(sum(start) - 1.0) <= 1e-9 + 1e-5:
+        raise MarkovModelError("p0 must sum to 1")
+    return start
+
+
+def _renormalised_reference(pt: list[float]) -> np.ndarray:
+    pt = [max(p, 0.0) for p in pt]
+    total = sum(pt)
+    if not 0.97 <= total <= 1.03:
+        raise MarkovModelError(
+            f"transient solve lost normalisation (sum={total:.6f})"
+        )
+    return np.array(pt) / total
+
+
+def _battery_transient_reference(p0, rate_per_s: float, t: float) -> np.ndarray:
+    a, b, c, d = _checked_start_reference(p0, len(STATES))
+    if rate_per_s < 0.0:
+        raise MarkovModelError("rate factor must be non-negative")
+    if t < 0.0:
+        raise MarkovModelError("t must be non-negative")
+    x = rate_per_s * t
+    e = math.exp(-x)
+    w1 = e * x
+    w2 = w1 * x / 2.0
+    tail1 = -math.expm1(-x)  # P(at least one transition)
+    tail2 = tail1 - w1
+    tail3 = tail2 - w2
+    return _renormalised_reference([
+        a * e,
+        a * w1 + b * e,
+        a * w2 + b * w1 + c * e,
+        d + c * tail1 + b * tail2 + a * tail3,
+    ])
+
+
+def _battery_update_reference(self, now: float, soc: float, temp_c: float) -> float:
+    if self.last_time is None:
+        self.last_time = now
+        return self.failure_probability
+    dt = now - self.last_time
+    if dt < 0.0:
+        raise ValueError("time went backwards")
+    self.last_time = now
+    if dt == 0.0:
+        return self.failure_probability
+    rate = self.base_rate_per_s * self.stress_factor(soc, temp_c)
+    self.distribution = _battery_transient_reference(self.distribution, rate, dt)
+    return self.failure_probability
+
+
+@dataclass
+class _BatteryReference(BatteryReliabilityModel):
+    def __post_init__(self) -> None:
+        self.distribution = np.array([1.0, 0.0, 0.0, 0.0])
+
+    def arrhenius_factor(self, temp_c: float) -> float:
+        t_ref = self.reference_temp_c + 273.15
+        t = max(temp_c, -200.0) + 273.15
+        exponent = (self.activation_energy_ev / BOLTZMANN_EV) * (1.0 / t_ref - 1.0 / t)
+        return math.exp(exponent)
+
+    def soc_factor(self, soc: float) -> float:
+        soc = min(max(soc, 0.0), 1.0)
+        if soc >= self.soc_stress_knee:
+            return 1.0
+        return math.exp(self.soc_stress_gamma * (self.soc_stress_knee - soc))
+
+    update = _battery_update_reference
+
+    def register_cell_fault(self) -> None:
+        p = self.distribution
+        self.distribution = np.array(
+            [0.0, p[0], p[1], p[2] + p[3]], dtype=float
+        )
+
+    @property
+    def failure_probability(self) -> float:
+        return float(self.distribution[FAILED])
+
+
+class _PropulsionReference(PropulsionModel):
+    def __post_init__(self) -> None:
+        self.chain = motor_chain(
+            self.rotor_count, self.failure_rate_per_hour, self.reconfig_success
+        )
+        self._memo: dict[tuple[int, int, float], float] = {}
+
+    def failure_probability(self, horizon_s: float) -> float:
+        key = (self.rotor_count, self.motors_failed, horizon_s)
+        pof = self._memo.get(key)
+        if pof is None:
+            state = self._current_state()
+            if state == "failed":
+                pof = 1.0
+            else:
+                p0 = np.zeros(len(self.chain.states))
+                p0[self.chain.index(state)] = 1.0
+                pof = float(motor_transient(self.chain, p0, horizon_s)[-1])
+            self._memo[key] = pof
+        return pof
+
+
+class _EventReference(ComplexBasicEvent):
+    def evaluate(self) -> float:
+        p = float(self.model.failure_probability)
+        if not 0.0 <= p <= 1.0 + 1e-9:
+            raise ValueError(f"{self.name}: model probability {p} out of range")
+        return min(p, 1.0)
+
+
+@dataclass(frozen=True)
+class _AssessmentReference:
+    stamp: float
+    failure_probability: float
+    battery_pof: float
+    propulsion_pof: float
+    processor_pof: float
+    level: ReliabilityLevel
+    battery_fault_detected: bool
+    abort_recommended: bool
+
+
+def _monitor_update_reference(
+    self,
+    now: float,
+    soc: float,
+    battery_temp_c: float,
+    motors_failed: int | None = None,
+) -> _AssessmentReference:
+    if motors_failed is not None:
+        while self.propulsion.motors_failed < motors_failed:
+            self.propulsion.record_motor_failure()
+    if (
+        self._last_soc is not None
+        and not self.battery_fault_detected
+        and self._last_soc - soc >= self.soc_collapse_threshold
+    ):
+        # Sharp SoC collapse between consecutive samples: diagnosed
+        # cell-group fault (the Fig. 5 80% -> 40% drop).
+        self.battery_fault_detected = True
+        self.battery.register_cell_fault()
+    self._last_soc = soc
+
+    battery_pof = self.battery.update(now, soc, battery_temp_c)
+    # Junction temperature tracks battery bay temperature plus load rise.
+    processor_pof = self.processor.update(now, battery_temp_c + 15.0)
+    propulsion_pof = self.propulsion.failure_probability(self.mission_horizon_s)
+
+    total_pof = self.fault_tree.top_event_probability()
+    # Fold the propulsion mission-horizon risk in as an OR term.
+    total_pof = 1.0 - (1.0 - total_pof) * (1.0 - propulsion_pof)
+    assessment = _AssessmentReference(
+        stamp=now,
+        failure_probability=total_pof,
+        battery_pof=battery_pof,
+        propulsion_pof=propulsion_pof,
+        processor_pof=processor_pof,
+        level=ReliabilityLevel.from_failure_probability(total_pof),
+        battery_fault_detected=self.battery_fault_detected,
+        abort_recommended=total_pof >= self.pof_abort_threshold,
+    )
+    self.history.append(assessment)
+    return assessment
+
+
+class _MonitorReference(SafeDronesMonitor):
+    def __post_init__(self) -> None:
+        loss_tree = OrGate(
+            name="uav_loss",
+            children=[
+                _EventReference("battery_failure", self.battery),
+                _EventReference("processor_failure", self.processor),
+            ],
+        )
+        self.fault_tree = FaultTree(name=f"{self.uav_id}_loss", top=loss_tree)
+
+    update = _monitor_update_reference
+
+
+ASSESSMENT_FLOATS = (
+    "stamp", "failure_probability", "battery_pof", "propulsion_pof", "processor_pof",
+)
+
+
+def _safedrones_pair(rotor_count: int = 4, **params):
+    monitor = SafeDronesMonitor(uav_id="uav1", rotor_count=rotor_count, **params)
+    reference = _MonitorReference(
+        uav_id="uav1",
+        rotor_count=rotor_count,
+        battery=_BatteryReference(),
+        propulsion=_PropulsionReference(rotor_count=rotor_count),
+        **params,
+    )
+    return monitor, reference
+
+
+def _feed_both(monitor, reference, *sample) -> bool:
+    """One sample into both monitors; True if they assessed, False if both
+    raised the same error."""
+    try:
+        expected = reference.update(*sample)
+    except Exception as exc:  # the oracle's error is the expectation
+        with pytest.raises(type(exc)) as info:
+            monitor.update(*sample)
+        assert type(info.value) is type(exc), sample
+        assert str(info.value) == str(exc), sample
+        return False
+    got = monitor.update(*sample)
+    for name in ASSESSMENT_FLOATS:
+        value = getattr(got, name)
+        assert type(value) is float, (name, sample)
+        assert value.hex() == float(getattr(expected, name)).hex(), (name, sample)
+    assert got.level is expected.level, sample
+    assert got.battery_fault_detected is expected.battery_fault_detected, sample
+    assert got.abort_recommended is expected.abort_recommended, sample
+    assert [p.hex() for p in monitor.battery.distribution] == [
+        float(p).hex() for p in reference.battery.distribution
+    ], sample
+    return True
+
+
+def _random_safedrones_run(seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    rotors = int(rng.choice([4, 6, 8]))
+    monitor, reference = _safedrones_pair(
+        rotor_count=rotors, pof_abort_threshold=float(rng.uniform(0.3, 0.95))
+    )
+    now = float(rng.uniform(0.0, 100.0))
+    soc, temp, motors = 0.95, 25.0, 0
+    assessed = 0
+    for _ in range(400):
+        draw = rng.random()
+        if draw < 0.1:
+            pass  # a repeated stamp: dt == 0
+        else:
+            now += float(rng.uniform(0.01, 8.0))
+        if draw > 0.97:
+            soc = max(0.0, soc - float(rng.uniform(0.15, 0.5)))  # cell fault
+        elif draw > 0.96:
+            soc = 1.0  # pack swapped
+        else:
+            soc = max(0.0, soc - float(rng.uniform(0.0, 0.01)))
+        temp = min(95.0, max(-10.0, temp + float(rng.normal(0.3, 2.0))))
+        if rng.random() < 0.02:
+            motors += 1
+        reported = None if rng.random() < 0.2 else motors
+        assessed += _feed_both(monitor, reference, now, soc, temp, reported)
+    assert assessed == 400
+    assert monitor.history[-1].failure_probability > 0.0
+
+
+class TestSafeDronesMatchesReference:
+    @pytest.fixture(scope="class")
+    def fig5(self):
+        return run_fig5_battery_experiment()
+
+    @pytest.mark.parametrize("arm", ["with_sesame", "without_sesame"])
+    def test_fig5_arms(self, fig5, arm):
+        trace = getattr(fig5, arm)
+        monitor, reference = _safedrones_pair(pof_abort_threshold=0.9)
+        for sample in zip(trace.times, trace.soc, trace.temp_c):
+            assert _feed_both(monitor, reference, *sample)
+        assert monitor.battery_fault_detected
+        assert [a.failure_probability for a in monitor.history] == trace.pof
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_profiles_with_motor_and_cell_faults(self, seed):
+        _random_safedrones_run(seed)
+
+    def test_first_update_and_zero_dt(self):
+        monitor, reference = _safedrones_pair(rotor_count=6)
+        for sample in [
+            (5.0, 0.9, 30.0, None),
+            (5.0, 0.9, 31.0, 1),
+            (5.0, 0.5, 80.0, 1),  # a cell fault at dt == 0
+            (5.5, 0.5, 80.0, 2),
+            (5.5, 0.5, 80.0, 2),
+        ]:
+            assert _feed_both(monitor, reference, *sample)
+        first = monitor.history[0]
+        assert first.battery_pof == first.processor_pof == 0.0
+
+    def test_time_going_backwards(self):
+        monitor, reference = _safedrones_pair()
+        assert _feed_both(monitor, reference, 10.0, 0.9, 30.0)
+        assert not _feed_both(monitor, reference, 9.5, 0.8, 35.0)
+        assert not _feed_both(monitor, reference, 9.9, 0.8, 35.0)
+        assert _feed_both(monitor, reference, 10.0, 0.8, 35.0)
+        assert _feed_both(monitor, reference, 12.0, 0.8, 35.0)
+
+    def test_temperatures_below_minus_200(self):
+        monitor, reference = _safedrones_pair()
+        temps = [-150.0, -200.0, math.nextafter(-200.0, -300.0), -250.0, -273.15,
+                 -288.15, -288.2, -1e9, 20.0]
+        results = [
+            _feed_both(monitor, reference, float(t), 0.6, temp)
+            for t, temp in enumerate(temps)
+        ]
+        assert results.count(True) >= 6 and not all(results)
+
+    def test_soc_outside_unit_interval(self):
+        monitor, reference = _safedrones_pair()
+        socs = [1.5, 2.0, math.nextafter(1.0, 2.0), -0.0, -1e-12, -0.5, 1.0,
+                -math.inf, math.inf, 0.3, math.nan, 0.3]
+        results = [
+            _feed_both(monitor, reference, float(t), soc, 40.0)
+            for t, soc in enumerate(socs)
+        ]
+        assert results.count(True) >= 10 and not all(results)
+
+    def test_battery_kernel_matches_reference(self):
+        rng = np.random.default_rng(35)
+        starts = [np.eye(4)[i] for i in range(4)]
+        starts += list(rng.dirichlet(np.ones(4), size=20))
+        starts += [np.array([0.0, *rng.dirichlet(np.ones(3))]) for _ in range(5)]
+        for p0 in starts:
+            for x in (0.0, 1e-300, 1e-12, 1e-3, 0.5, 1.0, 10.0, 50.0, 800.0):
+                expected = _battery_transient_reference(p0, 1.0, x)
+                for start in (p0, tuple(p0.tolist())):
+                    got = battery_transient(start, 1.0, x)
+                    assert [p.hex() for p in got] == [
+                        float(p).hex() for p in expected
+                    ], (p0, x)
+        # Starts the clip pushes out of 0.97–1.03, and a NaN rate.
+        for p0, rate, t in (
+            ((1.05, -0.05, 0.0, 0.0), 1.0, 0.0),
+            ((1.0, 0.0, 0.0, 0.0), math.nan, 1.0),
+        ):
+            with pytest.raises(MarkovModelError) as info:
+                _battery_transient_reference(p0, rate, t)
+            with pytest.raises(MarkovModelError, match=re.escape(str(info.value))):
+                battery_transient(p0, rate, t)
+
+    def test_renormalised_matches_reference(self):
+        rng = np.random.default_rng(36)
+        cases = [[0.25, 0.25, 0.25, 0.25], [-0.0, 1.0, 0.0, -1e-17], [1.02, -0.01, 0.0]]
+        cases += [(rng.dirichlet(np.ones(k)) + rng.normal(0.0, 1e-3, k)).tolist()
+                  for k in (2, 3, 4, 13) for _ in range(10)]
+        for pt in cases:
+            got = renormalised(pt)
+            assert [p.hex() for p in got] == [
+                float(p).hex() for p in _renormalised_reference(pt)
+            ], pt
+        for pt in ([0.5, 0.4, 0.0], [0.7, 0.7], [math.nan, 1.0], [1.1, -0.2]):
+            with pytest.raises(MarkovModelError) as info:
+                _renormalised_reference(pt)
+            with pytest.raises(MarkovModelError, match=re.escape(str(info.value))):
+                renormalised(pt)
+
+    @pytest.mark.parametrize(
+        "p0",
+        [[0.7, 0.7, 0.0, 0.0], [1.0 + 1.2e-5, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0],
+         [[1.0, 0.0], [0.0, 0.0]], [1.0 + 0.9e-5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    )
+    def test_start_checks_match_reference(self, p0):
+        for start in (p0, np.array(p0), tuple(p0)):
+            try:
+                expected = _checked_start_reference(start, 4)
+            except MarkovModelError as exc:
+                with pytest.raises(MarkovModelError, match=re.escape(str(exc))):
+                    checked_start(start, 4)
+            else:
+                assert list(checked_start(start, 4)) == expected

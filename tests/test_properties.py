@@ -3,6 +3,10 @@
 
 import numpy as np
 import pytest
+# ``ContinuousMarkovChain.transient`` imports ``scipy.linalg.expm`` lazily.
+# Importing it here keeps that first import out of the first example, which
+# Hypothesis would otherwise time against its 200 ms deadline.
+import scipy.linalg  # noqa: F401
 from hypothesis import given, settings, strategies as st
 
 from repro.geo import EnuFrame, GeoPoint

@@ -226,8 +226,8 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
         )
         assert proc.stdout.split() == [], "scipy imported on the cold path"
 
-    #: Fig. 5 drives the scalar SafeDrones monitor; ten UAVs take the
-    #: batched assurance plane (``BatchSafeDrones``).
+    #: Fig. 5 drives the SafeDrones monitor; ten UAVs take the batched
+    #: assurance plane, which runs one monitor per UAV.
     RUN_PROBE = """
 import sys
 from repro.experiments.fig5_battery import run_fig5_battery_experiment

@@ -1,8 +1,8 @@
 """Invariants of the hot-path records and the cached ENU frame.
 
 The per-step records (``GeoPoint``, ``GpsFix``, ``Telemetry``,
-``Message``, ``SpoofVerdict``) are ``typing.NamedTuple`` classes that
-replaced frozen dataclasses. What the dataclasses promised still holds:
+``Message``, ``SpoofVerdict``, ``ReliabilityAssessment``) are
+``typing.NamedTuple`` classes that replaced frozen dataclasses. What the dataclasses promised still holds:
 the same fields in the same order with the same defaults, the same
 ``repr``, equal records hashing equally, no attribute assignment, and
 pickling and copying. Retained telemetry holds no mutable object the
@@ -27,6 +27,7 @@ import pytest
 from repro.experiments.common import build_three_uav_world
 from repro.geo import EARTH_RADIUS_M, EnuFrame, GeoPoint
 from repro.middleware.rosbus import Message
+from repro.safedrones.monitor import ReliabilityAssessment, ReliabilityLevel
 from repro.security.spoofing import SpoofVerdict
 from repro.uav.sensors import GpsFix, GpsSensor
 from repro.uav.uav import Telemetry
@@ -39,6 +40,9 @@ TELEMETRY = Telemetry(
 )
 MESSAGE = Message("/uav1/telemetry", "payload", "uav1", "uav1", 7, 4.5)
 VERDICT = SpoofVerdict(False, 0.25, 3.0, 0.125, 2.5, 0, 4.5)
+ASSESSMENT = ReliabilityAssessment(
+    4.5, 0.25, 0.125, 0.0625, 0.03125, ReliabilityLevel.MEDIUM, True, False,
+)
 
 #: record, the frozen dataclass's field names in declaration order, its
 #: defaults, and the repr it printed.
@@ -82,6 +86,18 @@ RECORDS = [
         "SpoofVerdict(spoofed=False, innovation_m=0.25, threshold_m=3.0, "
         "cumulative_divergence_m=0.125, cumulative_threshold_m=2.5, "
         "consecutive_hits=0, stamp=4.5)",
+    ),
+    (
+        ASSESSMENT,
+        [
+            "stamp", "failure_probability", "battery_pof", "propulsion_pof",
+            "processor_pof", "level", "battery_fault_detected", "abort_recommended",
+        ],
+        {},
+        "ReliabilityAssessment(stamp=4.5, failure_probability=0.25, "
+        "battery_pof=0.125, propulsion_pof=0.0625, processor_pof=0.03125, "
+        "level=<ReliabilityLevel.MEDIUM: 'medium'>, battery_fault_detected=True, "
+        "abort_recommended=False)",
     ),
 ]
 IDS = [type(record).__name__ for record, *_ in RECORDS]

@@ -17,6 +17,7 @@ from repro.safedrones.monitor import (
     ReliabilityLevel,
     SafeDronesMonitor,
 )
+from repro.safedrones import propulsion
 from repro.safedrones.processor import ProcessorReliabilityModel
 from repro.safedrones.propulsion import (
     MotorChain,
@@ -183,7 +184,7 @@ class TestBatteryReliability:
         model = BatteryReliabilityModel()
         model.update(0.0, 0.3, 70.0)
         model.update(500.0, 0.3, 70.0)
-        assert model.distribution.sum() == pytest.approx(1.0)
+        assert sum(model.distribution) == pytest.approx(1.0)
 
 
 RATE = BatteryReliabilityModel().base_rate_per_s
@@ -403,7 +404,9 @@ class TestMotorTransientKernel:
             motor_transient(chain, np.eye(len(q))[0], 1.0)
 
     def test_model_never_falls_back_to_expm(self):
-        model = PropulsionModel(rotor_count=6)
+        # Models with equal parameters share one PoF memo, so these are
+        # parameters no other model uses: the query below is a miss.
+        model = PropulsionModel(rotor_count=6, failure_rate_per_hour=1.25e-3)
         model.chain = ContinuousMarkovChain(
             states=["ok_6", "ok_5", "failed"],
             q=np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]),
@@ -411,6 +414,29 @@ class TestMotorTransientKernel:
         )
         with pytest.raises(MarkovModelError, match="not a motor chain"):
             model.failure_probability(600.0)
+
+
+    def test_equal_parameters_share_chain_and_memo(self, monkeypatch):
+        solves = []
+
+        def counting_transient(chain, p0, t):
+            solves.append(t)
+            return motor_transient(chain, p0, t)
+
+        monkeypatch.setattr(propulsion, "motor_transient", counting_transient)
+        first = PropulsionModel(rotor_count=8, reconfig_success=0.75)
+        second = PropulsionModel(rotor_count=8, reconfig_success=0.75)
+        other = PropulsionModel(rotor_count=8, reconfig_success=0.5)
+        assert first.chain is second.chain
+        assert other.chain is not first.chain
+        pof = first.failure_probability(1234.5)
+        assert second.failure_probability(1234.5) == pof
+        assert solves == [1234.5]
+        second.record_motor_failure()
+        assert second.failure_probability(1234.5) != pof
+        assert first.failure_probability(1234.5) == pof
+        assert other.failure_probability(1234.5) != pof
+        assert solves == [1234.5] * 3
 
 
 class TestProcessor:
