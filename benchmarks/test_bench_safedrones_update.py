@@ -67,18 +67,19 @@ def replay(make_monitor, profile) -> tuple[float, list[float]]:
     """Best-of-REPEATS µs per update, and the PoF curve."""
     best = float("inf")
     for _ in range(REPEATS):
-        monitor = make_monitor()
-        update = monitor.update
+        update = make_monitor().update
+        assessments = []
+        keep = assessments.append
         gc.disable()
         try:
             start = time.perf_counter()
             for now, soc, temp in profile:
-                update(now, soc, temp)
+                keep(update(now, soc, temp))
             elapsed = time.perf_counter() - start
         finally:
             gc.enable()
         best = min(best, elapsed / len(profile) * 1e6)
-    return best, [a.failure_probability for a in monitor.history]
+    return best, [a.failure_probability for a in assessments]
 
 
 def compare():

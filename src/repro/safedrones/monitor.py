@@ -86,7 +86,9 @@ class SafeDronesMonitor:
     propulsion: PropulsionModel = None  # type: ignore[assignment]
     _last_soc: float | None = field(default=None, repr=False)
     battery_fault_detected: bool = False
-    history: list[ReliabilityAssessment] = field(default_factory=list)
+    #: The most recent assessment, or None before the first update. Only
+    #: the newest is kept: a monitor runs on every tick of a mission.
+    latest: ReliabilityAssessment | None = None
 
     def __post_init__(self) -> None:
         if self.propulsion is None:
@@ -147,10 +149,5 @@ class SafeDronesMonitor:
             self.battery_fault_detected,
             total_pof >= self.pof_abort_threshold,
         )
-        self.history.append(assessment)
+        self.latest = assessment
         return assessment
-
-    @property
-    def latest(self) -> ReliabilityAssessment | None:
-        """The most recent assessment, or None before the first update."""
-        return self.history[-1] if self.history else None

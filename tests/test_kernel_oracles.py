@@ -1226,6 +1226,7 @@ def _monitor_update_reference(
 
 class _MonitorReference(SafeDronesMonitor):
     def __post_init__(self) -> None:
+        self.history = []
         loss_tree = OrGate(
             name="uav_loss",
             children=[
@@ -1307,7 +1308,7 @@ def _random_safedrones_run(seed: int) -> None:
         reported = None if rng.random() < 0.2 else motors
         assessed += _feed_both(monitor, reference, now, soc, temp, reported)
     assert assessed == 400
-    assert monitor.history[-1].failure_probability > 0.0
+    assert monitor.latest.failure_probability > 0.0
 
 
 class TestSafeDronesMatchesReference:
@@ -1319,10 +1320,12 @@ class TestSafeDronesMatchesReference:
     def test_fig5_arms(self, fig5, arm):
         trace = getattr(fig5, arm)
         monitor, reference = _safedrones_pair(pof_abort_threshold=0.9)
+        pof = []
         for sample in zip(trace.times, trace.soc, trace.temp_c):
             assert _feed_both(monitor, reference, *sample)
+            pof.append(monitor.latest.failure_probability)
         assert monitor.battery_fault_detected
-        assert [a.failure_probability for a in monitor.history] == trace.pof
+        assert pof == trace.pof
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_profiles_with_motor_and_cell_faults(self, seed):
@@ -1330,16 +1333,15 @@ class TestSafeDronesMatchesReference:
 
     def test_first_update_and_zero_dt(self):
         monitor, reference = _safedrones_pair(rotor_count=6)
+        assert _feed_both(monitor, reference, 5.0, 0.9, 30.0, None)
+        assert monitor.latest.battery_pof == monitor.latest.processor_pof == 0.0
         for sample in [
-            (5.0, 0.9, 30.0, None),
             (5.0, 0.9, 31.0, 1),
             (5.0, 0.5, 80.0, 1),  # a cell fault at dt == 0
             (5.5, 0.5, 80.0, 2),
             (5.5, 0.5, 80.0, 2),
         ]:
             assert _feed_both(monitor, reference, *sample)
-        first = monitor.history[0]
-        assert first.battery_pof == first.processor_pof == 0.0
 
     def test_time_going_backwards(self):
         monitor, reference = _safedrones_pair()

@@ -524,12 +524,13 @@ class TestSafeDronesMonitor:
         assert assessment.abort_recommended
         assert assessment.failure_probability >= 0.9
 
-    def test_history_accumulates(self):
+    def test_latest_is_the_newest_assessment(self):
         monitor = SafeDronesMonitor(uav_id="u")
+        assert monitor.latest is None
         for t in range(5):
-            monitor.update(float(t), 0.9, 25.0)
-        assert len(monitor.history) == 5
-        assert monitor.latest is monitor.history[-1]
+            assessment = monitor.update(float(t), 0.9, 25.0)
+            assert monitor.latest is assessment
+        assert monitor.latest.stamp == 4.0
 
     def test_fault_tree_combines_components(self):
         monitor = SafeDronesMonitor(uav_id="u")
@@ -539,7 +540,7 @@ class TestSafeDronesMonitor:
 
     def test_monitor_is_freed_without_the_cycle_collector(self):
         # The fault tree holds the models, not the monitor, so a monitor
-        # and its history go as soon as the last reference does.
+        # and its assessments go as soon as the last reference does.
         monitor = SafeDronesMonitor(uav_id="u")
         for t in range(5):
             monitor.update(float(t), 0.9, 25.0)
