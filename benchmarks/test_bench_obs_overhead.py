@@ -43,7 +43,6 @@ def _bare_publish(self, topic, data, sender, origin=None, stamp=None):
         if replaced is None:
             return None
         message = replaced
-    self.traffic.record(message)
     for sub in list(self._subs.get(topic, ())):
         if sub.active:
             sub.callback(message)

@@ -136,7 +136,6 @@ class SwarmMissionDecider:
     """
 
     squads: dict[str, SquadConSert] = field(default_factory=dict)
-    history: list[SwarmDecision] = field(default_factory=list)
 
     def add_squad(self, squad: SquadConSert) -> None:
         self.squads[squad.squad_id] = squad
@@ -187,11 +186,9 @@ class SwarmMissionDecider:
         }
         mission = self._mission_consert().evaluate()
         assert mission is not None
-        decision = SwarmDecision(
+        return SwarmDecision(
             verdict=mission.name,
             squad_guarantees=guarantees,
             tasking_squads=[s for s, g in guarantees.items() if g in TASKING],
             lost_squads=[s for s, g in guarantees.items() if g == SQUAD_LOST],
         )
-        self.history.append(decision)
-        return decision

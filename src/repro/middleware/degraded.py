@@ -134,9 +134,10 @@ def _pair(a: str, b: str) -> tuple[str, str]:
 class DegradedBus(RosBus):
     """A ``RosBus`` whose deliveries traverse per-pair degraded links.
 
-    Transport semantics: ``publish`` runs interceptors and records the
-    message in the traffic log exactly like ``RosBus`` (the IDS sees what
-    the transmitter put on the air), then each subscriber's copy crosses
+    Transport semantics: ``publish`` runs the interceptors once per
+    message exactly like ``RosBus`` (an IDS interceptor sees what the
+    transmitter put on the air, lost copies included), then each
+    subscriber's copy crosses
     the link between the message's true ``origin`` node and the
     subscriber's node. Pairs without a configured :class:`LinkModel` (and
     self-delivery) are perfect — so a bare ``DegradedBus`` is byte-for-byte
@@ -263,7 +264,6 @@ class DegradedBus(RosBus):
         message = self._intercept(message)
         if message is None:
             return None
-        self.traffic.record(message)
         obs_on = OBS.enabled
         if obs_on:
             OBS.metrics.inc("bus_published_total", topic=topic)

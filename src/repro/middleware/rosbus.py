@@ -7,8 +7,10 @@ surface that the spoofing attack uses, the bus performs **no
 authentication**: any node handle may publish to any topic. Every
 delivered message carries provenance metadata (claimed sender, true
 origin, sequence number, timestamp) that the intrusion-detection system
-inspects — mirroring how a network IDS sees packet headers that
-application code does not.
+inspects from an interceptor — mirroring how a network IDS sees packet
+headers that application code does not. The bus itself keeps no message:
+once ``publish`` returns, a message lives on only where a subscriber or
+an interceptor stored it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from repro.obs import OBS
 
@@ -68,43 +70,6 @@ class Subscription:
         self.callback = _unsubscribed
 
 
-class TrafficLog:
-    """Bounded chronological record of all bus traffic.
-
-    This is the vantage point of the network IDS: it sees transport-level
-    provenance (``origin``) that application subscribers do not.
-    """
-
-    def __init__(self, capacity: int = 100_000) -> None:
-        self._capacity = capacity
-        self._messages: list[Message] = []
-        #: Messages dropped by eviction so far; with ``len(self)`` it gives
-        #: the absolute count of messages ever recorded.
-        self.evicted = 0
-
-    def record(self, message: Message) -> None:
-        """Append a message, evicting the oldest half when over capacity."""
-        self._messages.append(message)
-        if len(self._messages) > self._capacity:
-            dropped = self._capacity // 2
-            del self._messages[:dropped]
-            self.evicted += dropped
-
-    def after(self, count: int) -> list[Message]:
-        """Messages recorded after the first ``count`` ever recorded.
-
-        ``count`` is absolute, so it stays valid across evictions; messages
-        already evicted are gone and are not returned.
-        """
-        return self._messages[max(0, count - self.evicted) :]
-
-    def __len__(self) -> int:
-        return len(self._messages)
-
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self._messages)
-
-
 class RosBus:
     """Topic-based publish/subscribe bus shared by all agents in a simulation.
 
@@ -117,7 +82,6 @@ class RosBus:
         self._subs: dict[str, list[Subscription]] = defaultdict(list)
         self._seq = itertools.count()
         self._interceptors: list[Callable[[Message], Message | None]] = []
-        self.traffic = TrafficLog()
         self.clock = 0.0
 
     def advance_clock(self, now: float) -> None:
@@ -133,10 +97,14 @@ class RosBus:
         return sub
 
     def add_interceptor(self, fn: Callable[[Message], "Message | None"]) -> None:
-        """Install a transport-level interceptor (the swarm's message census is one).
+        """Install a transport-level interceptor (the swarm's message census
+        and the IDS are two).
 
-        Interceptors run in installation order; each may return a replacement
-        message or ``None`` to drop the message entirely.
+        Interceptors run in installation order, before any subscriber; each
+        may return a replacement message or ``None`` to drop the message
+        entirely. An interceptor therefore sees each message as the ones
+        installed before it left it, and cannot tell whether a later one
+        drops it.
         """
         self._interceptors.append(fn)
 
@@ -154,8 +122,8 @@ class RosBus:
         delivered message, or ``None`` if an interceptor dropped it.
 
         Observability contract (when :data:`repro.obs.OBS` is enabled):
-        ``bus_published_total{topic}`` counts exactly the messages the
-        traffic log records — interceptor-dropped messages count under
+        ``bus_published_total{topic}`` counts exactly the messages that
+        pass every interceptor — interceptor-dropped messages count under
         ``bus_dropped_total{topic, reason=intercepted}`` instead, and
         never both. ``bus_delivered_total{topic}`` counts subscriber
         callbacks actually invoked (inactive subscriptions receive, and
@@ -173,7 +141,6 @@ class RosBus:
             message = self._intercept(message)
             if message is None:
                 return None
-        self.traffic.record(message)
         obs_on = OBS.enabled
         if obs_on:
             OBS.metrics.inc("bus_published_total", topic=topic)
@@ -192,7 +159,7 @@ class RosBus:
         """Publish a batch of ``(topic, data, sender)`` honest messages.
 
         Semantically identical to calling :meth:`publish` once per item in
-        order (same messages, sequence numbers, traffic log, and
+        order (same messages, sequence numbers, interceptor calls and
         subscriber callbacks); exists because per-call overhead dominates
         when the vectorized fleet engine emits fleet-size telemetry
         batches every step. Subclasses that override :meth:`publish`
@@ -203,10 +170,6 @@ class RosBus:
                 self.publish(topic, data, sender, None, stamp)
             return
         interceptors = self._interceptors
-        traffic = self.traffic
-        record = traffic.record
-        log_append = traffic._messages.append
-        log_roomy = len(traffic._messages) + len(items) <= traffic._capacity
         subs_map = self._subs
         seq = self._seq
         obs_on = OBS.enabled
@@ -216,12 +179,6 @@ class RosBus:
                 message = self._intercept(message)
                 if message is None:
                     continue
-            if log_roomy:
-                # Same outcome as record(); skips its capacity check when
-                # this whole batch provably fits.
-                log_append(message)
-            else:
-                record(message)
             if obs_on:
                 OBS.metrics.inc("bus_published_total", topic=topic)
             subs = subs_map.get(topic)

@@ -91,7 +91,6 @@ class CommLinkMonitor:
     window_size: int = 50
     ok_threshold: float = 0.85
     outcomes: list[bool] = field(default_factory=list)
-    history: list[LinkAssessment] = field(default_factory=list)
 
     def record(self, delivered: bool) -> None:
         """Record one packet outcome."""
@@ -105,11 +104,9 @@ class CommLinkMonitor:
             ratio = 1.0
         else:
             ratio = sum(self.outcomes) / len(self.outcomes)
-        assessment = LinkAssessment(
+        return LinkAssessment(
             stamp=now,
             delivery_ratio=ratio,
             estimated_bad=ratio < self.ok_threshold,
             link_ok=ratio >= self.ok_threshold,
         )
-        self.history.append(assessment)
-        return assessment

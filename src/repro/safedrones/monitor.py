@@ -40,14 +40,15 @@ class ReliabilityLevel(enum.Enum):
         if not 0.0 <= pof <= 1.0:
             raise ValueError(f"probability of failure out of range: {pof}")
         if pof < medium_at:
-            return cls.HIGH
+            return _HIGH
         if pof < low_at:
-            return cls.MEDIUM
-        return cls.LOW
+            return _MEDIUM
+        return _LOW
 
 
 #: Bound once: on Python 3.11 every attribute lookup on an Enum class goes
 #: through ``EnumType.__getattr__``, which costs as much as the mapping.
+_HIGH, _MEDIUM, _LOW = ReliabilityLevel.HIGH, ReliabilityLevel.MEDIUM, ReliabilityLevel.LOW
 _level_of = ReliabilityLevel.from_failure_probability
 
 

@@ -5,6 +5,12 @@ level traffic (where per-message origin is visible, like source addresses
 in real packet captures) and "publishes alerts upon detecting suspicious
 activity" to MQTT topics that Security EDDIs subscribe to.
 
+The IDS is a bus interceptor: it queues each message as it passes and
+hands it back unchanged, and ``scan`` checks the queue. It therefore sees
+traffic as it leaves the interceptors installed before it (a
+man-in-the-middle installed earlier shows its rewrite; one installed
+later acts unseen), and nothing published before it was built.
+
 Built-in rules:
 
 ``provenance``
@@ -21,7 +27,7 @@ Built-in rules:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 from repro.middleware.rosbus import Message, RosBus
@@ -50,18 +56,29 @@ class IdsRule:
 
 @dataclass
 class IntrusionDetectionSystem:
-    """Scans new bus traffic each step and publishes alerts to the broker."""
+    """Scans new bus traffic each step and publishes alerts to the broker.
 
-    bus: RosBus
+    ``bus`` is not kept: the IDS installs its interceptor on it and holds
+    only the messages published since the last scan.
+    """
+
+    bus: InitVar[RosBus]
     broker: MqttBroker
     known_nodes: set[str] = field(default_factory=set)
     rate_limits_hz: dict[str, float] = field(default_factory=dict)
     custom_rules: list[IdsRule] = field(default_factory=list)
     rate_window_s: float = 2.0
     alerts: list[Alert] = field(default_factory=list)
-    #: Absolute count of bus messages scanned so far (see TrafficLog.after).
-    _cursor: int = 0
+    _pending: list[Message] = field(default_factory=list)
     _recent: dict[str, list[float]] = field(default_factory=lambda: defaultdict(list))
+
+    def __post_init__(self, bus: RosBus) -> None:
+        bus.add_interceptor(self._observe)
+
+    def _observe(self, message: Message) -> Message:
+        """Interceptor: queue ``message`` for the next scan, pass it on."""
+        self._pending.append(message)
+        return message
 
     def register_node(self, node: str) -> None:
         """Declare a legitimate fleet node (UAV, GCS, platform service)."""
@@ -69,11 +86,9 @@ class IntrusionDetectionSystem:
 
     # ----------------------------------------------------------------- scan
     def scan(self, now: float) -> list[Alert]:
-        """Inspect traffic recorded since the previous scan."""
+        """Inspect traffic published since the previous scan."""
         new_alerts: list[Alert] = []
-        traffic = self.bus.traffic
-        messages = traffic.after(self._cursor)
-        self._cursor = traffic.evicted + len(traffic)
+        messages, self._pending = self._pending, []
         for message in messages:
             new_alerts.extend(self._check_message(message))
             new_alerts.extend(self._check_rate(message, now))

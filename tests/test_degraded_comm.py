@@ -19,6 +19,7 @@ from repro.core.uav_network import UavGuarantee
 from repro.experiments.common import build_three_uav_world
 from repro.middleware.degraded import DegradedBus, LinkModel
 from repro.middleware.reliable import ReliableChannel
+from repro.middleware.rosbus import RosBus
 from repro.safedrones.communication import GilbertElliottChannel
 from repro.sar.coverage import boustrophedon_path
 from repro.uav.faults import (
@@ -35,14 +36,12 @@ MISSION_CAPABLE = (
 )
 
 
-def _traffic_fingerprint(bus):
-    return [
-        (m.topic, m.sender, m.origin, m.seq, m.stamp, m.data) for m in bus.traffic
-    ]
+def _run_fleet_mission(bus, record_traffic, seed=11, steps=120):
+    """The standard three-UAV coverage setup stepped for a fixed horizon.
 
-
-def _run_fleet_mission(bus, seed=11, steps=120):
-    """The standard three-UAV coverage setup stepped for a fixed horizon."""
+    Returns the world and a fingerprint of every message its bus carried.
+    """
+    traffic = record_traffic(bus)
     scenario = build_three_uav_world(seed=seed, n_persons=4, bus=bus)
     world = scenario.world
     for i, uav in enumerate(world.uavs.values()):
@@ -50,15 +49,14 @@ def _run_fleet_mission(bus, seed=11, steps=120):
         uav.start_mission(boustrophedon_path(strip, 20.0))
     for _ in range(steps):
         world.step()
-    return world
+    return world, [(m.topic, m.sender, m.origin, m.seq, m.stamp, m.data) for m in traffic]
 
 
 class TestDegradedBusEquivalence:
-    def test_zero_loss_byte_for_byte_equivalent_to_rosbus(self):
+    def test_zero_loss_byte_for_byte_equivalent_to_rosbus(self, record_traffic):
         """Criterion (a): an unconfigured DegradedBus is a perfect RosBus."""
-        world_ref = _run_fleet_mission(None)  # World's stock RosBus
-        world_deg = _run_fleet_mission(DegradedBus())
-        ref, deg = _traffic_fingerprint(world_ref.bus), _traffic_fingerprint(world_deg.bus)
+        world_ref, ref = _run_fleet_mission(RosBus(), record_traffic)
+        world_deg, deg = _run_fleet_mission(DegradedBus(), record_traffic)
         assert len(ref) > 100
         assert deg == ref
         for uav_id in world_ref.uavs:
@@ -66,16 +64,14 @@ class TestDegradedBusEquivalence:
                 world_deg.uavs[uav_id].trajectory == world_ref.uavs[uav_id].trajectory
             )
 
-    def test_zero_loss_with_perfect_links_still_equivalent(self):
+    def test_zero_loss_with_perfect_links_still_equivalent(self, record_traffic):
         """Explicit all-pass links change nothing either."""
         bus = DegradedBus()
         bus.set_link("uav1", "uav2", LinkModel())
         bus.set_link("uav2", "uav3", LinkModel())
-        world_deg = _run_fleet_mission(bus)
-        world_ref = _run_fleet_mission(None)
-        assert _traffic_fingerprint(world_deg.bus) == _traffic_fingerprint(
-            world_ref.bus
-        )
+        _, deg = _run_fleet_mission(bus, record_traffic)
+        _, ref = _run_fleet_mission(RosBus(), record_traffic)
+        assert deg == ref
 
     def test_subscribers_and_interceptors_keep_working(self):
         bus = DegradedBus()
@@ -162,13 +158,14 @@ class TestDegradedBusTransport:
         bus.publish("/t", 2, sender="a")
         assert [m.data for m in received] == [2]
 
-    def test_lossy_link_drops_subscriber_copies(self):
+    def test_lossy_link_drops_subscriber_copies(self, record_traffic):
         bus, link, received = self._bus_with_pair(
             rng=np.random.default_rng(0), loss_probability=1.0
         )
+        traffic = record_traffic(bus)
         bus.publish("/t", 1, sender="a")
         assert received == []
-        assert len(bus.traffic) == 1  # the IDS still saw the transmission
+        assert len(traffic) == 1  # an IDS still sees the transmission
 
     def test_delayed_copy_arrives_on_advance_clock(self):
         bus, link, received = self._bus_with_pair(latency_s=1.0)

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.common import build_three_uav_world
+from repro.middleware.rosbus import RosBus
 from repro.sar.mission import SarMission
 from repro.scenario import load_scenario
 
@@ -158,18 +159,20 @@ def test_sar_mission_detections_identical(n_uavs):
     _assert_states_close(scalar_run[3], vector_run[3], tol=0.0, where="final")
 
 
-def test_telemetry_streams_identical():
+def test_telemetry_streams_identical(record_traffic):
     """Both engines put the same telemetry on the bus, message for message.
 
     The vectorized engine batches construction and publishing
-    (``RosBus.publish_many``); subscribers and the traffic log must not
-    be able to tell. Compares topic, sender, seq, stamp, and the full
+    (``RosBus.publish_many``); subscribers and interceptors must not be
+    able to tell. Compares topic, sender, seq, stamp, and the full
     fix/velocity payload of every recorded message.
     """
 
     def run(engine: str):
+        bus = RosBus()
+        traffic = record_traffic(bus)
         scenario = build_three_uav_world(
-            seed=7, n_persons=0, n_uavs=3, engine=engine
+            seed=7, n_persons=0, n_uavs=3, engine=engine, bus=bus
         )
         world = scenario.world
         for uav in world.uavs.values():
@@ -192,7 +195,7 @@ def test_telemetry_streams_identical():
                     else None
                 ),
             )
-            for m in world.bus.traffic
+            for m in traffic
         ]
 
     assert run("scalar") == run("vectorized")

@@ -183,14 +183,15 @@ class TestZeroUavWorld:
     """
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
-    def test_step_advances_clocks_only(self, engine):
+    def test_step_advances_clocks_only(self, engine, record_traffic):
         world = World(engine=engine)
+        traffic = record_traffic(world.bus)
         assert world.uavs == {}
         for expected_steps in range(1, 6):
             now = world.step()
             assert now == pytest.approx(expected_steps * world.dt)
             assert world.bus.clock == now
-        assert len(world.bus.traffic) == 0
+        assert traffic == []
 
     def test_stepping_to_a_horizon_terminates(self):
         world = World(engine="vectorized")

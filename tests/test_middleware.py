@@ -3,7 +3,7 @@
 import pytest
 
 from repro.middleware.attacks import SpoofingAttack
-from repro.middleware.rosbus import Message, RosBus, TrafficLog
+from repro.middleware.rosbus import Message, RosBus
 
 
 @pytest.fixture
@@ -53,11 +53,12 @@ class TestRosBus:
         message = bus.publish("/t", 1, sender="uav1", origin="attacker")
         assert message.is_forged
 
-    def test_traffic_log_records_everything(self, bus):
+    def test_recording_interceptor_sees_everything(self, bus, record_traffic):
+        traffic = record_traffic(bus)
         bus.subscribe("/t", "n", lambda m: None)
         for i in range(5):
             bus.publish("/t", i, sender="s")
-        assert len(bus.traffic) == 5
+        assert [m.data for m in traffic] == list(range(5))
 
     def test_stamp_follows_clock(self, bus):
         bus.advance_clock(42.0)
@@ -70,49 +71,17 @@ class TestRosBus:
         sub.unsubscribe()
         assert bus.topics() == ["/a"]
 
-    def test_interceptor_can_drop_messages(self, bus):
+    def test_interceptor_can_drop_messages(self, bus, record_traffic):
         received = []
         bus.subscribe("/t", "n", received.append)
         bus.add_interceptor(lambda m: None)
+        traffic = record_traffic(bus)
         result = bus.publish("/t", 1, sender="s")
         assert result is None
         assert received == []
-        assert len(bus.traffic) == 0
+        assert traffic == []
 
-    def test_traffic_log_capacity_eviction(self):
-        bus = RosBus()
-        bus.traffic._capacity = 10
-        for i in range(11):
-            bus.publish("/t", i, sender="s")
-        # Crossing capacity evicts the oldest half in one batch: 0..4 go,
-        # 5..10 survive in their original order.
-        assert [m.data for m in bus.traffic] == [5, 6, 7, 8, 9, 10]
-        # The log refills until it crosses capacity again (at data=15),
-        # then evicts another oldest-half batch.
-        for i in range(11, 15):
-            bus.publish("/t", i, sender="s")
-        assert len(bus.traffic) == 10
-        bus.publish("/t", 15, sender="s")
-        assert [m.data for m in bus.traffic] == list(range(10, 16))
-
-    def test_traffic_log_after_counts_evicted_messages(self):
-        log = TrafficLog(capacity=10)
-        bus = RosBus()
-        bus.traffic = log
-        for i in range(11):
-            bus.publish("/t", i, sender="s")
-        assert log.evicted == 5
-        # Absolute counts: the first 8 messages ever recorded are 0..7.
-        assert [m.data for m in log.after(8)] == [8, 9, 10]
-        assert log.after(11) == []
-        # Counts inside the evicted prefix return what survives.
-        assert [m.data for m in log.after(2)] == [5, 6, 7, 8, 9, 10]
-        # publish_many's direct append leaves the eviction count alone.
-        bus.publish_many([("/t", 11, "s"), ("/t", 12, "s")], stamp=0.0)
-        assert log.evicted == 5
-        assert [m.data for m in log.after(11)] == [11, 12]
-
-    def test_interceptors_run_in_order_and_drop_short_circuits(self):
+    def test_interceptors_run_in_order_and_drop_short_circuits(self, record_traffic):
         bus = RosBus()
         received, calls = [], []
         bus.subscribe("/t", "n", received.append)
@@ -131,14 +100,16 @@ class TestRosBus:
 
         bus.add_interceptor(replace)
         bus.add_interceptor(drop_odd)
+        traffic = record_traffic(bus)
         kept = bus.publish("/t", 2, sender="uav1")
         # The second interceptor saw the first one's replacement...
         assert kept.data == 102 and kept.origin == "mitm"
         dropped = bus.publish("/t", 3, sender="uav1")
         assert dropped is None
-        # ...and a drop hides the message from subscribers AND the log.
+        # ...and a drop hides the message from subscribers AND from every
+        # interceptor installed after the dropping one.
         assert [m.data for m in received] == [102]
-        assert [m.data for m in bus.traffic] == [102]
+        assert [m.data for m in traffic] == [102]
         assert calls == ["replace", "drop", "replace", "drop"]
 
     def test_drop_before_replace_never_reaches_second_interceptor(self):
@@ -185,7 +156,8 @@ class TestRosBus:
 
 
 class TestSpoofingAttack:
-    def test_injects_forged_messages_in_window(self, bus):
+    def test_injects_forged_messages_in_window(self, bus, record_traffic):
+        traffic = record_traffic(bus)
         attack = SpoofingAttack(
             bus=bus,
             t_start=10.0,
@@ -198,28 +170,31 @@ class TestSpoofingAttack:
         )
         bus.advance_clock(11.0)
         attack.step(11.0)
-        forged = [m for m in bus.traffic if m.is_forged]
+        forged = [m for m in traffic if m.is_forged]
         assert forged
         assert all(m.sender == "uav1" and m.origin == "adv" for m in forged)
 
-    def test_no_injection_before_window(self, bus):
+    def test_no_injection_before_window(self, bus, record_traffic):
+        traffic = record_traffic(bus)
         attack = SpoofingAttack(bus=bus, t_start=10.0, name="adv", topic="/t")
         attack.step(5.0)
-        assert len(bus.traffic) == 0
+        assert traffic == []
 
-    def test_no_injection_after_window(self, bus):
+    def test_no_injection_after_window(self, bus, record_traffic):
+        traffic = record_traffic(bus)
         attack = SpoofingAttack(
             bus=bus, t_start=1.0, t_stop=2.0, name="adv", topic="/t"
         )
         attack.step(3.0)
-        assert len(bus.traffic) == 0
+        assert traffic == []
 
-    def test_rate_controls_message_count(self, bus):
+    def test_rate_controls_message_count(self, bus, record_traffic):
+        traffic = record_traffic(bus)
         attack = SpoofingAttack(
             bus=bus, t_start=0.0, name="adv", topic="/t", rate_hz=10.0
         )
         attack.step(1.0)  # 0.0 .. 1.0 at 10 Hz -> ~11 emissions
-        assert 9 <= len(bus.traffic) <= 12
+        assert 9 <= len(traffic) <= 12
 
 
 def publish_via(bus, mode, items):
@@ -237,18 +212,20 @@ class TestTransportInterceptors:
     ITEMS = [("/uav1/pose", "p1", "uav1"), ("/gcs/cmd", "c1", "gcs"), ("/uav1/pose", "p2", "uav1")]
 
     @pytest.mark.parametrize("mode", ["publish", "publish_many"])
-    def test_observer_sees_everything_and_changes_nothing(self, bus, mode):
-        seen, received = [], []
+    def test_observer_sees_everything_and_changes_nothing(self, bus, mode, record_traffic):
+        received = []
         bus.subscribe("/uav1/pose", "n", received.append)
-        bus.add_interceptor(lambda m: seen.append(m) or m)
+        seen = record_traffic(bus)
         publish_via(bus, mode, self.ITEMS)
         assert [m.data for m in seen] == ["p1", "c1", "p2"]
-        assert list(bus.traffic) == seen
+        assert [m.seq for m in seen] == [0, 1, 2]
         assert [m.data for m in received] == ["p1", "p2"]
         assert not any(m.is_forged for m in received)
 
     @pytest.mark.parametrize("mode", ["publish", "publish_many"])
-    def test_topic_scoped_rewrite_leaves_other_topics_untouched(self, bus, mode):
+    def test_topic_scoped_rewrite_leaves_other_topics_untouched(
+        self, bus, mode, record_traffic
+    ):
         poses, commands = [], []
         bus.subscribe("/uav1/pose", "n", poses.append)
         bus.subscribe("/gcs/cmd", "n", commands.append)
@@ -256,7 +233,8 @@ class TestTransportInterceptors:
             lambda m: m._replace(data=m.data.upper(), origin="mitm")
             if m.topic == "/uav1/pose" else m
         )
+        traffic = record_traffic(bus)
         publish_via(bus, mode, self.ITEMS)
         assert [(m.data, m.origin) for m in poses] == [("P1", "mitm"), ("P2", "mitm")]
         assert [(m.data, m.origin) for m in commands] == [("c1", "gcs")]
-        assert [m.seq for m in bus.traffic] == sorted(m.seq for m in bus.traffic)
+        assert [m.seq for m in traffic] == sorted(m.seq for m in traffic)

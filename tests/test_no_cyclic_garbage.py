@@ -12,7 +12,9 @@ The invariant: under ``gc.DEBUG_SAVEALL``, a second run of each entry
 point leaves ``gc.garbage`` empty. (The first run warms lazy imports and
 module-level memos.) A failure names the types left to the collector.
 The edge tests below check each broken back-reference on its own, with
-the collector off.
+the collector off, and the retention tests check that the bus itself
+keeps no message once ``publish`` returns: a run's traffic lives only
+where a subscriber or an interceptor (the IDS is one) stored it.
 """
 
 from __future__ import annotations
@@ -276,3 +278,116 @@ class TestBrokenEdges:
         assert _freed_by_refcount(build)
         bus.publish("/t", 1, sender="x")
         assert received == []
+
+    def test_intrusion_detection_system_and_its_bus(self):
+        from repro.middleware.rosbus import RosBus
+        from repro.security.broker import MqttBroker
+        from repro.security.ids import IntrusionDetectionSystem
+
+        def build():
+            bus, broker = RosBus(), MqttBroker()
+            ids = IntrusionDetectionSystem(bus=bus, broker=broker)
+            bus.publish("/t", 1, sender="uav1", origin="adversary")
+            assert ids.scan(0.0)
+            return bus, broker, ids
+
+        assert _freed_by_refcount(build)
+
+
+class _Payload:
+    """A weak-referenceable message payload."""
+
+    def __init__(self, odd: bool = False) -> None:
+        self.odd = odd
+
+
+def _rosbus():
+    from repro.middleware.rosbus import RosBus
+
+    return RosBus()
+
+
+def _degraded_bus():
+    from repro.middleware.degraded import DegradedBus
+
+    return DegradedBus()
+
+
+def _publish(bus, items):
+    for topic, data, sender in items:
+        bus.publish(topic, data, sender)
+
+
+def _publish_many(bus, items):
+    bus.publish_many(items, stamp=bus.clock)
+
+
+#: Every way a message enters a bus: (bus factory, publish).
+PUBLISH_PATHS = {
+    "publish": (_rosbus, _publish),
+    "publish_many": (_rosbus, _publish_many),
+    "degraded-publish": (_degraded_bus, _publish),
+}
+
+
+class TestBusRetention:
+    """Once ``publish`` returns, the bus holds no message nobody stored."""
+
+    @pytest.mark.parametrize("path", sorted(PUBLISH_PATHS))
+    @pytest.mark.parametrize("subscribed", [False, True], ids=["unsubscribed", "subscribed"])
+    def test_unread_payload_is_freed_when_publish_returns(self, path, subscribed):
+        make_bus, publish = PUBLISH_PATHS[path]
+        bus = make_bus()
+        if subscribed:
+            bus.subscribe("/t", "reader", lambda message: None)
+
+        def build():
+            payload = _Payload()
+            publish(bus, [("/t", payload, "uav1")])
+            return (payload,)
+
+        assert _freed_by_refcount(build)
+
+    @pytest.mark.parametrize("path", sorted(PUBLISH_PATHS))
+    def test_ids_sees_what_passes_the_interceptors_before_it(self, path):
+        """In ``seq`` order, as rewritten; drops before it hide a message,
+        drops after it do not, and a scan releases what it read."""
+        from repro.security.broker import MqttBroker
+        from repro.security.ids import IdsRule, IntrusionDetectionSystem
+
+        make_bus, publish = PUBLISH_PATHS[path]
+        bus = make_bus()
+        received, seen = [], []
+        bus.subscribe("/t", "reader", received.append)
+        bus.add_interceptor(
+            lambda m: None if m.data.odd else m._replace(origin="mitm")
+        )
+        ids = IntrusionDetectionSystem(
+            bus=bus,
+            broker=MqttBroker(),
+            custom_rules=[IdsRule("record", lambda m: seen.append(m))],
+        )
+        bus.add_interceptor(lambda m: None)  # installed after the IDS
+
+        payloads = [_Payload(odd=i % 2 == 1) for i in range(6)]
+        publish(bus, [("/t", p, "uav1") for p in payloads[:3]])
+        ids.scan(0.0)
+        publish(bus, [("/t", p, "uav1") for p in payloads[3:]])
+        ids.scan(1.0)
+
+        assert received == []
+        assert [m.data for m in seen] == payloads[0::2]
+        assert [m.seq for m in seen] == [0, 2, 4]
+        assert {m.origin for m in seen} == {"mitm"}
+        ids.scan(2.0)
+        assert len(seen) == 3  # each message is read once
+
+        refs = [weakref.ref(p) for p in payloads]
+        del payloads, seen[:]
+        gc_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            assert all(ref() is None for ref in refs)
+        finally:
+            if gc_was_on:
+                gc.enable()

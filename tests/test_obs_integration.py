@@ -38,28 +38,32 @@ def _clean_session():
 
 
 class TestBusMetricsAgreement:
-    """bus_published_total and the IDS traffic log must count the same."""
+    """bus_published_total counts exactly what a last interceptor sees."""
 
-    def test_spoofing_scenario_counts_agree_per_topic(self):
+    def test_spoofing_scenario_counts_agree_per_topic(self, record_traffic):
         config = json.loads((SCENARIOS / "spoofing_attack.json").read_text())
         with obs.isolated(enabled=True) as session:
             scenario = load_scenario(config)
+            traffic = record_traffic(scenario.world.bus)
             while scenario.world.time < 90.0:
                 scenario.step()
             counters = session.metrics.snapshot()["counters"]["bus_published_total"]
-        by_topic = Counter(m.topic for m in scenario.world.bus.traffic)
+        by_topic = Counter(m.topic for m in traffic)
         assert counters == {
             f"topic={topic}": float(n) for topic, n in by_topic.items()
         }
         # The attack window (60..90 s at 5 Hz) put forged traffic on the
-        # log, so the agreement covers adversarial publishes too.
-        assert any(m.is_forged for m in scenario.world.bus.traffic)
+        # bus, so the agreement covers adversarial publishes too.
+        assert any(m.is_forged for m in traffic)
 
-    def test_interceptor_drop_counts_once_and_skips_traffic_log(self):
+    def test_interceptor_drop_counts_once_and_skips_later_interceptors(
+        self, record_traffic
+    ):
         bus = RosBus()
         got = []
         bus.subscribe("/blocked", "node", got.append)
         bus.add_interceptor(lambda m: None if m.topic == "/blocked" else m)
+        traffic = record_traffic(bus)
         with obs.isolated(enabled=True) as session:
             assert bus.publish("/blocked", 1, sender="a") is None
             bus.publish("/ok", 1, sender="a")
@@ -69,11 +73,12 @@ class TestBusMetricsAgreement:
                 metrics, "bus_dropped_total", topic="/blocked", reason="intercepted"
             ) == 1.0
             assert counter(metrics, "bus_published_total", topic="/ok") == 1.0
-        assert [m.topic for m in bus.traffic] == ["/ok"]
+        assert [m.topic for m in traffic] == ["/ok"]
         assert got == []
 
-    def test_unsubscribed_inflight_copy_is_a_drop_not_a_delivery(self):
+    def test_unsubscribed_inflight_copy_is_a_drop_not_a_delivery(self, record_traffic):
         bus = DegradedBus()
+        traffic = record_traffic(bus)
         got = []
         sub = bus.subscribe("/t", "b", got.append)
         bus.set_link("a", "b", LinkModel(latency_s=1.0))
@@ -90,10 +95,11 @@ class TestBusMetricsAgreement:
         assert got == []
         assert bus.stats.delivered == 0
         assert bus.stats.dropped_unsubscribed == 1
-        assert len(bus.traffic) == 1  # the IDS still saw the transmission
+        assert len(traffic) == 1  # an IDS still sees the transmission
 
-    def test_delayed_delivery_counts_at_drain_time_with_latency(self):
+    def test_delayed_delivery_counts_at_drain_time_with_latency(self, record_traffic):
         bus = DegradedBus()
+        traffic = record_traffic(bus)
         got = []
         bus.subscribe("/t", "b", got.append)
         bus.set_link("a", "b", LinkModel(latency_s=1.0))
@@ -107,7 +113,7 @@ class TestBusMetricsAgreement:
             (series,) = hist.values()
             assert series["count"] == 1
             assert series["min"] >= 1.0  # measured at drain, not at publish
-        assert got == [[m for m in bus.traffic if m.topic == "/t"][0]]
+        assert got == [[m for m in traffic if m.topic == "/t"][0]]
 
 
 class TestEddiTransitionEvents:

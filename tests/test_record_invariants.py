@@ -156,18 +156,20 @@ def test_record_methods_survive():
     assert not MESSAGE.is_forged and MESSAGE._replace(origin="mitm").is_forged
 
 
-def test_retained_telemetry_holds_no_mutable_object():
-    """Every object a retained telemetry message reaches is a hot record or
-    untracked by the collector after one collection.
+def test_retained_telemetry_holds_no_mutable_object(record_traffic):
+    """Every object a telemetry message reaches is a hot record or untracked
+    by the collector after one collection, so a subscriber that keeps the
+    messages keeps no work for the cyclic GC beyond the records.
 
     The records themselves stay tracked: CPython untracks only exact
     tuples, never tuple subclasses. A mutable field (a list, a dict, a
     plain object) would be tracked as well and fail here.
     """
     world = build_three_uav_world(seed=1).world
+    traffic = record_traffic(world.bus)
     for _ in range(6):
         world.step()
-    retained = [m for m in world.bus.traffic if m.topic.endswith("/telemetry")]
+    retained = [m for m in traffic if m.topic.endswith("/telemetry")]
     assert len(retained) >= 6 * len(world.uavs)
     gc.collect()
     for message in retained:

@@ -91,7 +91,7 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError):
             load_scenario(config)
 
-    def test_ros_attack_injects_traffic(self):
+    def test_ros_attack_injects_traffic(self, record_traffic):
         config = dict(
             BASIC,
             attacks=[
@@ -100,9 +100,10 @@ class TestLoadScenario:
             ],
         )
         scenario = load_scenario(config)
+        traffic = record_traffic(scenario.world.bus)
         while scenario.world.time < 5.0:
             scenario.step()
-        forged = [m for m in scenario.world.bus.traffic if m.is_forged]
+        forged = [m for m in traffic if m.is_forged]
         assert forged
 
     def test_unknown_attack_rejected(self):

@@ -173,9 +173,9 @@ class TestHandOver:
             NoiseStream(np.random.default_rng(0), 1, "poisson")
 
 
-def _presampled_world(engine: str) -> World:
+def _presampled_world(engine: str, bus: RosBus) -> World:
     """A world whose UAVs sampled every sensor before being added to it."""
-    world = World(frame=FRAME, rng=np.random.default_rng(0), engine=engine)
+    world = World(frame=FRAME, rng=np.random.default_rng(0), engine=engine, bus=bus)
     for i in range(3):
         uav = Uav(
             spec=UavSpec(uav_id=f"uav{i + 1}", base_position=(30.0 + 60.0 * i, -20.0, 0.0)),
@@ -197,10 +197,12 @@ def _presampled_world(engine: str) -> World:
     return world
 
 
-def test_adoption_after_sampling_keeps_lockstep():
+def test_adoption_after_sampling_keeps_lockstep(record_traffic):
     """Sensors sampled before ``World.add_uav`` stay bit-identical (tol=0)."""
-    scalar = _presampled_world("scalar")
-    vector = _presampled_world("vectorized")
+    scalar_bus, vector_bus = RosBus(), RosBus()
+    scalar_traffic, vector_traffic = record_traffic(scalar_bus), record_traffic(vector_bus)
+    scalar = _presampled_world("scalar", scalar_bus)
+    vector = _presampled_world("vectorized", vector_bus)
     assert vector.engine == "vectorized"
     for step in range(3 * CHUNK):
         assert scalar.step() == vector.step()
@@ -213,8 +215,8 @@ def test_adoption_after_sampling_keeps_lockstep():
             assert uav.battery.soc == peer.battery.soc, where
             assert uav.battery.temp_c == peer.battery.temp_c, where
             assert uav.mode is peer.mode, where
-    scalar_log = [(m.topic, m.seq, m.stamp, m.data) for m in scalar.bus.traffic]
-    vector_log = [(m.topic, m.seq, m.stamp, m.data) for m in vector.bus.traffic]
+    scalar_log = [(m.topic, m.seq, m.stamp, m.data) for m in scalar_traffic]
+    vector_log = [(m.topic, m.seq, m.stamp, m.data) for m in vector_traffic]
     assert len(scalar_log) > 2 * CHUNK
     assert scalar_log == vector_log
 
