@@ -135,6 +135,83 @@ class TestNetworkExtremes:
         assert network.evaluate() is UavGuarantee.CONTINUE_MISSION_EXTRA
 
 
+#: The ten runtime-evidence inputs of the Fig. 1 network.
+FIG1_EVIDENCE = (
+    "no_attack_detected",
+    "gps_quality_ok",
+    "camera_healthy",
+    "safeml_confidence_ok",
+    "comm_links_ok",
+    "nearby_uavs_available",
+    "peer_telemetry_fresh",
+    "drone_detection_ok",
+    "reliability_high",
+    "reliability_medium",
+)
+
+
+def fig1_navigation(e: dict[str, bool]) -> str:
+    """The navigation guarantee, read off Fig. 1 by hand."""
+    camera = e["camera_healthy"]
+    if e["gps_quality_ok"] and e["no_attack_detected"]:
+        return "high_performance_navigation"
+    if e["comm_links_ok"] and e["nearby_uavs_available"] and e["peer_telemetry_fresh"]:
+        return "collaborative_navigation"
+    if e["drone_detection_ok"] and camera:
+        return "assistant_navigation"
+    if camera and e["safeml_confidence_ok"]:
+        return "vision_navigation"
+    return "navigation_unavailable"
+
+
+def fig1_uav(e: dict[str, bool]) -> UavGuarantee:
+    """The UAV-level flight decision, read off Fig. 1 by hand."""
+    navigation = fig1_navigation(e)
+    precise_nav = navigation in (
+        "high_performance_navigation", "collaborative_navigation"
+    )
+    any_nav = navigation != "navigation_unavailable"
+    # The reliability ConSert offers high, else medium, else low; the UAV
+    # demands "high" or "high or medium".
+    high = e["reliability_high"]
+    medium_or_better = high or e["reliability_medium"]
+    if high and precise_nav:
+        return UavGuarantee.CONTINUE_MISSION_EXTRA
+    if medium_or_better and any_nav:
+        return UavGuarantee.CONTINUE_MISSION
+    if medium_or_better and (any_nav or e["camera_healthy"]):
+        return UavGuarantee.HOLD_POSITION
+    if any_nav:
+        return UavGuarantee.RETURN_TO_BASE
+    return UavGuarantee.EMERGENCY_LAND
+
+
+class TestFig1Exhaustive:
+    """All 1,024 evidence assignments against the hand-written Fig. 1."""
+
+    def test_every_assignment_matches_the_hand_reading(self):
+        network = UavConSertNetwork(uav_id="uav1")
+        nodes = {
+            node.name: node
+            for name in NETWORK_CONSERTS
+            for node in getattr(network, name).evidence_nodes()
+        }
+        assert set(nodes) == set(FIG1_EVIDENCE)
+        seen = set()
+        for bits in range(1 << len(FIG1_EVIDENCE)):
+            evidence = {
+                name: bool(bits >> k & 1) for k, name in enumerate(FIG1_EVIDENCE)
+            }
+            for name, value in evidence.items():
+                nodes[name].set(value)
+            assert network.navigation_guarantee() == fig1_navigation(evidence), (
+                evidence
+            )
+            assert network.evaluate() is fig1_uav(evidence), evidence
+            seen.add(network.evaluate())
+        assert seen == set(UavGuarantee)
+
+
 def fleet(n=3):
     decider = MissionDecider()
     networks = []
