@@ -2,7 +2,7 @@
 
 The acceptance bar from the vectorized-assurance work: one full
 assurance cycle at 50 UAVs (every UAV's EDDI — SafeDrones Markov update,
-spoof/link monitors, SafeML, ConSert evaluation — plus the mission
+spoof detector, SafeML, ConSert evaluation — plus the mission
 decider) must run at least 5x faster on the batched plane
 (:mod:`repro.core.batch`) than on the scalar reference. The world step is
 excluded from the timed window (the fleet physics bench owns that

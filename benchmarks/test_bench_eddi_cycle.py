@@ -4,7 +4,7 @@ The paper stresses that "UAVs are highly constrained devices with limited
 battery capacity, requiring the use of lightweight technologies" (Sec. I).
 This bench measures the onboard cost of one complete assurance cycle —
 world step + full monitor stack (SafeDrones Markov update, spoof
-detector, link monitor, ConSert evaluation) for a three-UAV fleet plus
+detector, ConSert evaluation) for a three-UAV fleet plus
 the mission decider — the number that decides whether the stack fits a
 companion computer's budget."""
 
@@ -24,10 +24,10 @@ def make_running_fleet():
         decider.add_uav(stack.network)
     for uav in world.uavs.values():
         uav.start_mission([(200.0, 250.0, 20.0), (100.0, 20.0, 20.0)] * 5)
-    # Warm up the FULL measured cycle, decider included: decide() walks
-    # every UAV's ConSert network and appends to the decision history, so
-    # a warm-up that skips it would time first-call effects (lazy network
-    # evaluation, list growth) inside the measured window.
+    # Warm up the FULL measured cycle, decider included: decide() runs
+    # every UAV's ConSert network, whose flat program is built on first
+    # use, so a warm-up that skips it would time that build inside the
+    # measured window.
     for _ in range(10):
         world.step()
         for eddi, _ in fleet.values():

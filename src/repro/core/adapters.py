@@ -3,9 +3,9 @@
 Every example and integration test wires the same adapters by hand:
 SafeDrones into the reliability evidence, GPS quality and the spoof
 detector into the localization evidence, camera health into the vision
-evidence, the link monitor into the comm evidence. This module ships that
-wiring as a factory, so deploying the full Fig. 1 assurance stack on a
-simulated UAV is one call::
+evidence, fleet geometry into collaborator availability. This module
+ships that wiring as a factory, so deploying the full Fig. 1 assurance
+stack on a simulated UAV is one call::
 
     eddi, stack = build_uav_eddi(uav, world)
     ...
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from repro.core.eddi import Eddi, MonitorAdapter
 from repro.core.uav_network import UavConSertNetwork
 from repro.middleware.rosbus import Message, RosBus, Subscription
-from repro.safedrones.communication import CommLinkMonitor
 from repro.safedrones.monitor import SafeDronesMonitor
 from repro.safeml.monitor import SafeMlMonitor
 from repro.security.spoofing import GpsSpoofingDetector
@@ -110,7 +109,6 @@ class MonitorStack:
     network: UavConSertNetwork
     safedrones: SafeDronesMonitor
     spoof_detector: GpsSpoofingDetector
-    link_monitor: CommLinkMonitor
     safeml: SafeMlMonitor | None = None
     cl_range_m: float = 120.0
     telemetry: PeerTelemetryMonitor | None = None
@@ -136,7 +134,6 @@ def build_uav_eddi(
         network=network,
         safedrones=SafeDronesMonitor(uav_id=uav_id, rotor_count=uav.spec.rotor_count),
         spoof_detector=GpsSpoofingDetector(),
-        link_monitor=CommLinkMonitor(),
         safeml=safeml,
         cl_range_m=cl_range_m,
     )
@@ -170,8 +167,8 @@ def build_uav_eddi(
             report = stack.safeml.report(now)
             network.set_safeml_confidence_ok(report.level.value != "low")
 
-        # Communication: link quality + collaborator availability.
-        network.set_comm_links_ok(stack.link_monitor.assess(now).link_ok)
+        # Communication: collaborator availability. Link quality is
+        # measured on received traffic only (attach_degraded_comm).
         position = uav.dynamics.position
         cl_range_m = stack.cl_range_m
         neighbors = any(
@@ -236,8 +233,8 @@ def attach_degraded_comm(
       staleness watermark and the ``on_stale`` hook forces both evidences
       pessimistic every cycle until traffic resumes.
 
-    Replaces the geometry-derived comm evidence the stock adapter writes
-    (this adapter runs after it, so its verdict wins).
+    The stock adapter writes neither evidence, so without this adapter
+    both stay at their optimistic defaults.
     """
     telemetry = PeerTelemetryMonitor(
         uav_id=eddi.network.uav_id,

@@ -7,10 +7,13 @@ PR 4 vectorized the fleet *physics*; this module vectorizes the fleet's
 size. Here the monitor and diagnose phases of the same cycle run as
 fleet-wide array operations:
 
-* ConSert gate trees are compiled once into boolean-array programs
-  (:class:`CompiledConSerts`) and evaluated for all UAVs at once;
 * GPS fixes, quality draws and IMU velocities are gathered for the whole
-  fleet from the shared noise channels.
+  fleet from the shared noise channels into one evidence array per
+  runtime-evidence input;
+* one template :class:`UavConSertNetwork` is flattened
+  (:func:`repro.core.conserts.flatten`), the same evaluator every
+  per-UAV network runs, and its program runs once per row over those
+  arrays.
 
 Everything else is the scalar code: SafeDrones is one
 :class:`repro.safedrones.monitor.SafeDronesMonitor` per row, fed the
@@ -50,195 +53,27 @@ Known, documented deviations (none observable by the equivalence suite):
   the first offending row, so when *different* UAVs would raise from
   *different* phases the scalar stack may name another one first;
 * ``PeerTelemetryMonitor`` / ``attach_degraded_comm`` are not batched —
-  ``peer_telemetry_fresh`` stays at its default (exactly like the stock
-  ``build_fleet_eddis`` wiring);
+  ``comm_links_ok`` and ``peer_telemetry_fresh`` stay at their defaults
+  (exactly like the stock ``build_fleet_eddis`` wiring);
 * adopting UAVs after the plane was built is unsupported (``step``
   raises ``RuntimeError`` if the fleet grew).
 """
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
-
 import numpy as np
 
 from repro.core.adapters import build_fleet_eddis
-from repro.core.conserts import AndNode, ConSert, Demand, OrNode, RuntimeEvidence
+from repro.core.conserts import flatten
 from repro.core.decider import MissionDecider, MissionDecision, mission_decision
 from repro.core.eddi import EddiResponder
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
-from repro.safedrones.communication import CommLinkMonitor
 from repro.safedrones.monitor import (
     ReliabilityAssessment,
     ReliabilityLevel,
     SafeDronesMonitor,
 )
 from repro.security.spoofing import GpsSpoofingDetector
-
-
-# --------------------------------------------------------------------------
-# Compiled ConSert network: gate trees -> boolean array programs
-# --------------------------------------------------------------------------
-class CompiledConSerts:
-    """The Fig. 1 ConSert network compiled to boolean NumPy programs.
-
-    Every UAV shares the same network *shape* (only the evidence values
-    differ), so the trees are walked once on a template
-    :class:`UavConSertNetwork` and turned into closures over
-
-    * ``evidence``: ``{evidence name -> (n,) bool array}`` and
-    * ``offers``: ``{consert field -> (n,) intp array}`` of the guarantee
-      index each row's ConSert currently offers (``-1`` = none).
-
-    Demands become boolean lookup tables over the provider's offer index
-    (index ``-1`` lands on a trailing always-False slot, mirroring a
-    provider that offers nothing). Evaluation order is a topological sort
-    of the demand graph, so provider offers exist before consumers read
-    them — exactly the bottom-up order lazy scalar evaluation induces.
-    """
-
-    def __init__(self) -> None:
-        template = UavConSertNetwork(uav_id="__batch__")
-        template.set_reliability_level("high")
-        fields: list[str] = []
-        for f in dataclass_fields(UavConSertNetwork):
-            if isinstance(getattr(template, f.name, None), ConSert):
-                fields.append(f.name)
-        self.fields = tuple(fields)
-        owner = {id(getattr(template, name)): name for name in fields}
-
-        deps: dict[str, set[str]] = {}
-        for name in fields:
-            consert = getattr(template, name)
-            found: set[str] = set()
-            for demand in consert.demand_nodes():
-                for provider in demand.providers:
-                    pname = owner.get(id(provider))
-                    if pname is None:
-                        raise ValueError(
-                            f"ConSert {consert.name!r} demands from a provider "
-                            "outside the network"
-                        )
-                    found.add(pname)
-            deps[name] = found
-        ordered: list[str] = []
-        placed: set[str] = set()
-        remaining = set(fields)
-        while remaining:
-            ready = [
-                name for name in fields
-                if name in remaining and not (deps[name] - placed)
-            ]
-            if not ready:
-                raise ValueError("ConSert demand graph has a cycle")
-            for name in ready:
-                ordered.append(name)
-                placed.add(name)
-                remaining.discard(name)
-        self.order = tuple(ordered)
-
-        self.guarantee_names = {
-            name: tuple(getattr(template, name).guarantee_names())
-            for name in fields
-        }
-        defaults: dict[str, bool] = {}
-        for name in fields:
-            for node in getattr(template, name).evidence_nodes():
-                defaults[node.name] = bool(node.value)
-        self.evidence_defaults = defaults
-
-        self.programs = {}
-        for name in fields:
-            progs = []
-            for guarantee in getattr(template, name).guarantees:
-                if guarantee.condition is None:
-                    progs.append(None)
-                else:
-                    progs.append(self._compile(guarantee.condition, owner))
-            self.programs[name] = tuple(progs)
-        #: Enum singletons in offer-index order for the top-level ConSert,
-        #: so batched results preserve ``is`` identity with scalar ones.
-        self.uav_guarantees = tuple(
-            UavGuarantee(gname) for gname in self.guarantee_names["uav"]
-        )
-
-    def _compile(self, node, owner):
-        if isinstance(node, RuntimeEvidence):
-            def run(evidence, offers, _name=node.name):
-                return evidence[_name]
-            return run
-        if isinstance(node, Demand):
-            branches = []
-            for provider in node.providers:
-                pfield = owner[id(provider)]
-                names = self.guarantee_names[pfield]
-                lut = np.zeros(len(names) + 1, dtype=bool)
-                for gi, gname in enumerate(names):
-                    if gname in node.accepted_guarantees:
-                        lut[gi] = True
-                branches.append((pfield, lut))
-            if len(branches) == 1:
-                pfield, lut = branches[0]
-
-                def run(evidence, offers, _p=pfield, _lut=lut):
-                    return _lut[offers[_p]]
-                return run
-
-            def run(evidence, offers, _branches=tuple(branches)):
-                out = None
-                for pfield, lut in _branches:
-                    cond = lut[offers[pfield]]
-                    out = cond if out is None else (out | cond)
-                return out
-            return run
-        if isinstance(node, (AndNode, OrNode)):
-            children = tuple(self._compile(child, owner) for child in node.children)
-            if len(children) == 1:
-                return children[0]
-            if isinstance(node, AndNode):
-                def run(evidence, offers, _children=children):
-                    out = _children[0](evidence, offers)
-                    for child in _children[1:]:
-                        out = out & child(evidence, offers)
-                    return out
-                return run
-
-            def run(evidence, offers, _children=children):
-                out = _children[0](evidence, offers)
-                for child in _children[1:]:
-                    out = out | child(evidence, offers)
-                return out
-            return run
-        raise TypeError(f"cannot compile ConSert node {type(node)!r}")
-
-    def evaluate(self, evidence: dict, n: int) -> dict:
-        """Offer index per row for every ConSert (``-1`` = none offered)."""
-        offers: dict[str, np.ndarray] = {}
-        for name in self.order:
-            offer = np.full(n, -1, dtype=np.intp)
-            pending = np.ones(n, dtype=bool)
-            for gi, prog in enumerate(self.programs[name]):
-                if prog is None:
-                    offer[pending] = gi
-                    break
-                cond = prog(evidence, offers)
-                offer[pending & cond] = gi
-                pending = pending & ~cond
-                if not pending.any():
-                    break
-            offers[name] = offer
-        return offers
-
-
-_COMPILED: CompiledConSerts | None = None
-
-
-def compiled_conserts() -> CompiledConSerts:
-    """The process-wide compiled network (shape is identical for all UAVs)."""
-    global _COMPILED
-    if _COMPILED is None:
-        _COMPILED = CompiledConSerts()
-    return _COMPILED
 
 
 # --------------------------------------------------------------------------
@@ -274,10 +109,6 @@ class ScalarAssurancePlane:
         return self.decider.decide()
 
     @property
-    def decider_history(self) -> list[MissionDecision]:
-        return self.decider.history
-
-    @property
     def uav_ids(self) -> list[str]:
         return list(self.eddis)
 
@@ -294,8 +125,8 @@ class ScalarAssurancePlane:
         """Currently offered guarantee name per ConSert (None = none)."""
         network = self.eddis[uav_id][1].network
         out: dict[str, str | None] = {}
-        for name in compiled_conserts().fields:
-            offered = getattr(network, name).evaluate()
+        for name, consert in network.conserts().items():
+            offered = consert.evaluate()
             out[name] = offered.name if offered is not None else None
         return out
 
@@ -303,8 +134,8 @@ class ScalarAssurancePlane:
         """Current value of every runtime-evidence input."""
         network = self.eddis[uav_id][1].network
         out: dict[str, bool] = {}
-        for name in compiled_conserts().fields:
-            for node in getattr(network, name).evidence_nodes():
+        for consert in network.conserts().values():
+            for node in consert.evidence_nodes():
                 out[node.name] = bool(node.value)
         return out
 
@@ -313,9 +144,6 @@ class ScalarAssurancePlane:
 
     def spoof_detector(self, uav_id: str) -> GpsSpoofingDetector:
         return self.eddis[uav_id][1].spoof_detector
-
-    def link_monitor(self, uav_id: str) -> CommLinkMonitor:
-        return self.eddis[uav_id][1].link_monitor
 
     def on_guarantee(self, uav_id: str, guarantee, callback) -> None:
         self.eddis[uav_id][0].on_guarantee(guarantee, callback)
@@ -327,8 +155,8 @@ class BatchAssurancePlane:
     Requires a vectorized world (``world.engine == "vectorized"``) — the
     plane consumes sensor noise straight from the fleet's prefetched
     channels (the same per-row streams the scalar adapter consumes through
-    its sensors), reads fleet state from the shared arrays, and pushes
-    evidence through the compiled ConSert programs.
+    its sensors), reads fleet state from the shared arrays, and runs the
+    flattened ConSert program over one evidence row per UAV.
     """
 
     engine = "vectorized"
@@ -340,7 +168,6 @@ class BatchAssurancePlane:
         self.world = world
         self.fleet = fleet
         self.cl_range_m = cl_range_m
-        self.compiled = compiled_conserts()
         items = list(world.uavs.items())
         self._ids = [uav_id for uav_id, _ in items]
         self._uav_list = [uav for _, uav in items]
@@ -349,20 +176,34 @@ class BatchAssurancePlane:
             raise RuntimeError("world UAV registry and fleet arrays disagree")
         self._n = n
         self._row = {uav_id: k for k, uav_id in enumerate(self._ids)}
+        template = UavConSertNetwork(uav_id="__batch__")
+        template.set_reliability_level("high")
+        flat = flatten(template.uav)
+        self._program = flat.program
+        #: ``(field, program output slot, guarantee names)`` per ConSert.
+        slot = {id(consert): k for k, consert in enumerate(flat.conserts)}
+        self._offer_slots = tuple(
+            (name, slot[id(consert)], tuple(consert.guarantee_names()))
+            for name, consert in template.conserts().items()
+        )
+        #: Enum members in offer-index order for the top-level ConSert,
+        #: so batched results keep ``is`` identity with scalar ones.
+        self._uav_guarantees = tuple(
+            UavGuarantee(name) for name in template.uav.guarantee_names()
+        )
         self.evidence_arrays = {
-            name: np.full(n, default, dtype=bool)
-            for name, default in self.compiled.evidence_defaults.items()
+            node.name: np.full(n, node.value, dtype=bool) for node in flat.evidence
         }
+        #: The arrays in program-argument order.
+        self._columns = [self.evidence_arrays[node.name] for node in flat.evidence]
         self._safedrones = [
             SafeDronesMonitor(uav_id=uav_id, rotor_count=uav.spec.rotor_count)
             for uav_id, uav in items
         ]
         self._detectors = [GpsSpoofingDetector() for _ in range(n)]
-        self._links = [CommLinkMonitor() for _ in range(n)]
         self._responders = [
             EddiResponder(name=f"{uav_id}-eddi") for uav_id in self._ids
         ]
-        self.decider_history: list[MissionDecision] = []
         self._gps = [uav.sensors.gps for uav in self._uav_list]
         self._imus = [uav.sensors.imu for uav in self._uav_list]
         self._cams = [uav.sensors.camera for uav in self._uav_list]
@@ -522,11 +363,7 @@ class BatchAssurancePlane:
         evidence["camera_healthy"][:] = cam_ok
         evidence["drone_detection_ok"][:] = cam_ok
 
-        # --- communication: link quality + collaborator availability ------
-        comm = evidence["comm_links_ok"]
-        links = self._links
-        for k in range(n):
-            comm[k] = links[k].assess(now).link_ok
+        # --- communication: collaborator availability ---------------------
         neighbors = evidence["nearby_uavs_available"]
         if n <= 1:
             neighbors[:] = False
@@ -541,17 +378,19 @@ class BatchAssurancePlane:
             neighbors[:] = near.any(axis=1)
 
         # --- diagnose + respond -------------------------------------------
-        offers = self.compiled.evaluate(evidence, n)
-        uav_offer = offers["uav"].tolist()
-        uav_enum = self.compiled.uav_guarantees
         responders = self._responders
-        ids = self._ids
         out: dict[str, UavGuarantee] = {}
-        for k in range(n):
-            guarantee = uav_enum[uav_offer[k]]
+        for k, (uav_id, guarantee) in enumerate(zip(self._ids, self._diagnose())):
             responders[k].respond(now, guarantee)
-            out[ids[k]] = guarantee
+            out[uav_id] = guarantee
         return out
+
+    def _diagnose(self) -> list[UavGuarantee]:
+        """Every row's UAV-level guarantee under the current evidence."""
+        program = self._program
+        uav_enum = self._uav_guarantees
+        columns = [column.tolist() for column in self._columns]
+        return [uav_enum[program(*row)[-1]] for row in zip(*columns)]
 
     # --------------------------------------------------------------- decide
     def decide(self) -> MissionDecision:
@@ -559,14 +398,7 @@ class BatchAssurancePlane:
         n = self._n
         if n == 0:
             raise RuntimeError("no UAVs registered with the decider")
-        offers = self.compiled.evaluate(self.evidence_arrays, n)
-        uav_offer = offers["uav"].tolist()
-        uav_enum = self.compiled.uav_guarantees
-        decision = mission_decision(
-            {self._ids[k]: uav_enum[uav_offer[k]] for k in range(n)}
-        )
-        self.decider_history.append(decision)
-        return decision
+        return mission_decision(dict(zip(self._ids, self._diagnose())))
 
     # ------------------------------------------------------------ accessors
     @property
@@ -585,12 +417,11 @@ class BatchAssurancePlane:
     def consert_offers(self, uav_id: str) -> dict[str, str | None]:
         """Currently offered guarantee name per ConSert (None = none)."""
         row = self._row[uav_id]
-        offers = self.compiled.evaluate(self.evidence_arrays, self._n)
-        out: dict[str, str | None] = {}
-        for name in self.compiled.fields:
-            gi = int(offers[name][row])
-            out[name] = self.compiled.guarantee_names[name][gi] if gi >= 0 else None
-        return out
+        offers = self._program(*[bool(column[row]) for column in self._columns])
+        return {
+            name: names[offers[k]] if offers[k] >= 0 else None
+            for name, k, names in self._offer_slots
+        }
 
     def evidence(self, uav_id: str) -> dict[str, bool]:
         """Current value of every runtime-evidence input."""
@@ -605,9 +436,6 @@ class BatchAssurancePlane:
 
     def spoof_detector(self, uav_id: str) -> GpsSpoofingDetector:
         return self._detectors[self._row[uav_id]]
-
-    def link_monitor(self, uav_id: str) -> CommLinkMonitor:
-        return self._links[self._row[uav_id]]
 
     def on_guarantee(self, uav_id: str, guarantee, callback) -> None:
         self._responders[self._row[uav_id]].on_guarantee(guarantee, callback)

@@ -8,15 +8,27 @@ must currently be offered by other ConSerts it composes with). Evaluation
 selects the strongest satisfiable guarantee, falling back to an
 unconditional default — e.g. "Emergency Landing" in the paper's Fig. 1.
 
-Composition is hierarchical and dynamic: demands bind to provider ConSerts
-at integration time and re-resolve every evaluation, which is exactly the
-"runtime assurance" shift the EDDI concept is built on.
+Composition is hierarchical: demands bind to provider ConSerts when the
+demand is built, and the shape of every tree is fixed from then on
+(guarantees, gate children and providers are tuples). Only the evidence
+values change at runtime, which is the "runtime assurance" shift the EDDI
+concept is built on.
+
+There is one evaluator. :func:`flatten` walks a root ConSert and every
+provider it reaches once, orders them providers first, and generates one
+straight-line function from the evidence values to every ConSert's
+offered guarantee index. Each provider is computed once per pass, however
+many demands read it. :meth:`ConSert.evaluate` builds that program on its
+first call and reuses it; the batched assurance plane runs the program of
+one template network once per UAV row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from functools import lru_cache
+from types import CodeType
+from typing import Callable, Union
 
 Node = Union["RuntimeEvidence", "Demand", "AndNode", "OrNode"]
 
@@ -37,53 +49,42 @@ class RuntimeEvidence:
         """Update the monitored value."""
         self.value = bool(value)
 
-    def satisfied(self) -> bool:
-        """Current truth value."""
-        return self.value
-
 
 @dataclass
 class Demand:
     """A requirement on guarantees offered by other ConSerts.
 
-    Satisfied when any bound provider currently offers a guarantee whose
-    name is in ``accepted_guarantees``.
+    Satisfied when any provider currently offers a guarantee whose name is
+    in ``accepted_guarantees``; a demand with no providers never is.
     """
 
     name: str
     accepted_guarantees: frozenset[str]
-    providers: list["ConSert"] = field(default_factory=list)
+    providers: tuple["ConSert", ...] = ()
     description: str = ""
 
-    def satisfied(self) -> bool:
-        """Whether any bound provider offers an accepted guarantee now."""
-        for provider in self.providers:
-            offered = provider.evaluate()
-            if offered is not None and offered.name in self.accepted_guarantees:
-                return True
-        return False
+    def __post_init__(self) -> None:
+        self.providers = tuple(self.providers)
 
 
 @dataclass
 class AndNode:
     """All children must be satisfied."""
 
-    children: list[Node]
+    children: tuple[Node, ...]
 
-    def satisfied(self) -> bool:
-        """Conjunction over children."""
-        return all(child.satisfied() for child in self.children)
+    def __post_init__(self) -> None:
+        self.children = tuple(self.children)
 
 
 @dataclass
 class OrNode:
     """At least one child must be satisfied."""
 
-    children: list[Node]
+    children: tuple[Node, ...]
 
-    def satisfied(self) -> bool:
-        """Disjunction over children."""
-        return any(child.satisfied() for child in self.children)
+    def __post_init__(self) -> None:
+        self.children = tuple(self.children)
 
 
 @dataclass
@@ -100,10 +101,6 @@ class Guarantee:
     description: str = ""
     rank: int = 0
 
-    def satisfied(self) -> bool:
-        """Whether this guarantee can currently be offered."""
-        return True if self.condition is None else self.condition.satisfied()
-
 
 @dataclass
 class ConSert:
@@ -116,18 +113,26 @@ class ConSert:
     """
 
     name: str
-    guarantees: list[Guarantee] = field(default_factory=list)
+    guarantees: tuple[Guarantee, ...] = ()
+    _program: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        self.guarantees = tuple(self.guarantees)
         for rank, guarantee in enumerate(self.guarantees):
             guarantee.rank = rank
 
     def evaluate(self) -> Guarantee | None:
         """The strongest currently satisfiable guarantee, or None."""
-        for guarantee in self.guarantees:
-            if guarantee.satisfied():
-                return guarantee
-        return None
+        if self._program is None:
+            flat = flatten(self)
+            # Cache the program and its inputs, not ``flat``: it lists this
+            # ConSert, so holding it here would be a reference cycle.
+            self._program = (flat.program, flat.evidence)
+        program, evidence = self._program
+        index = program(*[node.value for node in evidence])[-1]
+        return self.guarantees[index] if index >= 0 else None
 
     def guarantee_names(self) -> list[str]:
         """Names of all guarantees, strongest first."""
@@ -164,3 +169,114 @@ class ConSert:
             elif isinstance(node, (AndNode, OrNode)):
                 stack.extend(reversed(node.children))
         return found
+
+
+@dataclass(frozen=True)
+class FlatConSerts:
+    """A ConSert network flattened into one straight-line program.
+
+    ``conserts`` holds the root and every provider it reaches, each
+    provider before the ConSerts that demand it, so the root is last.
+    ``program`` takes one value per node of ``evidence``, in order, and
+    returns the index of the guarantee each ConSert offers, in
+    ``conserts`` order (``-1`` where a ConSert offers none).
+    """
+
+    conserts: tuple[ConSert, ...]
+    evidence: tuple[RuntimeEvidence, ...]
+    program: Callable[..., tuple[int, ...]]
+
+
+def flatten(root: ConSert) -> FlatConSerts:
+    """Flatten ``root`` and every ConSert it demands into one program.
+
+    Raises ``ValueError`` if the demands form a cycle, and ``TypeError``
+    on a condition node that is not evidence, a demand or a gate.
+    """
+    conserts: list[ConSert] = []
+    _demand_order(root, conserts, set(), set())
+    slot = {id(consert): k for k, consert in enumerate(conserts)}
+    evidence: list[RuntimeEvidence] = []
+    inputs: dict[int, str] = {}
+    for consert in conserts:
+        for node in consert.evidence_nodes():
+            if id(node) not in inputs:
+                inputs[id(node)] = f"v{len(evidence)}"
+                evidence.append(node)
+
+    lines = [f"def program({', '.join(inputs.values())}):"]
+    for k, consert in enumerate(conserts):
+        keyword = "if"
+        for index, guarantee in enumerate(consert.guarantees):
+            if guarantee.condition is None:
+                break
+            condition = _expression(guarantee.condition, inputs, slot)
+            lines += [f"    {keyword} {condition}:", f"        o{k} = {index}"]
+            keyword = "elif"
+        else:
+            index = -1
+        if keyword == "if":
+            lines.append(f"    o{k} = {index}")
+        else:
+            lines += ["    else:", f"        o{k} = {index}"]
+    lines.append(f"    return ({''.join(f'o{k}, ' for k in range(len(conserts)))})")
+    namespace: dict = {}
+    exec(_compiled("\n".join(lines)), namespace)
+    # Popped so the function's globals do not hold the function itself.
+    return FlatConSerts(tuple(conserts), tuple(evidence), namespace.pop("program"))
+
+
+def _demand_order(
+    consert: ConSert, order: list[ConSert], placed: set[int], open_: set[int]
+) -> None:
+    """Append ``consert``'s providers, then ``consert``, to ``order``."""
+    if id(consert) in placed:
+        return
+    if id(consert) in open_:
+        raise ValueError(f"ConSert demand cycle through {consert.name!r}")
+    open_.add(id(consert))
+    for demand in consert.demand_nodes():
+        for provider in demand.providers:
+            _demand_order(provider, order, placed, open_)
+    open_.discard(id(consert))
+    placed.add(id(consert))
+    order.append(consert)
+
+
+def _expression(node: Node, inputs: dict[int, str], slot: dict[int, int]) -> str:
+    """Python source for one condition node of a flattened program."""
+    if isinstance(node, RuntimeEvidence):
+        return inputs[id(node)]
+    if isinstance(node, Demand):
+        terms = []
+        for provider in node.providers:
+            accepted = [
+                index
+                for index, guarantee in enumerate(provider.guarantees)
+                if guarantee.name in node.accepted_guarantees
+            ]
+            offer = f"o{slot[id(provider)]}"
+            if len(accepted) == 1:
+                terms.append(f"{offer} == {accepted[0]}")
+            elif accepted:
+                terms.append(f"{offer} in {tuple(accepted)}")
+        return _join(terms, "or")
+    if isinstance(node, AndNode):
+        return _join([_expression(c, inputs, slot) for c in node.children], "and")
+    if isinstance(node, OrNode):
+        return _join([_expression(c, inputs, slot) for c in node.children], "or")
+    raise TypeError(f"not a ConSert condition node: {type(node)!r}")
+
+
+def _join(terms: list[str], operator: str) -> str:
+    if not terms:
+        return "True" if operator == "and" else "False"
+    if len(terms) == 1:
+        return terms[0]
+    return "(" + f" {operator} ".join(terms) + ")"
+
+
+@lru_cache(maxsize=64)
+def _compiled(source: str) -> CodeType:
+    """Compile a program's source once; same-shaped networks share it."""
+    return compile(source, "<flattened ConSerts>", "exec")

@@ -78,7 +78,6 @@ class MissionDecider:
     (:func:`mission_decision`)."""
 
     networks: dict[str, UavConSertNetwork] = field(default_factory=dict)
-    history: list[MissionDecision] = field(default_factory=list)
 
     def add_uav(self, network: UavConSertNetwork) -> None:
         """Register one UAV's ConSert network."""
@@ -88,8 +87,6 @@ class MissionDecider:
         """Evaluate all UAV networks and produce the mission verdict."""
         if not self.networks:
             raise RuntimeError("no UAVs registered with the decider")
-        decision = mission_decision(
+        return mission_decision(
             {uav_id: network.evaluate() for uav_id, network in self.networks.items()}
         )
-        self.history.append(decision)
-        return decision

@@ -6,8 +6,7 @@ but a K×ρ swarm needs an intermediate certificate layer: each squad
 (one explorer leader plus its ρ followers) offers its own conditional
 guarantee, and the mission decider demands *squad* guarantees instead of
 per-UAV ones. That is ConSert composition as Reich et al. intend it —
-demands bind to provider certificates and re-resolve every evaluation —
-just one level deeper.
+demands bind to provider certificates — just one level deeper.
 
 Squad guarantee ladder (strongest first):
 
@@ -131,11 +130,15 @@ class SwarmMissionDecider:
 
     Mirrors :class:`repro.core.decider.MissionDecider`, but its demands
     bind to :class:`SquadConSert` providers rather than UAV networks:
-    the composition is certificate → certificate, so adding a squad never
-    changes the mission tree's shape — it just binds more providers.
+    the composition is certificate → certificate. The mission ConSert is
+    built once per squad roster and rebuilt only when the roster changes.
     """
 
     squads: dict[str, SquadConSert] = field(default_factory=dict)
+    _roster: tuple = field(default=(), init=False, repr=False, compare=False)
+    _mission: ConSert | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def add_squad(self, squad: SquadConSert) -> None:
         self.squads[squad.squad_id] = squad
@@ -184,7 +187,11 @@ class SwarmMissionDecider:
             squad_id: self.squads[squad_id].evaluate()
             for squad_id in sorted(self.squads)
         }
-        mission = self._mission_consert().evaluate()
+        roster = tuple(sorted(self.squads.items()))
+        if self._mission is None or roster != self._roster:
+            self._roster = roster
+            self._mission = self._mission_consert()
+        mission = self._mission.evaluate()
         assert mission is not None
         return SwarmDecision(
             verdict=mission.name,

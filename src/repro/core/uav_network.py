@@ -15,7 +15,7 @@ live monitors without knowing the tree shapes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.conserts import (
     AndNode,
@@ -35,6 +35,9 @@ class UavGuarantee(enum.Enum):
     HOLD_POSITION = "hold_position"
     RETURN_TO_BASE = "return_to_base"
     EMERGENCY_LAND = "emergency_land"
+
+
+_UAV_GUARANTEES = {guarantee.value: guarantee for guarantee in UavGuarantee}
 
 
 @dataclass
@@ -341,11 +344,15 @@ class UavConSertNetwork:
         self._ev_rel_medium.set(level in ("high", "medium"))
 
     # ---------------------------------------------------------- evaluation
+    def conserts(self) -> dict[str, ConSert]:
+        """Every ConSert of the network, by field name."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if not f.init}
+
     def evaluate(self) -> UavGuarantee:
         """Evaluate the whole network; returns the UAV-level decision."""
         offered = self.uav.evaluate()
         assert offered is not None  # the default guarantee is unconditional
-        return UavGuarantee(offered.name)
+        return _UAV_GUARANTEES[offered.name]
 
     def navigation_guarantee(self) -> str:
         """The navigation-level guarantee currently offered."""

@@ -112,7 +112,7 @@ def run_assurance_scale_point(
 
     The plain fleet-scale point measures coverage only; this variant
     additionally runs the full assurance plane (:func:`build_assurance`:
-    SafeDrones, spoof/link monitors, ConSert evaluation, mission
+    SafeDrones, the spoof detector, ConSert evaluation, mission
     decider) at the 2 Hz EDDI rate, so a campaign over it exercises the
     batched plane end to end at fleet scale and records its per-cycle
     cost in the manifest. ``assurance_engine`` records which plane ran.

@@ -3,18 +3,16 @@
 SafeDrones' reliability estimation covers "Reliable Propulsion,
 Communication, Energy Control" (paper Fig. 1). This module supplies the
 communication third: the classic two-state Gilbert–Elliott Markov channel
-(GOOD/BAD burst states with per-state packet loss), plus a runtime link
-monitor that estimates the current state from observed delivery outcomes
-and produces the link-quality guarantee the comm-localization ConSert
-consumes.
+(GOOD/BAD burst states with per-state packet loss). The comm-localization
+ConSert's link-quality evidence is measured on received telemetry
+(:func:`repro.core.adapters.attach_degraded_comm`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
 
 
 @dataclass
@@ -67,46 +65,3 @@ class GilbertElliottChannel:
         """Long-run packet delivery ratio."""
         bad = self.stationary_bad_fraction
         return (1.0 - bad) * (1.0 - self.loss_good) + bad * (1.0 - self.loss_bad)
-
-
-@dataclass(frozen=True)
-class LinkAssessment:
-    """One link-monitor output."""
-
-    stamp: float
-    delivery_ratio: float
-    estimated_bad: bool
-    link_ok: bool
-
-
-@dataclass
-class CommLinkMonitor:
-    """Runtime link-quality estimator over observed delivery outcomes.
-
-    Maintains a sliding window of packet outcomes; the link is OK while
-    the windowed delivery ratio stays at or above ``ok_threshold``. This
-    is the evidence source for the ``comm_links_ok`` ConSert input.
-    """
-
-    window_size: int = 50
-    ok_threshold: float = 0.85
-    outcomes: list[bool] = field(default_factory=list)
-
-    def record(self, delivered: bool) -> None:
-        """Record one packet outcome."""
-        self.outcomes.append(delivered)
-        if len(self.outcomes) > self.window_size:
-            del self.outcomes[: -self.window_size]
-
-    def assess(self, now: float) -> LinkAssessment:
-        """Current link verdict; optimistic before any traffic."""
-        if not self.outcomes:
-            ratio = 1.0
-        else:
-            ratio = sum(self.outcomes) / len(self.outcomes)
-        return LinkAssessment(
-            stamp=now,
-            delivery_ratio=ratio,
-            estimated_bad=ratio < self.ok_threshold,
-            link_ok=ratio >= self.ok_threshold,
-        )

@@ -71,7 +71,6 @@ class GpsSpoofingDetector:
     _hits: int = 0
     spoof_detected: bool = False
     detection_time: float | None = None
-    history: list[SpoofVerdict] = field(default_factory=list)
 
     def update(
         self,
@@ -99,12 +98,10 @@ class GpsSpoofingDetector:
             self.anchor_time = now
             self._last_gps = gps_enu
             self._last_imu = imu_velocity
-            verdict = SpoofVerdict(
+            return SpoofVerdict(
                 False, 0.0, self.base_threshold_m, 0.0,
                 self.cumulative_threshold_m, 0, now,
             )
-            self.history.append(verdict)
-            return verdict
 
         # --- innovation test (abrupt jumps) ------------------------------
         # End-of-epoch velocity integration, matching the platform's
@@ -159,12 +156,10 @@ class GpsSpoofingDetector:
                 cumulative_divergence_m=round(cumulative, 3),
             )
 
-        verdict = SpoofVerdict(
+        return SpoofVerdict(
             self.spoof_detected, innovation, threshold, cumulative,
             self.cumulative_threshold_m, self._hits, now,
         )
-        self.history.append(verdict)
-        return verdict
 
     def reset(self) -> None:
         """Forget all state (e.g. after landing and re-validation)."""
@@ -178,4 +173,3 @@ class GpsSpoofingDetector:
         self._last_imu = None
         self.spoof_detected = False
         self.detection_time = None
-        self.history.clear()

@@ -26,7 +26,6 @@ from repro.core.batch import (
     BatchAssurancePlane,
     ScalarAssurancePlane,
     build_assurance,
-    compiled_conserts,
 )
 from repro.experiments.common import build_three_uav_world
 from repro.scenario import load_scenario
@@ -117,7 +116,6 @@ def _run_lockstep(scalar_world, vector_world, steps: int, *, mutate=None):
             for r in batched_plane.response_log(uav_id)
         ]
         assert la == lb, uav_id
-    assert len(scalar_plane.decider_history) == len(batched_plane.decider_history)
     return scalar_plane, batched_plane
 
 
@@ -252,20 +250,6 @@ def test_engine_switch_vocabulary_matches_world():
     # The batched plane refuses a scalar world: it needs fleet channels.
     with pytest.raises(ValueError, match="vectorized assurance"):
         BatchAssurancePlane(world)
-
-
-def test_compiled_network_matches_template_shape():
-    """The compiled programs cover every ConSert and guarantee by name."""
-    compiled = compiled_conserts()
-    assert "uav" in compiled.fields
-    assert compiled.order[-1] == "uav"  # top of the demand DAG
-    for name in compiled.fields:
-        assert len(compiled.programs[name]) == len(
-            compiled.guarantee_names[name]
-        )
-    assert [g.value for g in compiled.uav_guarantees] == list(
-        compiled.guarantee_names["uav"]
-    )
 
 
 def test_batched_plane_rejects_fleet_growth():

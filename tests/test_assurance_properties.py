@@ -12,9 +12,6 @@ through the predicates defined below:
 * The distances in a :meth:`SafeMlMonitor.report` — which both planes
   use — respect their analytic ranges (``distance_in_bounds``) and
   vanish on identical windows.
-* The compiled boolean programs agree with the scalar ConSert trees on
-  *arbitrary* evidence (not just trajectories a simulation can reach),
-  and the zero-UAV / single-UAV edges behave.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.batch import compiled_conserts
+from repro.core.conserts import flatten
 from repro.core.uav_network import UavConSertNetwork, UavGuarantee
 from repro.safedrones.monitor import ReliabilityLevel, SafeDronesMonitor
 from repro.safeml.distances import ALL_MEASURES
@@ -81,82 +78,29 @@ def distance_in_bounds(measure: str, value: float) -> bool:
 
 
 # ------------------------------------------------------------ ConSert layer
-def _scalar_offers(evidence: dict[str, bool]) -> dict[str, int]:
-    """Evaluate the scalar template network; offer index per ConSert."""
-    compiled = compiled_conserts()
-    network = UavConSertNetwork(uav_id="prop")
-    network.set_reliability_level("high")
-    for name in compiled.fields:
-        for node in getattr(network, name).evidence_nodes():
-            node.value = evidence[node.name]
-    out = {}
-    for name in compiled.fields:
-        offered = getattr(network, name).evaluate()
-        names = compiled.guarantee_names[name]
-        out[name] = names.index(offered.name) if offered is not None else -1
-    return out
-
-
 def test_guarantee_monotone_under_evidence_decay():
     """Evidence only decaying -> the offered guarantee never improves."""
-    compiled = compiled_conserts()
-    names = list(compiled.evidence_defaults)
+    network = UavConSertNetwork(uav_id="prop")
+    flat = flatten(network.uav)
+    uav = network.uav.guarantee_names()
+
+    def offered(values: list[bool]) -> UavGuarantee:
+        return UavGuarantee(uav[flat.program(*values)[-1]])
+
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        n = int(rng.integers(1, 9))
-        evidence = {k: np.ones(n, dtype=bool) for k in names}
-        orders = [rng.permutation(len(names)) for _ in range(n)]
-        prev = [
-            compiled.uav_guarantees[i]
-            for i in compiled.evaluate(evidence, n)["uav"]
-        ]
-        assert all(guarantee_rank(g) == 0 for g in prev)  # all-good start
-        for step in range(len(names)):
-            for row in range(n):
-                evidence[names[orders[row][step]]][row] = False
-            cur = [
-                compiled.uav_guarantees[i]
-                for i in compiled.evaluate(evidence, n)["uav"]
-            ]
-            for row in range(n):
-                assert demotion_monotone_ok(prev[row], cur[row]), (
-                    f"row {row} improved {prev[row]} -> {cur[row]} "
-                    "while losing evidence"
-                )
+    for _ in range(400):
+        values = [True] * len(flat.evidence)
+        prev = offered(values)
+        assert guarantee_rank(prev) == 0  # all-good start
+        for k in rng.permutation(len(values)):
+            values[k] = False
+            cur = offered(values)
+            assert demotion_monotone_ok(prev, cur), (
+                f"improved {prev} -> {cur} while losing evidence"
+            )
             prev = cur
         # Everything lost -> the worst guarantee, not a missing offer.
-        assert all(guarantee_rank(g) == 4 for g in prev)
-
-
-def test_compiled_programs_match_scalar_trees_on_arbitrary_evidence():
-    """Compiled offers == scalar tree evaluation for random evidence.
-
-    Arbitrary boolean assignments cover combinations no simulated
-    trajectory reaches (e.g. reliability_medium without reliability_high).
-    """
-    compiled = compiled_conserts()
-    names = list(compiled.evidence_defaults)
-    rng = np.random.default_rng(11)
-    n = 64
-    for _ in range(20):
-        stacked = {k: rng.random(n) < 0.5 for k in names}
-        offers = compiled.evaluate(stacked, n)
-        for row in range(n):
-            scalar = _scalar_offers(
-                {k: bool(stacked[k][row]) for k in names}
-            )
-            batched = {k: int(v[row]) for k, v in offers.items()}
-            assert batched == scalar, f"row {row}: {batched} != {scalar}"
-
-
-def test_zero_rows_evaluate_cleanly():
-    compiled = compiled_conserts()
-    evidence = {
-        k: np.zeros(0, dtype=bool) for k in compiled.evidence_defaults
-    }
-    offers = compiled.evaluate(evidence, 0)
-    assert set(offers) == set(compiled.fields)
-    assert all(v.shape == (0,) for v in offers.values())
+        assert guarantee_rank(prev) == 4
 
 
 # ------------------------------------------------------ SafeDrones monitors

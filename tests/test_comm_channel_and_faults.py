@@ -1,14 +1,11 @@
-"""Unit tests for the Gilbert–Elliott channel, link monitor, and the
-fault-injection framework."""
+"""Unit tests for the Gilbert–Elliott channel and the fault-injection
+framework."""
 
 import numpy as np
 import pytest
 
 from repro.experiments.common import build_three_uav_world
-from repro.safedrones.communication import (
-    CommLinkMonitor,
-    GilbertElliottChannel,
-)
+from repro.safedrones.communication import GilbertElliottChannel
 from repro.safedrones.markov import ContinuousMarkovChain
 from repro.uav.faults import (
     FaultSchedule,
@@ -83,39 +80,6 @@ class TestGilbertElliott:
         )
         pt = chain.transient(np.array([1.0, 0.0]), 1000.0)
         assert pt[1] == pytest.approx(channel.stationary_bad_fraction, abs=1e-9)
-
-
-class TestCommLinkMonitor:
-    def test_optimistic_before_traffic(self):
-        monitor = CommLinkMonitor()
-        assert monitor.assess(0.0).link_ok
-
-    def test_good_traffic_stays_ok(self):
-        monitor = CommLinkMonitor()
-        for _ in range(100):
-            monitor.record(True)
-        assessment = monitor.assess(1.0)
-        assert assessment.link_ok
-        assert assessment.delivery_ratio == 1.0
-
-    def test_outage_flips_link(self):
-        monitor = CommLinkMonitor(window_size=20)
-        for _ in range(20):
-            monitor.record(True)
-        for _ in range(15):
-            monitor.record(False)
-        assessment = monitor.assess(2.0)
-        assert not assessment.link_ok
-        assert assessment.estimated_bad
-
-    def test_window_slides_and_recovers(self):
-        monitor = CommLinkMonitor(window_size=20)
-        for _ in range(20):
-            monitor.record(False)
-        assert not monitor.assess(1.0).link_ok
-        for _ in range(20):
-            monitor.record(True)
-        assert monitor.assess(2.0).link_ok
 
 
 class TestFaultInjection:

@@ -9,6 +9,7 @@ from repro.core.conserts import (
     Guarantee,
     OrNode,
     RuntimeEvidence,
+    flatten,
 )
 
 
@@ -26,12 +27,18 @@ def provider_consert(offering=True):
     )
 
 
+def holds(condition) -> bool:
+    """Whether ``condition`` holds, read through a one-guarantee ConSert."""
+    probe = ConSert(name="probe", guarantees=[Guarantee("held", condition)])
+    return probe.evaluate() is not None
+
+
 class TestRuntimeEvidence:
     def test_set_and_read(self):
         ev = RuntimeEvidence("x")
-        assert not ev.satisfied()
+        assert not holds(ev)
         ev.set(True)
-        assert ev.satisfied()
+        assert holds(ev)
 
     def test_set_coerces_to_bool(self):
         ev = RuntimeEvidence("x")
@@ -42,49 +49,69 @@ class TestRuntimeEvidence:
 class TestGates:
     def test_and_node(self):
         a, b = RuntimeEvidence("a", True), RuntimeEvidence("b", False)
-        assert not AndNode([a, b]).satisfied()
+        assert not holds(AndNode([a, b]))
         b.set(True)
-        assert AndNode([a, b]).satisfied()
+        assert holds(AndNode([a, b]))
 
     def test_or_node(self):
         a, b = RuntimeEvidence("a", False), RuntimeEvidence("b", False)
-        assert not OrNode([a, b]).satisfied()
+        assert not holds(OrNode([a, b]))
         a.set(True)
-        assert OrNode([a, b]).satisfied()
+        assert holds(OrNode([a, b]))
 
     def test_nested_gates(self):
         a = RuntimeEvidence("a", True)
         b = RuntimeEvidence("b", False)
         c = RuntimeEvidence("c", True)
-        tree = AndNode([a, OrNode([b, c])])
-        assert tree.satisfied()
+        assert holds(AndNode([a, OrNode([b, c])]))
+
+    def test_empty_gates(self):
+        assert holds(AndNode([]))
+        assert not holds(OrNode([]))
+
+    def test_children_are_fixed_at_construction(self):
+        children = [RuntimeEvidence("a", True)]
+        gate = AndNode(children)
+        children.append(RuntimeEvidence("b", False))
+        assert gate.children == (children[0],)
+        assert holds(gate)
 
 
 class TestDemand:
     def test_satisfied_by_bound_provider(self):
         provider, _ = provider_consert(offering=True)
-        demand = Demand("d", frozenset({"service_ok"}))
-        assert not demand.satisfied()  # unbound
-        demand.providers.append(provider)
-        assert demand.satisfied()
+        assert holds(Demand("d", frozenset({"service_ok"}), [provider]))
+
+    def test_unbound_demand_is_never_satisfied(self):
+        assert not holds(Demand("d", frozenset({"service_ok"})))
 
     def test_unsatisfied_when_provider_degrades(self):
         provider, ev = provider_consert(offering=True)
         demand = Demand("d", frozenset({"service_ok"}), [provider])
         ev.set(False)
-        assert not demand.satisfied()
+        assert not holds(demand)
 
     def test_accepts_alternative_guarantees(self):
         provider, ev = provider_consert(offering=False)
         demand = Demand("d", frozenset({"service_ok", "service_degraded"}), [provider])
-        assert demand.satisfied()  # degraded is also acceptable
+        assert holds(demand)  # degraded is also acceptable
 
     def test_any_of_multiple_providers(self):
         p1, ev1 = provider_consert(offering=False)
-        p2, _ = provider_consert(offering=True)
-        demand = Demand("d", frozenset({"service_ok"}))
-        demand.providers += [p1, p2]
-        assert demand.satisfied()
+        p2, ev2 = provider_consert(offering=True)
+        demand = Demand("d", frozenset({"service_ok"}), [p1, p2])
+        assert holds(demand)
+        ev2.set(False)
+        assert not holds(demand)
+        ev1.set(True)
+        assert holds(demand)
+
+    def test_provider_offering_nothing_satisfies_no_demand(self):
+        silent = ConSert(
+            name="silent",
+            guarantees=[Guarantee("only", AndNode([RuntimeEvidence("e", False)]))],
+        )
+        assert not holds(Demand("d", frozenset({"only"}), [silent]))
 
 
 class TestConSert:
@@ -127,19 +154,30 @@ class TestConSert:
         )
         assert {e.name for e in consert.evidence_nodes()} == {"a", "b"}
 
-    def test_unbound_demand_falls_back_until_bound(self):
-        # An integrator may bind a demand after the consumer is built;
-        # meanwhile the consumer offers its default.
+    def test_unbound_at_construction_offers_the_default(self):
+        # Providers are bound when the demand is built: an unbound demand
+        # stays unbound, and the consumer offers its default.
         provider, _ = provider_consert()
-        demand = Demand("d", frozenset({"service_ok"}))
-        consumer = ConSert(
+        unbound = ConSert(
             name="consumer",
-            guarantees=[Guarantee("go", AndNode([demand])), Guarantee("stop", None)],
+            guarantees=[
+                Guarantee("go", AndNode([Demand("d", frozenset({"service_ok"}))])),
+                Guarantee("stop", None),
+            ],
         )
-        assert consumer.evaluate().name == "stop"
-        assert consumer.demand_nodes()[0].providers == []
-        demand.providers.append(provider)
-        assert consumer.evaluate().name == "go"
+        assert unbound.evaluate().name == "stop"
+        assert unbound.demand_nodes()[0].providers == ()
+        bound = ConSert(
+            name="consumer",
+            guarantees=[
+                Guarantee(
+                    "go",
+                    AndNode([Demand("d", frozenset({"service_ok"}), [provider])]),
+                ),
+                Guarantee("stop", None),
+            ],
+        )
+        assert bound.evaluate().name == "go"
 
     def test_demand_nodes_enumeration(self):
         provider, _ = provider_consert()
@@ -278,3 +316,111 @@ class TestLeafWalk:
             node = AndNode([node])
         consert = ConSert("deep", guarantees=[Guarantee("g", node)])
         assert consert.evidence_nodes() == [leaf]
+
+
+def _reference_offer(consert: ConSert) -> int:
+    """The recursive walk, kept as the flat evaluator's oracle."""
+    for index, guarantee in enumerate(consert.guarantees):
+        if guarantee.condition is None or _reference_holds(guarantee.condition):
+            return index
+    return -1
+
+
+def _reference_holds(node) -> bool:
+    if isinstance(node, RuntimeEvidence):
+        return node.value
+    if isinstance(node, Demand):
+        return any(
+            (index := _reference_offer(provider)) >= 0
+            and provider.guarantees[index].name in node.accepted_guarantees
+            for provider in node.providers
+        )
+    if isinstance(node, AndNode):
+        return all(_reference_holds(child) for child in node.children)
+    return any(_reference_holds(child) for child in node.children)
+
+
+class TestFlatten:
+    def test_providers_come_first_once_and_the_root_last(self):
+        sensor, _ = provider_consert()
+        left = ConSert(
+            "left",
+            guarantees=[
+                Guarantee("ok", Demand("s", frozenset({"service_ok"}), [sensor])),
+                Guarantee("bad", None),
+            ],
+        )
+        right = ConSert(
+            "right",
+            guarantees=[
+                Guarantee("ok", Demand("s", frozenset({"service_ok"}), [sensor])),
+                Guarantee("bad", None),
+            ],
+        )
+        root = ConSert(
+            "root",
+            guarantees=[
+                Guarantee(
+                    "go",
+                    AndNode([
+                        Demand("l", frozenset({"ok"}), [left]),
+                        Demand("r", frozenset({"ok"}), [right]),
+                    ]),
+                ),
+                Guarantee("stop", None),
+            ],
+        )
+        flat = flatten(root)
+        assert [c.name for c in flat.conserts] == ["provider", "left", "right", "root"]
+        assert [e.name for e in flat.evidence] == ["provider_ok"]
+        assert flat.program(True) == (0, 0, 0, 0)
+        assert flat.program(False) == (1, 1, 1, 1)
+
+    def test_rejects_a_demand_cycle(self):
+        demand = Demand("d", frozenset({"go"}))
+        a = ConSert("a", guarantees=[Guarantee("go", demand), Guarantee("stop")])
+        b = ConSert(
+            "b",
+            guarantees=[
+                Guarantee("go", Demand("a", frozenset({"go"}), [a])),
+                Guarantee("stop"),
+            ],
+        )
+        demand.providers = (b,)  # closes a -> b -> a after construction
+        with pytest.raises(ValueError, match="cycle"):
+            flatten(a)
+        with pytest.raises(ValueError, match="cycle"):
+            b.evaluate()
+
+    def test_rejects_a_foreign_condition_node(self):
+        consert = ConSert("c", guarantees=[Guarantee("g", "not a node")])
+        with pytest.raises(TypeError, match="condition node"):
+            flatten(consert)
+
+    def test_no_satisfiable_guarantee_is_minus_one(self):
+        ev = RuntimeEvidence("e")
+        flat = flatten(ConSert("c", guarantees=[Guarantee("only", ev)]))
+        assert flat.program(False) == (-1,)
+        assert flat.program(True) == (0,)
+        assert flatten(ConSert("empty")).program() == (-1,)
+
+    def test_guarantees_after_the_default_are_unreachable(self):
+        ev = RuntimeEvidence("e", True)
+        consert = ConSert(
+            "c",
+            guarantees=[Guarantee("default"), Guarantee("never", ev)],
+        )
+        assert flatten(consert).program(True) == (0,)
+
+    @pytest.mark.parametrize("consert", _paper_conserts(), ids=lambda c: c.name)
+    def test_matches_the_recursive_walk_on_random_evidence(self, consert):
+        import random
+
+        flat = flatten(consert)
+        rng = random.Random(5)
+        for _ in range(200):
+            for node in flat.evidence:
+                node.value = rng.random() < 0.6
+            expected = tuple(_reference_offer(c) for c in flat.conserts)
+            assert flat.program(*[node.value for node in flat.evidence]) == expected
+            assert consert.evaluate() is consert.guarantees[expected[-1]]

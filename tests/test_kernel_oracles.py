@@ -121,7 +121,6 @@ def _update_reference(self, now, gps_enu, imu_velocity, dt) -> SpoofVerdict:
             consecutive_hits=0,
             stamp=now,
         )
-        self.history.append(verdict)
         return verdict
 
     self._dr_position = tuple(
@@ -175,7 +174,6 @@ def _update_reference(self, now, gps_enu, imu_velocity, dt) -> SpoofVerdict:
         consecutive_hits=self._hits,
         stamp=now,
     )
-    self.history.append(verdict)
     return verdict
 
 
@@ -243,34 +241,46 @@ FLEET50_DIGEST = (
 )
 
 
-def _fleet50_run(seed: int) -> tuple[SarMission, object]:
+def _fleet50_run(seed: int) -> tuple[SarMission, dict[str, list]]:
     """The ``run_assurance_scale_point`` loop at N=50, keeping the mission
-    and the plane so their state can be hashed."""
+    and every verdict each UAV's spoof detector returned, so their state
+    can be hashed."""
     world = build_three_uav_world(seed=seed, n_persons=8, n_uavs=50).world
     mission = SarMission(world=world)
     mission.assign_paths()
     plane = build_assurance(world)
+    returned: dict[int, list] = {}
+    update = GpsSpoofingDetector.update
+
+    def recording(self, *args):
+        verdict = update(self, *args)
+        returned.setdefault(id(self), []).append(verdict)
+        return verdict
+
     cycle_every = max(1, int(round(2.0 / world.dt)))
     steps = 0
-    while not mission.mission_complete and world.time < 60.0:
-        mission.step()
-        steps += 1
-        if steps % cycle_every == 0:
-            plane.step(world.time)
-            plane.decide()
-    return mission, plane
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GpsSpoofingDetector, "update", recording)
+        while not mission.mission_complete and world.time < 60.0:
+            mission.step()
+            steps += 1
+            if steps % cycle_every == 0:
+                plane.step(world.time)
+                plane.decide()
+    verdicts = {
+        uav_id: returned.get(id(plane.spoof_detector(uav_id)), [])
+        for uav_id in plane.uav_ids
+    }
+    return mission, verdicts
 
 
-def _fleet50_digest(mission: SarMission, plane) -> str:
+def _fleet50_digest(mission: SarMission, verdicts: dict[str, list]) -> str:
     metrics = mission.metrics
     persons = [
         (p.person_id, p.detected, p.detected_by, p.detected_at)
         for p in mission.world.persons
     ]
-    verdicts = [
-        (uav_id, plane.spoof_detector(uav_id).history)
-        for uav_id in sorted(plane.uav_ids)
-    ]
+    verdicts = [(uav_id, verdicts[uav_id]) for uav_id in sorted(verdicts)]
     state = (
         sorted(metrics.cells_visited),
         metrics.attempts,
@@ -283,17 +293,17 @@ def _fleet50_digest(mission: SarMission, plane) -> str:
 
 class TestFleet50AssuredPin:
     def test_mission_matches_reference_kernels(self, monkeypatch):
-        mission, plane = _fleet50_run(FLEET50_SEED)
-        assert plane.engine == "vectorized"
+        mission, verdicts = _fleet50_run(FLEET50_SEED)
+        assert mission.world.engine == "vectorized"
         assert mission.metrics.attempts, "the pin must exercise detection"
-        assert all(
-            len(plane.spoof_detector(u).history) > 1 for u in plane.uav_ids
+        assert len(verdicts) == 50 and all(
+            len(returned) > 1 for returned in verdicts.values()
         ), "the pin must exercise every spoof detector"
         monkeypatch.setattr(SarMission, "_scan", _scan_reference)
         monkeypatch.setattr(GpsSpoofingDetector, "update", _update_reference)
-        oracle, oracle_plane = _fleet50_run(FLEET50_SEED)
-        assert _fleet50_digest(mission, plane) == _fleet50_digest(
-            oracle, oracle_plane
+        oracle, oracle_verdicts = _fleet50_run(FLEET50_SEED)
+        assert _fleet50_digest(mission, verdicts) == _fleet50_digest(
+            oracle, oracle_verdicts
         )
 
     # The digest hashes the raw cumulative divergence, which goes through
@@ -304,8 +314,7 @@ class TestFleet50AssuredPin:
         "differently",
     )
     def test_mission_and_spoof_verdicts_are_pinned(self):
-        mission, plane = _fleet50_run(FLEET50_SEED)
-        assert _fleet50_digest(mission, plane) == FLEET50_DIGEST
+        assert _fleet50_digest(*_fleet50_run(FLEET50_SEED)) == FLEET50_DIGEST
 
 
 # --------------------------------------------------------------- swath scan
@@ -458,20 +467,24 @@ class TestScanMatchesReference:
 
 # ----------------------------------------------------------- spoof detector
 def _replay(stream, **params) -> tuple[GpsSpoofingDetector, GpsSpoofingDetector]:
-    """Feed one epoch stream to the kernel and to the oracle."""
+    """Feed one epoch stream to the kernel and to the oracle.
+
+    Each detector gets a ``verdicts`` list of what its updates returned.
+    """
     kernel = GpsSpoofingDetector(**params)
     oracle = GpsSpoofingDetector(**params)
+    kernel.verdicts, oracle.verdicts = [], []
     for now, gps, imu, dt in stream:
-        got = kernel.update(now, gps, imu, dt)
-        want = _update_reference(oracle, now, gps, imu, dt)
-        assert got == want
+        kernel.verdicts.append(kernel.update(now, gps, imu, dt))
+        oracle.verdicts.append(_update_reference(oracle, now, gps, imu, dt))
+        assert kernel.verdicts[-1] == oracle.verdicts[-1]
     return kernel, oracle
 
 
 def _assert_detectors_agree(kernel, oracle) -> None:
-    assert kernel.history == oracle.history
+    assert kernel.verdicts == oracle.verdicts
     # repr spells every float exactly (and tells 0.0 from -0.0).
-    assert repr(kernel.history) == repr(oracle.history)
+    assert repr(kernel.verdicts) == repr(oracle.verdicts)
     assert repr(kernel._dr_position) == repr(oracle._dr_position)
     assert repr(list(kernel._divergences)) == repr(list(oracle._divergences))
     assert (kernel._hits, kernel.spoof_detected, kernel.detection_time) == (
@@ -522,7 +535,7 @@ class TestSpoofDetectorMatchesReference:
         _assert_detectors_agree(kernel, oracle)
         # The 4 s gap re-anchored (a fresh zero-innovation verdict); the
         # 1.5 s one did not.
-        fresh = [v.stamp for v in kernel.history if v.innovation_m == 0.0]
+        fresh = [v.stamp for v in kernel.verdicts if v.innovation_m == 0.0]
         assert 24.0 in fresh and 61.5 not in fresh
 
     def test_window_eviction(self):
@@ -542,11 +555,13 @@ class TestSpoofDetectorMatchesReference:
             def __init__(self, **params):
                 super().__init__(**params)
                 self.epochs = []
+                self.verdicts = []
                 recorders.append(self)
 
             def update(self, now, gps_enu, imu_velocity, dt):
                 self.epochs.append((now, gps_enu, imu_velocity, dt))
-                return super().update(now, gps_enu, imu_velocity, dt)
+                self.verdicts.append(super().update(now, gps_enu, imu_velocity, dt))
+                return self.verdicts[-1]
 
         monkeypatch.setattr(fig6, "GpsSpoofingDetector", Recording)
         result = fig6.run_fig6_spoofing_experiment()
@@ -555,7 +570,7 @@ class TestSpoofDetectorMatchesReference:
         for recorded in (clean, attacked):
             kernel, oracle = _replay(recorded.epochs)
             _assert_detectors_agree(kernel, oracle)
-            assert repr(kernel.history) == repr(recorded.history)
+            assert repr(kernel.verdicts) == repr(recorded.verdicts)
 
 
 # -------------------------------------------------------- grid queries

@@ -417,4 +417,8 @@ class TestGpsSpoofingDetector:
         assert detector.spoof_detected
         detector.reset()
         assert not detector.spoof_detected
-        assert detector.history == []
+        assert detector.detection_time is None
+        # The next fix re-anchors: a fresh, clean verdict.
+        verdict = detector.update(60.0, (500.0, 0.0, 0.0), (2.0, 0.0, 0.0), 0.5)
+        assert not verdict.spoofed
+        assert (verdict.innovation_m, verdict.consecutive_hits) == (0.0, 0)

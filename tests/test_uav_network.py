@@ -264,14 +264,15 @@ class TestMissionDecider:
         with pytest.raises(RuntimeError):
             MissionDecider().decide()
 
-    def test_history_accumulates(self):
+    def test_each_decision_reads_the_live_networks(self):
         decider, networks = fleet()
-        decider.decide()
+        first = decider.decide()
         networks[0].set_reliability_level("low")
-        decider.decide()
-        assert len(decider.history) == 2
-        assert decider.history[0].verdict is MissionVerdict.AS_PLANNED
-        assert decider.history[1].verdict is MissionVerdict.REDISTRIBUTE
+        second = decider.decide()
+        assert first.verdict is MissionVerdict.AS_PLANNED
+        assert second.verdict is MissionVerdict.REDISTRIBUTE
+        assert first.uav_guarantees["uav1"] is UavGuarantee.CONTINUE_MISSION_EXTRA
+        assert second.uav_guarantees["uav1"] is UavGuarantee.RETURN_TO_BASE
 
 
 def build_fleet_world(n_uavs: int, seed=0):
