@@ -37,9 +37,6 @@ class UavGuarantee(enum.Enum):
     EMERGENCY_LAND = "emergency_land"
 
 
-_UAV_GUARANTEES = {guarantee.value: guarantee for guarantee in UavGuarantee}
-
-
 @dataclass
 class UavConSertNetwork:
     """All ConSerts of one UAV, wired per Fig. 1."""
@@ -352,7 +349,7 @@ class UavConSertNetwork:
         """Evaluate the whole network; returns the UAV-level decision."""
         offered = self.uav.evaluate()
         assert offered is not None  # the default guarantee is unconditional
-        return _UAV_GUARANTEES[offered.name]
+        return UavGuarantee(offered.name)
 
     def navigation_guarantee(self) -> str:
         """The navigation-level guarantee currently offered."""

@@ -424,3 +424,39 @@ class TestFlatten:
             expected = tuple(_reference_offer(c) for c in flat.conserts)
             assert flat.program(*[node.value for node in flat.evidence]) == expected
             assert consert.evaluate() is consert.guarantees[expected[-1]]
+
+
+class TestSwarmMissionDecider:
+    def _decider(self, *squad_ids):
+        from repro.core.squad import SquadConSert, SwarmMissionDecider
+
+        decider = SwarmMissionDecider()
+        for squad_id in squad_ids:
+            decider.add_squad(SquadConSert(squad_id))
+        return decider
+
+    def test_mission_consert_is_built_once_per_roster(self):
+        decider = self._decider("a", "b")
+        assert decider.decide().verdict == "swarm_as_planned"
+        mission = decider._mission
+        decider.squads["a"].update(False, 0, 2)
+        assert decider.decide().verdict == "swarm_rehome_needed"
+        assert decider._mission is mission
+
+    def test_a_roster_change_rebuilds_the_mission_consert(self):
+        from repro.core.squad import SquadConSert
+
+        decider = self._decider("a", "b")
+        decider.squads["a"].update(False, 0, 2)
+        assert decider.decide().verdict == "swarm_rehome_needed"
+        del decider.squads["a"]
+        decision = decider.decide()
+        assert decision.verdict == "swarm_as_planned"
+        assert decision.squad_guarantees == {"b": "squad_tasking_full"}
+        # A new squad under a known id is a new roster too.
+        replacement = SquadConSert("b")
+        replacement.update(True, 1, 2)
+        decider.add_squad(replacement)
+        assert decider.decide().verdict == "swarm_tasking_degraded"
+        decider.squads["b"].update(False, 0, 2)
+        assert decider.decide().verdict == "swarm_lost"
