@@ -207,18 +207,18 @@ def flatten(root: ConSert) -> FlatConSerts:
     lines = [f"def program({', '.join(inputs.values())}):"]
     for k, consert in enumerate(conserts):
         keyword = "if"
+        default = -1  # offered when no condition holds
         for index, guarantee in enumerate(consert.guarantees):
             if guarantee.condition is None:
+                default = index  # later guarantees are unreachable
                 break
             condition = _expression(guarantee.condition, inputs, slot)
             lines += [f"    {keyword} {condition}:", f"        o{k} = {index}"]
             keyword = "elif"
-        else:
-            index = -1
         if keyword == "if":
-            lines.append(f"    o{k} = {index}")
+            lines.append(f"    o{k} = {default}")
         else:
-            lines += ["    else:", f"        o{k} = {index}"]
+            lines += ["    else:", f"        o{k} = {default}"]
     lines.append(f"    return ({''.join(f'o{k}, ' for k in range(len(conserts)))})")
     namespace: dict = {}
     exec(_compiled("\n".join(lines)), namespace)
