@@ -9,10 +9,11 @@ selects the strongest satisfiable guarantee, falling back to an
 unconditional default — e.g. "Emergency Landing" in the paper's Fig. 1.
 
 Composition is hierarchical: demands bind to provider ConSerts when the
-demand is built, and the shape of every tree is fixed from then on
-(guarantees, gate children and providers are tuples). Only the evidence
-values change at runtime, which is the "runtime assurance" shift the EDDI
-concept is built on.
+demand is built, and the shape of every tree is fixed from then on:
+ConSerts, guarantees, gates and demands are frozen, their sequences are
+tuples, and rebinding one raises ``FrozenInstanceError``. Only the
+evidence values change at runtime, which is the "runtime assurance" shift
+the EDDI concept is built on.
 
 There is one evaluator. :func:`flatten` walks a root ConSert and every
 provider it reaches once, orders them providers first, and generates one
@@ -26,8 +27,6 @@ one template network once per UAV row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from types import CodeType
 from typing import Callable, Union
 
 Node = Union["RuntimeEvidence", "Demand", "AndNode", "OrNode"]
@@ -50,7 +49,7 @@ class RuntimeEvidence:
         self.value = bool(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Demand:
     """A requirement on guarantees offered by other ConSerts.
 
@@ -64,36 +63,36 @@ class Demand:
     description: str = ""
 
     def __post_init__(self) -> None:
-        self.providers = tuple(self.providers)
+        object.__setattr__(self, "providers", tuple(self.providers))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AndNode:
     """All children must be satisfied."""
 
     children: tuple[Node, ...]
 
     def __post_init__(self) -> None:
-        self.children = tuple(self.children)
+        object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrNode:
     """At least one child must be satisfied."""
 
     children: tuple[Node, ...]
 
     def __post_init__(self) -> None:
-        self.children = tuple(self.children)
+        object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Guarantee:
     """One conditional guarantee of a ConSert.
 
     ``condition=None`` marks an unconditional (default) guarantee. ``rank``
-    is informational; the offering order is the position in the ConSert's
-    guarantee list (first = strongest).
+    is informational, set by the ConSert that lists the guarantee; the
+    offering order is the position in that list (first = strongest).
     """
 
     name: str
@@ -102,7 +101,7 @@ class Guarantee:
     rank: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConSert:
     """An ordered set of guarantees for one component or service.
 
@@ -119,17 +118,18 @@ class ConSert:
     )
 
     def __post_init__(self) -> None:
-        self.guarantees = tuple(self.guarantees)
+        object.__setattr__(self, "guarantees", tuple(self.guarantees))
         for rank, guarantee in enumerate(self.guarantees):
-            guarantee.rank = rank
+            object.__setattr__(guarantee, "rank", rank)
 
     def evaluate(self) -> Guarantee | None:
         """The strongest currently satisfiable guarantee, or None."""
         if self._program is None:
             flat = flatten(self)
             # Cache the program and its inputs, not ``flat``: it lists this
-            # ConSert, so holding it here would be a reference cycle.
-            self._program = (flat.program, flat.evidence)
+            # ConSert, so holding it here would be a reference cycle. The
+            # frozen tree types keep the cached program in step with it.
+            object.__setattr__(self, "_program", (flat.program, flat.evidence))
         program, evidence = self._program
         index = program(*[node.value for node in evidence])[-1]
         return self.guarantees[index] if index >= 0 else None
@@ -221,7 +221,7 @@ def flatten(root: ConSert) -> FlatConSerts:
             lines += ["    else:", f"        o{k} = {default}"]
     lines.append(f"    return ({''.join(f'o{k}, ' for k in range(len(conserts)))})")
     namespace: dict = {}
-    exec(_compiled("\n".join(lines)), namespace)
+    exec(compile("\n".join(lines), "<flattened ConSerts>", "exec"), namespace)
     # Popped so the function's globals do not hold the function itself.
     return FlatConSerts(tuple(conserts), tuple(evidence), namespace.pop("program"))
 
@@ -275,8 +275,3 @@ def _join(terms: list[str], operator: str) -> str:
         return terms[0]
     return "(" + f" {operator} ".join(terms) + ")"
 
-
-@lru_cache(maxsize=64)
-def _compiled(source: str) -> CodeType:
-    """Compile a program's source once; same-shaped networks share it."""
-    return compile(source, "<flattened ConSerts>", "exec")

@@ -1,5 +1,7 @@
 """Unit tests for the ConSert model and its composition semantics."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.core.conserts import (
@@ -75,6 +77,26 @@ class TestGates:
         children.append(RuntimeEvidence("b", False))
         assert gate.children == (children[0],)
         assert holds(gate)
+
+    def test_tree_shape_cannot_be_rebound(self):
+        # A ConSert caches its flattened program, so a rebinding after the
+        # first evaluation would leave it stale; the types refuse it instead.
+        evidence = RuntimeEvidence("a", True)
+        gate = AndNode([evidence])
+        demand = Demand("d", frozenset({"go"}))
+        guarantee = Guarantee("go", gate)
+        consert = ConSert("c", guarantees=[guarantee, Guarantee("stop")])
+        assert consert.evaluate().name == "go"
+        for node, attribute, value in [
+            (gate, "children", ()),
+            (demand, "providers", (consert,)),
+            (guarantee, "condition", None),
+            (consert, "guarantees", ()),
+        ]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, attribute, value)
+        evidence.set(False)
+        assert consert.evaluate().name == "stop"
 
 
 class TestDemand:
@@ -386,7 +408,8 @@ class TestFlatten:
                 Guarantee("stop"),
             ],
         )
-        demand.providers = (b,)  # closes a -> b -> a after construction
+        # The frozen types forbid this rebinding; force it to close a -> b -> a.
+        object.__setattr__(demand, "providers", (b,))
         with pytest.raises(ValueError, match="cycle"):
             flatten(a)
         with pytest.raises(ValueError, match="cycle"):
