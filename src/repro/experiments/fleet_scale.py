@@ -118,6 +118,7 @@ def run_assurance_scale_point(
     cost in the manifest. ``assurance_engine`` records which plane ran.
     """
     from repro.core.batch import build_assurance
+    from repro.core.decider import mission_decision
 
     scenario = build_three_uav_world(seed=seed, n_persons=n_persons, n_uavs=n_uavs)
     world = scenario.world
@@ -134,8 +135,8 @@ def run_assurance_scale_point(
         steps += 1
         if steps % cycle_every == 0:
             cycle_start = time.perf_counter()
-            plane.step(world.time)
-            verdicts.append(plane.decide().verdict.name)
+            # The verdict over the guarantees this cycle just diagnosed.
+            verdicts.append(mission_decision(plane.step(world.time)).verdict.name)
             assurance_wall += time.perf_counter() - cycle_start
     wall = time.perf_counter() - start
     metrics = mission.metrics

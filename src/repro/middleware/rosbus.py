@@ -11,6 +11,15 @@ inspects from an interceptor — mirroring how a network IDS sees packet
 headers that application code does not. The bus itself keeps no message:
 once ``publish`` returns, a message lives on only where a subscriber or
 an interceptor stored it.
+
+A topic *has a reader* (:meth:`RosBus.has_reader`) when a publish to it
+could be seen by anyone: the bus class overrides ``publish`` (a lossy
+transport draws per delivery), an interceptor is installed, the
+observability session is on (its metrics count every publish), or the
+topic has an active subscription. A producer may skip building a message
+nobody reads, provided it calls :meth:`RosBus.skip` instead so the
+message's sequence number is used up and every later ``seq`` is the one
+a full publish would have given.
 """
 
 from __future__ import annotations
@@ -107,6 +116,34 @@ class RosBus:
         drops it.
         """
         self._interceptors.append(fn)
+
+    def has_reader(self, topic: str) -> bool:
+        """True when publishing on ``topic`` now could be observed.
+
+        The reader rule: an active subscription on ``topic``, any
+        installed interceptor, an enabled :data:`repro.obs.OBS` session,
+        or a bus class that overrides :meth:`publish`. An unsubscribed
+        :class:`Subscription` is no reader. When this is False a publish
+        has no effect but the sequence number it takes (:meth:`skip`).
+        """
+        subs = self._subs.get(topic)
+        if subs:
+            for sub in subs:
+                if sub.active:
+                    return True
+        return (
+            bool(self._interceptors)
+            or OBS.enabled
+            or type(self).publish is not RosBus.publish
+        )
+
+    def skip(self, count: int = 1) -> None:
+        """Use up ``count`` sequence numbers, as ``count`` unread publishes would.
+
+        For a producer that found no reader (:meth:`has_reader`) and built
+        no message: later messages keep the ``seq`` a full publish gives.
+        """
+        self._seq = itertools.count(next(self._seq) + count)
 
     def publish(
         self,

@@ -18,6 +18,10 @@ from repro.sar.detection import DetectionModel, DetectionOutcome
 from repro.uav.uav import FlightMode, Uav
 from repro.uav.world import World
 
+#: Bound once: the per-tick mode tests below read a module global instead
+#: of looking the member up on the enum class.
+_MISSION = FlightMode.MISSION
+
 
 @dataclass
 class MissionMetrics:
@@ -122,7 +126,7 @@ class SarMission:
         self.world.step()
         now = self.world.time
         for uav in self.world.uavs.values():
-            if uav.mode is not FlightMode.MISSION:
+            if uav.mode is not _MISSION:
                 continue
             self.metrics.productive_time_s[uav.spec.uav_id] = (
                 self.metrics.productive_time_s.get(uav.spec.uav_id, 0.0)
@@ -193,9 +197,7 @@ class SarMission:
     @property
     def mission_complete(self) -> bool:
         """All UAVs finished their plans (no longer in MISSION mode)."""
-        return all(
-            uav.mode is not FlightMode.MISSION for uav in self.world.uavs.values()
-        )
+        return all(uav.mode is not _MISSION for uav in self.world.uavs.values())
 
     def run(self, max_time_s: float = 3600.0) -> MissionMetrics:
         """Step until the mission completes or the time budget expires."""

@@ -915,22 +915,49 @@ class FleetEngine:
         arrays = self.arrays
         n = arrays.n
         uavs = self._uavs
-        to_geo = self.frame.to_geo
-        ids = self._ids
         topics = self._topics
-        mode_str = self._mode_str
-        cams = self._cams
+        n_tel = len(tel_rows)
         n_valid = len(tel_valid)
+        n_imu = len(imu_rows)
+        # The batch's noise events, taken first: a batch nobody reads
+        # takes them too (the scalar Uav.publish_telemetry contract).
         if n_valid:
             if n_valid == n:
                 z = self.ch_gps.take_all()
                 u = self.ch_quality.take_all()
-                noisy = (pos + spoof) + noise_std[:, None] * z
-                sp = self._spoofed[:n]
             else:
                 va = np.array(tel_valid)
                 z = self.ch_gps.take(va)
                 u = self.ch_quality.take(va)
+        if n_imu:
+            if n_imu == n:
+                zi = self.ch_imu.take_all()
+            else:
+                ia = np.array(imu_rows)
+                zi = self.ch_imu.take(ia)
+        if n_tel == n:
+            zt = self.ch_temp.take_all()[:, 0]
+            zw = self.ch_wind.take_all()[:, 0]
+        else:
+            ta = np.array(tel_rows)
+            zt = self.ch_temp.take(ta)[:, 0]
+            zw = self.ch_wind.take(ta)[:, 0]
+        bus = self.bus
+        due_topics = topics if n_tel == n else [topics[k] for k in tel_rows]
+        if not any(map(bus.has_reader, due_topics)):
+            for k in tel_rows:
+                uavs[k]._last_telemetry = now
+            bus.skip(n_tel)
+            return
+        to_geo = self.frame.to_geo
+        ids = self._ids
+        mode_str = self._mode_str
+        cams = self._cams
+        if n_valid:
+            if n_valid == n:
+                noisy = (pos + spoof) + noise_std[:, None] * z
+                sp = self._spoofed[:n]
+            else:
                 noisy = (pos[va] + spoof[va]) + noise_std[va, None] * z
                 sp = self._spoofed[va]
             lat, lon, alt, east, north, up = self._roundtrip(noisy)
@@ -944,31 +971,22 @@ class FleetEngine:
             lon_l = lon.tolist()
             alt_l = alt.tolist()
             pos_tuples = list(zip(east.tolist(), north.tolist(), up.tolist()))
-        n_imu = len(imu_rows)
         if n_imu:
             if n_imu == n:
-                zi = self.ch_imu.take_all()
                 iv = (arrays.velocity[:n] + arrays.drift[:n]) + self._imu_std[
                     :n, None
                 ] * zi
             else:
-                ia = np.array(imu_rows)
-                zi = self.ch_imu.take(ia)
                 iv = (arrays.velocity[ia] + arrays.drift[ia]) + self._imu_std[
                     ia, None
                 ] * zi
             iv_tuples = list(map(tuple, iv.tolist()))
-        if len(tel_rows) == n:
-            zt = self.ch_temp.take_all()[:, 0]
-            zw = self.ch_wind.take_all()[:, 0]
+        if n_tel == n:
             bt_l = (arrays.temp_c[:n] + self._temp_std[:n] * zt).tolist()
             wv_l = np.maximum(
                 0.0, wind_mps + self._wind_std[:n] * zw
             ).tolist()
         else:
-            ta = np.array(tel_rows)
-            zt = self.ch_temp.take(ta)[:, 0]
-            zw = self.ch_wind.take(ta)[:, 0]
             bt_l = (arrays.temp_c[ta] + self._temp_std[ta] * zt).tolist()
             wv_l = np.maximum(
                 0.0, wind_mps + self._wind_std[ta] * zw
@@ -976,7 +994,6 @@ class FleetEngine:
         soc_l = arrays.soc[:n].tolist()
         # This loop runs fleet_size times per step; it is the hottest
         # allocation site in the engine.
-        n_tel = len(tel_rows)
         items: list[tuple] = []
         items_append = items.append
         if n_valid == n_tel and n_imu == n_tel:
@@ -996,7 +1013,7 @@ class FleetEngine:
                 )
                 uavs[k]._last_telemetry = now
                 items_append((topics[k], sample, ids[k]))
-            self.bus.publish_many(items, now)
+            bus.publish_many(items, now)
             return
         vi = 0
         ii = 0
@@ -1023,4 +1040,4 @@ class FleetEngine:
             )
             uavs[k]._last_telemetry = now
             items_append((topics[k], sample, ids[k]))
-        self.bus.publish_many(items, now)
+        bus.publish_many(items, now)

@@ -12,8 +12,13 @@ noise channel of a sensor draws from its *own* spawned generator, and
 each measure takes exactly one fixed-width event from it through the
 channel's noise source — GPS noise one ``normal(3)`` event, GPS quality
 one ``uniform(2)``, IMU one ``normal(3)``, temperature and wind one scalar
-``normal`` each; a denied or unhealthy sensor takes nothing. A sensor
-only ever calls its source's ``pop()``. By default the source is a
+``normal`` each; a denied or unhealthy sensor takes nothing. Each
+sensor states this once, in its ``take()`` method, which every measure
+goes through; a telemetry sample that nobody reads (no reader on the bus,
+:meth:`repro.middleware.rosbus.RosBus.has_reader`) is never built, but
+still takes its events through the same ``take()`` calls, so the streams
+do not depend on who listens. A sensor only ever calls its source's
+``pop()``. By default the source is a
 :class:`NoiseStream`, which prefetches ``CHUNK`` events per generator call;
 chunked draws from a numpy ``Generator`` consume the bit stream exactly
 like per-event calls, so the values are those of calling
@@ -122,16 +127,24 @@ class GpsSensor:
         self.noise = NoiseStream(rng, 3, "normal")
         self.quality = NoiseStream(quality_rng, 2, "uniform")
 
-    def measure(self, true_enu: tuple[float, float, float], now: float) -> GpsFix:
-        """Produce a fix for the vehicle at ``true_enu`` metres.
+    def take(self) -> tuple[list[float], list[float]] | None:
+        """Take the events one measure takes; returns them.
 
-        Stream contract: a valid measure takes one ``normal(3)`` event
-        from ``noise`` and one ``uniform(2)`` event from ``quality``; a
-        denied/unhealthy measure takes nothing.
+        Stream contract: a valid fix takes one ``normal(3)`` event from
+        ``noise`` and one ``uniform(2)`` event from ``quality``, returned
+        as ``(noise, quality)``; a denied/unhealthy measure takes nothing
+        and returns ``None``.
         """
         if self.denied or not self.healthy:
+            return None
+        return self.noise.pop(), self.quality.pop()
+
+    def measure(self, true_enu: tuple[float, float, float], now: float) -> GpsFix:
+        """Produce a fix for the vehicle at ``true_enu`` metres (events: :meth:`take`)."""
+        events = self.take()
+        if events is None:
             return GpsFix(self.frame.to_geo(*true_enu), 0, 99.0, False, now)
-        east, north, up, sats, hdop = self._sample(true_enu)
+        east, north, up, sats, hdop = self._sample(true_enu, *events)
         return GpsFix(self.frame.to_geo(east, north, up), sats, hdop, True, now)
 
     def position(self, true_enu: tuple[float, float, float]) -> tuple[float, float, float] | None:
@@ -141,25 +154,24 @@ class GpsSensor:
         bit, ``frame.to_enu(measure(true_enu, now).point)`` of a valid
         fix, without building the fix.
         """
-        if self.denied or not self.healthy:
+        events = self.take()
+        if events is None:
             return None
-        east, north, up, _, _ = self._sample(true_enu)
+        east, north, up, _, _ = self._sample(true_enu, *events)
         return self.frame.roundtrip(east, north, up)
 
     def _sample(
-        self, true_enu: tuple[float, float, float]
+        self, true_enu: tuple[float, float, float], noise: list[float],
+        quality: list[float],
     ) -> tuple[float, float, float, int, float]:
-        """The sampling kernel of a valid fix: noisy ENU point, satellites, HDOP.
-
-        Takes one ``noise`` event, then one ``quality`` event.
-        """
-        zx, zy, zz = self.noise.pop()
+        """The sampling kernel of a valid fix: noisy ENU point, satellites, HDOP."""
+        zx, zy, zz = noise
         tx, ty, tz = true_enu
         ox, oy, oz = self.spoof_offset_m
         std = self.noise_std_m
         # A spoofer replays consistent ephemeris, so quality indicators stay
         # plausible; mild degradation reflects the repeater geometry.
-        u0, u1 = self.quality.pop()
+        u0, u1 = quality
         if abs(ox) > 1e-9 or abs(oy) > 1e-9 or abs(oz) > 1e-9:
             sats = 6 + int(u0 * 3.0)
             hdop = 1.2 + 1.0 * u1
@@ -188,15 +200,20 @@ class ImuSensor:
     def __post_init__(self, rng: np.random.Generator) -> None:
         self.noise = NoiseStream(rng, 3, "normal")
 
-    def measure(self, true_velocity: tuple[float, float, float]) -> tuple[float, float, float]:
-        """Return a noisy copy of the true velocity vector.
+    def take(self) -> list[float] | None:
+        """Take the events one measure takes; returns them.
 
         Stream contract: one ``normal(3)`` event per healthy measure,
-        nothing when unhealthy.
+        nothing (``None``) when unhealthy.
         """
-        if not self.healthy:
+        return self.noise.pop() if self.healthy else None
+
+    def measure(self, true_velocity: tuple[float, float, float]) -> tuple[float, float, float]:
+        """Return a noisy copy of the true velocity vector (events: :meth:`take`)."""
+        z = self.take()
+        if z is None:
             return (0.0, 0.0, 0.0)
-        zx, zy, zz = self.noise.pop()
+        zx, zy, zz = z
         vx, vy, vz = true_velocity
         std = self.noise_std_mps
         return (vx + std * zx, vy + std * zy, vz + std * zz)
@@ -239,12 +256,16 @@ class TemperatureSensor:
     def __post_init__(self, rng: np.random.Generator) -> None:
         self.noise = NoiseStream(rng, 1, "normal")
 
-    def measure(self, true_temp_c: float) -> float:
-        """Return a noisy temperature reading in Celsius.
+    def take(self) -> float:
+        """Take the event one measure takes; returns it.
 
         Stream contract: exactly one scalar ``normal`` event.
         """
-        return true_temp_c + self.noise_std_c * self.noise.pop()
+        return self.noise.pop()
+
+    def measure(self, true_temp_c: float) -> float:
+        """Return a noisy temperature reading in Celsius (event: :meth:`take`)."""
+        return true_temp_c + self.noise_std_c * self.take()
 
 
 @dataclass
@@ -261,12 +282,16 @@ class WindSensor:
     def __post_init__(self, rng: np.random.Generator) -> None:
         self.noise = NoiseStream(rng, 1, "normal")
 
-    def measure(self, true_wind_mps: float) -> float:
-        """Return a noisy non-negative wind speed reading.
+    def take(self) -> float:
+        """Take the event one measure takes; returns it.
 
         Stream contract: exactly one scalar ``normal`` event.
         """
-        wind = true_wind_mps + self.noise_std_mps * self.noise.pop()
+        return self.noise.pop()
+
+    def measure(self, true_wind_mps: float) -> float:
+        """Return a noisy non-negative wind speed reading (event: :meth:`take`)."""
+        wind = true_wind_mps + self.noise_std_mps * self.take()
         return wind if wind > 0.0 else 0.0
 
 
